@@ -49,6 +49,7 @@ from .oracle import (
     attach_residuals,
     inverse_iteration,
     match_spectra,
+    pencil_residuals,
     residual_gevp,
     solve_gevp_numeric,
     solve_pevp_numeric,
@@ -112,6 +113,7 @@ __all__ = [
     "lu_solve",
     "match_spectra",
     "minor_remove",
+    "pencil_residuals",
     "pevp_eigenpairs",
     "poly_roots",
     "read_matrix_market",

@@ -28,7 +28,7 @@ from .mmio import write_matrix_market
 from .oracle import (
     inverse_iteration,
     pair_values,
-    residual_gevp,
+    pencil_residuals,
     solve_gevp_numeric,
     solve_pevp_numeric,
 )
@@ -186,9 +186,7 @@ def _spectrum_problem(args):
 def _cmd_spectrum(args) -> int:
     values, vectors, a, b = _spectrum_problem(args)
     values = values + args.perturb
-    residuals = np.array(
-        [residual_gevp(a, b, values[i], vectors[:, i]) for i in range(values.size)]
-    )
+    residuals = pencil_residuals(a, b, values, vectors)
     header = "mode_index,lambda_re,lambda_im,residual"
     columns = [
         (i + 1, values[i].real, values[i].imag, residuals[i]) for i in range(values.size)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotHermitianError, SingularBError, SingularDenominatorError
-from .linalg import as_square, hermitian_eigen, inf_norm, is_hermitian
-from .oracle import SINGULAR_B_RTOL, solve_gevp_numeric
+from .linalg import as_square, hermitian_eigen, is_hermitian
+from .oracle import is_singular, solve_gevp_numeric
 from .spectra import symbol
 
 GAP_WARNING_TOL = 1e-6
@@ -95,7 +95,7 @@ def eve_identity_gevp(a, b, j: int, k: int, form: str = PROOF_FORM) -> IdentityR
     a, b = as_square(a), as_square(b)
     if not is_hermitian(a) or not is_hermitian(b):
         raise NotHermitianError("the generalized identity takes Hermitian A and B")
-    if float(np.linalg.svd(b, compute_uv=False)[-1]) <= SINGULAR_B_RTOL * max(inf_norm(b), 1e-300):
+    if is_singular(b):
         raise SingularBError("B must be invertible")
     if form not in (PROOF_FORM, LITERAL_FORM):
         raise ValueError(f"unknown form {form!r}")

@@ -34,9 +34,7 @@ def inf_norm(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    if a.ndim == 1:
-        return float(np.max(np.abs(a)))
-    return float(np.max(np.abs(a).sum(axis=1)))
+    return float(abs(a).sum(axis=1).max())
 
 
 def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +39,7 @@ class EigenSolution:
             raise ValueError("modes, values and vector columns must line up")
         if len(np.unique(self.modes)) != len(self.modes):
             raise ValueError("mode labels must be unique")
-        norms = np.linalg.norm(self.vectors, axis=0)
-        if np.any(norms == 0.0):
+        if not self.vectors.any(axis=0).all():
             raise ValueError("eigenvectors must be nonzero")
         if self.provenance not in (ANALYTIC, NUMERIC):
             raise ValueError(f"unknown provenance {self.provenance!r}")
@@ -58,11 +56,6 @@ class EigenSolution:
         """Eigenvalues ordered by (real part, imaginary part), ties by mode."""
         order = np.lexsort((self.modes, self.values.imag, self.values.real))
         return self.values[order]
-
-    def normalized(self) -> "EigenSolution":
-        """Copy with every eigenvector rescaled to unit Euclidean norm."""
-        vecs = self.vectors / np.linalg.norm(self.vectors, axis=0)
-        return dataclasses.replace(self, vectors=vecs)
 
     def value_for_mode(self, mode: int) -> complex:
         idx = np.flatnonzero(self.modes == mode)

@@ -9,6 +9,7 @@ cubics whose roots are taken directly.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,20 +33,18 @@ QUADRATIC_DEGENERACY_TOL = 1e-14
 def symbol(band, theta):
     """Trigonometric symbol ``band[0] + 2 * sum_l band[l] * cos(l*theta)``.
 
-    Accepts a scalar angle or an array of angles.
+    Accepts a scalar angle or an array of angles.  It is evaluated as
+    ``(band[0] + 2 sum_l band[l]) - 4 sum_l band[l] sin^2(l*theta/2)``, which
+    keeps full relative accuracy at small angles, where the cosine form
+    cancels.
     """
     band = as_band(band)
     theta_arr = np.asarray(theta, dtype=float)
-    orders = np.arange(1, band.size)
-    if orders.size == 0:
-        acc = np.broadcast_to(band[0], theta_arr.shape).astype(complex).copy()
-    else:
-        acc = band[0] + 2.0 * np.tensordot(
-            band[1:], np.cos(np.multiply.outer(orders, theta_arr)), axes=(0, 0)
-        )
-    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-        return complex(acc)
-    return acc
+    terms = np.concatenate((band[:1], 2.0 * band[1:]))
+    flat = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    half_sines = np.sin(0.5 * np.multiply.outer(np.arange(1, band.size), theta_arr.ravel()))
+    acc = (flat - 4.0 * (band[1:] @ (half_sines * half_sines))).reshape(theta_arr.shape)
+    return complex(acc) if theta_arr.ndim == 0 else acc
 
 
 def mode_angles(variant, n: int):
@@ -113,22 +112,6 @@ def gevp_eigenpairs(alpha, beta, n: int, variant) -> EigenSolution:
     )
 
 
-def _quadratic_mode_coeffs(alpha, beta, cos_angle):
-    a_hat = beta[0] * beta[3] - 2.0 * beta[1] ** 2 + 2.0 * (
-        beta[2] * beta[3] - beta[1] ** 2
-    ) * cos_angle
-    b_hat = (
-        4.0 * alpha[1] * beta[1]
-        - beta[0] * alpha[3]
-        - alpha[0] * beta[3]
-        - 2.0 * (beta[2] * alpha[3] - 2.0 * alpha[1] * beta[1] + alpha[2] * beta[3]) * cos_angle
-    )
-    c_hat = alpha[0] * alpha[3] - 2.0 * alpha[1] ** 2 + 2.0 * (
-        alpha[2] * alpha[3] - alpha[1] ** 2
-    ) * cos_angle
-    return a_hat, b_hat, c_hat
-
-
 def corner_block_quadratic_bands(alpha, beta):
     """The three order-1 bands whose quadratic pencil condenses the corner-block pencil.
 
@@ -193,9 +176,10 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
         x[0::2] = ratio * (even[: n + 1] + even[1:])  # entries 2k+1
         return x
 
-    for j in range(1, n + 1):
-        cos_angle = np.cos(j * np.pi * h)
-        a_hat, b_hat, c_hat = _quadratic_mode_coeffs(alpha, beta, cos_angle)
+    # per-mode coefficients of a_hat lam^2 + b_hat lam + c_hat = 0
+    thetas = np.pi * h * np.arange(1, n + 1)
+    c_hats, b_hats, a_hats = (symbol(band, thetas) for band in corner_block_quadratic_bands(alpha, beta))
+    for j, a_hat, b_hat, c_hat in zip(range(1, n + 1), a_hats, b_hats, c_hats):
         if abs(a_hat) < QUADRATIC_DEGENERACY_TOL:
             if abs(b_hat) < QUADRATIC_DEGENERACY_TOL:
                 raise DegenerateQuadraticError(
@@ -205,10 +189,14 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
             notes.append(f"mode {2 * j} dropped: quadratic degenerated to linear at angle index {j}")
         else:
             disc = np.sqrt(complex(b_hat * b_hat - 4.0 * a_hat * c_hat))
-            pair = [
-                (2 * j - 1, (-b_hat - disc) / (2.0 * a_hat)),
-                (2 * j, (-b_hat + disc) / (2.0 * a_hat)),
-            ]
+            minus, plus = -(b_hat + disc) / (2.0 * a_hat), (disc - b_hat) / (2.0 * a_hat)
+            # the root of smaller modulus cancels; take it from the other by
+            # Vieta (the product of the roots is c_hat / a_hat)
+            if abs(minus) >= abs(plus):
+                plus = c_hat / (a_hat * minus) if minus else plus
+            else:
+                minus = c_hat / (a_hat * plus)
+            pair = [(2 * j - 1, minus), (2 * j, plus)]
         for mode, lam in pair:
             vec = mode_vector(j, lam)
             if vec is None:
@@ -262,9 +250,12 @@ def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
             continue
         angle_index = j if j < n else j - n
         c = np.cos(angle_index * np.pi * h)
-        root_term = np.sqrt(124.0 + 112.0 * c - 11.0 * c * c)
-        sign = -1.0 if j < n else 1.0
-        lam = 4.0 * (13.0 + 2.0 * c + sign * root_term) / (3.0 - c) * n * n
+        upper = 13.0 + 2.0 * c + np.sqrt(124.0 + 112.0 * c - 11.0 * c * c)
+        if j < n:
+            # 13 + 2c - sqrt(...) cancels as c -> 1; by Vieta it is 15 (1 - c)(3 - c) / upper
+            lam = 120.0 * np.sin(0.5 * angle_index * np.pi * h) ** 2 / upper * n * n
+        else:
+            lam = 4.0 * upper / (3.0 - c) * n * n
         values[j - 1] = lam
         scaled = lam * h * h
         factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
@@ -357,8 +348,8 @@ def pevp_eigenpairs(pencil: PolynomialPencil) -> PolynomialEigenSolution:
     floors = [SYMBOL_ZERO_RTOL * float(np.sum(np.abs(b))) for b in pencil.bands]
     mode_roots = []
     drops = []
-    for i, theta in enumerate(thetas):
-        coeffs = np.array([symbol(b, theta) for b in pencil.bands])
+    table = np.stack([symbol(b, thetas) for b in pencil.bands], axis=1)
+    for i, coeffs in enumerate(table):
         degree = pencil.degree
         while degree >= 1 and abs(coeffs[degree]) < floors[degree]:
             degree -= 1

@@ -12,6 +12,7 @@ from specmat import (
     assemble_toeplitz_hankel,
     fem_p3_eigenvalues,
     match_spectra,
+    pencil_residuals,
     residual_gevp,
     solve_gevp_numeric,
     solve_pevp_numeric,
@@ -29,6 +30,13 @@ def _random_hermitian(n, rng=RNG):
 def _random_spd(n, rng=RNG):
     basis = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return basis @ basis.conj().T + n * np.eye(n)
+
+
+def _iga_pencil(n):
+    """The paper's real symmetric-definite IGA stiffness/mass pair."""
+    a = assemble_toeplitz_hankel([1.0, -1.0 / 3.0, -1.0 / 6.0], n, 1)
+    b = assemble_toeplitz_hankel([11.0 / 20.0, 13.0 / 60.0, 1.0 / 120.0], n, 1)
+    return a, b
 
 
 class TestSolveGevp:
@@ -58,6 +66,26 @@ class TestSolveGevp:
         b[1, 1] = 0.0
         with pytest.raises(SingularBError):
             solve_gevp_numeric(np.eye(3), b)
+
+    def test_positive_definite_b_below_singular_threshold(self):
+        # Cholesky accepts this B; its smallest singular value is still too small
+        with pytest.raises(SingularBError):
+            solve_gevp_numeric(np.eye(3), np.diag([1.0, 1e-15, 1.0]))
+
+    def test_real_route_matches_complex_route(self):
+        n = 40
+        a, b = _iga_pencil(n)
+        # a unitary diagonal similarity keeps the spectrum and makes the
+        # pencil complex (and still exactly Hermitian)
+        phases = np.exp(2j * np.pi * RNG.uniform(size=n))
+        rotate = np.outer(phases.conj(), phases)
+        real = solve_gevp_numeric(a, b)
+        cplx = solve_gevp_numeric(a * rotate, b * rotate)
+        assert not real.values.imag.any() and not real.vectors.imag.any()
+        assert cplx.vectors.imag.any()
+        scale = np.max(np.abs(real.values))
+        assert np.max(np.abs(real.values - cplx.values)) <= 1e-13 * scale
+        assert np.max(real.residuals) < 1e-13
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -197,6 +225,30 @@ class TestResidual:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
             residual_gevp(np.eye(2), np.eye(2), 1.0, [0.0, 0.0])
+
+    def test_batched_kernel_matches_one_column_loop(self):
+        n = 12
+        a, b = _iga_pencil(n)
+        eig = solve_gevp_numeric(a, b)
+        cases = [
+            # real pencil: its eigenpairs, then arbitrary real pairs
+            (a.real, b.real, eig.values.real, eig.vectors.real),
+            (a.real, b.real, RNG.standard_normal(n), RNG.standard_normal((n, n))),
+            # complex pencil with complex pairs
+            (_random_hermitian(n), _random_spd(n),
+             RNG.standard_normal(n) + 1j * RNG.standard_normal(n),
+             RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))),
+        ]
+        for a_, b_, values, vectors in cases:
+            batched = pencil_residuals(a_, b_, values, vectors)
+            looped = [residual_gevp(a_, b_, values[i], vectors[:, i]) for i in range(n)]
+            assert np.max(np.abs(batched - looped)) <= 1e-15
+
+    def test_batched_kernel_rejects_a_zero_column(self):
+        vectors = np.eye(3)
+        vectors[:, 1] = 0.0
+        with pytest.raises(ZeroVectorError):
+            pencil_residuals(np.eye(3), np.eye(3), np.ones(3), vectors)
 
 
 class TestMatchSpectra:

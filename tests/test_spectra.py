@@ -1,5 +1,6 @@
 """Closed-form eigenpair generators versus constructed matrices and worked examples."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,7 @@ from specmat import (
 )
 
 RNG = np.random.default_rng(2024)
+EPS = np.finfo(float).eps
 
 
 def max_residual(sol, a, b):
@@ -60,6 +62,17 @@ class TestSymbol:
         got = symbol([1.0, 2.0], thetas)
         assert got.shape == (5,)
         assert got[0] == pytest.approx(5.0)
+
+    def test_low_modes_keep_full_relative_accuracy(self):
+        # 2 - 2 cos(theta) cancels at small theta; the symbol must not
+        with mpmath.workdps(50):
+            for n in (1000, 10 ** 5):
+                thetas = np.arange(1, 6) * np.pi / (n + 1)
+                got = symbol([2.0, -1.0], thetas)
+                for value, theta in zip(got, thetas):
+                    exact = 2 - 2 * mpmath.cos(mpmath.mpf(theta))
+                    assert value.imag == 0.0
+                    assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * exact
 
 
 class TestGevpEigenpairs:
@@ -201,6 +214,25 @@ class TestCornerBlockEigenpairs:
             assert sol.n_modes == 9
             assert max_residual(sol, a, b) < 1e-10
 
+    def test_quadratic_roots_do_not_cancel(self):
+        # the "-" root is about 1e-8 of the "+" root; taking both from the
+        # quadratic formula loses half the digits of the small one
+        with mpmath.workdps(50):
+            alpha, beta, half_n = [1.0, 1e-5, 0.0, 1e-8], [1.0, 0.0, 0.0, 1.0], 4
+            sol = corner_block_eigenpairs(alpha, beta, half_n)
+            al, be = [mpmath.mpf(v) for v in alpha], [mpmath.mpf(v) for v in beta]
+            for j in range(1, half_n + 1):
+                c = mpmath.cos(j * mpmath.pi / (half_n + 1))
+                qa = be[0] * be[3] - 2 * be[1] ** 2 + 2 * (be[2] * be[3] - be[1] ** 2) * c
+                qb = (4 * al[1] * be[1] - be[0] * al[3] - al[0] * be[3]
+                      - 2 * (be[2] * al[3] - 2 * al[1] * be[1] + al[2] * be[3]) * c)
+                qc = al[0] * al[3] - 2 * al[1] ** 2 + 2 * (al[2] * al[3] - al[1] ** 2) * c
+                disc = mpmath.sqrt(qb * qb - 4 * qa * qc)
+                roots = {2 * j - 1: (-qb - disc) / (2 * qa), 2 * j: (-qb + disc) / (2 * qa)}
+                for mode, exact in roots.items():
+                    got = sol.value_for_mode(mode)
+                    assert abs(mpmath.mpc(got) - exact) <= 8 * EPS * abs(exact)
+
     def test_requires_nonzero_odd_diagonal(self):
         with pytest.raises(SingularPencilError):
             corner_block_eigenpairs([1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], 2)
@@ -258,6 +290,19 @@ class TestFemP2Eigenpairs:
             sol = fem_p2_eigenpairs(n)
             k, m = build_fem_p2(n)
             assert max_residual(sol, k, m) < 1e-9
+
+    def test_lower_branch_exact_to_rounding_at_large_n(self):
+        # 13 + 2c - sqrt(124 + 112c - 11c^2) cancels as c -> 1; evaluated as
+        # written it puts modes 1 and 3 of n=1000 below the Rayleigh-Ritz bound
+        with mpmath.workdps(50):
+            n = 1000
+            values = fem_p2_eigenpairs(n).values
+            for j in range(1, 21):
+                c = mpmath.cos(j * mpmath.pi / n)
+                exact = 4 * (13 + 2 * c - mpmath.sqrt(124 + 112 * c - 11 * c * c)) / (3 - c) * n * n
+                assert values[j - 1].imag == 0.0
+                assert abs(mpmath.mpf(values[j - 1].real) - exact) <= 4 * EPS * exact
+                assert values[j - 1].real >= (j * np.pi) ** 2
 
     def test_matches_corner_block_route(self):
         n = 6
