@@ -11,7 +11,6 @@ implies.
 from .errors import (
     BadBandwidthError,
     DegenerateQuadraticError,
-    NoConvergenceError,
     NotHermitianError,
     OverlapError,
     ShapeMismatchError,
@@ -20,7 +19,6 @@ from .errors import (
     SingularMatrixError,
     SingularPencilError,
     SpecmatError,
-    TooLargeForGeneralPathError,
     TooSmallError,
     ZeroScaleError,
     ZeroVectorError,
@@ -38,11 +36,13 @@ from .families import (
 from .identities import (
     IdentityReport,
     eve_identity_evp,
+    eve_identity_evp_all,
     eve_identity_gevp,
+    eve_identity_gevp_all,
     minor_remove,
     trig_identity,
 )
-from .linalg import hermitian_eigen, kron, lu_solve, poly_roots
+from .linalg import batched_roots, hermitian_eigen, kron, poly_roots
 from .mmio import read_matrix_market, write_matrix_market
 from .oracle import (
     OracleReport,
@@ -76,7 +76,6 @@ __all__ = [
     "EigenSolution",
     "HankelVariant",
     "IdentityReport",
-    "NoConvergenceError",
     "NotHermitianError",
     "OracleReport",
     "OverlapError",
@@ -88,13 +87,13 @@ __all__ = [
     "SingularMatrixError",
     "SingularPencilError",
     "SpecmatError",
-    "TooLargeForGeneralPathError",
     "TooSmallError",
     "ZeroScaleError",
     "ZeroVectorError",
     "assemble_tensor_pencil",
     "assemble_toeplitz_hankel",
     "attach_residuals",
+    "batched_roots",
     "build_corner_block",
     "build_fem_p2",
     "build_fem_p3",
@@ -103,14 +102,15 @@ __all__ = [
     "corner_block_eigenpairs",
     "corner_block_quadratic_bands",
     "eve_identity_evp",
+    "eve_identity_evp_all",
     "eve_identity_gevp",
+    "eve_identity_gevp_all",
     "fem_p2_eigenpairs",
     "fem_p3_eigenvalues",
     "gevp_eigenpairs",
     "hermitian_eigen",
     "inverse_iteration",
     "kron",
-    "lu_solve",
     "match_spectra",
     "minor_remove",
     "pencil_residuals",

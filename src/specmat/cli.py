@@ -23,7 +23,7 @@ from .families import (
     build_fem_p2,
     build_fem_p3,
 )
-from .identities import eve_identity_evp, eve_identity_gevp, trig_identity
+from .identities import eve_identity_evp_all, eve_identity_gevp_all, trig_identity
 from .mmio import write_matrix_market
 from .oracle import (
     inverse_iteration,
@@ -186,7 +186,11 @@ def _spectrum_problem(args):
 def _cmd_spectrum(args) -> int:
     values, vectors, a, b = _spectrum_problem(args)
     values = values + args.perturb
-    residuals = pencil_residuals(a, b, values, vectors)
+    operands = (a, b, values, vectors)
+    if not any(m.imag.any() for m in operands):
+        # a real pencil with real pairs: real products, about 3.5x cheaper
+        operands = tuple(m.real for m in operands)
+    residuals = pencil_residuals(*operands)
     header = "mode_index,lambda_re,lambda_im,residual"
     columns = [
         (i + 1, values[i].real, values[i].imag, residuals[i]) for i in range(values.size)
@@ -253,15 +257,11 @@ def _identity_reports(args):
         a = rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal((args.n, args.n))
         a = a + a.conj().T
         if args.kind == "eve":
-            for j in range(1, args.n + 1):
-                for k in range(1, args.n + 1):
-                    reports.append(eve_identity_evp(a, j, k))
+            reports.extend(eve_identity_evp_all(a))
         else:
             basis = rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal((args.n, args.n))
             b = basis @ basis.conj().T + args.n * np.eye(args.n)
-            for j in range(1, args.n + 1):
-                for k in range(1, args.n + 1):
-                    reports.append(eve_identity_gevp(a, b, j, k, form=args.form))
+            reports.extend(eve_identity_gevp_all(a, b, form=args.form))
     return reports
 
 

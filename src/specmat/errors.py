@@ -6,15 +6,11 @@ class SpecmatError(Exception):
 
 
 class SingularMatrixError(SpecmatError):
-    """LU elimination hit a pivot below the singularity threshold."""
+    """A matrix that has to be inverted is numerically singular."""
 
 
 class NotHermitianError(SpecmatError):
     """Matrix fails the Hermitian symmetry check."""
-
-
-class NoConvergenceError(SpecmatError):
-    """Iterative root finding exhausted its iteration budget."""
 
 
 class BadBandwidthError(SpecmatError):
@@ -39,10 +35,6 @@ class SingularPencilError(SpecmatError):
 
 class SingularBError(SpecmatError):
     """Right-hand matrix of the pencil is numerically singular."""
-
-
-class TooLargeForGeneralPathError(SpecmatError):
-    """Non-Hermitian pencil exceeds the characteristic-polynomial path limit."""
 
 
 class DegenerateQuadraticError(SpecmatError):

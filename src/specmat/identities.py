@@ -64,6 +64,18 @@ def _min_gap(values) -> float:
     return float(np.min(np.abs(np.diff(vals))))
 
 
+def _evp_report(lams, vectors, minors, j, k, warning) -> IdentityReport:
+    """The (j, k) evaluation from the spectrum of A and of its k-minor."""
+    lhs = abs(vectors[k - 1, j - 1]) ** 2 * np.prod(lams[j - 1] - np.delete(lams, j - 1))
+    rhs = np.prod(lams[j - 1] - minors)
+    return _report("eve-evp", lhs, rhs, {"j": j, "k": k, "n": lams.size}, warning)
+
+
+def _check_indices(n, j, k):
+    if not (1 <= j <= n and 1 <= k <= n):
+        raise IndexError(f"(j, k)=({j}, {k}) outside 1..{n}")
+
+
 def eve_identity_evp(a, j: int, k: int) -> IdentityReport:
     """Squared eigenvector entry versus eigenvalue gaps of the matrix and its minor.
 
@@ -72,15 +84,81 @@ def eve_identity_evp(a, j: int, k: int) -> IdentityReport:
     """
     a = as_square(a)
     full = hermitian_eigen(a)
-    n = a.shape[0]
-    if not (1 <= j <= n and 1 <= k <= n):
-        raise IndexError(f"(j, k)=({j}, {k}) outside 1..{n}")
+    _check_indices(a.shape[0], j, k)
     lams = full.values.real
     minors = hermitian_eigen(minor_remove(a, k)).values.real
-    lhs = abs(full.vectors[k - 1, j - 1]) ** 2 * np.prod(lams[j - 1] - np.delete(lams, j - 1))
-    rhs = np.prod(lams[j - 1] - minors)
+    return _evp_report(lams, full.vectors, minors, j, k, _min_gap(lams) < GAP_WARNING_TOL)
+
+
+def eve_identity_evp_all(a) -> list:
+    """Every (j, k) report of :func:`eve_identity_evp`, j slowest.
+
+    The matrix and each of its n minors are diagonalized once.
+    """
+    a = as_square(a)
+    full = hermitian_eigen(a)
+    n = a.shape[0]
+    lams = full.values.real
+    minors = [hermitian_eigen(minor_remove(a, k)).values.real for k in range(1, n + 1)]
     warning = _min_gap(lams) < GAP_WARNING_TOL
-    return _report("eve-evp", lhs, rhs, {"j": j, "k": k, "n": n}, warning)
+    return [
+        _evp_report(lams, full.vectors, minors[k - 1], j, k, warning)
+        for j in range(1, n + 1)
+        for k in range(1, n + 1)
+    ]
+
+
+@dataclass
+class _PencilView:
+    """What the generalized identity needs of one pencil, computed once."""
+
+    values: np.ndarray   # ascending by (real, imag)
+    vectors: list        # unit eigenvectors in the same order; empty for a minor
+    b: np.ndarray
+    weight: object       # det B (proof form) or the ascending eigenvalues of B (literal)
+
+
+def _pencil_view(a, b, form, with_vectors) -> _PencilView:
+    sol = solve_gevp_numeric(a, b)
+    order = np.lexsort((sol.values.imag, sol.values.real))
+    vectors = []
+    if with_vectors:
+        for i in order:
+            x = sol.vectors[:, i]
+            vectors.append(x / np.linalg.norm(x))
+    weight = np.linalg.det(b) if form == PROOF_FORM else np.sort(np.linalg.eigvalsh(b))
+    return _PencilView(sol.values[order], vectors, b, weight)
+
+
+def _checked_pencil(a, b, form):
+    a, b = as_square(a), as_square(b)
+    if not is_hermitian(a) or not is_hermitian(b):
+        raise NotHermitianError("the generalized identity takes Hermitian A and B")
+    if is_singular(b):
+        raise SingularBError("B must be invertible")
+    if form not in (PROOF_FORM, LITERAL_FORM):
+        raise ValueError(f"unknown form {form!r}")
+    return a, b
+
+
+def _gevp_report(full, minor, j, k, form, warning) -> IdentityReport:
+    """The (j, k) evaluation from views of the pencil and of its k-minor."""
+    lams = full.values
+    x = full.vectors[j - 1]
+    lam_j = lams[j - 1]
+    gaps = np.delete(lams, j - 1)
+    mus = minor.values
+    inputs = {"j": j, "k": k, "n": lams.size, "form": form}
+    if form == PROOF_FORM:
+        q_prime = full.weight * np.prod(lam_j - gaps)
+        eta_j = x.conj() @ full.b @ x
+        p_minor = minor.weight * np.prod(lam_j - mus)
+        lhs = abs(x[k - 1]) ** 2 * q_prime
+        rhs = eta_j * p_minor
+        return _report("eve-gevp-proof", lhs, rhs, inputs, warning)
+    lhs = abs(x[k - 1]) ** 2 * np.prod(lam_j - gaps)
+    rhs = np.prod(minor.weight) / np.prod(np.delete(full.weight, j - 1)) * np.prod(lam_j - mus)
+    return _report("eve-gevp-literal", lhs, rhs, inputs, warning)
 
 
 def eve_identity_gevp(a, b, j: int, k: int, form: str = PROOF_FORM) -> IdentityReport:
@@ -92,44 +170,31 @@ def eve_identity_gevp(a, b, j: int, k: int, form: str = PROOF_FORM) -> IdentityR
     minor, paired to the mode index by rank; it is evaluated exactly as
     stated and the report carries whatever disagreement results.
     """
-    a, b = as_square(a), as_square(b)
-    if not is_hermitian(a) or not is_hermitian(b):
-        raise NotHermitianError("the generalized identity takes Hermitian A and B")
-    if is_singular(b):
-        raise SingularBError("B must be invertible")
-    if form not in (PROOF_FORM, LITERAL_FORM):
-        raise ValueError(f"unknown form {form!r}")
+    a, b = _checked_pencil(a, b, form)
+    _check_indices(a.shape[0], j, k)
+    full = _pencil_view(a, b, form, with_vectors=True)
+    minor = _pencil_view(minor_remove(a, k), minor_remove(b, k), form, with_vectors=False)
+    return _gevp_report(full, minor, j, k, form, _min_gap(full.values) < GAP_WARNING_TOL)
+
+
+def eve_identity_gevp_all(a, b, form: str = PROOF_FORM) -> list:
+    """Every (j, k) report of :func:`eve_identity_gevp`, j slowest.
+
+    The pencil and each of its n minors are solved once.
+    """
+    a, b = _checked_pencil(a, b, form)
     n = a.shape[0]
-    if not (1 <= j <= n and 1 <= k <= n):
-        raise IndexError(f"(j, k)=({j}, {k}) outside 1..{n}")
-
-    pencil = solve_gevp_numeric(a, b)
-    order = np.lexsort((pencil.values.imag, pencil.values.real))
-    lams = pencil.values[order]
-    x = pencil.vectors[:, order[j - 1]]
-    x = x / np.linalg.norm(x)
-    lam_j = lams[j - 1]
-    gaps = np.delete(lams, j - 1)
-
-    a_minor, b_minor = minor_remove(a, k), minor_remove(b, k)
-    mus = solve_gevp_numeric(a_minor, b_minor).sorted_values()
-
-    inputs = {"j": j, "k": k, "n": n, "form": form}
-    warning = _min_gap(lams) < GAP_WARNING_TOL
-
-    if form == PROOF_FORM:
-        q_prime = np.linalg.det(b) * np.prod(lam_j - gaps)
-        eta_j = x.conj() @ b @ x
-        p_minor = np.linalg.det(b_minor) * np.prod(lam_j - mus)
-        lhs = abs(x[k - 1]) ** 2 * q_prime
-        rhs = eta_j * p_minor
-        return _report("eve-gevp-proof", lhs, rhs, inputs, warning)
-
-    etas = np.sort(np.linalg.eigvalsh(b))
-    etas_minor = np.sort(np.linalg.eigvalsh(b_minor))
-    lhs = abs(x[k - 1]) ** 2 * np.prod(lam_j - gaps)
-    rhs = np.prod(etas_minor) / np.prod(np.delete(etas, j - 1)) * np.prod(lam_j - mus)
-    return _report("eve-gevp-literal", lhs, rhs, inputs, warning)
+    full = _pencil_view(a, b, form, with_vectors=True)
+    minors = [
+        _pencil_view(minor_remove(a, k), minor_remove(b, k), form, with_vectors=False)
+        for k in range(1, n + 1)
+    ]
+    warning = _min_gap(full.values) < GAP_WARNING_TOL
+    return [
+        _gevp_report(full, minors[k - 1], j, k, form, warning)
+        for j in range(1, n + 1)
+        for k in range(1, n + 1)
+    ]
 
 
 def _guard_denominator(factors, context):

@@ -2,11 +2,12 @@
 
 Hermitian pencils with a positive-definite right side go through a Cholesky
 reduction and a Hermitian eigensolver, in real arithmetic when neither side
-has an imaginary part.  Everything else runs a deliberately different route:
-the characteristic polynomial is recovered by evaluating
-``det(lam*B - A)`` at Chebyshev points and interpolating, its roots come from
-the simultaneous-iteration root finder, and eigenvectors from shifted
-inverse iteration.  Polynomial pencils are linearized to a companion pencil.
+has an imaginary part.  Every other pencil with an invertible right side
+runs LAPACK's general eigensolver on ``B^{-1} A``.  Polynomial pencils are
+linearized to a companion pencil and solved the same way.  Eigenvectors of
+single eigenvalues are available by shifted inverse iteration.  None of
+these routes samples a symbol, so they share nothing with the closed forms
+they check.
 """
 
 from __future__ import annotations
@@ -22,22 +23,12 @@ from .errors import (
     SingularBError,
     SingularMatrixError,
     SingularPencilError,
-    TooLargeForGeneralPathError,
     ZeroVectorError,
 )
-from .linalg import (
-    as_square,
-    inf_norm,
-    is_hermitian,
-    lu_factor,
-    lu_solve_factored,
-    poly_roots,
-)
+from .linalg import as_square, inf_norm, is_hermitian
 from .solution import NUMERIC, EigenSolution
 
-GENERAL_PATH_LIMIT = 16
 SINGULAR_B_RTOL = 1e-13
-REPEATED_ROOT_TOL = 1e-8
 
 
 def pencil_residuals(a, b, values, vectors) -> np.ndarray:
@@ -82,10 +73,13 @@ def is_singular(m) -> bool:
 def inverse_iteration(a, b, lam, avoid=(), max_iter: int = 50, restarts: int = 3, seed: int = 0):
     """Eigenvector of the pencil nearest ``lam`` by shifted inverse iteration.
 
-    The shift is nudged off the eigenvalue so the factorization stays
-    regular; on stagnation the iteration restarts from a fresh random
-    vector.  Vectors in ``avoid`` are projected out every step, which
-    separates copies of a repeated eigenvalue.
+    The shift is nudged off the eigenvalue so the shifted matrix stays
+    regular; it is inverted once per attempt by LAPACK, and each step is a
+    matrix-vector product.  On stagnation the iteration restarts from a
+    fresh random vector.  Vectors in ``avoid`` are projected out every step,
+    which separates copies of a repeated eigenvalue.  Raises
+    :class:`SingularMatrixError` when no attempt could invert the shifted
+    matrix.
     """
     a, b = as_square(a), as_square(b)
     n = a.shape[0]
@@ -94,8 +88,10 @@ def inverse_iteration(a, b, lam, avoid=(), max_iter: int = 50, restarts: int = 3
     best, best_res = None, np.inf
     for attempt in range(restarts):
         try:
-            lu, perm = lu_factor(a - shift * b)
-        except SingularMatrixError:
+            inverse = np.linalg.inv(a - shift * b)
+        except np.linalg.LinAlgError:
+            inverse = None
+        if inverse is None or not np.isfinite(inverse).all():
             shift = lam * (1.0 + 1e-8 * (attempt + 1)) + 1e-10 * (attempt + 1)
             continue
         rng = np.random.default_rng(seed + 7919 * attempt)
@@ -108,7 +104,7 @@ def inverse_iteration(a, b, lam, avoid=(), max_iter: int = 50, restarts: int = 3
         v = v / norm
         prev = np.inf
         for it in range(max_iter):
-            w = lu_solve_factored(lu, perm, b @ v)
+            w = inverse @ (b @ v)
             for u in avoid:
                 w = w - (u.conj() @ w) * u
             norm = np.linalg.norm(w)
@@ -125,108 +121,19 @@ def inverse_iteration(a, b, lam, avoid=(), max_iter: int = 50, restarts: int = 3
             prev = res
             v = w
     if best is None:
-        raise SingularMatrixError(f"inverse iteration could not factor near {lam}")
+        raise SingularMatrixError(f"inverse iteration could not invert the shifted matrix near {lam}")
     return best
-
-
-def _pencil_charpoly(a, b) -> np.ndarray:
-    """Ascending coefficients of ``det(lam*B - A)`` by Chebyshev interpolation."""
-    n = a.shape[0]
-    spectral_bound = max(1.0, inf_norm(np.linalg.solve(b, a)))
-    nodes = np.cos(np.pi * np.arange(n + 1) / n)  # Chebyshev extrema in [-1, 1]
-    vals = np.array([np.linalg.det(t * spectral_bound * b - a) for t in nodes])
-    vander = np.vander(nodes, n + 1, increasing=True)
-    coeffs = np.linalg.solve(vander, vals)
-    return coeffs / spectral_bound ** np.arange(n + 1)
-
-
-def _det_newton_polish(a, b, lam, radius, deflate=(), max_steps: int = 40):
-    """Deflated Newton on ``det(lam*B - A)`` using the trace identity.
-
-    ``d/dlam log det(lam*B - A) = tr((lam*B - A)^{-1} B)``, so one Newton
-    step costs a factorization plus n solves.  Interpolated characteristic
-    coefficients lose digits with growing degree; this polish restores each
-    seed to machine accuracy without touching the coefficients again.  The
-    ``deflate`` roots are suppressed Maehly-style, which stops two blurry
-    seeds from collapsing onto the same eigenvalue.
-    """
-    n = a.shape[0]
-    current = complex(lam)
-    for _ in range(max_steps):
-        try:
-            lu, perm = lu_factor(current * b - a)
-        except SingularMatrixError:
-            return current  # numerically exact already
-        trace = 0j
-        for j in range(n):
-            trace += lu_solve_factored(lu, perm, b[:, j])[j]
-        for root in deflate:
-            gap = current - root
-            if gap == 0:
-                gap = 1e-14 * max(1.0, abs(current))
-            trace -= 1.0 / gap
-        if trace == 0:
-            break
-        step = 1.0 / trace
-        candidate = current - step
-        tries = 0
-        while abs(candidate) > 10.0 * radius and tries < 5:
-            step *= 0.5  # damp a wild step instead of abandoning the seed
-            candidate = current - step
-            tries += 1
-        if abs(candidate) > 10.0 * radius:
-            break
-        converged = abs(step) <= 1e-15 * max(1.0, abs(candidate))
-        current = candidate
-        if converged:
-            break
-    return current
-
-
-def _polish_seeds(a, b, seeds, radius):
-    accepted = []
-    order = np.lexsort((np.asarray(seeds).imag, np.asarray(seeds).real))
-    for idx in order:
-        accepted.append(_det_newton_polish(a, b, seeds[idx], radius, deflate=accepted))
-    return np.asarray(accepted)
-
-
-def _refine_eigenpair(a, b, lam, avoid, seed):
-    """Polish one seed eigenvalue by two-sided Rayleigh-quotient steps.
-
-    Characteristic-polynomial roots lose accuracy with growing degree; a few
-    quotient updates restore them to residual level.  Every update must
-    lower the pencil residual or it is discarded.
-    """
-    vec = inverse_iteration(a, b, lam, avoid=avoid, seed=seed)
-    best_res = residual_gevp(a, b, lam, vec)
-    for step in range(3):
-        if best_res <= 1e-13:
-            break
-        left = inverse_iteration(
-            a.conj().T, b.conj().T, np.conj(lam), seed=seed + 31 * (step + 1)
-        )
-        denom = left.conj() @ (b @ vec)
-        if abs(denom) < 1e-300:
-            break
-        candidate = (left.conj() @ (a @ vec)) / denom
-        cand_vec = inverse_iteration(a, b, candidate, avoid=avoid, seed=seed + step)
-        cand_res = residual_gevp(a, b, candidate, cand_vec)
-        if cand_res < best_res:
-            lam, vec, best_res = candidate, cand_vec, cand_res
-        else:
-            break
-    return lam, vec
 
 
 def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
     """Numerically solve ``A x = lam B x`` with per-mode residuals attached.
 
     ``method`` picks the route: ``"auto"`` uses the Cholesky/Hermitian path
-    when A, B are Hermitian with B positive definite and otherwise falls
-    back to the characteristic-polynomial path (capped at dimension 16,
-    raising :class:`TooLargeForGeneralPathError` beyond).  ``"hermitian"``
-    and ``"charpoly"`` force one route, mainly for cross-checks.
+    when A, B are Hermitian with B positive definite and otherwise the
+    general path, LAPACK's eigensolver on ``B^{-1} A`` with the values
+    sorted by (real, imag).  ``"hermitian"`` and ``"general"`` force one
+    route, mainly for cross-checks.  Raises :class:`SingularBError` when B
+    is numerically singular.
     """
     a, b = as_square(a), as_square(b)
     if a.shape != b.shape:
@@ -238,7 +145,7 @@ def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
     if is_singular(b):
         raise SingularBError("right-hand matrix of the pencil is singular")
 
-    if method not in ("auto", "hermitian", "charpoly"):
+    if method not in ("auto", "hermitian", "general"):
         raise ValueError(f"unknown method {method!r}")
 
     hermitian_pair = is_hermitian(a) and is_hermitian(b)
@@ -266,27 +173,10 @@ def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
         if method == "hermitian":
             raise SingularBError("Hermitian path needs a positive-definite right side")
 
-    if n > GENERAL_PATH_LIMIT:
-        raise TooLargeForGeneralPathError(
-            f"characteristic-polynomial path is limited to dimension {GENERAL_PATH_LIMIT}, got {n}"
-        )
-    seeds = poly_roots(_pencil_charpoly(a, b))
-    radius = max(1.0, float(np.max(np.abs(seeds))))
-    seeds = _polish_seeds(a, b, seeds, radius)
-    order = np.lexsort((seeds.imag, seeds.real))
-    seeds = seeds[order]
-    scale = max(1.0, float(np.max(np.abs(seeds))))
-    values = np.empty(n, dtype=complex)
-    vectors = np.empty((n, n), dtype=complex)
-    for i, seed_value in enumerate(seeds):
-        avoid = [
-            vectors[:, j]
-            for j in range(i)
-            if abs(seeds[j] - seed_value) < REPEATED_ROOT_TOL * scale
-        ]
-        values[i], vectors[:, i] = _refine_eigenpair(
-            a, b, seed_value, avoid, seed=17 * (i + 1)
-        )
+    # B is invertible (checked above); LAPACK's eig returns unit-norm vectors
+    values, vectors = np.linalg.eig(np.linalg.solve(b, a))
+    order = np.lexsort((values.imag, values.real))
+    values, vectors = values[order], vectors[:, order]
     return EigenSolution(
         modes=np.arange(1, n + 1),
         values=values,

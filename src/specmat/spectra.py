@@ -23,27 +23,43 @@ from .errors import (
     ZeroScaleError,
 )
 from .families import HankelVariant, as_band, build_corner_block
-from .linalg import kron, poly_roots
+from .linalg import batched_roots, kron
 from .solution import ANALYTIC, NUMERIC, EigenSolution, PolynomialEigenSolution
 
 SYMBOL_ZERO_RTOL = 1e-12
 QUADRATIC_DEGENERACY_TOL = 1e-14
+# pi - fl(pi) to double precision, so that pi - theta is exact to rounding
+_PI_TAIL = math.sin(math.pi)
 
 
 def symbol(band, theta):
     """Trigonometric symbol ``band[0] + 2 * sum_l band[l] * cos(l*theta)``.
 
-    Accepts a scalar angle or an array of angles.  It is evaluated as
-    ``(band[0] + 2 sum_l band[l]) - 4 sum_l band[l] sin^2(l*theta/2)``, which
-    keeps full relative accuracy at small angles, where the cosine form
-    cancels.
+    Accepts a scalar angle or an array of angles.  Below ``pi/2`` it is
+    evaluated as ``s(0) - 4 sum_l band[l] sin^2(l*theta/2)``, above as
+    ``s(pi) - 4 sum_l (-1)^l band[l] sin^2(l*(pi-theta)/2)`` (the
+    ``cos^2(theta/2)`` form for l=1), with the constants ``s(0)`` and
+    ``s(pi)`` summed exactly and ``pi - theta`` taken against the exact pi.
+    Each form keeps full relative accuracy near its end of the range, where
+    the cosine form cancels.
     """
     band = as_band(band)
     theta_arr = np.asarray(theta, dtype=float)
+    flat_theta = theta_arr.ravel()
+    orders = np.arange(1, band.size)
+    signs = np.where(orders % 2, -1.0, 1.0)
     terms = np.concatenate((band[:1], 2.0 * band[1:]))
-    flat = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
-    half_sines = np.sin(0.5 * np.multiply.outer(np.arange(1, band.size), theta_arr.ravel()))
-    acc = (flat - 4.0 * (band[1:] @ (half_sines * half_sines))).reshape(theta_arr.shape)
+    at_pi = terms * np.concatenate(([1.0], signs))
+    s_zero, s_pi = (complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist())) for t in (terms, at_pi))
+    near_pi = flat_theta > 0.5 * np.pi
+    reduced = np.where(near_pi, (np.pi - flat_theta) + _PI_TAIL, flat_theta)
+    half_sines = np.sin(0.5 * np.multiply.outer(orders, reduced))
+    squares = half_sines * half_sines
+    acc = np.where(
+        near_pi,
+        s_pi - 4.0 * ((signs * band[1:]) @ squares),
+        s_zero - 4.0 * (band[1:] @ squares),
+    ).reshape(theta_arr.shape)
     return complex(acc) if theta_arr.ndim == 0 else acc
 
 
@@ -283,19 +299,19 @@ def fem_p3_eigenvalues(n_elems: int) -> np.ndarray:
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
     n = n_elems
     h = 1.0 / n
-    values = []
-    for j in range(1, n):
-        zeta = np.cos(j * np.pi * h)
-        coeffs = (
-            -25200.0 * (1.0 - zeta),
+    thetas = np.pi * h * np.arange(1, n)
+    zeta = np.cos(thetas)
+    coeffs = np.stack(
+        (
+            # -25200 (1 - zeta), without the cancellation at small angles
+            -50400.0 * np.sin(0.5 * thetas) ** 2,
             360.0 * (32.0 + 3.0 * zeta),
             -30.0 * (18.0 - zeta),
             4.0 + zeta,
-        )
-        values.extend(poly_roots(coeffs) / (h * h))
-    values.append(10.0 * n * n)
-    values.append(42.0 * n * n)
-    values = np.asarray(values, dtype=complex)
+        ),
+        axis=1,
+    )
+    values = np.concatenate((batched_roots(coeffs).ravel() / (h * h), [10.0 * n * n, 42.0 * n * n]))
     order = np.lexsort((values.imag, values.real))
     return values[order]
 
@@ -345,26 +361,24 @@ def pevp_eigenpairs(pencil: PolynomialPencil) -> PolynomialEigenSolution:
     h, angles = mode_angles(pencil.variant, pencil.n)
     thetas = np.pi * h * angles
     basis = eigenvector_basis(pencil.variant, pencil.n)
-    floors = [SYMBOL_ZERO_RTOL * float(np.sum(np.abs(b))) for b in pencil.bands]
-    mode_roots = []
-    drops = []
+    floors = np.array([SYMBOL_ZERO_RTOL * float(np.sum(np.abs(b))) for b in pencil.bands])
     table = np.stack([symbol(b, thetas) for b in pencil.bands], axis=1)
-    for i, coeffs in enumerate(table):
-        degree = pencil.degree
-        while degree >= 1 and abs(coeffs[degree]) < floors[degree]:
-            degree -= 1
-        if degree < pencil.degree:
-            drops.append(i + 1)
-        if degree == 0:
-            mode_roots.append(np.empty(0, dtype=complex))
-            continue
-        mode_roots.append(poly_roots(coeffs[: degree + 1]))
+    # each mode's degree is its highest power whose symbol clears the floor
+    above = np.abs(table) >= floors
+    above[:, 0] = True
+    degrees = pencil.degree - np.argmax(above[:, ::-1], axis=1)
+    mode_roots = [np.empty(0, dtype=complex)] * pencil.n
+    for degree in np.unique(degrees[degrees > 0]):
+        rows = np.flatnonzero(degrees == degree)
+        for i, roots in zip(rows, batched_roots(table[rows, : degree + 1])):
+            mode_roots[i] = roots
+    drops = np.flatnonzero(degrees < pencil.degree) + 1
     return PolynomialEigenSolution(
         modes=np.arange(1, pencil.n + 1),
         mode_roots=mode_roots,
         vectors=basis,
         h=h,
-        degree_drops=tuple(drops),
+        degree_drops=tuple(drops.tolist()),
     )
 
 

@@ -108,6 +108,26 @@ class TestSpectrum:
         row3 = lines[3].split(",")
         assert float(row3[1]) == pytest.approx(2.0, abs=1e-14)  # 2 - 2cos(pi/2)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # six eigenvalues within 0.02 of 1.1
+            ["--family", "corner-block", "--half-n", "5",
+             "--alpha", "4-7/8i,5/8+1/4i,-3/8+1/8i,15/4+1/2i",
+             "--beta", "45/8,3/4+3/8i,1/4+1/2i,27/8+3/4i"],
+            # non-Hermitian at dimension 17
+            ["--family", "toeplitz-hankel", "--n", "17", "--alpha", "2+1i,-1", "--beta", "1,0.1"],
+        ],
+        ids=["clustered-corner-block", "non-hermitian-dim-17"],
+    )
+    def test_general_oracle_route(self, capsys, argv):
+        code = main(["spectrum", *argv])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.max(table[:, 3]) < 1e-13     # closed-form residuals
+        assert np.max(table[:, 6]) < 1e-13     # distance to the oracle's values
+
     def test_no_oracle_drops_columns(self, capsys):
         code = main(
             [

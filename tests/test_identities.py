@@ -8,7 +8,9 @@ from specmat import (
     SingularBError,
     SingularDenominatorError,
     eve_identity_evp,
+    eve_identity_evp_all,
     eve_identity_gevp,
+    eve_identity_gevp_all,
     minor_remove,
     trig_identity,
 )
@@ -139,6 +141,37 @@ class TestGevpIdentity:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             eve_identity_gevp(np.eye(2), np.eye(2), 1, 1, form="folk")
+
+
+class TestAllPairEvaluators:
+    """The batch evaluators against the per-(j, k) functions, bit for bit."""
+
+    def test_evp_matches_per_pair_calls(self):
+        n = 5
+        a = random_hermitian(n)
+        batch = eve_identity_evp_all(a)
+        looped = [eve_identity_evp(a, j, k) for j in range(1, n + 1) for k in range(1, n + 1)]
+        assert batch == looped
+
+    @pytest.mark.parametrize("form", ["proof", "literal"])
+    def test_gevp_matches_per_pair_calls(self, form):
+        n = 4
+        a, b = random_hermitian(n), random_spd(n)
+        batch = eve_identity_gevp_all(a, b, form=form)
+        looped = [
+            eve_identity_gevp(a, b, j, k, form=form)
+            for j in range(1, n + 1)
+            for k in range(1, n + 1)
+        ]
+        assert batch == looped
+
+    def test_gevp_rejects_what_the_per_pair_function_rejects(self):
+        with pytest.raises(NotHermitianError):
+            eve_identity_gevp_all(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+        with pytest.raises(SingularBError):
+            eve_identity_gevp_all(np.eye(2), np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            eve_identity_gevp_all(np.eye(2), np.eye(2), form="other")
 
 
 class TestTrigIdentities:

@@ -1,49 +1,51 @@
-"""Core dense kernels: LU solve, Hermitian eigendecomposition, polynomial roots, kron."""
+"""Core dense kernels: Hermitian eigendecomposition, polynomial roots, kron."""
 
 import numpy as np
 import pytest
 
 from specmat import (
     NotHermitianError,
-    SingularMatrixError,
+    batched_roots,
     hermitian_eigen,
     kron,
-    lu_solve,
     poly_roots,
 )
 
 
-class TestLuSolve:
-    def test_identity(self):
-        x = lu_solve(np.eye(2), [1.0, 2.0])
-        assert np.allclose(x, [1.0, 2.0], rtol=0, atol=1e-15)
+class TestBatchedRoots:
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_matches_np_roots_row_by_row(self, q):
+        rng = np.random.default_rng(100 + q)
+        coeffs = rng.standard_normal((40, q + 1)) + 1j * rng.standard_normal((40, q + 1))
+        roots = batched_roots(coeffs)
+        assert roots.shape == (40, q)
+        for row, found in zip(coeffs, roots):
+            expected = np.roots(row[::-1])  # np.roots takes descending coefficients
+            scale = max(1.0, np.max(np.abs(expected)))
+            err = np.max(np.abs(np.sort_complex(found) - np.sort_complex(expected)))
+            assert err < 1e-12 * scale
 
-    def test_hand_elimination_2x2(self):
-        # [[2,-1],[-1,2]] x = (1,0): eliminate to 3/2 x2 = 1/2, back-substitute
-        a = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        x = lu_solve(a, [1.0, 0.0])
-        assert np.allclose(x, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
+    def test_quadratic_keeps_the_small_root(self):
+        # roots 1e8 and 1e-8: the textbook formula loses the small one entirely
+        roots = batched_roots([[1.0, -(1e8 + 1e-8), 1.0]])[0]
+        assert abs(roots[1] - 1e-8) < 1e-22
+        assert abs(roots[0] - 1e8) < 1e-7
 
-    def test_zero_matrix_is_singular(self):
-        with pytest.raises(SingularMatrixError):
-            lu_solve(np.zeros((2, 2)), [1.0, 1.0])
+    def test_quadratic_with_vanishing_lower_coefficients(self):
+        assert np.array_equal(batched_roots([[0.0, 0.0, 2.0]]), np.zeros((1, 2)))
 
-    def test_rank_deficient_is_singular(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError):
-            lu_solve(a, [1.0, 1.0])
+    def test_companion_roots_are_polished(self):
+        # a cubic with roots spread over six orders of magnitude
+        expected = np.array([1e-3, 1.0, 1e3])
+        coeffs = np.poly(expected)[::-1]
+        found = np.sort(batched_roots(coeffs[None, :])[0].real)
+        assert np.max(np.abs(found - expected) / expected) < 4 * np.finfo(float).eps
 
-    def test_residual_bound_on_random_nonsingular(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            n = int(rng.integers(1, 33))
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            a += n * np.eye(n)  # keep comfortably nonsingular
-            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x = lu_solve(a, b)
-            a_norm = np.max(np.abs(a).sum(axis=1))
-            bound = 1e-10 * (a_norm * np.max(np.abs(x)) + np.max(np.abs(b)))
-            assert np.max(np.abs(a @ x - b)) <= bound
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            batched_roots([1.0, 2.0])
+        with pytest.raises(ValueError):
+            batched_roots([[1.0], [2.0]])
 
 
 class TestHermitianEigen:
@@ -101,12 +103,6 @@ class TestPolyRoots:
             poly_roots([1.0])
         with pytest.raises(ValueError):
             poly_roots([0.0, 0.0])
-
-    def test_exhausted_iteration_budget_raises(self):
-        from specmat import NoConvergenceError
-
-        with pytest.raises(NoConvergenceError):
-            poly_roots([-1.0, 0.0, 0.0, 0.0, 0.0, 1.0], max_iter=1)
 
     def test_recovers_separated_roots_in_unit_disk(self):
         rng = np.random.default_rng(11)

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmat import (
     ShapeMismatchError,
     SingularBError,
+    SingularMatrixError,
     SingularPencilError,
-    TooLargeForGeneralPathError,
     ZeroVectorError,
     assemble_toeplitz_hankel,
     fem_p3_eigenvalues,
@@ -17,7 +19,7 @@ from specmat import (
     solve_gevp_numeric,
     solve_pevp_numeric,
 )
-from specmat.oracle import polynomial_residual
+from specmat.oracle import pair_values, polynomial_residual
 
 RNG = np.random.default_rng(99)
 
@@ -91,11 +93,25 @@ class TestSolveGevp:
         with pytest.raises(ShapeMismatchError):
             solve_gevp_numeric(np.eye(2), np.eye(3))
 
-    def test_general_path_size_cap(self):
-        n = 17
-        a = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
-        with pytest.raises(TooLargeForGeneralPathError):
-            solve_gevp_numeric(a, np.eye(n))
+    @pytest.mark.parametrize("n", [17, 60, 200])
+    def test_general_path_has_no_size_cap(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n)
+        sol = solve_gevp_numeric(a, b)
+        assert sol.n_modes == n
+        assert np.max(sol.residuals) < 1e-9
+        values = sol.values
+        assert np.all(np.lexsort((values.imag, values.real)) == np.arange(n))
+        assert np.allclose(np.linalg.norm(sol.vectors, axis=0), 1.0, rtol=0, atol=1e-14)
+
+    def test_general_path_on_real_nonsymmetric_pencil(self):
+        n = 9
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((n, n))
+        sol = solve_gevp_numeric(a, np.eye(n) + 0.1 * rng.standard_normal((n, n)))
+        assert np.max(sol.residuals) < 1e-12
+        assert np.abs(sol.values.imag).max() > 0  # complex pairs of a real pencil
 
     def test_hermitian_path_handles_moderate_sizes(self):
         n = 40
@@ -111,11 +127,15 @@ class TestSolveGevp:
             a = _random_hermitian(n)
             b = _random_spd(n)
             fast = solve_gevp_numeric(a, b, method="hermitian")
-            slow = solve_gevp_numeric(a, b, method="charpoly")
+            slow = solve_gevp_numeric(a, b, method="general")
             scale = max(1.0, np.max(np.abs(fast.values)))
             assert np.max(
                 np.abs(np.sort_complex(fast.values) - np.sort_complex(slow.values))
             ) < 1e-8 * scale
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            solve_gevp_numeric(np.eye(2), np.eye(2), method="charpoly")
 
     def test_forced_hermitian_path_rejects_unsuitable_input(self):
         from specmat import NotHermitianError
@@ -149,6 +169,40 @@ class TestSolveGevp:
         assert abs(np.vdot(v1, v2)) < 1e-8
         assert residual_gevp(a, b, 1.0, v1) < 1e-10
         assert residual_gevp(a, b, 1.0, v2) < 1e-10
+
+    def test_inverse_iteration_on_a_singular_pencil_raises(self):
+        from specmat import inverse_iteration
+
+        # A - shift B is the zero matrix for every shift
+        with pytest.raises(SingularMatrixError):
+            inverse_iteration(np.zeros((3, 3)), np.zeros((3, 3)), 1.0)
+
+
+@st.composite
+def _dominant_complex_pencils(draw):
+    """Diagonally dominant complex pencils, so that B is well conditioned."""
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def dominant():
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m[np.diag_indices(n)] = (1.5 + rng.uniform()) * np.abs(m).sum(axis=1) * np.exp(
+            1j * rng.uniform(-1.0, 1.0, n))
+        return m
+
+    return dominant(), dominant()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_dominant_complex_pencils())
+def test_general_route_property(pencil):
+    a, b = pencil
+    sol = solve_gevp_numeric(a, b)
+    assert np.max(sol.residuals) < 1e-9
+    reference = np.linalg.eigvals(np.linalg.solve(b, a))
+    _, distances = pair_values(reference, sol.values)
+    assert np.max(distances) <= 1e-9 * max(1.0, np.max(np.abs(reference)))
 
 
 class TestSolvePevp:

@@ -74,6 +74,21 @@ class TestSymbol:
                     assert value.imag == 0.0
                     assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * exact
 
+    def test_modes_near_pi_keep_full_relative_accuracy(self):
+        # both bands have a simple zero at theta = pi, where the sine form
+        # of the symbol cancels as badly as the cosine form does at zero
+        with mpmath.workdps(50):
+            for band in ([2.0, 1.0], [1.0, 0.25, -0.25]):
+                for n in (1000, 10 ** 5):
+                    thetas = np.arange(n - 4, n + 1) * np.pi / (n + 1)
+                    got = symbol(band, thetas)
+                    for value, theta in zip(got, thetas):
+                        exact = band[0] + sum(
+                            2 * b * mpmath.cos(l * mpmath.mpf(theta)) for l, b in enumerate(band) if l
+                        )
+                        assert value.imag == 0.0
+                        assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * abs(exact)
+
 
 class TestGevpEigenpairs:
     def test_m2_example_matches_printed_formula(self):
@@ -233,6 +248,25 @@ class TestCornerBlockEigenpairs:
                     got = sol.value_for_mode(mode)
                     assert abs(mpmath.mpc(got) - exact) <= 8 * EPS * abs(exact)
 
+    def test_mode_near_pi_with_small_leading_coefficient(self):
+        # at theta = 7 pi / 8 the leading coefficient's symbol is 5e-4 of its
+        # terms, so mode 14 is about -4.2e4; compared at the mode angles as
+        # rounded to double, which is what the closed form evaluates
+        alpha, beta, half_n = [6.625, 0.125, -0.125, 4.0], [1.875, -0.75, 1.0, 3.125], 7
+        sol = corner_block_eigenpairs(alpha, beta, half_n)
+        bands = corner_block_quadratic_bands(alpha, beta)
+        with mpmath.workdps(50):
+            for j in range(1, half_n + 1):
+                theta = mpmath.mpf(float(np.pi * (1.0 / (half_n + 1)) * j))
+                qc, qb, qa = (mpmath.mpf(band[0].real) + 2 * mpmath.mpf(band[1].real) * mpmath.cos(theta)
+                              for band in bands)
+                disc = mpmath.sqrt(qb * qb - 4 * qa * qc)
+                roots = {2 * j - 1: (-qb - disc) / (2 * qa), 2 * j: (-qb + disc) / (2 * qa)}
+                for mode, exact in roots.items():
+                    got = sol.value_for_mode(mode)
+                    assert abs(mpmath.mpc(got) - exact) <= 2e-13 * abs(exact)
+        assert abs(sol.value_for_mode(14)) > 4e4
+
     def test_requires_nonzero_odd_diagonal(self):
         with pytest.raises(SingularPencilError):
             corner_block_eigenpairs([1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], 2)
@@ -342,6 +376,31 @@ class TestFemP3Eigenvalues:
     def test_count(self):
         assert fem_p3_eigenvalues(6).size == 17
 
+    @pytest.mark.parametrize("n", [14, 200, 1000])
+    def test_exact_to_rounding_against_mpmath(self, n):
+        # every eigenvalue within a few eps times its root's condition
+        # number (at most about 340 here, where two branches nearly meet)
+        exact, kappa = [10.0 * n * n, 42.0 * n * n], [1.0, 1.0]
+        with mpmath.workdps(50):
+            for j in range(1, n):
+                z = mpmath.cos(j * mpmath.pi / n)
+                coeffs = [-25200 * (1 - z), 360 * (32 + 3 * z), -30 * (18 - z), 4 + z]
+                value = lambda x: sum(c * x ** k for k, c in enumerate(coeffs))
+                slope = lambda x: sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
+                # Newton in 50 digits from numpy's roots; the roots are real and simple
+                for seed in np.roots([float(c) for c in coeffs[::-1]]).real:
+                    root = mpmath.mpf(seed)
+                    for _ in range(5):
+                        root -= value(root) / slope(root)
+                    size = sum(abs(c) * abs(root) ** k for k, c in enumerate(coeffs))
+                    exact.append(float(root * n * n))
+                    kappa.append(float(size / abs(root * slope(root))))
+        order = np.argsort(exact)
+        exact, kappa = np.array(exact)[order], np.array(kappa)[order]
+        values = fem_p3_eigenvalues(n)
+        assert not values.imag.any()
+        assert np.all(np.abs(values.real - exact) <= 4 * EPS * kappa * exact)
+
 
 class TestPevpEigenpairs:
     def test_linear_case_reduces_to_gevp(self):
@@ -382,6 +441,21 @@ class TestPevpEigenpairs:
         assert poly.degree_drops == (2,)
         assert poly.mode_roots[1].size == 1
         assert poly.mode_roots[0].size == 2
+
+    def test_degree_drops_masked_per_mode(self):
+        # at the angles j pi / 6 the cubic band vanishes at modes 3 and 4 and
+        # the quadratic band at mode 3, so the degrees are 3, 3, 1, 2, 3
+        bands = ([1.0, 0.5, 0.2], [2.0, 0.3, 0.1], [1.0, 0.0, 0.5], [1.0, 0.5, 0.5])
+        pencil = PolynomialPencil(bands=bands, variant=HankelVariant.SET1, n=5)
+        poly = pevp_eigenpairs(pencil)
+        assert poly.degree_drops == (3, 4)
+        assert [r.size for r in poly.mode_roots] == [3, 3, 1, 2, 3]
+        thetas = np.arange(1, 6) * np.pi / 6
+        for roots, theta in zip(poly.mode_roots, thetas):
+            coeffs = [symbol(b, theta) for b in bands][: roots.size + 1]
+            expected = np.roots(coeffs[::-1])
+            gaps = np.abs(roots[:, None] - expected[None, :])
+            assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) < 1e-12
 
     def test_eigenpair_residuals_against_matrices(self):
         n, m, q = 6, 2, 3
