@@ -11,6 +11,7 @@ implies.
 from .errors import (
     BadBandwidthError,
     DegenerateQuadraticError,
+    IndexOutOfRangeError,
     NotHermitianError,
     OverlapError,
     ShapeMismatchError,
@@ -60,8 +61,10 @@ from .spectra import (
     corner_block_eigenpairs,
     corner_block_quadratic_bands,
     fem_p2_eigenpairs,
+    fem_p2_eigenvalues,
     fem_p3_eigenvalues,
     gevp_eigenpairs,
+    gevp_eigenvalues,
     pevp_eigenpairs,
     scale_pencil,
     symbol,
@@ -76,6 +79,7 @@ __all__ = [
     "EigenSolution",
     "HankelVariant",
     "IdentityReport",
+    "IndexOutOfRangeError",
     "NotHermitianError",
     "OracleReport",
     "OverlapError",
@@ -106,8 +110,10 @@ __all__ = [
     "eve_identity_gevp",
     "eve_identity_gevp_all",
     "fem_p2_eigenpairs",
+    "fem_p2_eigenvalues",
     "fem_p3_eigenvalues",
     "gevp_eigenpairs",
+    "gevp_eigenvalues",
     "hermitian_eigen",
     "inverse_iteration",
     "kron",

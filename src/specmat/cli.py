@@ -36,10 +36,11 @@ from .spectra import (
     PolynomialPencil,
     corner_block_eigenpairs,
     fem_p2_eigenpairs,
+    fem_p2_eigenvalues,
     fem_p3_eigenvalues,
     gevp_eigenpairs,
+    gevp_eigenvalues,
     pevp_eigenpairs,
-    scale_pencil,
 )
 
 IMAG_SUPPRESS = 1e-12
@@ -305,31 +306,23 @@ def dispersion_rows(method: str, n: int):
         raise SpecmatError(f"need at least 2 mesh cells, got {n}")
     h = 1.0 / n
     if method in ("fdm", "fem1", "iga2-example"):
-        dim = n - 1
-        if method == "fdm":
-            sol = gevp_eigenpairs(LAPLACE_FDM_BAND, (1.0, 0.0), dim, HankelVariant.SET1)
-            sol = scale_pencil(sol, 1.0 / (h * h), 1.0)
-        elif method == "fem1":
-            sol = gevp_eigenpairs(
-                LAPLACE_FEM1_STIFF_BAND, LAPLACE_FEM1_MASS_BAND, dim, HankelVariant.SET1
-            )
-            sol = scale_pencil(sol, 1.0 / h, h)
-        else:
-            sol = gevp_eigenpairs(
-                IGA2_EXAMPLE_STIFF_BAND, IGA2_EXAMPLE_MASS_BAND, dim, HankelVariant.SET1
-            )
-            sol = scale_pencil(sol, 1.0 / h, h)
-        discrete = np.sort(sol.values.real)
-        branches = [""] * dim
+        stiffness, mass, c1, c2 = {
+            "fdm": (LAPLACE_FDM_BAND, (1.0, 0.0), 1.0 / (h * h), 1.0),
+            "fem1": (LAPLACE_FEM1_STIFF_BAND, LAPLACE_FEM1_MASS_BAND, 1.0 / h, h),
+            "iga2-example": (IGA2_EXAMPLE_STIFF_BAND, IGA2_EXAMPLE_MASS_BAND, 1.0 / h, h),
+        }[method]
+        values = gevp_eigenvalues(stiffness, mass, n - 1, HankelVariant.SET1)
+        # scale_pencil's factor c1 / c2, applied to the values alone
+        discrete = np.sort((values * (complex(c1) / complex(c2))).real)
+        branches = [""] * (n - 1)
     elif method == "fem2":
-        sol = fem_p2_eigenpairs(n)
-        discrete = np.sort(sol.values.real)
+        discrete = np.sort(fem_p2_eigenvalues(n))
         flat = 10.0 * n * n
         branches = ["minus" if v < flat else ("10n^2" if v == flat else "plus") for v in discrete]
     else:
         raise SpecmatError(f"unknown dispersion method {method!r}")
     rows = []
-    for j, lam in enumerate(discrete, start=1):
+    for j, lam in enumerate(discrete.tolist(), start=1):  # Python floats format faster
         exact = (j * np.pi) ** 2
         rows.append((j, lam, exact, abs(lam - exact) / exact, branches[j - 1]))
     return rows
@@ -338,8 +331,7 @@ def dispersion_rows(method: str, n: int):
 def _cmd_dispersion(args) -> int:
     rows = dispersion_rows(args.method, args.n)
     lines = ["j,lambda_h,lambda_exact,rel_error,branch"]
-    for j, lam, exact, err, branch in rows:
-        lines.append(f"{j},{lam:.17g},{exact:.17g},{err:.17g},{branch}")
+    lines.extend("%d,%.17g,%.17g,%.17g,%s" % row for row in rows)
     _emit(lines, args.out)
     return 0
 

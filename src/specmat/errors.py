@@ -51,3 +51,7 @@ class ZeroVectorError(SpecmatError):
 
 class SingularDenominatorError(SpecmatError):
     """A denominator factor of an identity is numerically zero."""
+
+
+class IndexOutOfRangeError(SpecmatError, IndexError):
+    """A 1-based index argument lies outside the matrix or mode range."""

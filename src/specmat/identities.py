@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotHermitianError, SingularBError, SingularDenominatorError
+from .errors import IndexOutOfRangeError, NotHermitianError, SingularBError, SingularDenominatorError
 from .linalg import as_square, hermitian_eigen, is_hermitian
 from .oracle import is_singular, solve_gevp_numeric
 from .spectra import symbol
@@ -50,9 +50,9 @@ def minor_remove(a, k: int) -> np.ndarray:
     a = as_square(a)
     n = a.shape[0]
     if n < 2:
-        raise IndexError("cannot remove a row/column from a 1x1 matrix")
+        raise IndexOutOfRangeError("cannot remove a row/column from a 1x1 matrix")
     if not 1 <= k <= n:
-        raise IndexError(f"index k={k} outside 1..{n}")
+        raise IndexOutOfRangeError(f"index k={k} outside 1..{n}")
     keep = np.delete(np.arange(n), k - 1)
     return a[np.ix_(keep, keep)]
 
@@ -73,7 +73,7 @@ def _evp_report(lams, vectors, minors, j, k, warning) -> IdentityReport:
 
 def _check_indices(n, j, k):
     if not (1 <= j <= n and 1 <= k <= n):
-        raise IndexError(f"(j, k)=({j}, {k}) outside 1..{n}")
+        raise IndexOutOfRangeError(f"(j, k)=({j}, {k}) outside 1..{n}")
 
 
 def eve_identity_evp(a, j: int, k: int) -> IdentityReport:
@@ -219,11 +219,11 @@ def trig_identity(kind: str, n: int, k: int, l: int | None = None,
     if kind not in ("ti31", "ti3", "ti3g"):
         raise ValueError(f"unknown identity kind {kind!r}")
     if n < 2 or not 1 <= k <= n:
-        raise IndexError(f"need n >= 2 and 1 <= k <= n, got n={n}, k={k}")
+        raise IndexOutOfRangeError(f"need n >= 2 and 1 <= k <= n, got n={n}, k={k}")
     if kind == "ti31":
         l = 1
     if l is None or not 1 <= l <= n:
-        raise IndexError(f"need 1 <= l <= n, got l={l}")
+        raise IndexOutOfRangeError(f"need 1 <= l <= n, got l={l}")
 
     cos_k = np.cos(k * np.pi / (n + 1))
     denom = _guard_denominator(

@@ -11,11 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 HEADER_PREFIX = "%%MatrixMarket matrix"
-_FLOAT = "{:.17g}"
+_FLOAT = "%.17g"
 
 
 def _is_real(a) -> bool:
     return bool(np.all(a.imag == 0.0))
+
+
+def _parse_floats(lines, count) -> np.ndarray:
+    values = np.array(" ".join(lines).split(), dtype=float)
+    if values.size != count:
+        raise ValueError(f"expected {count} numbers in the body, found {values.size}")
+    return values
 
 
 def write_matrix_market(a, path, fmt: str | None = None) -> str:
@@ -34,38 +41,27 @@ def write_matrix_market(a, path, fmt: str | None = None) -> str:
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"unknown format {fmt!r}")
 
-    lines = []
     if fmt == "array":
         field = "real" if _is_real(a) else "complex"
         header = f"{HEADER_PREFIX} array {field} general"
-        lines.append(header)
-        lines.append(f"{rows} {cols}")
-        for j in range(cols):  # array format is column-major
-            for i in range(rows):
-                if field == "real":
-                    lines.append(_FLOAT.format(a[i, j].real))
-                else:
-                    lines.append(f"{_FLOAT.format(a[i, j].real)} {_FLOAT.format(a[i, j].imag)}")
+        size_line = f"{rows} {cols}"
+        flat = a.T.ravel()  # array format is column-major
+        if field == "real":
+            body = f"{_FLOAT}\n" * flat.size % tuple(flat.real.tolist())
+        else:  # the float view interleaves real and imaginary parts
+            body = f"{_FLOAT} {_FLOAT}\n" * flat.size % tuple(flat.view(float).tolist())
     else:
         symmetric = rows == cols and bool(np.array_equal(a, a.T))
         shape_word = "symmetric" if symmetric else "general"
         header = f"{HEADER_PREFIX} coordinate complex {shape_word}"
-        entries = []
-        for i in range(rows):
-            for j in range(cols):
-                if symmetric and j > i:
-                    continue  # store the lower triangle only
-                if a[i, j] != 0:
-                    entries.append(
-                        f"{i + 1} {j + 1} "
-                        f"{_FLOAT.format(a[i, j].real)} {_FLOAT.format(a[i, j].imag)}"
-                    )
-        lines.append(header)
-        lines.append(f"{rows} {cols} {len(entries)}")
-        lines.extend(entries)
+        stored = a != 0
+        i, j = np.nonzero(np.tril(stored) if symmetric else stored)  # the lower triangle only
+        parts = np.stack((i + 1, j + 1, a.real[i, j], a.imag[i, j]), axis=1)
+        size_line = f"{rows} {cols} {i.size}"
+        body = f"%d %d {_FLOAT} {_FLOAT}\n" * i.size % tuple(parts.ravel().tolist())
 
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f"{header}\n{size_line}\n{body}")
     return header
 
 
@@ -76,47 +72,45 @@ def read_matrix_market(path) -> np.ndarray:
     symmetric).  Always returns a complex array.
     """
     with open(path, encoding="ascii") as handle:
-        raw = [line.strip() for line in handle]
-    lines = [line for line in raw if line and not (line.startswith("%") and not line.startswith("%%"))]
+        text = handle.read()
+    lines = list(filter(None, map(str.strip, text.splitlines())))  # no blank lines
+    if "%" in text.partition("\n")[2]:  # comment lines besides the header
+        lines = [line for line in lines if not (line.startswith("%") and not line.startswith("%%"))]
     header = lines[0]
     if not header.startswith(HEADER_PREFIX):
         raise ValueError(f"not a Matrix Market file: {header!r}")
     tokens = header.split()
     _, _, layout, field, shape_word = tokens[:5]
+    size = [int(t) for t in lines[1].split()]
+    body = lines[2:]
 
     if layout == "array":
-        rows, cols = (int(t) for t in lines[1].split())
-        out = np.zeros((rows, cols), dtype=complex)
-        body = lines[2:]
+        rows, cols = size
         if len(body) != rows * cols:
             raise ValueError("array body length does not match the size line")
-        pos = 0
-        for j in range(cols):
-            for i in range(rows):
-                parts = body[pos].split()
-                pos += 1
-                if field == "real":
-                    out[i, j] = float(parts[0])
-                else:
-                    out[i, j] = complex(float(parts[0]), float(parts[1]))
+        width = 1 if field == "real" else 2
+        values = _parse_floats(body, rows * cols * width).reshape(cols, rows, width)
+        out = np.zeros((rows, cols), dtype=complex)
+        out.real = values[:, :, 0].T  # column-major
+        if width == 2:
+            out.imag = values[:, :, 1].T
         return out
 
     if layout == "coordinate":
-        rows, cols, nnz = (int(t) for t in lines[1].split())
-        out = np.zeros((rows, cols), dtype=complex)
-        body = lines[2:]
+        rows, cols, nnz = size
         if len(body) != nnz:
             raise ValueError("coordinate body length does not match the size line")
-        for line in body:
-            parts = line.split()
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            if field == "complex":
-                value = complex(float(parts[2]), float(parts[3]))
-            else:
-                value = complex(float(parts[2]))
-            out[i, j] = value
-            if shape_word == "symmetric" and i != j:
-                out[j, i] = value
+        width = 4 if field == "complex" else 3
+        entries = _parse_floats(body, nnz * width).reshape(nnz, width)
+        i, j = entries[:, 0].astype(int) - 1, entries[:, 1].astype(int) - 1
+        if shape_word == "symmetric":
+            i, j = np.concatenate((i, j)), np.concatenate((j, i))
+            entries = np.concatenate((entries, entries))
+        out = np.zeros((rows, cols), dtype=complex)
+        # the parts are set apart: re + 1j * im would turn an imaginary -0.0 into +0.0
+        out.real[i, j] = entries[:, 2]
+        if width == 4:
+            out.imag[i, j] = entries[:, 3]
         return out
 
     raise ValueError(f"unsupported layout {layout!r}")

@@ -92,13 +92,12 @@ def eigenvector_basis(variant, n: int) -> np.ndarray:
     return np.cos(np.pi * h * np.outer(entries, angles)).astype(complex)
 
 
-def gevp_eigenpairs(alpha, beta, n: int, variant) -> EigenSolution:
-    """All n eigenpairs of the pencil built from two shared-bandwidth bands.
+def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
+    """The n eigenvalues of the pencil built from two shared-bandwidth bands, in mode order.
 
     The eigenvalue of mode j is the ratio of the two symbols at that mode's
-    angle; the eigenvector is the variant's sampled sine or cosine.  Raises
-    :class:`SingularPencilError` when the denominator symbol vanishes at a
-    sampled angle.
+    angle.  Raises :class:`SingularPencilError` when the denominator symbol
+    vanishes at a sampled angle.
     """
     alpha, beta = as_band(alpha), as_band(beta)
     variant = HankelVariant.coerce(variant)
@@ -118,13 +117,18 @@ def gevp_eigenpairs(alpha, beta, n: int, variant) -> EigenSolution:
         raise SingularPencilError(
             f"denominator symbol vanishes at mode angle index {angles[bad[0]]}"
         )
-    values = symbol(alpha, thetas) / denom
+    return symbol(alpha, thetas) / denom
+
+
+def gevp_eigenpairs(alpha, beta, n: int, variant) -> EigenSolution:
+    """All n eigenpairs: :func:`gevp_eigenvalues` with the variant's sampled sine or cosine."""
+    values = gevp_eigenvalues(alpha, beta, n, variant)
     return EigenSolution(
         modes=np.arange(1, n + 1),
         values=values,
         vectors=eigenvector_basis(variant, n),
         provenance=ANALYTIC,
-        h=h,
+        h=mode_angles(variant, n)[0],
     )
 
 
@@ -244,8 +248,8 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     )
 
 
-def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
-    """Closed-form eigenpairs of the quadratic-element stiffness/mass pencil.
+def fem_p2_eigenvalues(n_elems: int) -> np.ndarray:
+    """Eigenvalues of the quadratic-element stiffness/mass pencil, in mode order (real).
 
     Three branches: a lower branch for modes 1..n-1, the flat eigenvalue
     ``10 n^2`` at mode n, and an upper branch for modes n+1..2n-1 sampled at
@@ -255,29 +259,34 @@ def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
     n = n_elems
     h = 1.0 / n
+    angles = np.arange(1, n)
+    c = np.cos(angles * np.pi * h)
+    upper = 13.0 + 2.0 * c + np.sqrt(124.0 + 112.0 * c - 11.0 * c * c)
+    # 13 + 2c - sqrt(...) cancels as c -> 1; by Vieta it is 15 (1 - c)(3 - c) / upper
+    lower = 120.0 * np.sin(0.5 * angles * np.pi * h) ** 2 / upper * n * n
+    return np.concatenate((lower, [10.0 * n * n], 4.0 * upper / (3.0 - c) * n * n))
+
+
+def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
+    """Closed-form eigenpairs: :func:`fem_p2_eigenvalues` with their sampled eigenvectors.
+
+    Mode n alternates on the odd entries; every other mode samples a sine at
+    its angle index on the even entries and fills the odd ones from their
+    two neighbours.
+    """
+    values = fem_p2_eigenvalues(n_elems)
+    n = n_elems
+    h = 1.0 / n
     dim = 2 * n - 1
-    values = np.empty(dim, dtype=complex)
+    sampled = np.flatnonzero(np.arange(1, dim + 1) != n)  # columns of every mode but n
+    scaled = values[sampled] * h * h
+    factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
+    angles = np.tile(np.arange(1, n), 2)
+    even = np.sin(np.multiply.outer(np.arange(n + 1), angles * np.pi) * h)  # even[k] = entry 2k
     vectors = np.zeros((dim, dim), dtype=complex)
-    even_grid = np.arange(n + 1)
-    for j in range(1, dim + 1):
-        if j == n:
-            values[j - 1] = 10.0 * n * n
-            vectors[0::2, j - 1] = (-1.0) ** np.arange(n)  # odd entries alternate
-            continue
-        angle_index = j if j < n else j - n
-        c = np.cos(angle_index * np.pi * h)
-        upper = 13.0 + 2.0 * c + np.sqrt(124.0 + 112.0 * c - 11.0 * c * c)
-        if j < n:
-            # 13 + 2c - sqrt(...) cancels as c -> 1; by Vieta it is 15 (1 - c)(3 - c) / upper
-            lam = 120.0 * np.sin(0.5 * angle_index * np.pi * h) ** 2 / upper * n * n
-        else:
-            lam = 4.0 * upper / (3.0 - c) * n * n
-        values[j - 1] = lam
-        scaled = lam * h * h
-        factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
-        even = np.sin(angle_index * np.pi * even_grid * h)  # even[k] = entry 2k; ends vanish
-        vectors[1::2, j - 1] = even[1: n]                   # entries 2k, k=1..n-1
-        vectors[0::2, j - 1] = factor * (even[: n] + even[1:])  # entries 2k+1
+    vectors[1::2, sampled] = even[1:n]                       # entries 2k, k=1..n-1
+    vectors[0::2, sampled] = factor * (even[:n] + even[1:])  # entries 2k+1
+    vectors[0::2, n - 1] = (-1.0) ** np.arange(n)
     return EigenSolution(
         modes=np.arange(1, dim + 1),
         values=values,
@@ -391,16 +400,11 @@ def tensor_eigenpairs(left: EigenSolution, right: EigenSolution) -> EigenSolutio
     """
     count = left.n_modes * right.n_modes
     values = np.add.outer(left.values, right.values).reshape(count)
-    columns = [
-        kron(left.vectors[:, j], right.vectors[:, k])
-        for j in range(left.n_modes)
-        for k in range(right.n_modes)
-    ]
     provenance = ANALYTIC if left.provenance == right.provenance == ANALYTIC else NUMERIC
     return EigenSolution(
         modes=np.arange(1, count + 1),
         values=values,
-        vectors=np.column_stack(columns),
+        vectors=kron(left.vectors, right.vectors),  # column j n_R + k is kron(x_j, y_k)
         provenance=provenance,
     )
 

@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from specmat import read_matrix_market
-from specmat.cli import dispersion_rows, main, parse_complex_literal
+from specmat import fem_p2_eigenpairs, gevp_eigenpairs, read_matrix_market, scale_pencil
+from specmat.cli import (
+    IGA2_EXAMPLE_MASS_BAND,
+    IGA2_EXAMPLE_STIFF_BAND,
+    LAPLACE_FDM_BAND,
+    LAPLACE_FEM1_MASS_BAND,
+    LAPLACE_FEM1_STIFF_BAND,
+    dispersion_rows,
+    main,
+    parse_complex_literal,
+)
 
 
 class TestComplexLiterals:
@@ -259,6 +268,19 @@ class TestIdentityCommand:
         assert main(["identity", "--kind", "ti32", "--n", "4"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "eve", "--n", "1"],
+            ["--kind", "gevp-eve", "--n", "1"],
+            ["--kind", "ti3", "--n", "3", "--k", "5"],
+        ],
+    )
+    def test_out_of_range_index_is_validation_error(self, capsys, argv):
+        assert main(["identity", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestDispersion:
     def test_fdm_first_mode_numbers(self):
@@ -296,6 +318,27 @@ class TestDispersion:
     def test_unknown_method_is_usage_error(self, capsys):
         assert main(["dispersion", "--method", "sem", "--n", "8"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("method", ["fdm", "fem1", "fem2", "iga2-example"])
+    @pytest.mark.parametrize("n", [4, 9, 200])
+    def test_rows_match_the_eigenpair_route(self, method, n):
+        # the route the values-only rows replaced: eigenpairs, then scale_pencil
+        h = 1.0 / n
+        if method == "fem2":
+            sol = fem_p2_eigenpairs(n)
+        else:
+            stiffness, mass, c1, c2 = {
+                "fdm": (LAPLACE_FDM_BAND, (1.0, 0.0), 1.0 / (h * h), 1.0),
+                "fem1": (LAPLACE_FEM1_STIFF_BAND, LAPLACE_FEM1_MASS_BAND, 1.0 / h, h),
+                "iga2-example": (IGA2_EXAMPLE_STIFF_BAND, IGA2_EXAMPLE_MASS_BAND, 1.0 / h, h),
+            }[method]
+            sol = scale_pencil(gevp_eigenpairs(stiffness, mass, n - 1, 1), c1, c2)
+        discrete = np.sort(sol.values.real)
+        rows = dispersion_rows(method, n)
+        assert [row[1] for row in rows] == discrete.tolist()
+        for j, (index, lam, exact, rel, _) in enumerate(rows, start=1):
+            assert index == j and exact == (j * np.pi) ** 2
+            assert rel == abs(lam - exact) / exact
 
 
 class TestPevpCommand:

@@ -19,8 +19,10 @@ from specmat import (
     corner_block_eigenpairs,
     corner_block_quadratic_bands,
     fem_p2_eigenpairs,
+    fem_p2_eigenvalues,
     fem_p3_eigenvalues,
     gevp_eigenpairs,
+    gevp_eigenvalues,
     pevp_eigenpairs,
     residual_gevp,
     scale_pencil,
@@ -31,6 +33,11 @@ from specmat import (
 
 RNG = np.random.default_rng(2024)
 EPS = np.finfo(float).eps
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def max_residual(sol, a, b):
@@ -202,6 +209,26 @@ class TestGevpEigenpairs:
             assert np.max(np.abs(got - ref)) < 1e-8
 
 
+class TestGevpEigenvalues:
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4])
+    def test_equals_eigenpair_values_bit_for_bit(self, variant):
+        for n in (3, 8, 33, 250):
+            for width in (2, 3):
+                alpha = RNG.standard_normal(width) + 1j * RNG.standard_normal(width)
+                beta = RNG.standard_normal(width)
+                beta[0] = 4.0 + abs(beta[0])
+                values = gevp_eigenvalues(alpha, beta, n, variant)
+                assert same_bits(values, gevp_eigenpairs(alpha, beta, n, variant).values)
+
+    def test_checks_bands_and_singular_pencil(self):
+        with pytest.raises(BadBandwidthError):
+            gevp_eigenvalues([2.0, -1.0], [1.0, 0.0, 0.0], 5, 1)
+        with pytest.raises(BadBandwidthError):
+            gevp_eigenvalues([2.0, -1.0, 0.5], [1.0, 0.0, 0.0], 2, 1)
+        with pytest.raises(SingularPencilError):
+            gevp_eigenvalues([2.0, -1.0], [0.0, 1.0], 3, 1)
+
+
 class TestCornerBlockEigenpairs:
     def test_5x5_closed_forms_with_identity_b(self):
         # alpha = (2, -1, 0, 2) gives {2, 2 +/- sqrt(3), 3, 1}
@@ -352,6 +379,53 @@ class TestFemP2Eigenpairs:
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             fem_p2_eigenpairs(1)
+
+
+class TestFemP2Eigenvalues:
+    @staticmethod
+    def per_mode_reference(n):
+        """The per-mode loop that the broadcast form replaced, one mode at a time.
+
+        The square is ``s * s``, as in the broadcast form; the loop had
+        ``s ** 2``, which on a numpy scalar goes through libm ``pow`` and can
+        differ in the last bit.
+        """
+        h, dim = 1.0 / n, 2 * n - 1
+        values = np.empty(dim)
+        vectors = np.zeros((dim, dim))
+        for j in range(1, dim + 1):
+            if j == n:
+                values[j - 1] = 10.0 * n * n
+                vectors[0::2, j - 1] = (-1.0) ** np.arange(n)
+                continue
+            k = j if j < n else j - n
+            c = np.cos(k * np.pi * h)
+            upper = 13.0 + 2.0 * c + np.sqrt(124.0 + 112.0 * c - 11.0 * c * c)
+            s = np.sin(0.5 * k * np.pi * h)
+            lam = (120.0 * (s * s) / upper if j < n else 4.0 * upper / (3.0 - c)) * n * n
+            values[j - 1] = lam
+            scaled = lam * h * h
+            factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
+            even = np.sin(k * np.pi * np.arange(n + 1) * h)
+            vectors[1::2, j - 1] = even[1:n]
+            vectors[0::2, j - 1] = factor * (even[:n] + even[1:])
+        return values, vectors
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 301, 1000])
+    def test_equals_eigenpair_values_bit_for_bit(self, n):
+        assert same_bits(fem_p2_eigenvalues(n), fem_p2_eigenpairs(n).values)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 301])
+    def test_matches_per_mode_loop_bit_for_bit(self, n):
+        values, vectors = self.per_mode_reference(n)
+        sol = fem_p2_eigenpairs(n)
+        assert same_bits(sol.values, values)
+        assert same_bits(sol.vectors, vectors)
+
+    def test_real_and_too_small(self):
+        assert fem_p2_eigenvalues(5).dtype == np.float64
+        with pytest.raises(TooSmallError):
+            fem_p2_eigenvalues(1)
 
 
 class TestFemP3Eigenvalues:
@@ -522,6 +596,18 @@ class TestTensorEigenpairs:
         lhs, rhs = assemble_tensor_pencil(a, b, c, d)
         combined = tensor_eigenpairs(left, right)
         assert max_residual(combined, lhs, rhs) < 1e-10
+
+    def test_vectors_match_per_pair_kron_bit_for_bit(self):
+        left = gevp_eigenpairs([3.0, -1.0 + 0.5j], [1.0, 0.25], 5, 3)
+        right = fem_p2_eigenpairs(3)
+        combined = tensor_eigenpairs(left, right)
+        columns = [
+            np.kron(left.vectors[:, j], right.vectors[:, k])
+            for j in range(left.n_modes)
+            for k in range(right.n_modes)
+        ]
+        assert same_bits(combined.vectors, np.column_stack(columns))
+        assert same_bits(combined.values, [x + y for x in left.values for y in right.values])
 
 
 class TestScalePencil:
