@@ -47,7 +47,7 @@ from .linalg import batched_roots, hermitian_eigen, kron, poly_roots
 from .mmio import read_matrix_market, write_matrix_market
 from .oracle import (
     OracleReport,
-    attach_residuals,
+    gevp_eigenvalues_numeric,
     inverse_iteration,
     match_spectra,
     pencil_residuals,
@@ -96,7 +96,6 @@ __all__ = [
     "ZeroVectorError",
     "assemble_tensor_pencil",
     "assemble_toeplitz_hankel",
-    "attach_residuals",
     "batched_roots",
     "build_corner_block",
     "build_fem_p2",
@@ -114,6 +113,7 @@ __all__ = [
     "fem_p3_eigenvalues",
     "gevp_eigenpairs",
     "gevp_eigenvalues",
+    "gevp_eigenvalues_numeric",
     "hermitian_eigen",
     "inverse_iteration",
     "kron",

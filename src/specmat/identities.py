@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, NotHermitianError, SingularBError, SingularDenominatorError
 from .linalg import as_square, hermitian_eigen, is_hermitian
-from .oracle import is_singular, solve_gevp_numeric
+from .oracle import gevp_eigenvalues_numeric, is_singular, solve_gevp_numeric
 from .spectra import symbol
 
 GAP_WARNING_TOL = 1e-6
@@ -86,20 +86,21 @@ def eve_identity_evp(a, j: int, k: int) -> IdentityReport:
     full = hermitian_eigen(a)
     _check_indices(a.shape[0], j, k)
     lams = full.values.real
-    minors = hermitian_eigen(minor_remove(a, k)).values.real
+    minors = np.linalg.eigvalsh(minor_remove(a, k))  # Hermitian, as a minor of A
     return _evp_report(lams, full.vectors, minors, j, k, _min_gap(lams) < GAP_WARNING_TOL)
 
 
 def eve_identity_evp_all(a) -> list:
     """Every (j, k) report of :func:`eve_identity_evp`, j slowest.
 
-    The matrix and each of its n minors are diagonalized once.
+    The matrix is diagonalized once; of each of its n minors, only the
+    eigenvalues are computed.
     """
     a = as_square(a)
     full = hermitian_eigen(a)
     n = a.shape[0]
     lams = full.values.real
-    minors = [hermitian_eigen(minor_remove(a, k)).values.real for k in range(1, n + 1)]
+    minors = [np.linalg.eigvalsh(minor_remove(a, k)) for k in range(1, n + 1)]
     warning = _min_gap(lams) < GAP_WARNING_TOL
     return [
         _evp_report(lams, full.vectors, minors[k - 1], j, k, warning)
@@ -119,14 +120,12 @@ class _PencilView:
 
 
 def _pencil_view(a, b, form, with_vectors) -> _PencilView:
+    weight = np.linalg.det(b) if form == PROOF_FORM else np.sort(np.linalg.eigvalsh(b))
+    if not with_vectors:
+        return _PencilView(gevp_eigenvalues_numeric(a, b), [], b, weight)
     sol = solve_gevp_numeric(a, b)
     order = np.lexsort((sol.values.imag, sol.values.real))
-    vectors = []
-    if with_vectors:
-        for i in order:
-            x = sol.vectors[:, i]
-            vectors.append(x / np.linalg.norm(x))
-    weight = np.linalg.det(b) if form == PROOF_FORM else np.sort(np.linalg.eigvalsh(b))
+    vectors = [sol.vectors[:, i] / np.linalg.norm(sol.vectors[:, i]) for i in order]
     return _PencilView(sol.values[order], vectors, b, weight)
 
 

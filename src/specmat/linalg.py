@@ -20,8 +20,8 @@ COEFF_TRIM_RTOL = 1e-14
 NEWTON_STEPS = 2
 
 
-def as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+def as_square(a, dtype=complex) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -35,7 +35,8 @@ def inf_norm(a) -> float:
 
 
 def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
-    a = as_square(a)
+    a = np.asarray(a)
+    a = as_square(a, dtype=float if a.dtype.kind in "biuf" else complex)  # real stays real
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale == 0.0:
         return True

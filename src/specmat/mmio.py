@@ -102,7 +102,11 @@ def read_matrix_market(path) -> np.ndarray:
             raise ValueError("coordinate body length does not match the size line")
         width = 4 if field == "complex" else 3
         entries = _parse_floats(body, nnz * width).reshape(nnz, width)
-        i, j = entries[:, 0].astype(int) - 1, entries[:, 1].astype(int) - 1
+        i, j = entries[:, 0], entries[:, 1]
+        if not (np.all((i >= 1) & (i <= rows) & (i == np.floor(i)))
+                and np.all((j >= 1) & (j <= cols) & (j == np.floor(j)))):
+            raise ValueError(f"coordinate indices must be integers in 1..{rows} and 1..{cols}")
+        i, j = i.astype(int) - 1, j.astype(int) - 1
         if shape_word == "symmetric":
             i, j = np.concatenate((i, j)), np.concatenate((j, i))
             entries = np.concatenate((entries, entries))

@@ -3,16 +3,18 @@
 Hermitian pencils with a positive-definite right side go through a Cholesky
 reduction and a Hermitian eigensolver, in real arithmetic when neither side
 has an imaginary part.  Every other pencil with an invertible right side
-runs LAPACK's general eigensolver on ``B^{-1} A``.  Polynomial pencils are
-linearized to a companion pencil and solved the same way.  Eigenvectors of
-single eigenvalues are available by shifted inverse iteration.  None of
-these routes samples a symbol, so they share nothing with the closed forms
-they check.
+runs LAPACK's general eigensolver on ``B^{-1} A``.  Both routes also run
+without eigenvectors, for callers that read only the values.  Polynomial
+pencils are linearized to a companion pencil and solved the same way.
+Eigenvectors of single eigenvalues are available by shifted inverse
+iteration.  None of these routes samples a symbol, so they share nothing
+with the closed forms they check.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +51,6 @@ def pencil_residuals(a, b, values, vectors) -> np.ndarray:
 def residual_gevp(a, b, lam, x) -> float:
     """Relative pencil residual of one eigenpair; see :func:`pencil_residuals`."""
     return float(pencil_residuals(as_square(a), as_square(b), complex(lam), x))
-
-
-def attach_residuals(sol: EigenSolution, a, b) -> EigenSolution:
-    """Copy of a solution with per-mode relative residuals filled in."""
-    res = pencil_residuals(as_square(a), as_square(b), sol.values, sol.vectors)
-    return dataclasses.replace(sol, residuals=res)
 
 
 def is_singular(m) -> bool:
@@ -125,15 +121,13 @@ def inverse_iteration(a, b, lam, avoid=(), max_iter: int = 50, restarts: int = 3
     return best
 
 
-def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
-    """Numerically solve ``A x = lam B x`` with per-mode residuals attached.
+def _reduce_pencil(a, b, method):
+    """Check the pencil ``A x = lam B x``, choose the route, reduce it to a standard problem.
 
-    ``method`` picks the route: ``"auto"`` uses the Cholesky/Hermitian path
-    when A, B are Hermitian with B positive definite and otherwise the
-    general path, LAPACK's eigensolver on ``B^{-1} A`` with the values
-    sorted by (real, imag).  ``"hermitian"`` and ``"general"`` force one
-    route, mainly for cross-checks.  Raises :class:`SingularBError` when B
-    is numerically singular.
+    Returns ``(a, b, chol, reduced)``.  On the Hermitian-definite route
+    ``chol`` is the Cholesky factor L of B and ``reduced`` the Hermitian
+    ``L^{-1} A L^{-H}``; on the general route ``chol`` is None and
+    ``reduced`` is ``B^{-1} A``.  A real pencil comes back as real arrays.
     """
     a, b = as_square(a), as_square(b)
     if a.shape != b.shape:
@@ -141,7 +135,6 @@ def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
     if not (a.imag.any() or b.imag.any()):
         # a real pencil runs the real LAPACK routines, about twice as fast
         a, b = a.real.copy(), b.real.copy()
-    n = a.shape[0]
     if is_singular(b):
         raise SingularBError("right-hand matrix of the pencil is singular")
 
@@ -157,33 +150,58 @@ def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
         except np.linalg.LinAlgError:
             chol = None
         if chol is not None:
-            reduced = np.linalg.solve(chol, a)
-            reduced = np.linalg.solve(chol, reduced.conj().T).conj().T
-            reduced = 0.5 * (reduced + reduced.conj().T)
-            w, q = np.linalg.eigh(reduced)
-            x = np.linalg.solve(chol.conj().T, q)
-            x = x / np.linalg.norm(x, axis=0)
-            return EigenSolution(
-                modes=np.arange(1, n + 1),
-                values=w,
-                vectors=x,
-                provenance=NUMERIC,
-                residuals=pencil_residuals(a, b, w, x),
-            )
+            # L^{-1} and two products cost less than two n-column solves
+            inv_chol = np.linalg.inv(chol)
+            reduced = inv_chol @ (a @ inv_chol.conj().T)
+            return a, b, chol, 0.5 * (reduced + reduced.conj().T)
         if method == "hermitian":
             raise SingularBError("Hermitian path needs a positive-definite right side")
+    # B is invertible (checked above)
+    return a, b, None, np.linalg.solve(b, a)
 
-    # B is invertible (checked above); LAPACK's eig returns unit-norm vectors
-    values, vectors = np.linalg.eig(np.linalg.solve(b, a))
-    order = np.lexsort((values.imag, values.real))
-    values, vectors = values[order], vectors[:, order]
+
+def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
+    """Numerically solve ``A x = lam B x`` with per-mode residuals attached.
+
+    ``method`` picks the route: ``"auto"`` uses the Cholesky/Hermitian path
+    when A, B are Hermitian with B positive definite and otherwise the
+    general path, LAPACK's eigensolver on ``B^{-1} A`` with the values
+    sorted by (real, imag).  ``"hermitian"`` and ``"general"`` force one
+    route, mainly for cross-checks.  Raises :class:`SingularBError` when B
+    is numerically singular.  Callers that read only the eigenvalues use
+    :func:`gevp_eigenvalues_numeric`, which takes the same routes.
+    """
+    a, b, chol, reduced = _reduce_pencil(a, b, method)
+    if chol is not None:
+        values, q = np.linalg.eigh(reduced)
+        vectors = np.linalg.solve(chol.conj().T, q)
+        vectors = vectors / np.linalg.norm(vectors, axis=0)
+    else:
+        # LAPACK's eig returns unit-norm vectors
+        values, vectors = np.linalg.eig(reduced)
+        order = np.lexsort((values.imag, values.real))
+        values, vectors = values[order], vectors[:, order]
     return EigenSolution(
-        modes=np.arange(1, n + 1),
+        modes=np.arange(1, a.shape[0] + 1),
         values=values,
         vectors=vectors,
         provenance=NUMERIC,
         residuals=pencil_residuals(a, b, values, vectors),
     )
+
+
+def gevp_eigenvalues_numeric(a, b, method: str = "auto") -> np.ndarray:
+    """The eigenvalues of :func:`solve_gevp_numeric`, without vectors or residuals.
+
+    Same routes, order and errors: ascending and real from ``eigvalsh`` on
+    the Hermitian-definite route, complex and sorted by (real, imag) from
+    ``eigvals`` on the general route.
+    """
+    _, _, chol, reduced = _reduce_pencil(a, b, method)
+    if chol is not None:
+        return np.linalg.eigvalsh(reduced)
+    values = np.linalg.eigvals(reduced)
+    return values[np.lexsort((values.imag, values.real))]
 
 
 def _companion_pencil(mats):
@@ -251,16 +269,25 @@ def pair_values(reference, candidates):
     """Greedy nearest-neighbor pairing of two eigenvalue lists.
 
     Walks the reference values in (real, imag) order and assigns each the
-    closest unused candidate.  Returns ``(matched, distances)`` aligned with
-    the reference input order; unmatched positions (count mismatch) carry
-    NaN matches and infinite distances.
+    closest unused candidate, the lowest index among equally close ones.
+    Returns ``(matched, distances)`` aligned with the reference input order;
+    unmatched positions (count mismatch) carry NaN matches and infinite
+    distances.  Finite real spectra, as on every Hermitian route, take a
+    bisection walk over the sorted candidates with the same result.
     """
     ref = np.asarray(reference, dtype=complex)
     cand = np.asarray(candidates, dtype=complex)
     matched = np.full(ref.shape, np.nan + 0j, dtype=complex)
     distances = np.full(ref.shape, np.inf)
-    used = np.zeros(cand.size, dtype=bool)
     order = np.lexsort((ref.imag, ref.real))
+    real = not (ref.imag.any() or cand.imag.any())
+    if real and np.isfinite(ref).all() and np.isfinite(cand).all():
+        picks = _pair_real(ref.real[order].tolist(), cand.real)
+        rows = order[:len(picks)]
+        matched[rows] = cand[picks]
+        distances[rows] = np.abs(cand[picks] - ref[rows])
+        return matched, distances
+    used = np.zeros(cand.size, dtype=bool)
     for idx in order:
         free = np.flatnonzero(~used)
         if free.size == 0:
@@ -271,6 +298,37 @@ def pair_values(reference, candidates):
         matched[idx] = cand[pick]
         distances[idx] = float(np.abs(cand[pick] - ref[idx]))
     return matched, distances
+
+
+def _pair_real(ref, cand) -> list:
+    """The greedy walk of :func:`pair_values` for finite real values, by bisection.
+
+    The free candidates stay sorted by (value, index).  The nearest ones
+    sit on either side of the bisection point; rounding can make farther
+    values equally near, so the equally near run is widened on both sides
+    before the lowest index in it is taken.
+    """
+    sort = np.argsort(cand, kind="stable")
+    values, index = cand[sort].tolist(), sort.tolist()
+    picks = []
+    for r in ref[:len(values)]:
+        p = bisect_left(values, r)
+        left = abs(values[p - 1] - r) if p else math.inf
+        right = abs(values[p] - r) if p < len(values) else math.inf
+        best = min(left, right)
+        lo = hi = p
+        if p and left == best:
+            lo -= 1
+            while lo and abs(values[lo - 1] - r) == best:
+                lo -= 1
+        if p < len(values) and right == best:
+            hi += 1
+            while hi < len(values) and abs(values[hi] - r) == best:
+                hi += 1
+        at = lo if hi - lo == 1 else min(range(lo, hi), key=index.__getitem__)
+        picks.append(index.pop(at))
+        del values[at]
+    return picks
 
 
 @dataclass

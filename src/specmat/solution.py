@@ -17,8 +17,8 @@ class EigenSolution:
     ``vectors[:, i]`` pairs with ``values[i]`` and carries the 1-based mode
     label ``modes[i]`` assigned by whichever closed form or solver produced
     it.  ``h`` is the mesh parameter behind the mode angles, when there is
-    one.  ``residuals`` holds relative pencil residuals once a caller has
-    attached them (see :func:`specmat.oracle.attach_residuals`).
+    one.  ``residuals`` holds relative pencil residuals where the producer
+    computed them (see :func:`specmat.oracle.pencil_residuals`).
     """
 
     modes: np.ndarray
@@ -51,11 +51,6 @@ class EigenSolution:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    def sorted_values(self) -> np.ndarray:
-        """Eigenvalues ordered by (real part, imaginary part), ties by mode."""
-        order = np.lexsort((self.modes, self.values.imag, self.values.real))
-        return self.values[order]
 
     def value_for_mode(self, mode: int) -> complex:
         idx = np.flatnonzero(self.modes == mode)

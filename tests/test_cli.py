@@ -12,6 +12,7 @@ from specmat.cli import (
     LAPLACE_FDM_BAND,
     LAPLACE_FEM1_MASS_BAND,
     LAPLACE_FEM1_STIFF_BAND,
+    _csv_lines,
     dispersion_rows,
     main,
     parse_complex_literal,
@@ -217,6 +218,122 @@ class TestSpectrum:
         capsys.readouterr()
         assert code == 0
         assert target.read_text().startswith("mode_index,lambda_re")
+
+
+def _per_field_rows(rows):
+    """The per-field formatter that ``_csv_lines`` replaced; pins the CSV text."""
+    return [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+
+
+class TestSpectrumCsv:
+    def test_rows_match_the_per_field_formatter(self):
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+                   1.0 / 3.0, -2.5e-17, 160.0, 9.8716978898774279]
+        rng = np.random.default_rng(8)
+        columns = [np.arange(1, 41)] + [
+            np.concatenate((special, rng.standard_normal(29) * 10.0 ** rng.integers(-20, 20, 29)))
+            for _ in range(6)
+        ]
+        header = ("mode_index,lambda_re,lambda_im,residual,"
+                  "oracle_lambda_re,oracle_lambda_im,oracle_distance")
+        for width in (4, 7):  # without and with the oracle columns
+            rows = list(zip(*(c[:40].tolist() for c in columns[:width])))
+            old_rows = [tuple([i + 1] + [np.float64(v) for v in row[1:]]) for i, row in enumerate(rows)]
+            head = ",".join(header.split(",")[:width])
+            assert _csv_lines(head, rows) == [head, *_per_field_rows(old_rows)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # residuals of infinite values
+    def test_nan_and_inf_rows_end_to_end(self, capsys):
+        for perturb in ("nan", "inf"):
+            main(["spectrum", "--family", "fem-p2", "--n-elems", "3", "--perturb", perturb])
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1].split(",")[1] == perturb
+            assert len(lines) == 6 and all(line.count(",") == 6 for line in lines)
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; no call may see another call's options."""
+
+    DEFAULT_CALLS = [
+        ["spectrum", "--family", "toeplitz-hankel", "--n", "5", "--alpha", "2,-1", "--beta", "1"],
+        ["identity", "--kind", "gevp-eve", "--n", "3"],
+        ["dispersion", "--method", "fdm", "--n", "6"],
+    ]
+
+    def _run(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        before = [self._run(capsys, argv) for argv in self.DEFAULT_CALLS]
+        non_default = [
+            ["spectrum", "--family", "toeplitz-hankel", "--n", "5", "--alpha", "2,-1",
+             "--beta", "1", "--variant", "2", "--no-oracle", "--format", "json",
+             "--perturb", "0.5", "--tol", "10", "--out", str(tmp_path / "s.json")],
+            ["identity", "--kind", "gevp-eve", "--n", "3", "--random", "2", "--seed", "5",
+             "--form", "literal", "--tol", "1"],
+            ["dispersion", "--method", "fem2", "--n", "4", "--out", str(tmp_path / "d.csv")],
+            ["build", "--family", "fem-p2", "--n-elems", "2", "--out", str(tmp_path / "p2")],
+        ]
+        for argv in non_default:
+            assert self._run(capsys, argv)[0] == 0
+        # each default call after every non-default one, in both orders
+        for argv in self.DEFAULT_CALLS + self.DEFAULT_CALLS[::-1]:
+            assert self._run(capsys, argv) == before[self.DEFAULT_CALLS.index(argv)]
+            for other in non_default:
+                self._run(capsys, other)
+        assert (tmp_path / "s.json").is_file() and (tmp_path / "d.csv").is_file()
+
+
+def _family_argv():
+    return [
+        ["--family", "toeplitz-hankel", "--n", "9", "--alpha", "1,-1/3,-1/6",
+         "--beta", "11/20,13/60,1/120"],
+        ["--family", "corner-block", "--half-n", "4", "--alpha", "7,1/2,-3/4,4",
+         "--beta", "9,1/4,1/2,5"],
+        ["--family", "fem-p2", "--n-elems", "4"],
+        ["--family", "fem-p3", "--n-elems", "4"],
+        ["--family", "toeplitz-hankel", "--n", "6", "--alpha", "4+1i,1/2", "--beta", "5,1/4i"],
+    ]
+
+
+class TestOracleWork:
+    """The CLI asks the oracle for vectors only where it reads them."""
+
+    @pytest.mark.parametrize("argv", _family_argv(),
+                             ids=["toeplitz-hankel", "corner-block", "fem-p2", "fem-p3",
+                                  "non-hermitian"])
+    def test_spectrum_never_computes_numeric_eigenvectors(self, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spectrum oracle reads only eigenvalues")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        code = main(["spectrum", *argv])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert max(float(line.split(",")[6]) for line in lines[1:]) < 1e-11
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["--kind", "eve", "--n", "6", "--random", "2"], 2),
+            (["--kind", "gevp-eve", "--n", "6"], 1),
+        ],
+        ids=["eve", "gevp-eve"],
+    )
+    def test_identities_diagonalize_only_the_full_matrix(self, monkeypatch, capsys, argv, calls):
+        eigh, seen = np.linalg.eigh, []
+
+        def counted(*args, **kwargs):
+            seen.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert main(["identity", *argv]) == 0
+        capsys.readouterr()
+        assert seen == [(6, 6)] * calls
 
 
 class TestIdentityCommand:

@@ -89,9 +89,19 @@ class TestWriteRead:
             "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0\n",
             "%%MatrixMarket matrix pattern real general\n1 1\n1\n",
             "% a comment\n1 1\n1\n",
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n0 1 5.0 0\n",
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 0 5.0 0\n",
+            "%%MatrixMarket matrix coordinate complex symmetric\n2 2 1\n-1 1 5.0 0\n",
+            "%%MatrixMarket matrix coordinate complex general\n2 3 1\n3 1 5.0 0\n",
+            "%%MatrixMarket matrix coordinate complex general\n3 2 1\n1 3 5.0 0\n",
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1.5 1 5.0 0\n",
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 nan 5.0 0\n",
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 inf 5.0 0\n",
         ],
         ids=["short-array", "extra-token", "missing-imag", "short-coordinate",
-             "missing-token", "bad-layout", "no-header"],
+             "missing-token", "bad-layout", "no-header", "row-index-zero", "col-index-zero",
+             "negative-index", "row-index-above-size", "col-index-above-size",
+             "non-integral-index", "nan-index", "infinite-index"],
     )
     def test_malformed_files_are_rejected(self, tmp_path, text):
         path = tmp_path / "bad.mtx"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmat import (
+    NotHermitianError,
     ShapeMismatchError,
     SingularBError,
     SingularMatrixError,
@@ -13,6 +14,7 @@ from specmat import (
     ZeroVectorError,
     assemble_toeplitz_hankel,
     fem_p3_eigenvalues,
+    gevp_eigenvalues_numeric,
     match_spectra,
     pencil_residuals,
     residual_gevp,
@@ -178,6 +180,69 @@ class TestSolveGevp:
             inverse_iteration(np.zeros((3, 3)), np.zeros((3, 3)), 1.0)
 
 
+def _rotated(a, b, rng):
+    """The pencil under a unitary diagonal similarity: the same spectrum, complex entries."""
+    phases = np.exp(2j * np.pi * rng.uniform(size=a.shape[0]))
+    rotate = np.outer(phases.conj(), phases)
+    return a * rotate, b * rotate
+
+
+class TestGevpEigenvaluesNumeric:
+    """The values-only oracle against the full solve, on both routes."""
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_hermitian_route_matches_the_full_solve(self, complex_entries):
+        rng = np.random.default_rng(3)
+        pencils = [_iga_pencil(40), (_random_hermitian(12, rng).real, _random_spd(12, rng).real)]
+        for a, b in pencils:
+            if complex_entries:
+                a, b = _rotated(a, b, rng)
+            values = gevp_eigenvalues_numeric(a, b)
+            full = solve_gevp_numeric(a, b).values
+            assert values.dtype == float and np.all(np.diff(values) >= 0)
+            assert np.max(np.abs(values - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_general_route_matches_the_full_solve(self, complex_entries):
+        rng = np.random.default_rng(4)
+        n = 15
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n)
+        if complex_entries:
+            a = a + 1j * rng.standard_normal((n, n))
+        for method in ("auto", "general"):
+            values = gevp_eigenvalues_numeric(a, b, method=method)
+            full = solve_gevp_numeric(a, b, method=method).values
+            assert np.all(np.lexsort((values.imag, values.real)) == np.arange(n))
+            assert np.max(np.abs(values - full)) <= 1e-13 * np.max(np.abs(full))
+
+    def test_forced_general_route_on_a_hermitian_pencil(self):
+        a, b = _random_hermitian(8), _random_spd(8)
+        values = gevp_eigenvalues_numeric(a, b, method="general")
+        full = solve_gevp_numeric(a, b, method="general").values
+        assert values.dtype == complex
+        assert np.max(np.abs(values - full)) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize(
+        "a, b, method, error",
+        [
+            (np.eye(2), np.eye(3), "auto", ShapeMismatchError),
+            (np.eye(3), np.diag([1.0, 0.0, 1.0]), "auto", SingularBError),
+            (np.eye(3), np.diag([1.0, 1e-15, 1.0]), "auto", SingularBError),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), "hermitian", NotHermitianError),
+            (np.eye(2), np.diag([1.0, -1.0]), "hermitian", SingularBError),
+            (np.eye(2), np.eye(2), "charpoly", ValueError),
+        ],
+        ids=["shape", "singular-b", "below-threshold", "forced-not-hermitian",
+             "forced-indefinite", "unknown-method"],
+    )
+    def test_raises_what_the_full_solve_raises(self, a, b, method, error):
+        for solver in (solve_gevp_numeric, gevp_eigenvalues_numeric):
+            with pytest.raises(error) as caught:
+                solver(a, b, method=method)
+            assert type(caught.value) is error
+
+
 @st.composite
 def _dominant_complex_pencils(draw):
     """Diagonally dominant complex pencils, so that B is well conditioned."""
@@ -303,6 +368,68 @@ class TestResidual:
         vectors[:, 1] = 0.0
         with pytest.raises(ZeroVectorError):
             pencil_residuals(np.eye(3), np.eye(3), np.ones(3), vectors)
+
+
+def _pair_values_loop(reference, candidates):
+    """The greedy full-scan walk that ``pair_values`` keeps for complex input: the reference."""
+    ref = np.asarray(reference, dtype=complex)
+    cand = np.asarray(candidates, dtype=complex)
+    matched = np.full(ref.shape, np.nan + 0j, dtype=complex)
+    distances = np.full(ref.shape, np.inf)
+    used = np.zeros(cand.size, dtype=bool)
+    order = np.lexsort((ref.imag, ref.real))
+    for idx in order:
+        free = np.flatnonzero(~used)
+        if free.size == 0:
+            break
+        gaps = np.abs(cand[free] - ref[idx])
+        pick = free[int(np.argmin(gaps))]
+        used[pick] = True
+        matched[idx] = cand[pick]
+        distances[idx] = float(np.abs(cand[pick] - ref[idx]))
+    return matched, distances
+
+
+# few distinct values on a grid of halves, so that duplicates and candidates
+# equally far on both sides are common; next to 1e16 the spacing of doubles
+# is 2, so values at different distances round to the same distance
+_PAIR_VALUES = st.one_of(
+    st.integers(-6, 6).map(lambda k: k / 2.0),
+    st.sampled_from([-0.0, 1e16, 1e16 + 2, 1e16 + 4, -1e16]),
+    st.floats(-10, 10),
+)
+
+
+@st.composite
+def _value_lists(draw):
+    values = draw(st.lists(_PAIR_VALUES, max_size=12))
+    shape = draw(st.sampled_from(["real"] * 6 + ["nan", "complex"]))
+    if shape == "nan":
+        values.insert(draw(st.integers(0, len(values))), float("nan"))
+    elif shape == "complex":
+        values = [complex(v, draw(st.sampled_from([0.0, 0.5, -1.0]))) for v in values]
+    return values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_value_lists(), _value_lists())
+def test_pair_values_matches_the_greedy_loop(reference, candidates):
+    matched, distances = pair_values(reference, candidates)
+    want_matched, want_distances = _pair_values_loop(reference, candidates)
+    assert np.array_equal(matched.view(np.uint64), want_matched.view(np.uint64))  # bit for bit
+    assert np.array_equal(distances, want_distances, equal_nan=True)
+
+
+def test_pair_values_on_real_spectra_is_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n, m in ((151, 151), (40, 37), (37, 40)):
+        base = np.round(rng.standard_normal(max(n, m)), 2)  # repeated values
+        reference = base[:n] + 1e-13 * rng.standard_normal(n)
+        candidates = rng.permutation(base[:m])
+        matched, distances = pair_values(reference, candidates)
+        want_matched, want_distances = _pair_values_loop(reference, candidates)
+        assert np.array_equal(matched.view(np.uint64), want_matched.view(np.uint64))
+        assert np.array_equal(distances, want_distances)
 
 
 class TestMatchSpectra:
