@@ -104,6 +104,11 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
+def _within(values, tol) -> bool:
+    """Whether every value is at most ``tol``; a NaN is not, so it fails a gate."""
+    return bool(np.all(np.asarray(values) <= tol))
+
+
 def _pad_bands(alpha, beta):
     width = max(alpha.size, beta.size)
     pad = lambda b: np.pad(b, (0, width - b.size))
@@ -213,7 +218,7 @@ def _cmd_spectrum(args) -> int:
     else:
         _emit(_csv_lines(header, rows), args.out)
 
-    if np.max(residuals) > args.tol:
+    if not _within(residuals, args.tol):
         print(
             f"error: max residual {np.max(residuals):.3e} exceeds tolerance {args.tol:.3e}",
             file=sys.stderr,
@@ -267,7 +272,7 @@ def _identity_reports(args):
 
 def _cmd_identity(args) -> int:
     reports = _identity_reports(args)
-    worst = 0.0
+    checked = []
     for rep in reports:
         params = " ".join(f"{key}={val}" for key, val in rep.inputs.items())
         print(
@@ -276,12 +281,13 @@ def _cmd_identity(args) -> int:
             + (" conditioning-warning" if rep.conditioning_warning else "")
         )
         if not rep.conditioning_warning:
-            worst = max(worst, rep.rel_diff)
+            checked.append(rep.rel_diff)
+    worst = float(np.max(checked)) if checked else 0.0  # NaN if any is NaN
     print(f"max rel_diff = {worst:.3e} over {len(reports)} evaluations")
     proven = args.kind in ("eve", "ti31", "ti3") or (
         args.kind == "gevp-eve" and args.form == "proof"
     )
-    if proven and worst > args.tol:
+    if proven and not _within(checked, args.tol):
         print(
             f"error: max rel_diff {worst:.3e} exceeds tolerance {args.tol:.3e}",
             file=sys.stderr,
@@ -377,7 +383,7 @@ def _cmd_pevp(args) -> int:
             file=sys.stderr,
         )
     worst = float(np.max(distances)) if distances.size else 0.0
-    if worst > args.tol:
+    if not _within(distances, args.tol):
         print(
             f"error: max oracle distance {worst:.3e} exceeds tolerance {args.tol:.3e}",
             file=sys.stderr,

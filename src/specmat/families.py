@@ -1,9 +1,12 @@
 """Builders for every structured matrix family the library knows about.
 
-All builders return dense complex arrays; structured storage buys nothing at
-the sizes these families are meant for.  The four Hankel boundary-correction
-variants differ only in which corner entries they touch and in the sign with
-which the correction combines with the banded Toeplitz part.
+All builders return dense complex arrays, assembled in place from their
+structure: one strided write per diagonal of a zero-filled array, the Hankel
+corners (O(m^2) entries) added into that array, the cubic elements scattered
+in one vectorized add.  Beyond the zero fill, the work follows the nonzeros.
+The four Hankel boundary-correction variants differ only in which corner
+entries they touch and in the sign with which the correction combines with
+the banded Toeplitz part.
 """
 
 from __future__ import annotations
@@ -62,15 +65,57 @@ def _check_bandwidth(m: int, n: int):
         raise BadBandwidthError(f"bandwidth m={m} too large for dimension n={n}")
 
 
+def _diagonal(a: np.ndarray, k: int) -> np.ndarray:
+    """Writable view of diagonal ``k`` of the square C-contiguous array ``a``; ``k < 0`` lies below."""
+    n = a.shape[0]
+    flat = a.reshape(-1)
+    return flat[k::n + 1][: n - k] if k >= 0 else flat[-k * n::n + 1]
+
+
+def _banded(band: np.ndarray, n: int) -> np.ndarray:
+    """The n x n symmetric Toeplitz matrix of ``band``: one strided write per diagonal."""
+    out = np.zeros((n, n), dtype=complex)
+    for k, value in enumerate(band[:n].tolist()):
+        _diagonal(out, k)[:] = value
+        _diagonal(out, -k)[:] = value
+    return out
+
+
 def build_toeplitz(band, n: int) -> np.ndarray:
     """Symmetric banded Toeplitz matrix with ``T[j, j+k] = band[|k|]``."""
     band = as_band(band)
     m = band.size - 1
     _check_bandwidth(m, n)
-    lookup = np.zeros(n, dtype=complex)
-    lookup[: m + 1] = band
-    offsets = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return lookup[offsets]
+    return _banded(band, n)
+
+
+def _hankel_corner(band: np.ndarray, n: int, variant: HankelVariant) -> np.ndarray:
+    """The m x m top-left block of :func:`build_hankel`'s matrix, checks included.
+
+    The block is cut from ``top + top[::-1, ::-1]`` at dimension
+    ``min(n, 2m)``, which has the same top-left block as at dimension n and
+    costs O(m^2).  The bottom-right block is its persymmetric reflection.
+    """
+    m = band.size - 1
+    if m < 1:
+        raise BadBandwidthError(f"bandwidth m={m} must be at least 1")
+    if m > n:
+        raise BadBandwidthError(f"bandwidth m={m} too large for dimension n={n}")
+    if 2 * m - 1 > n:
+        raise OverlapError(
+            f"corner corrections collide for m={m}, n={n} (need 2m-1 <= n)"
+        )
+    # top[at + r, at + c] = band[r + c + lead], zero past the band's end;
+    # SET3 is a halved corner entry plus the SET1 pattern shifted by one
+    lead, at = {HankelVariant.SET1: (2, 0), HankelVariant.SET2: (1, 0),
+                HankelVariant.SET3: (2, 1), HankelVariant.SET4: (1, 0)}[variant]
+    index = np.add.outer(np.arange(m - at), np.arange(m - at)) + lead
+    size = min(n, 2 * m)
+    top = np.zeros((size, size), dtype=complex)
+    top[at:m, at:m] = np.concatenate((band, np.zeros(m, dtype=complex)))[index]
+    if variant == HankelVariant.SET3:
+        top[0, 0] = -band[0] / 2.0
+    return (top + top[::-1, ::-1])[:m, :m]
 
 
 def build_hankel(band, n: int, variant) -> np.ndarray:
@@ -83,43 +128,33 @@ def build_hankel(band, n: int, variant) -> np.ndarray:
     """
     band = as_band(band)
     variant = HankelVariant.coerce(variant)
-    m = band.size - 1
-    if m < 1:
-        raise BadBandwidthError(f"bandwidth m={m} must be at least 1")
-    if m > n:
-        raise BadBandwidthError(f"bandwidth m={m} too large for dimension n={n}")
-    if 2 * m - 1 > n:
-        raise OverlapError(
-            f"corner corrections collide for m={m}, n={n} (need 2m-1 <= n)"
-        )
-    top = np.zeros((n, n), dtype=complex)
-    if variant == HankelVariant.SET1:
-        for j in range(1, m):
-            for k in range(1, m - j + 1):
-                top[j - 1, k - 1] = band[j + k]
-    elif variant in (HankelVariant.SET2, HankelVariant.SET4):
-        for j in range(1, m + 1):
-            for k in range(1, m - j + 2):
-                top[j - 1, k - 1] = band[j + k - 1]
-    else:  # SET3: a halved corner entry plus the SET1 pattern shifted by one
-        top[0, 0] = -band[0] / 2.0
-        for j in range(1, m):
-            for k in range(1, m - j + 1):
-                top[j, k] = band[j + k]
-    return top + top[::-1, ::-1]
+    corner = _hankel_corner(band, n, variant)
+    m = corner.shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    out[:m, :m] = corner
+    out[n - m:, n - m:] = corner[::-1, ::-1]
+    return out
 
 
 def assemble_toeplitz_hankel(band, n: int, variant) -> np.ndarray:
     """Toeplitz part combined with the variant's Hankel correction.
 
     SET1/SET2 produce ``T - H``, SET3/SET4 produce ``T + H``.  The result is
-    always symmetric and persymmetric.
+    always symmetric and persymmetric.  It is assembled in place, the band's
+    diagonals and then the two m x m corner blocks, and every entry, signed
+    zeros included, is that of the whole-matrix ``T + sign * H``.
     """
     band = as_band(band)
     variant = HankelVariant.coerce(variant)
-    toeplitz = build_toeplitz(band, n)
-    hankel = build_hankel(band, n, variant)
-    return toeplitz + variant.sign * hankel
+    m = band.size - 1
+    _check_bandwidth(m, n)
+    corner = _hankel_corner(band, n, variant)
+    # off the corners H is zero, and adding sign * 0 turns some -0.0 parts into +0.0
+    out = _banded(band + variant.sign * np.zeros_like(band), n)
+    toeplitz = _banded(band, m)  # T's two m x m corner blocks are equal
+    out[:m, :m] = toeplitz + variant.sign * corner
+    out[n - m:, n - m:] = toeplitz + variant.sign * corner[::-1, ::-1]
+    return out
 
 
 def build_corner_block(xi, half_n: int) -> np.ndarray:
@@ -136,14 +171,14 @@ def build_corner_block(xi, half_n: int) -> np.ndarray:
         raise TooSmallError(f"half_n={half_n} must be at least 1")
     dim = 2 * half_n + 1
     g = np.zeros((dim, dim), dtype=complex)
-    for i in range(1, dim + 1):  # 1-based indices match the block pattern
-        g[i - 1, i - 1] = xi[3] if i % 2 == 1 else xi[0]
-        if i < dim:
-            g[i - 1, i] = xi[1]
-            g[i, i - 1] = xi[1]
-        if i % 2 == 0 and i + 2 <= dim:
-            g[i - 1, i + 1] = xi[2]
-            g[i + 1, i - 1] = xi[2]
+    # the diagonal alternates xi[3], xi[0]; every second row from the second
+    # couples two steps over
+    _diagonal(g, 0)[0::2] = xi[3]
+    _diagonal(g, 0)[1::2] = xi[0]
+    for k in (1, -1):
+        _diagonal(g, k)[:] = xi[1]
+    for k in (2, -2):
+        _diagonal(g, k)[1::2] = xi[2]
     return g
 
 
@@ -180,8 +215,8 @@ def build_fem_p2(n_elems: int):
     if n_elems < 2:
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
     h = 1.0 / n_elems
-    stiffness = build_corner_block(FEM_P2_STIFFNESS_BAND, n_elems - 1) / h
-    mass = build_corner_block(FEM_P2_MASS_BAND, n_elems - 1) * h
+    stiffness = build_corner_block(np.asarray(FEM_P2_STIFFNESS_BAND, dtype=complex) / h, n_elems - 1)
+    mass = build_corner_block(np.asarray(FEM_P2_MASS_BAND, dtype=complex) * h, n_elems - 1)
     return stiffness, mass
 
 
@@ -195,19 +230,17 @@ def build_fem_p3(n_elems: int):
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
     h = 1.0 / n_elems
     dim = 3 * n_elems - 1
+    # element e holds global nodes 3e..3e+3; nodes 0 and 3*n_elems are the
+    # clamped boundary, and node g is matrix index g - 1
+    nodes = 3 * np.arange(n_elems)[:, None] + np.arange(4)
+    rows = np.broadcast_to(nodes[:, :, None], (n_elems, 4, 4))
+    cols = np.broadcast_to(nodes[:, None, :], (n_elems, 4, 4))
+    kept = (rows >= 1) & (rows <= dim) & (cols >= 1) & (cols <= dim)
+    index = (rows[kept] - 1, cols[kept] - 1)  # element by element, each in local order
     stiffness = np.zeros((dim, dim), dtype=complex)
     mass = np.zeros((dim, dim), dtype=complex)
-    for e in range(1, n_elems + 1):
-        # global node numbers; 0 and 3*n_elems are the clamped boundary
-        gdofs = (3 * e - 3, 3 * e - 2, 3 * e - 1, 3 * e)
-        for a in range(4):
-            if not 1 <= gdofs[a] <= dim:
-                continue
-            for b in range(4):
-                if not 1 <= gdofs[b] <= dim:
-                    continue
-                stiffness[gdofs[a] - 1, gdofs[b] - 1] += _FEM_P3_K_LOCAL[a, b] / h
-                mass[gdofs[a] - 1, gdofs[b] - 1] += _FEM_P3_M_LOCAL[a, b] * h
+    np.add.at(stiffness, index, np.broadcast_to(_FEM_P3_K_LOCAL / h, rows.shape)[kept])
+    np.add.at(mass, index, np.broadcast_to(_FEM_P3_M_LOCAL * h, rows.shape)[kept])
     return stiffness, mass
 
 

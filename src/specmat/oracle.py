@@ -121,6 +121,21 @@ def inverse_iteration(a, b, lam, avoid=(), max_iter: int = 50, restarts: int = 3
     return best
 
 
+def _regular_by_cholesky(b, inv_chol) -> bool:
+    """Whether ``L^{-1}``, for ``B = L L^H``, already shows B is not singular.
+
+    ``lambda_min(B) = 1 / ||L^{-1}||_2^2 >= 1 / ||L^{-1}||_F^2``; a bound above
+    twice the threshold of :func:`is_singular` (the factor covers rounding)
+    settles the question without computing the eigenvalues of B.  The
+    Cholesky factor is that of B's lower triangle, so the bound holds for B
+    only when B is exactly Hermitian.
+    """
+    if inv_chol is None or not np.array_equal(b, b.conj().T):
+        return False
+    bound = 1.0 / np.linalg.norm(inv_chol) ** 2
+    return bound > 2.0 * SINGULAR_B_RTOL * max(inf_norm(b), 1e-300)
+
+
 def _reduce_pencil(a, b, method):
     """Check the pencil ``A x = lam B x``, choose the route, reduce it to a standard problem.
 
@@ -135,27 +150,28 @@ def _reduce_pencil(a, b, method):
     if not (a.imag.any() or b.imag.any()):
         # a real pencil runs the real LAPACK routines, about twice as fast
         a, b = a.real.copy(), b.real.copy()
-    if is_singular(b):
-        raise SingularBError("right-hand matrix of the pencil is singular")
-
-    if method not in ("auto", "hermitian", "general"):
-        raise ValueError(f"unknown method {method!r}")
-
     hermitian_pair = is_hermitian(a) and is_hermitian(b)
-    if method == "hermitian" and not hermitian_pair:
-        raise NotHermitianError("the forced Hermitian path needs Hermitian A and B")
+    chol = inv_chol = None
     if method in ("auto", "hermitian") and hermitian_pair:
         try:
             chol = np.linalg.cholesky(b)
         except np.linalg.LinAlgError:
-            chol = None
-        if chol is not None:
-            # L^{-1} and two products cost less than two n-column solves
+            pass
+        else:
             inv_chol = np.linalg.inv(chol)
-            reduced = inv_chol @ (a @ inv_chol.conj().T)
-            return a, b, chol, 0.5 * (reduced + reduced.conj().T)
-        if method == "hermitian":
-            raise SingularBError("Hermitian path needs a positive-definite right side")
+    if not _regular_by_cholesky(b, inv_chol) and is_singular(b):
+        raise SingularBError("right-hand matrix of the pencil is singular")
+
+    if method not in ("auto", "hermitian", "general"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "hermitian" and not hermitian_pair:
+        raise NotHermitianError("the forced Hermitian path needs Hermitian A and B")
+    if chol is not None:
+        # L^{-1} and two products cost less than two n-column solves
+        reduced = inv_chol @ (a @ inv_chol.conj().T)
+        return a, b, chol, 0.5 * (reduced + reduced.conj().T)
+    if method == "hermitian":
+        raise SingularBError("Hermitian path needs a positive-definite right side")
     # B is invertible (checked above)
     return a, b, None, np.linalg.solve(b, a)
 

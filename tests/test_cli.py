@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from specmat import fem_p2_eigenpairs, gevp_eigenpairs, read_matrix_market, scale_pencil
+from specmat import cli, fem_p2_eigenpairs, gevp_eigenpairs, read_matrix_market, scale_pencil
+from specmat.identities import IdentityReport
 from specmat.cli import (
     IGA2_EXAMPLE_MASS_BAND,
     IGA2_EXAMPLE_STIFF_BAND,
@@ -13,6 +14,7 @@ from specmat.cli import (
     LAPLACE_FEM1_MASS_BAND,
     LAPLACE_FEM1_STIFF_BAND,
     _csv_lines,
+    _within,
     dispersion_rows,
     main,
     parse_complex_literal,
@@ -166,6 +168,13 @@ class TestSpectrum:
         capsys.readouterr()
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # residuals of infinite values
+    @pytest.mark.parametrize("perturb", ["nan", "inf"])
+    def test_non_finite_values_trip_tolerance_gate(self, capsys, perturb):
+        code = main(["spectrum", "--family", "fem-p2", "--n-elems", "5", "--perturb", perturb])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: max residual nan exceeds tolerance")
+
     def test_json_format(self, capsys):
         code = main(
             [
@@ -223,6 +232,15 @@ class TestSpectrum:
 def _per_field_rows(rows):
     """The per-field formatter that ``_csv_lines`` replaced; pins the CSV text."""
     return [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+
+
+def test_within_fails_on_nan_and_values_above_the_tolerance():
+    assert _within(np.array([0.0, 1e-9, 1e-8]), 1e-8)
+    assert _within([], 1e-8)
+    assert not _within(np.array([0.0, np.nan, 0.0]), 1e-8)
+    assert not _within([np.nan], np.inf)
+    assert not _within(np.array([np.inf]), 1e-8)
+    assert not _within([1e-8, 2e-8], 1e-8)
 
 
 class TestSpectrumCsv:
@@ -380,6 +398,15 @@ class TestIdentityCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "max rel_diff" in out
+
+    def test_nan_rel_diff_trips_the_gate(self, capsys, monkeypatch):
+        reports = [IdentityReport("eve", 1.0, complex("nan"), float("nan"), float("nan")),
+                   IdentityReport("eve", 1.0, 1.0, 0.0, 0.0)]
+        monkeypatch.setattr(cli, "_identity_reports", lambda args: reports)
+        assert main(["identity", "--kind", "eve", "--n", "2"]) == 3
+        captured = capsys.readouterr()
+        assert "max rel_diff = nan over 2 evaluations" in captured.out
+        assert captured.err.startswith("error: max rel_diff nan exceeds tolerance")
 
     def test_unknown_kind_is_usage_error(self, capsys):
         assert main(["identity", "--kind", "ti32", "--n", "4"]) == 2

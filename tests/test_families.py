@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmat import (
     BadBandwidthError,
@@ -19,6 +21,7 @@ from specmat import (
     hermitian_eigen,
     solve_gevp_numeric,
 )
+from specmat.families import _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL
 
 
 def _persymmetry_defect(a):
@@ -284,3 +287,122 @@ class TestVariantEnum:
         assert HankelVariant.coerce(3) is HankelVariant.SET3
         with pytest.raises(ValueError):
             HankelVariant.coerce("fifth")
+
+
+# The per-entry loop builders that the diagonal assembly replaced, kept as
+# references: the assembled matrices must match them bit for bit.
+
+def _reference_toeplitz(band, n):
+    band = np.asarray(band, dtype=complex)
+    lookup = np.zeros(n, dtype=complex)
+    lookup[: band.size] = band
+    offsets = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    return lookup[offsets]
+
+
+def _reference_hankel(band, n, variant):
+    band = np.asarray(band, dtype=complex)
+    m = band.size - 1
+    top = np.zeros((n, n), dtype=complex)
+    if variant == 1:
+        for j in range(1, m):
+            for k in range(1, m - j + 1):
+                top[j - 1, k - 1] = band[j + k]
+    elif variant in (2, 4):
+        for j in range(1, m + 1):
+            for k in range(1, m - j + 2):
+                top[j - 1, k - 1] = band[j + k - 1]
+    else:
+        top[0, 0] = -band[0] / 2.0
+        for j in range(1, m):
+            for k in range(1, m - j + 1):
+                top[j, k] = band[j + k]
+    return top + top[::-1, ::-1]
+
+
+def _reference_assemble(band, n, variant):
+    sign = -1 if variant in (1, 2) else 1
+    return _reference_toeplitz(band, n) + sign * _reference_hankel(band, n, variant)
+
+
+def _reference_corner_block(xi, half_n):
+    xi = np.asarray(xi, dtype=complex)
+    dim = 2 * half_n + 1
+    g = np.zeros((dim, dim), dtype=complex)
+    for i in range(1, dim + 1):
+        g[i - 1, i - 1] = xi[3] if i % 2 == 1 else xi[0]
+        if i < dim:
+            g[i - 1, i] = xi[1]
+            g[i, i - 1] = xi[1]
+        if i % 2 == 0 and i + 2 <= dim:
+            g[i - 1, i + 1] = xi[2]
+            g[i + 1, i - 1] = xi[2]
+    return g
+
+
+def _reference_fem_p3(n_elems):
+    h = 1.0 / n_elems
+    dim = 3 * n_elems - 1
+    stiffness = np.zeros((dim, dim), dtype=complex)
+    mass = np.zeros((dim, dim), dtype=complex)
+    for e in range(1, n_elems + 1):
+        gdofs = (3 * e - 3, 3 * e - 2, 3 * e - 1, 3 * e)
+        for a in range(4):
+            if not 1 <= gdofs[a] <= dim:
+                continue
+            for b in range(4):
+                if not 1 <= gdofs[b] <= dim:
+                    continue
+                stiffness[gdofs[a] - 1, gdofs[b] - 1] += _FEM_P3_K_LOCAL[a, b] / h
+                mass[gdofs[a] - 1, gdofs[b] - 1] += _FEM_P3_M_LOCAL[a, b] * h
+    return stiffness, mass
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0 / 3.0]),
+                   st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@st.composite
+def _banded_case(draw):
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, (n + 1) // 2))
+    real = draw(st.lists(_PARTS, min_size=m + 1, max_size=m + 1))
+    band = np.array(real, dtype=complex)
+    if draw(st.booleans()):  # a complex band; otherwise every imaginary part is +0.0
+        band.imag = draw(st.lists(_PARTS, min_size=m + 1, max_size=m + 1))
+    return band, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_banded_case(), st.sampled_from([1, 2, 3, 4]))
+@example((np.array([-0.0, 1.0, -0.0]), 5), 3)  # T + H turns the -0.0 entries into +0.0
+@example((np.array([complex(-0.0, -0.0), -1.0]), 2), 1)
+@example((np.array([2.0, -1.0 + 0.5j, complex(0.25, -0.0)]), 3), 2)  # the corners meet
+def test_builders_match_the_loop_references(case, variant):
+    band, n = case
+    assert _same_bits(build_toeplitz(band, n), _reference_toeplitz(band, n))
+    assert _same_bits(build_hankel(band, n, variant), _reference_hankel(band, n, variant))
+    assert _same_bits(assemble_toeplitz_hankel(band, n, variant), _reference_assemble(band, n, variant))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 20), st.lists(_PARTS, min_size=4, max_size=4),
+       st.lists(_PARTS, min_size=4, max_size=4))
+def test_corner_block_matches_the_loop_reference(half_n, real, imag):
+    xi = np.array(real, dtype=complex)
+    xi.imag = imag
+    assert _same_bits(build_corner_block(xi, half_n), _reference_corner_block(xi, half_n))
+
+
+@pytest.mark.parametrize("n_elems", [2, 3, 4, 7, 40])
+def test_fem_builders_match_the_loop_references(n_elems):
+    for got, want in zip(build_fem_p3(n_elems), _reference_fem_p3(n_elems)):
+        assert _same_bits(got, want)
+    h = 1.0 / n_elems
+    stiffness, mass = build_fem_p2(n_elems)
+    assert _same_bits(stiffness, _reference_corner_block([14 / 3, -8 / 3, 1 / 3, 16 / 3], n_elems - 1) / h)
+    assert _same_bits(mass, _reference_corner_block([4 / 15, 1 / 15, -1 / 30, 8 / 15], n_elems - 1) * h)

@@ -21,7 +21,8 @@ from specmat import (
     solve_gevp_numeric,
     solve_pevp_numeric,
 )
-from specmat.oracle import pair_values, polynomial_residual
+from specmat import oracle
+from specmat.oracle import is_singular, pair_values, polynomial_residual
 
 RNG = np.random.default_rng(99)
 
@@ -241,6 +242,33 @@ class TestGevpEigenvaluesNumeric:
             with pytest.raises(error) as caught:
                 solver(a, b, method=method)
             assert type(caught.value) is error
+
+    @pytest.mark.parametrize("smallest, singular", [(1e-14, True), (1.5e-13, False)])
+    def test_nearly_singular_spd_b_takes_the_exact_check(self, smallest, singular):
+        # the Cholesky bound cannot clear such a B, so the eigenvalue check decides
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        b = (q * [smallest, 0.5, 0.75, 1.0, 1.0, 1.0]) @ q.T
+        b = 0.5 * (b + b.T)
+        assert np.linalg.cholesky(b) is not None
+        assert is_singular(b) is singular
+        for solver in (solve_gevp_numeric, gevp_eigenvalues_numeric):
+            if singular:
+                with pytest.raises(SingularBError):
+                    solver(np.eye(6), b)
+            else:
+                solver(np.eye(6), b)
+
+    def test_cholesky_bound_spares_the_eigenvalue_check(self, monkeypatch):
+        a, b = _iga_pencil(30)
+        values, full = gevp_eigenvalues_numeric(a, b), solve_gevp_numeric(a, b).values
+
+        def refuse(m):
+            raise AssertionError("is_singular ran on a B that Cholesky already cleared")
+
+        monkeypatch.setattr(oracle, "is_singular", refuse)
+        assert np.array_equal(gevp_eigenvalues_numeric(a, b), values)
+        assert np.array_equal(solve_gevp_numeric(a, b).values, full)
 
 
 @st.composite
