@@ -69,15 +69,16 @@ def _diagonal(a: np.ndarray, k: int) -> np.ndarray:
     """Writable view of diagonal ``k`` of the square C-contiguous array ``a``; ``k < 0`` lies below."""
     n = a.shape[0]
     flat = a.reshape(-1)
-    return flat[k::n + 1][: n - k] if k >= 0 else flat[-k * n::n + 1]
+    return flat[k:n * (n - k):n + 1] if k >= 0 else flat[-k * n::n + 1]
 
 
 def _banded(band: np.ndarray, n: int) -> np.ndarray:
     """The n x n symmetric Toeplitz matrix of ``band``: one strided write per diagonal."""
     out = np.zeros((n, n), dtype=complex)
+    flat = out.reshape(-1)
     for k, value in enumerate(band[:n].tolist()):
-        _diagonal(out, k)[:] = value
-        _diagonal(out, -k)[:] = value
+        flat[k:n * (n - k):n + 1] = value  # diagonal k above
+        flat[k * n::n + 1] = value  # and below
     return out
 
 
@@ -89,12 +90,20 @@ def build_toeplitz(band, n: int) -> np.ndarray:
     return _banded(band, n)
 
 
+# each variant's top-left corner, top[at + r, at + c] = band[r + c + lead] (zero
+# past the band's end), as (lead, at); SET3 is a halved corner entry plus the
+# SET1 pattern shifted by one
+_CORNER_RULES = {HankelVariant.SET1: (2, 0), HankelVariant.SET2: (1, 0),
+                 HankelVariant.SET3: (2, 1), HankelVariant.SET4: (1, 0)}
+
+
 def _hankel_corner(band: np.ndarray, n: int, variant: HankelVariant) -> np.ndarray:
     """The m x m top-left block of :func:`build_hankel`'s matrix, checks included.
 
-    The block is cut from ``top + top[::-1, ::-1]`` at dimension
-    ``min(n, 2m)``, which has the same top-left block as at dimension n and
-    costs O(m^2).  The bottom-right block is its persymmetric reflection.
+    That matrix is ``top + top[::-1, ::-1]`` with ``top`` zero outside its
+    m x m corner, so the block is the corner plus zeros, except that the two
+    corners meet in its last diagonal entry when ``n = 2m - 1``.  The
+    bottom-right block is its persymmetric reflection.
     """
     m = band.size - 1
     if m < 1:
@@ -105,17 +114,18 @@ def _hankel_corner(band: np.ndarray, n: int, variant: HankelVariant) -> np.ndarr
         raise OverlapError(
             f"corner corrections collide for m={m}, n={n} (need 2m-1 <= n)"
         )
-    # top[at + r, at + c] = band[r + c + lead], zero past the band's end;
-    # SET3 is a halved corner entry plus the SET1 pattern shifted by one
-    lead, at = {HankelVariant.SET1: (2, 0), HankelVariant.SET2: (1, 0),
-                HankelVariant.SET3: (2, 1), HankelVariant.SET4: (1, 0)}[variant]
-    index = np.add.outer(np.arange(m - at), np.arange(m - at)) + lead
-    size = min(n, 2 * m)
-    top = np.zeros((size, size), dtype=complex)
-    top[at:m, at:m] = np.concatenate((band, np.zeros(m, dtype=complex)))[index]
+    lead, at = _CORNER_RULES[variant]
+    padded = np.zeros(2 * m + 1, dtype=complex)
+    padded[:m + 1] = band
+    r = np.arange(m - at)
+    top = np.zeros((m, m), dtype=complex)
+    top[at:, at:] = padded[r[:, None] + (r + lead)]
     if variant == HankelVariant.SET3:
         top[0, 0] = -band[0] / 2.0
-    return (top + top[::-1, ::-1])[:m, :m]
+    corner = top + 0j  # the zeros of the reflection, which turn -0.0 parts into +0.0
+    if n == 2 * m - 1:
+        corner[-1, -1] = top[-1, -1] + top[-1, -1]
+    return corner
 
 
 def build_hankel(band, n: int, variant) -> np.ndarray:
@@ -148,12 +158,12 @@ def assemble_toeplitz_hankel(band, n: int, variant) -> np.ndarray:
     variant = HankelVariant.coerce(variant)
     m = band.size - 1
     _check_bandwidth(m, n)
-    corner = _hankel_corner(band, n, variant)
+    sign = variant.sign
+    block = _banded(band, m) + sign * _hankel_corner(band, n, variant)  # top-left m x m
     # off the corners H is zero, and adding sign * 0 turns some -0.0 parts into +0.0
-    out = _banded(band + variant.sign * np.zeros_like(band), n)
-    toeplitz = _banded(band, m)  # T's two m x m corner blocks are equal
-    out[:m, :m] = toeplitz + variant.sign * corner
-    out[n - m:, n - m:] = toeplitz + variant.sign * corner[::-1, ::-1]
+    out = _banded(band + sign * 0j, n)
+    out[:m, :m] = block
+    out[n - m:, n - m:] = block[::-1, ::-1]  # T's corner blocks are persymmetric
     return out
 
 

@@ -9,8 +9,10 @@ The built matrices are banded, so most entries are zero, and both
 directions pay per nonzero rather than per entry: the writer formats only
 the entries that are not +0.0 (the rest are the literal line ``0``, or
 ``0 0`` for a complex array) and the reader converts only the tokens that
-are not the literal ``0``.  The bytes written and the floats read back are
-those of formatting and parsing every entry.
+are not the literal ``0``.  When at most half the tokens are ``0``, picking
+them out costs more than it saves, and the reader converts every token.
+The bytes written and the floats read back are those of formatting and
+parsing every entry.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import numpy as np
 HEADER_PREFIX = "%%MatrixMarket matrix"
 _FLOAT = "%.17g"
 
-# str.splitlines' line breaks in ASCII text become "\n"; the other whitespace
+# str.splitlines' line breaks in ASCII text become "\n" (reading in text mode
+# has already turned "\r" and "\r\n" into "\n"); the other whitespace
 # characters, which str.split also splits on, are deleted by _INLINE_SPACE
-_NEWLINES = str.maketrans("\r\x0b\x0c\x1c\x1d\x1e", "\n" * 6)
+_NEWLINES = str.maketrans("\x0b\x0c\x1c\x1d\x1e", "\n" * 5)
 _INLINE_SPACE = str.maketrans("", "", " \t\x1f")
 
 
@@ -101,6 +104,8 @@ def _count_lines(text: str) -> int:
 def _parse_floats(tokens, count) -> np.ndarray:
     if len(tokens) != count:
         raise ValueError(f"expected {count} numbers in the body, found {len(tokens)}")
+    if 2 * tokens.count("0") <= count:  # mostly nonzero: masking would cost more than it saves
+        return np.array(tokens, dtype=float)
     tokens = np.array(tokens, dtype=object)
     values = np.zeros(count)
     parsed = tokens != "0"  # the literal 0 is +0.0 and needs no parsing
@@ -129,6 +134,8 @@ def read_matrix_market(path) -> np.ndarray:
         line, _, rest = rest.partition("\n")
         if line.strip():
             lines.append(line.strip())
+    if len(lines) < 2:
+        raise ValueError("a Matrix Market file needs a header line and a size line")
     header = lines[0]
     if not header.startswith(HEADER_PREFIX):
         raise ValueError(f"not a Matrix Market file: {header!r}")

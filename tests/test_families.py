@@ -381,12 +381,19 @@ def _banded_case(draw):
 @given(_banded_case(), st.sampled_from([1, 2, 3, 4]))
 @example((np.array([-0.0, 1.0, -0.0]), 5), 3)  # T + H turns the -0.0 entries into +0.0
 @example((np.array([complex(-0.0, -0.0), -1.0]), 2), 1)
-@example((np.array([2.0, -1.0 + 0.5j, complex(0.25, -0.0)]), 3), 2)  # the corners meet
+@example((np.array([2.0, -1.0 + 0.5j, complex(0.25, -0.0)]), 3), 2)
+@example((np.array([2.0, -1.0 + 0.5j, complex(0.25, -0.5)]), 3), 3)  # the corners meet in a nonzero entry
 def test_builders_match_the_loop_references(case, variant):
     band, n = case
     assert _same_bits(build_toeplitz(band, n), _reference_toeplitz(band, n))
     assert _same_bits(build_hankel(band, n, variant), _reference_hankel(band, n, variant))
     assert _same_bits(assemble_toeplitz_hankel(band, n, variant), _reference_assemble(band, n, variant))
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3, 4])
+def test_one_by_one_hankel_matches_the_loop_reference(variant):
+    band = np.array([complex(3.0, -0.0), -1.0 + 0.5j])  # m = n = 1: both corners are the one entry
+    assert _same_bits(build_hankel(band, 1, variant), _reference_hankel(band, 1, variant))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

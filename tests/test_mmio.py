@@ -71,8 +71,13 @@ class TestWriteRead:
             "%%MatrixMarket matrix coordinate complex general\n% a comment\n\n2 2 1\n"
             "  % an indented comment\n2 1 1.5 -0\n\n",
             "% a leading comment\n%%MatrixMarket matrix coordinate complex general\n2 2 1\n2 1 1.5 -0\n",
+            "%%MatrixMarket matrix coordinate complex general\r\n% a comment\r\n\r\n2 2 1\r\n2 1 1.5 -0\r\n",
+            "%%MatrixMarket matrix coordinate complex general\r% a comment\r\r2 2 1\r2 1 1.5 -0\r",
+            "%%MatrixMarket matrix coordinate complex general\n\x0c\n2 2 1\x0b \t\n\x1f\n2 1 1.5 -0\x1c\x1d\x1e",
+            "\x1f\t\n%%MatrixMarket matrix coordinate complex general\n \x1f \n2 2 1\n\t\t\n2 1\t1.5\x1f-0 \n \n",
         ],
-        ids=["comments-after-header", "comment-before-header"],
+        ids=["comments-after-header", "comment-before-header", "crlf", "lone-cr",
+             "other-line-breaks", "whitespace-only-lines"],
     )
     def test_comments_and_blank_lines_are_skipped(self, tmp_path, text):
         path = tmp_path / "c.mtx"
@@ -99,11 +104,21 @@ class TestWriteRead:
             "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1.5 1 5.0 0\n",
             "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 nan 5.0 0\n",
             "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 inf 5.0 0\n",
+            "%%MatrixMarket matrix array real general\r\n2 1\r\n1.5 2\r\n",
+            "%%MatrixMarket matrix array real general\r\n2 1\r\n1.5\r\n\r\n",
+            "%%MatrixMarket matrix coordinate complex general\r\n2 2 1\r\n2 1 1.5 -0\r\n1 1 1 0\r\n",
+            "%%MatrixMarket matrix coordinate complex general\n2 2 1\n2 1 1.5\x0c-0\n",
+            "%%MatrixMarket matrix array real general\n2 1\n1.5\x1f2\n",
+            "",
+            " \n\t\n",
+            "%%MatrixMarket matrix array real general\n% only a comment\n",
         ],
         ids=["short-array", "extra-token", "missing-imag", "short-coordinate",
              "missing-token", "bad-layout", "no-header", "row-index-zero", "col-index-zero",
              "negative-index", "row-index-above-size", "col-index-above-size",
-             "non-integral-index", "nan-index", "infinite-index"],
+             "non-integral-index", "nan-index", "infinite-index", "crlf-two-entries-on-a-line",
+             "crlf-short-array", "crlf-extra-line", "form-feed-splits-an-entry",
+             "unit-separator-joins-entries", "empty", "blank", "no-size-line"],
     )
     def test_malformed_files_are_rejected(self, tmp_path, text):
         path = tmp_path / "bad.mtx"
@@ -177,7 +192,13 @@ _NONZERO = st.one_of(st.sampled_from([-0.0, math.nan]), _ENTRIES)
 @st.composite
 def _matrices(draw):
     """Dense small matrices of special values, or up to 12 x 12 ones that are
-    mostly +0.0, so that the writer's zero runs hold -0.0 and NaN entries."""
+    mostly +0.0, so that the writer's zero runs hold -0.0 and NaN entries.
+
+    Dense symmetric matrices mirror their lower triangle by a sum, as
+    ``np.tril(a) + np.tril(a, -1).T``, which makes every zero +0.0.  Sparse
+    ones copy it bit for bit and then turn some +0.0 parts into -0.0, so they
+    equal their transpose by value but not always bit for bit.
+    """
     dense = draw(st.booleans())
     limit = 5 if dense else 12
     rows, cols = draw(st.integers(0, limit)), draw(st.integers(0, limit))
@@ -185,14 +206,23 @@ def _matrices(draw):
     if kind.endswith("symmetric"):
         cols = rows
     a = np.zeros((rows, cols), dtype=complex)
-    for plane in (a.real, a.imag) if kind.startswith("complex") else (a.real,):
+    parts = ("real", "imag") if kind.startswith("complex") else ("real",)
+    for part in parts:
+        plane = getattr(a, part)
         if dense:
             plane[...] = np.reshape(draw(st.lists(_ENTRIES, min_size=a.size, max_size=a.size)), a.shape)
         elif a.size:
             for _ in range(draw(st.integers(0, 6))):
                 plane[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(_NONZERO)
-    if kind.endswith("symmetric"):  # mirror the lower triangle, bits and all
+    if kind.endswith("symmetric") and dense:
+        a = np.tril(a) + np.tril(a, -1).T
+    elif kind.endswith("symmetric") and a.size:
         a = np.where(np.tri(rows, dtype=bool), a, a.T)
+        for _ in range(draw(st.integers(0, 4))):
+            plane = getattr(a, draw(st.sampled_from(parts)))
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            if plane[i, j] == 0:
+                plane[i, j] = -0.0
     return a
 
 
