@@ -333,6 +333,44 @@ class TestOracleWork:
         assert code == 0
         assert max(float(line.split(",")[6]) for line in lines[1:]) < 1e-11
 
+    @staticmethod
+    def _record_lapack_shapes(monkeypatch):
+        """Record the shape of each single matrix handed to a dense LAPACK driver.
+
+        Stacks of small matrices, such as the closed forms' per-mode
+        companion matrices, are not recorded.
+        """
+        seen = []
+        for name in ("eigvals", "eigvalsh", "eig", "eigh", "cholesky", "inv", "solve", "svd"):
+            def recorded(m, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                if np.ndim(m) == 2:
+                    seen.append((_name, np.shape(m)))
+                return _call(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        return seen
+
+    @pytest.mark.parametrize("argv, dim", [
+        (_family_argv()[0], 9), (_family_argv()[1], 9), (_family_argv()[2], 7), (_family_argv()[4], 6),
+    ], ids=["toeplitz-hankel", "corner-block", "fem-p2", "non-hermitian"])
+    def test_spectrum_oracle_hands_lapack_only_half_size_matrices(self, monkeypatch, capsys, argv, dim):
+        seen = self._record_lapack_shapes(monkeypatch)
+        assert main(["spectrum", *argv]) == 0
+        capsys.readouterr()
+        assert {name for name, _ in seen} & {"eigvals", "eigvalsh"}
+        assert all(shape[0] <= (dim + 1) // 2 for _, shape in seen), seen
+
+    def test_pevp_oracle_hands_lapack_only_half_size_matrices(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": 2, "n": 9, "bands": [["1", "1/2"], ["2", "1/4i"],
+                                                                   ["4", "-1"], ["6+i", "1"]]}))
+        seen = self._record_lapack_shapes(monkeypatch)
+        assert main(["pevp", "--input", str(path)]) == 0
+        capsys.readouterr()
+        half = 5
+        assert ("eigvals", (3 * half, 3 * half)) in seen and ("eigvals", (3 * (9 - half),) * 2) in seen
+        assert all(shape[0] <= (3 * half if name == "eigvals" else half) for name, shape in seen), seen
+
     @pytest.mark.parametrize(
         "argv, calls",
         [

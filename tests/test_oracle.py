@@ -22,6 +22,7 @@ from specmat import (
     solve_pevp_numeric,
 )
 from specmat import oracle
+from specmat.linalg import inf_norm
 from specmat.oracle import is_singular, pair_values, polynomial_residual
 
 RNG = np.random.default_rng(99)
@@ -173,6 +174,18 @@ class TestSolveGevp:
         assert residual_gevp(a, b, 1.0, v1) < 1e-10
         assert residual_gevp(a, b, 1.0, v2) < 1e-10
 
+    def test_inverse_iteration_takes_the_norms_once(self, monkeypatch):
+        from specmat import build_fem_p3, fem_p3_eigenvalues, inverse_iteration
+
+        a, b = build_fem_p3(6)
+        calls = []
+        monkeypatch.setattr(oracle, "inf_norm", lambda m: calls.append(1) or inf_norm(m))
+        for i, lam in enumerate(fem_p3_eigenvalues(6)[:4]):
+            calls.clear()
+            x = inverse_iteration(a, b, lam, seed=i)
+            assert len(calls) == 2
+            assert residual_gevp(a, b, lam, x) <= 1e-11
+
     def test_inverse_iteration_on_a_singular_pencil_raises(self):
         from specmat import inverse_iteration
 
@@ -263,10 +276,12 @@ class TestGevpEigenvaluesNumeric:
         a, b = _iga_pencil(30)
         values, full = gevp_eigenvalues_numeric(a, b), solve_gevp_numeric(a, b).values
 
-        def refuse(m):
-            raise AssertionError("is_singular ran on a B that Cholesky already cleared")
+        def refuse(*args):
+            raise AssertionError("the singularity check ran on a B that Cholesky already cleared")
 
+        # the IGA pencil is solved in centrosymmetric halves, which check B through _singular
         monkeypatch.setattr(oracle, "is_singular", refuse)
+        monkeypatch.setattr(oracle, "_singular", refuse)
         assert np.array_equal(gevp_eigenvalues_numeric(a, b), values)
         assert np.array_equal(solve_gevp_numeric(a, b).values, full)
 
@@ -431,14 +446,20 @@ _PAIR_VALUES = st.one_of(
 @st.composite
 def _value_lists(draw):
     values = draw(st.lists(_PAIR_VALUES, max_size=12))
-    shape = draw(st.sampled_from(["real"] * 6 + ["nan", "complex"]))
+    shape = draw(st.sampled_from(["real"] * 6 + ["nan", "complex", "inf"]))
     if shape == "nan":
         values.insert(draw(st.integers(0, len(values))), float("nan"))
+    elif shape == "inf":
+        # infinite gaps, and NaN ones between infinities, for the non-finite walk
+        for _ in range(draw(st.integers(1, 3))):
+            values.insert(draw(st.integers(0, len(values))),
+                          draw(st.sampled_from([np.inf, -np.inf, complex(np.inf, 1.0)])))
     elif shape == "complex":
         values = [complex(v, draw(st.sampled_from([0.0, 0.5, -1.0]))) for v in values]
     return values
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_value_lists(), _value_lists())
 def test_pair_values_matches_the_greedy_loop(reference, candidates):
@@ -476,3 +497,182 @@ class TestMatchSpectra:
         report = match_spectra(np.arange(5.0), np.arange(4.0))
         assert report.count_mismatch
         assert np.isinf(report.distances).sum() == 1
+
+
+# ------------------------------------------------ centrosymmetric split
+
+def _dense(solver, *args, **kwargs):
+    """``solver`` with the centrosymmetric split turned off: the full-matrix route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_centrosymmetric_halves", lambda mats: None)
+        return solver(*args, **kwargs)
+
+
+def _persymmetric_rotation(a, b, rng):
+    """A unitary diagonal similarity with mirrored phases: still centrosymmetric, now complex."""
+    n = a.shape[0]
+    phases = np.exp(2j * np.pi * rng.uniform(size=n))
+    phases = np.where(np.arange(n) < n - 1 - np.arange(n), phases, phases[::-1])
+    rotate = np.outer(phases.conj(), phases)
+    return a * rotate, b * rotate
+
+
+def _dominant_band(rng, width, complex_entries):
+    off = rng.uniform(-1.0, 1.0, width) + (1j * rng.uniform(-1.0, 1.0, width) if complex_entries else 0)
+    lead = 2.0 * np.abs(off).sum() + rng.uniform(0.5, 2.0)
+    return np.concatenate(([lead * (np.exp(0.5j * rng.uniform(-1.0, 1.0)) if complex_entries else 1.0)], off))
+
+
+@st.composite
+def _centrosymmetric_pencils(draw):
+    """The library's pencils at n = 2..60: Toeplitz-plus-Hankel, corner-block, fem-p2, fem-p3."""
+    from specmat import build_corner_block, build_fem_p2, build_fem_p3
+
+    family = draw(st.sampled_from(["th1", "th2", "th3", "th4", "corner-block", "fem-p2", "fem-p3"]))
+    entries = draw(st.sampled_from(["real", "complex", "hermitian-complex"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cplx = entries == "complex"
+    if family.startswith("th"):
+        n = draw(st.integers(2, 60))
+        width = draw(st.integers(1, min(2, n - 1)))
+        a = assemble_toeplitz_hankel(_dominant_band(rng, width, cplx), n, int(family[2]))
+        b = assemble_toeplitz_hankel(_dominant_band(rng, width, cplx), n, int(family[2]))
+    elif family == "corner-block":
+        half_n = draw(st.integers(1, 29))
+        a, b = (build_corner_block(_dominant_band(rng, 3, cplx)[[0, 1, 2, 0]], half_n) for _ in range(2))
+    else:
+        build = build_fem_p2 if family == "fem-p2" else build_fem_p3
+        a, b = build(draw(st.integers(2, 20)))
+    if entries == "hermitian-complex":
+        a, b = _persymmetric_rotation(a, b, rng)
+    return a, b
+
+
+# the general route's own rounding reaches about 25 eps at n = 60 against a
+# 40-digit reference; 29 eps was the worst split-to-dense gap of 600 drawn pencils
+_SPLIT_VALUE_RTOL = 64 * np.finfo(float).eps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_centrosymmetric_pencils())
+def test_split_matches_the_dense_route(pencil):
+    a, b = pencil
+    assert oracle._centrosymmetric_halves([a, b]) is not None
+    split, dense = gevp_eigenvalues_numeric(a, b), _dense(gevp_eigenvalues_numeric, a, b)
+    assert split.dtype == dense.dtype and split.shape == dense.shape
+    _, distances = pair_values(dense, split)
+    assert np.max(distances) <= _SPLIT_VALUE_RTOL * np.max(np.abs(dense))
+    sol = solve_gevp_numeric(a, b)
+    assert np.max(np.abs(sol.values - split)) <= _SPLIT_VALUE_RTOL * np.max(np.abs(dense))
+    assert np.max(sol.residuals) <= 1e-12
+    assert np.allclose(np.linalg.norm(sol.vectors, axis=0), 1.0, rtol=0, atol=1e-14)
+
+
+class TestCentrosymmetricSplit:
+    """The split changes the work, never the decisions: routes, errors, thresholds, drops."""
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (3, 2), (6, 6)], ids=str)
+    def test_one_perturbed_entry_takes_exactly_the_dense_route(self, entry):
+        a, b = _iga_pencil(7)
+        a = a.copy()
+        a[entry] += 1e-3
+        assert oracle._centrosymmetric_halves([a, b]) is None
+        assert np.array_equal(gevp_eigenvalues_numeric(a, b), _dense(gevp_eigenvalues_numeric, a, b))
+        split, dense = solve_gevp_numeric(a, b), _dense(solve_gevp_numeric, a, b)
+        for field in ("values", "vectors", "residuals"):
+            assert np.array_equal(getattr(split, field), getattr(dense, field))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_singular_centrosymmetric_b(self, n):
+        # I + J has an even half 2I (with a border of 2 at odd n) and an odd half 0
+        b = np.eye(n) + np.eye(n)[::-1]
+        if n % 2:
+            b[n // 2, n // 2] = 1.0
+        a, _ = _iga_pencil(n)
+        assert oracle._centrosymmetric_halves([a, b]) is not None
+        for solver in (solve_gevp_numeric, gevp_eigenvalues_numeric):
+            for method in ("auto", "general"):
+                for run in (solver, lambda *args, **kw: _dense(solver, *args, **kw)):
+                    with pytest.raises(SingularBError) as caught:
+                        run(a, b, method=method)
+                    assert type(caught.value) is SingularBError
+
+    def test_forced_hermitian_route_on_a_non_hermitian_centrosymmetric_pencil(self):
+        a = assemble_toeplitz_hankel([4 + 1j, 1 - 0.5j], 8, 2)
+        b = assemble_toeplitz_hankel([5.0, 0.25], 8, 2)
+        assert oracle._centrosymmetric_halves([a, b]) is not None
+        for solver in (solve_gevp_numeric, gevp_eigenvalues_numeric):
+            with pytest.raises(NotHermitianError) as caught:
+                solver(a, b, method="hermitian")
+            assert type(caught.value) is NotHermitianError
+
+    @staticmethod
+    def _from_halves(even, odd):
+        """The centrosymmetric matrix whose even and odd halves are ``even`` and ``odd`` (even n)."""
+        top, corner = 0.5 * (even + odd), 0.5 * (even - odd)[:, ::-1]
+        return np.block([[top, corner], [corner[::-1, ::-1], top[::-1, ::-1]]])
+
+    def test_thresholds_scale_with_the_full_b(self):
+        # the even half alone is well clear of its own threshold (1e-12 > 1e-13 * 1),
+        # the whole B is not (1e-12 < 1e-13 * ||B||_inf, about 1e-11)
+        b = self._from_halves(np.diag([1e-12, 1.0, 1.0]), 100.0 * np.eye(3))
+        halves = oracle._centrosymmetric_halves([b])
+        assert halves is not None and not is_singular(halves[0][0])
+        assert np.linalg.cholesky(b) is not None
+        for solver in (solve_gevp_numeric, gevp_eigenvalues_numeric):
+            for run in (solver, lambda *args, **kw: _dense(solver, *args, **kw)):
+                with pytest.raises(SingularBError):
+                    run(np.eye(6), b)
+
+    def test_pevp_with_a_singular_leading_coefficient_drops_as_the_dense_route(self):
+        rng = np.random.default_rng(8)
+        n = 6
+        leading = self._from_halves(np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 1.0, 0.0]))
+        mats = [assemble_toeplitz_hankel(_dominant_band(rng, 2, True), n, 3) for _ in range(2)]
+        mats.append(leading)
+        assert oracle._centrosymmetric_halves(mats) is not None
+        values, dropped = solve_pevp_numeric(mats)
+        want, want_dropped = _dense(solve_pevp_numeric, mats)
+        assert dropped and want_dropped
+        assert values.size == want.size == 2 * n - 2
+        _, distances = pair_values(want, values)
+        assert np.max(distances) <= 1e-12 * np.max(np.abs(want))
+
+    def test_pevp_split_matches_the_dense_route(self):
+        rng = np.random.default_rng(9)
+        for n, variant in ((2, 1), (7, 2), (20, 3), (41, 4)):
+            mats = [assemble_toeplitz_hankel(_dominant_band(rng, min(2, n - 1), True), n, variant)
+                    for _ in range(4)]
+            values, dropped = solve_pevp_numeric(mats)
+            want, want_dropped = _dense(solve_pevp_numeric, mats)
+            assert not dropped and not want_dropped and values.size == want.size == 3 * n
+            _, distances = pair_values(want, values)
+            # companion matrices are far from normal: 79 eps was the worst of 200 random pencils
+            assert np.max(distances) <= 4 * _SPLIT_VALUE_RTOL * np.max(np.abs(want))
+
+
+def _full_companion_values(mats):
+    """Eigenvalues of ``C1^{-1} C0`` with C1 and C0 assembled and solved whole: the reference."""
+    q, n = len(mats) - 1, mats[0].shape[0]
+    c0 = np.zeros((n * q, n * q), dtype=complex)
+    c1 = np.zeros((n * q, n * q), dtype=complex)
+    for blk in range(q - 1):
+        c0[blk * n:(blk + 1) * n, (blk + 1) * n:(blk + 2) * n] = np.eye(n)
+        c1[blk * n:(blk + 1) * n, blk * n:(blk + 1) * n] = np.eye(n)
+    for k in range(q):
+        c0[(q - 1) * n:, k * n:(k + 1) * n] = -mats[k]
+    c1[(q - 1) * n:, (q - 1) * n:] = mats[q]
+    return np.linalg.eigvals(np.linalg.solve(c1, c0))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_companion_solve_by_blocks_matches_the_whole_solve(q):
+    rng = np.random.default_rng(10 + q)
+    n = 9
+    mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(q + 1)]
+    mats[-1] += 4 * np.eye(n)
+    for coefficients in (mats, mats[::-1]):
+        values = np.linalg.eigvals(oracle._companion_matrix(coefficients))
+        want = _full_companion_values(coefficients)
+        _, distances = pair_values(want, values)
+        assert np.max(distances) <= 1e-12 * np.max(np.abs(want))
