@@ -106,8 +106,11 @@ def _centrosymmetric_halves(mats):
     other input is turned away at almost no cost.
     """
     n = mats[0].shape[0]
-    if n < 2 or not all(m[0, 0] == m[-1, -1] and np.array_equal(m, m[::-1, ::-1]) for m in mats):
+    if n < 2:
         return None
+    for m in mats:
+        if m[0, 0] != m[-1, -1] or not np.array_equal(m, m[::-1, ::-1]):
+            return None
     h = n // 2
     evens, odds = [], []
     for m in mats:
