@@ -17,7 +17,6 @@ from .errors import (
     ShapeMismatchError,
     SingularBError,
     SingularDenominatorError,
-    SingularMatrixError,
     SingularPencilError,
     SpecmatError,
     TooSmallError,
@@ -48,7 +47,6 @@ from .mmio import read_matrix_market, write_matrix_market
 from .oracle import (
     OracleReport,
     gevp_eigenvalues_numeric,
-    inverse_iteration,
     match_spectra,
     pencil_residuals,
     residual_gevp,
@@ -62,6 +60,7 @@ from .spectra import (
     corner_block_quadratic_bands,
     fem_p2_eigenpairs,
     fem_p2_eigenvalues,
+    fem_p3_eigenpairs,
     fem_p3_eigenvalues,
     gevp_eigenpairs,
     gevp_eigenvalues,
@@ -88,7 +87,6 @@ __all__ = [
     "ShapeMismatchError",
     "SingularBError",
     "SingularDenominatorError",
-    "SingularMatrixError",
     "SingularPencilError",
     "SpecmatError",
     "TooSmallError",
@@ -110,12 +108,12 @@ __all__ = [
     "eve_identity_gevp_all",
     "fem_p2_eigenpairs",
     "fem_p2_eigenvalues",
+    "fem_p3_eigenpairs",
     "fem_p3_eigenvalues",
     "gevp_eigenpairs",
     "gevp_eigenvalues",
     "gevp_eigenvalues_numeric",
     "hermitian_eigen",
-    "inverse_iteration",
     "kron",
     "match_spectra",
     "minor_remove",

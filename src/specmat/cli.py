@@ -28,7 +28,6 @@ from .identities import eve_identity_evp_all, eve_identity_gevp_all, trig_identi
 from .mmio import write_matrix_market
 from .oracle import (
     gevp_eigenvalues_numeric,
-    inverse_iteration,
     pair_values,
     pencil_residuals,
     solve_pevp_numeric,
@@ -38,7 +37,7 @@ from .spectra import (
     corner_block_eigenpairs,
     fem_p2_eigenpairs,
     fem_p2_eigenvalues,
-    fem_p3_eigenvalues,
+    fem_p3_eigenpairs,
     gevp_eigenpairs,
     gevp_eigenvalues,
     pevp_eigenpairs,
@@ -182,12 +181,9 @@ def _spectrum_problem(args):
         return sol.values, sol.vectors, a, b
     if args.n_elems is None:
         raise SpecmatError("fem-p3 spectra need --n-elems")
-    values = fem_p3_eigenvalues(args.n_elems)
+    sol = fem_p3_eigenpairs(args.n_elems)
     a, b = build_fem_p3(args.n_elems)
-    vectors = np.column_stack(
-        [inverse_iteration(a, b, lam, seed=29 * (i + 1)) for i, lam in enumerate(values)]
-    )
-    return values, vectors, a, b
+    return sol.values, sol.vectors, a, b
 
 
 def _csv_lines(header, rows):

@@ -5,10 +5,6 @@ class SpecmatError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class SingularMatrixError(SpecmatError):
-    """A matrix that has to be inverted is numerically singular."""
-
-
 class NotHermitianError(SpecmatError):
     """Matrix fails the Hermitian symmetry check."""
 

@@ -81,8 +81,10 @@ def batched_roots(coeffs) -> np.ndarray:
 
     ``coeffs`` holds ascending coefficients, shape ``(m, q+1)``, with nonzero
     leading entries; the result has shape ``(m, q)``.  q=1 and q=2 use
-    closed forms, the quadratic with the branch that avoids cancellation in
-    ``-c1 +/- disc``.  q >= 3 takes the eigenvalues of the stacked companion
+    closed forms.  A quadratic's roots come as ``(-c1 + disc) / (2 c2)``,
+    then ``(-c1 - disc) / (2 c2)``, for the principal square root ``disc``;
+    the one that would cancel in ``-c1 +/- disc`` is taken from the other
+    by Vieta.  q >= 3 takes the eigenvalues of the stacked companion
     matrices and polishes them by Newton steps, each kept only where it does
     not raise the polynomial's modulus.
     """
@@ -95,9 +97,11 @@ def batched_roots(coeffs) -> np.ndarray:
     if q == 2:
         c0, c1, c2 = c.T
         disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-        big = -0.5 * np.where(abs(c1 + disc) >= abs(c1 - disc), c1 + disc, c1 - disc)
+        minus_far = abs(c1 + disc) >= abs(c1 - disc)
+        big = -0.5 * np.where(minus_far, c1 + disc, c1 - disc)
         # big = 0 only when c0 = c1 = 0, a double root at zero
-        return np.stack((big / c2, c0 / np.where(big == 0, 1.0, big)), axis=1)
+        far, near = big / c2, c0 / np.where(big == 0, 1.0, big)
+        return np.stack((np.where(minus_far, near, far), np.where(minus_far, far, near)), axis=1)
     last_column = -c[:, :-1] / c[:, -1:]
     if not last_column.imag.any():
         last_column = last_column.real  # real companions: real LAPACK, exact conjugate pairs

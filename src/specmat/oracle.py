@@ -6,9 +6,8 @@ has an imaginary part.  Every other pencil with an invertible right side
 runs LAPACK's general eigensolver on ``B^{-1} A``.  Both routes also run
 without eigenvectors, for callers that read only the values.  Polynomial
 pencils are linearized to a companion pencil and solved the same way.
-Eigenvectors of single eigenvalues are available by shifted inverse
-iteration.  None of these routes samples a symbol, so they share nothing
-with the closed forms they check.
+None of these routes samples a symbol, so they share nothing with the
+closed forms they check.
 
 Every matrix the library builds is centrosymmetric, ``J M J = M`` for the
 exchange matrix J, and the real orthogonal transform of Cantoni & Butler
@@ -36,7 +35,6 @@ from .errors import (
     NotHermitianError,
     ShapeMismatchError,
     SingularBError,
-    SingularMatrixError,
     SingularPencilError,
     ZeroVectorError,
 )
@@ -144,63 +142,6 @@ def _join_halves(even, odd):
     return joined
 
 
-def inverse_iteration(a, b, lam, avoid=(), max_iter: int = 50, restarts: int = 3, seed: int = 0):
-    """Eigenvector of the pencil nearest ``lam`` by shifted inverse iteration.
-
-    The shift is nudged off the eigenvalue so the shifted matrix stays
-    regular; it is inverted once per attempt by LAPACK, and each step is a
-    matrix-vector product.  On stagnation the iteration restarts from a
-    fresh random vector.  Vectors in ``avoid`` are projected out every step,
-    which separates copies of a repeated eigenvalue.  Raises
-    :class:`SingularMatrixError` when no attempt could invert the shifted
-    matrix.
-    """
-    a, b = as_square(a), as_square(b)
-    n = a.shape[0]
-    lam = complex(lam)
-    # the scale of residual_gevp without the vector's norm, computed once
-    scale = inf_norm(a) + abs(lam) * inf_norm(b)
-    shift = lam * (1.0 + 1e-10) + 1e-12
-    best, best_res = None, np.inf
-    for attempt in range(restarts):
-        try:
-            inverse = np.linalg.inv(a - shift * b)
-        except np.linalg.LinAlgError:
-            inverse = None
-        if inverse is None or not np.isfinite(inverse).all():
-            shift = lam * (1.0 + 1e-8 * (attempt + 1)) + 1e-10 * (attempt + 1)
-            continue
-        rng = np.random.default_rng(seed + 7919 * attempt)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for u in avoid:
-            v = v - (u.conj() @ v) * u
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            continue
-        v = v / norm
-        prev = np.inf
-        for it in range(max_iter):
-            w = inverse @ (b @ v)
-            for u in avoid:
-                w = w - (u.conj() @ w) * u
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                break
-            w = w / norm
-            res = float(abs(a @ w - (b @ w) * lam).max() / max(scale * abs(w).max(), 1e-300))
-            if res < best_res:
-                best, best_res = w, res
-            if res <= 1e-11:
-                return w
-            if it > 4 and res > 0.5 * prev:
-                break  # stagnated; restart with a new random vector
-            prev = res
-            v = w
-    if best is None:
-        raise SingularMatrixError(f"inverse iteration could not invert the shifted matrix near {lam}")
-    return best
-
-
 def _regular_by_cholesky(b, inv_chols) -> bool:
     """Whether ``L^{-1}``, for ``B = L L^H``, already shows B is not singular.
 
@@ -221,14 +162,14 @@ def _regular_by_cholesky(b, inv_chols) -> bool:
 def _reduce_pencil(a, b, method):
     """Check the pencil ``A x = lam B x``, choose the route, reduce it to standard problems.
 
-    Returns ``(a, b, chols, reduced)``, with one entry of ``chols`` and
-    ``reduced`` per block: the full pencil, or its even and odd halves when
-    A and B are exactly centrosymmetric.  On the Hermitian-definite route
-    ``chols`` holds the Cholesky factors L of the blocks of B and ``reduced``
-    the Hermitian ``L^{-1} A L^{-H}``; on the general route ``chols`` is
-    None and ``reduced`` holds ``B^{-1} A``.  The route and the singularity
-    test are decided on the full pencil.  A real pencil comes back as real
-    arrays.
+    Returns ``(a, b, inv_chols, reduced)``, with one entry of ``inv_chols``
+    and ``reduced`` per block: the full pencil, or its even and odd halves
+    when A and B are exactly centrosymmetric.  On the Hermitian-definite
+    route ``inv_chols`` holds ``L^{-1}`` for the Cholesky factors L of the
+    blocks of B and ``reduced`` the Hermitian ``L^{-1} A L^{-H}``; on the
+    general route ``inv_chols`` is None and ``reduced`` holds ``B^{-1} A``.
+    The route and the singularity test are decided on the full pencil.  A
+    real pencil comes back as real arrays.
     """
     a, b = as_square(a), as_square(b)
     if a.shape != b.shape:
@@ -238,13 +179,13 @@ def _reduce_pencil(a, b, method):
         a, b = a.real.copy(), b.real.copy()
     blocks = _centrosymmetric_halves([a, b]) or [[a, b]]
     hermitian_pair = is_hermitian(a) and is_hermitian(b)
-    chols = inv_chols = None
+    inv_chols = None
     if method in ("auto", "hermitian") and hermitian_pair:
         try:
             # one block that is not definite sends both to the general route
             chols = [np.linalg.cholesky(block_b) for _, block_b in blocks]
         except np.linalg.LinAlgError:
-            chols = None
+            pass
         else:
             inv_chols = [np.linalg.inv(chol) for chol in chols]
     if not _regular_by_cholesky(b, inv_chols) and _singular(b, [block_b for _, block_b in blocks]):
@@ -254,13 +195,13 @@ def _reduce_pencil(a, b, method):
         raise ValueError(f"unknown method {method!r}")
     if method == "hermitian" and not hermitian_pair:
         raise NotHermitianError("the forced Hermitian path needs Hermitian A and B")
-    if chols is not None:
+    if inv_chols is not None:
         reduced = []
         for (block_a, _), inv in zip(blocks, inv_chols):
             # L^{-1} and two products cost less than two n-column solves
             block = inv @ (block_a @ inv.conj().T)
             reduced.append(0.5 * (block + block.conj().T))
-        return a, b, chols, reduced
+        return a, b, inv_chols, reduced
     if method == "hermitian":
         raise SingularBError("Hermitian path needs a positive-definite right side")
     # B is invertible (checked above)
@@ -280,12 +221,12 @@ def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
     halves.  Callers that read only the eigenvalues use
     :func:`gevp_eigenvalues_numeric`, which takes the same routes.
     """
-    a, b, chols, reduced = _reduce_pencil(a, b, method)
+    a, b, inv_chols, reduced = _reduce_pencil(a, b, method)
     values, vectors = [], []
     for i, block in enumerate(reduced):
-        if chols is not None:
+        if inv_chols is not None:
             w, q = np.linalg.eigh(block)
-            v = np.linalg.solve(chols[i].conj().T, q)
+            v = inv_chols[i].conj().T @ q  # x = L^{-H} q
             v = v / np.linalg.norm(v, axis=0)
         else:
             # LAPACK's eig returns unit-norm vectors
@@ -294,7 +235,7 @@ def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
         vectors.append(v)
     values = np.concatenate(values)
     vectors = vectors[0] if len(vectors) == 1 else _join_halves(*vectors)
-    if chols is not None:
+    if inv_chols is not None:
         order = np.argsort(values, kind="stable")
     else:
         order = np.lexsort((values.imag, values.real))
@@ -315,8 +256,8 @@ def gevp_eigenvalues_numeric(a, b, method: str = "auto") -> np.ndarray:
     the Hermitian-definite route, complex and sorted by (real, imag) from
     ``eigvals`` on the general route.
     """
-    _, _, chols, reduced = _reduce_pencil(a, b, method)
-    if chols is not None:
+    _, _, inv_chols, reduced = _reduce_pencil(a, b, method)
+    if inv_chols is not None:
         values = [np.linalg.eigvalsh(block) for block in reduced]
         return values[0] if len(values) == 1 else np.sort(np.concatenate(values))
     values = np.concatenate([np.linalg.eigvals(block) for block in reduced])

@@ -3,14 +3,15 @@
 Each generator evaluates a trigonometric symbol at mode angles and pairs the
 resulting eigenvalue with a sampled sine or cosine eigenvector.  The
 corner-overlapped families reduce, mode by mode, to scalar quadratics or
-cubics whose roots are taken directly.
+cubics whose roots are taken directly; their eigenvectors sample a sine at
+the shared vertices and fill the remaining entries in closed form.  Nothing
+here calls the numeric oracle that checks these formulas.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     TooSmallError,
     ZeroScaleError,
 )
-from .families import HankelVariant, as_band, build_corner_block
+from .families import _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL, HankelVariant, as_band
 from .linalg import batched_roots, kron
 from .solution import ANALYTIC, NUMERIC, EigenSolution, PolynomialEigenSolution
 
@@ -151,13 +152,15 @@ def corner_block_quadratic_bands(alpha, beta):
     return band_d, band_c, band_b
 
 
-def _recover_vector_numerically(alpha, beta, half_n, lam):
-    # local import: the oracle depends on nothing in this module
-    from .oracle import inverse_iteration
+def _vertex_samples(angles, h, count):
+    """Samples ``sin(j pi k h)``: rows are vertices k = 0..count+1, columns angle indices j.
 
-    a = build_corner_block(alpha, half_n)
-    b = build_corner_block(beta, half_n)
-    return inverse_iteration(a, b, lam)
+    Vertices 1..count are sampled; rows 0 and count+1 are exact zeros, the
+    Dirichlet ends when ``count = 1/h - 1``.
+    """
+    samples = np.zeros((count + 2, len(angles)))
+    samples[1:-1] = np.sin(np.multiply.outer(np.arange(1, count + 1), angles * np.pi) * h)
+    return samples
 
 
 def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
@@ -165,8 +168,13 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
 
     Modes ``2j-1`` and ``2j`` carry the two roots of a scalar quadratic per
     interior angle ("-" root first, "+" root second); the final mode
-    ``2*half_n+1`` is the flat ratio of the odd diagonal entries with an
-    alternating odd-entry eigenvector.
+    ``2*half_n+1`` is the flat ratio ``lam0 = alpha[3] / beta[3]`` of the odd
+    diagonal entries with an alternating odd-entry eigenvector.  A mode's
+    even entries sample a sine at its angle index, the odd ones add their
+    two neighbours, and the two parts are weighted by a null vector of the
+    mode's 2x2 symbol.  When ``alpha[1] beta[3] = alpha[3] beta[1]``, lam0 is
+    a root of every quadratic and its vectors live on the odd entries; where
+    both roots of a mode are lam0, the second one lives on the even entries.
     """
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
@@ -179,72 +187,62 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     n = half_n
     h = 1.0 / (n + 1)
     dim = 2 * n + 1
-    modes, values, columns = [], [], []
-    notes = []
 
-    even_grid = np.arange(1, n + 1)
-
-    def mode_vector(angle_index, lam):
-        even = np.zeros(n + 2, dtype=complex)  # even[k] = entry 2k, padded ends
-        even[1: n + 1] = np.sin(angle_index * np.pi * even_grid * h)
-        denom = lam * beta[3] - alpha[3]
-        if abs(denom) < 1e-12 * (abs(lam * beta[3]) + abs(alpha[3]) + 1.0):
-            return None
-        ratio = (alpha[1] - lam * beta[1]) / denom
-        x = np.zeros(dim, dtype=complex)
-        x[1::2] = even[1: n + 1]                      # entries 2k
-        x[0::2] = ratio * (even[: n + 1] + even[1:])  # entries 2k+1
-        return x
-
-    # per-mode coefficients of a_hat lam^2 + b_hat lam + c_hat = 0
+    # per-angle coefficients of a_hat lam^2 + b_hat lam + c_hat = 0, ascending
     thetas = np.pi * h * np.arange(1, n + 1)
-    c_hats, b_hats, a_hats = (symbol(band, thetas) for band in corner_block_quadratic_bands(alpha, beta))
-    for j, a_hat, b_hat, c_hat in zip(range(1, n + 1), a_hats, b_hats, c_hats):
-        if abs(a_hat) < QUADRATIC_DEGENERACY_TOL:
-            if abs(b_hat) < QUADRATIC_DEGENERACY_TOL:
-                raise DegenerateQuadraticError(
-                    f"quadratic and linear coefficients both vanish at angle index {j}"
-                )
-            pair = [(2 * j - 1, -c_hat / b_hat)]
-            notes.append(f"mode {2 * j} dropped: quadratic degenerated to linear at angle index {j}")
-        else:
-            disc = np.sqrt(complex(b_hat * b_hat - 4.0 * a_hat * c_hat))
-            minus, plus = -(b_hat + disc) / (2.0 * a_hat), (disc - b_hat) / (2.0 * a_hat)
-            # the root of smaller modulus cancels; take it from the other by
-            # Vieta (the product of the roots is c_hat / a_hat)
-            if abs(minus) >= abs(plus):
-                plus = c_hat / (a_hat * minus) if minus else plus
-            else:
-                minus = c_hat / (a_hat * plus)
-            pair = [(2 * j - 1, minus), (2 * j, plus)]
-        for mode, lam in pair:
-            vec = mode_vector(j, lam)
-            if vec is None:
-                warnings.warn(
-                    f"odd-entry recursion divides by zero for mode {mode}; "
-                    "recovering the eigenvector numerically",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                vec = _recover_vector_numerically(alpha, beta, half_n, lam)
-                notes.append(f"mode {mode} eigenvector recovered numerically")
-            modes.append(mode)
-            values.append(lam)
-            columns.append(vec)
+    bands = corner_block_quadratic_bands(alpha, beta)
+    table = np.stack([symbol(band, thetas) for band in bands], axis=1)
+    linear = np.abs(table[:, 2]) < QUADRATIC_DEGENERACY_TOL
+    dead = np.flatnonzero(linear & (np.abs(table[:, 1]) < QUADRATIC_DEGENERACY_TOL))
+    if dead.size:
+        raise DegenerateQuadraticError(
+            f"quadratic and linear coefficients both vanish at angle index {dead[0] + 1}"
+        )
+    roots = np.zeros((n, 2), dtype=complex)
+    roots[~linear] = batched_roots(table[~linear])[:, ::-1]  # the "-" root first
+    roots[linear, :1] = batched_roots(table[linear, :2])
+    kept = np.ones((n, 2), dtype=bool)
+    kept[:, 1] = ~linear
+    notes = tuple(
+        f"mode {2 * j} dropped: quadratic degenerated to linear at angle index {j}"
+        for j in np.flatnonzero(linear) + 1
+    )
 
-    flat = np.zeros(dim, dtype=complex)
-    flat[0::2] = (-1.0) ** np.arange(n + 1)  # entries 1, 3, ..., 2n+1
-    modes.append(2 * n + 1)
-    values.append(alpha[3] / beta[3])
-    columns.append(flat)
+    # each root's weights on the even and odd entries span the null space of
+    # its mode's 2x2 symbol [[vertex, fold * coupling], [coupling, -odd]],
+    # taken from the larger row; near lam0 the second row, which gives the
+    # odd-entry ratio coupling / odd, vanishes
+    fold = 4.0 * np.cos(0.5 * thetas)[:, None] ** 2  # 2 + 2 cos(theta)
+    vertex_a, vertex_b = (symbol(side[::2], thetas)[:, None] for side in (alpha, beta))
+    vertex = vertex_a - roots * vertex_b
+    coupling = alpha[1] - roots * beta[1]
+    odd = roots * beta[3] - alpha[3]
+    first, second = abs(vertex) + fold * abs(coupling), abs(coupling) + abs(odd)
+    weights = np.where(second >= first, [odd, coupling], [fold * coupling, -vertex])
+    # where the whole symbol vanishes, both roots are lam0 and any weights
+    # will do: the first root takes the odd entries, the second the even ones
+    scale = abs(vertex_a) + abs(alpha[1]) + abs(alpha[3])
+    scale = scale + abs(roots) * (abs(vertex_b) + abs(beta[1]) + abs(beta[3]))
+    double = (np.maximum(first, second) <= 1e-12 * scale).any(axis=1)
+    weights[0, double] = [0.0, 1.0]
+    weights[1, double] = [1.0, 0.0]
+    weights /= abs(weights).max(axis=0)
+    values, (w_even, w_odd) = roots[kept], weights[:, kept]
+    angles = np.repeat(np.arange(1, n + 1), 2)[kept.ravel()]
+    even = _vertex_samples(angles, h, n)  # even[k] = entry 2k
+    count = values.size
+    vectors = np.zeros((dim, count + 1), dtype=complex)
+    vectors[1::2, :count] = w_even * even[1:-1]             # entries 2k
+    vectors[0::2, :count] = w_odd * (even[:-1] + even[1:])  # entries 2k+1
+    vectors[0::2, count] = (-1.0) ** np.arange(n + 1)  # entries 1, 3, ..., 2n+1
 
     return EigenSolution(
-        modes=np.array(modes),
-        values=np.array(values),
-        vectors=np.column_stack(columns),
+        modes=np.append(np.arange(1, 2 * n + 1).reshape(n, 2)[kept], 2 * n + 1),
+        values=np.append(values, alpha[3] / beta[3]),
+        vectors=vectors,
         provenance=ANALYTIC,
         h=h,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -281,8 +279,9 @@ def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
     sampled = np.flatnonzero(np.arange(1, dim + 1) != n)  # columns of every mode but n
     scaled = values[sampled] * h * h
     factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
-    angles = np.tile(np.arange(1, n), 2)
-    even = np.sin(np.multiply.outer(np.arange(n + 1), angles * np.pi) * h)  # even[k] = entry 2k
+    # even[k] = entry 2k, k = 0..n; row n samples the right end, sin(j pi),
+    # which is zero only to rounding
+    even = _vertex_samples(np.tile(np.arange(1, n), 2), h, n)[:-1]
     vectors = np.zeros((dim, dim), dtype=complex)
     vectors[1::2, sampled] = even[1:n]                       # entries 2k, k=1..n-1
     vectors[0::2, sampled] = factor * (even[:n] + even[1:])  # entries 2k+1
@@ -296,13 +295,11 @@ def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
     )
 
 
-def fem_p3_eigenvalues(n_elems: int) -> np.ndarray:
-    """Eigenvalues of the cubic-element stiffness/mass pencil, ascending.
+def _fem_p3_modes(n_elems: int):
+    """The mode cubic's roots ``s = lam h^2``, one row per interior angle, and every eigenvalue.
 
-    Each interior angle contributes the three roots of a scalar cubic in the
-    mesh-scaled eigenvalue; the element-local modes contribute ``10 n^2``
-    and ``42 n^2`` exactly.  Eigenvectors are not available in closed form
-    and can be recovered with :func:`specmat.oracle.inverse_iteration`.
+    The eigenvalues are the roots over ``h^2`` row by row, then ``10 n^2``
+    and ``42 n^2``, unsorted.
     """
     if n_elems < 2:
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
@@ -320,9 +317,56 @@ def fem_p3_eigenvalues(n_elems: int) -> np.ndarray:
         ),
         axis=1,
     )
-    values = np.concatenate((batched_roots(coeffs).ravel() / (h * h), [10.0 * n * n, 42.0 * n * n]))
+    roots = batched_roots(coeffs)
+    return roots, np.concatenate((roots.ravel() / (h * h), [10.0 * n * n, 42.0 * n * n]))
+
+
+def fem_p3_eigenvalues(n_elems: int) -> np.ndarray:
+    """Eigenvalues of the cubic-element stiffness/mass pencil, ascending.
+
+    Each interior angle contributes the three roots of a scalar cubic in the
+    mesh-scaled eigenvalue; the element-local modes contribute ``10 n^2``
+    and ``42 n^2`` exactly.
+    """
+    values = _fem_p3_modes(n_elems)[1]
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def fem_p3_eigenpairs(n_elems: int) -> EigenSolution:
+    """Closed-form eigenpairs: :func:`fem_p3_eigenvalues`, in its order, with their eigenvectors.
+
+    A mode of the cubic at angle index j samples ``sin(j pi k h)`` at the
+    vertices; the two interior nodes of element e solve the element's
+    interior block, ``(K_ii - s M_ii) u = -(K_ib - s M_ib) [v_e, v_e+1]``
+    with ``s = lam h^2``.  The element-local modes vanish at the vertices:
+    ``(1, 1)`` on every element, alternating in sign, for ``10 n^2``, and
+    ``(1, -1)`` on every element for ``42 n^2``.
+    """
+    roots, values = _fem_p3_modes(n_elems)
+    n = n_elems
+    h = 1.0 / n
+    s = roots.real.ravel()
+    count = s.size
+    # the interior rows of each mode's local K - s M, in local node order
+    rows = _FEM_P3_K_LOCAL[1:3] - s[:, None, None] * _FEM_P3_M_LOCAL[1:3]
+    vertex = _vertex_samples(np.repeat(np.arange(1, n), 3), h, n - 1)  # vertex[k] = node 3k
+    ends = np.stack((vertex[:-1].T, vertex[1:].T), axis=1)  # [v_e, v_e+1] by mode, end, element
+    nodes = np.linalg.solve(rows[:, :, 1:3], -rows[:, :, [0, 3]] @ ends)
+    vectors = np.zeros((3 * n - 1, count + 2))
+    vectors[2::3, :count] = vertex[1:-1]      # node 3k is entry 3k-1
+    vectors[0::3, :count] = nodes[:, 0].T     # nodes 3e+1 and 3e+2
+    vectors[1::3, :count] = nodes[:, 1].T
+    vectors[0::3, count] = vectors[1::3, count] = (-1.0) ** np.arange(n)  # 10 n^2
+    vectors[0::3, count + 1] = 1.0                                         # 42 n^2
+    vectors[1::3, count + 1] = -1.0
     order = np.lexsort((values.imag, values.real))
-    return values[order]
+    return EigenSolution(
+        modes=np.arange(1, 3 * n),
+        values=values[order],
+        vectors=vectors[:, order],
+        provenance=ANALYTIC,
+        h=h,
+    )
 
 
 @dataclass

@@ -210,13 +210,13 @@ class TestSpectrum:
         expected = sorted([2.0, 2 - np.sqrt(3), 2 + np.sqrt(3), 3.0, 1.0])
         assert np.allclose(values, expected, atol=1e-10)
 
-    def test_fem_p3_uses_recovered_vectors(self, capsys):
+    def test_fem_p3_uses_closed_form_vectors(self, capsys):
         code = main(["spectrum", "--family", "fem-p3", "--n-elems", "3", "--tol", "1e-8"])
         out = capsys.readouterr().out
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 8
-        assert max(float(r.split(",")[3]) for r in rows) < 1e-8
+        assert max(float(r.split(",")[3]) for r in rows) < 1e-12
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "spectrum.csv"

@@ -9,7 +9,6 @@ from specmat import (
     NotHermitianError,
     ShapeMismatchError,
     SingularBError,
-    SingularMatrixError,
     SingularPencilError,
     ZeroVectorError,
     assemble_toeplitz_hankel,
@@ -22,7 +21,6 @@ from specmat import (
     solve_pevp_numeric,
 )
 from specmat import oracle
-from specmat.linalg import inf_norm
 from specmat.oracle import is_singular, pair_values, polynomial_residual
 
 RNG = np.random.default_rng(99)
@@ -163,35 +161,23 @@ class TestSolveGevp:
             sol = solve_gevp_numeric(a, b)
             assert np.max(sol.residuals) < 1e-9
 
-    def test_repeated_eigenvalue_gets_independent_vectors(self):
-        from specmat import inverse_iteration
+    def test_hermitian_route_maps_vectors_back_without_a_solve(self, monkeypatch):
+        # x = L^{-H} q from the inverse factor the reduction already formed
+        a, b = _random_hermitian(7), _random_spd(7)
+        chol = np.linalg.cholesky(b)
+        w, q = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, a).conj().T))
+        expected = np.linalg.solve(chol.conj().T, q)
+        expected /= np.linalg.norm(expected, axis=0)
 
-        a = np.diag([1.0, 1.0, 3.0])
-        b = np.eye(3)
-        v1 = inverse_iteration(a, b, 1.0, seed=1)
-        v2 = inverse_iteration(a, b, 1.0, avoid=[v1], seed=2)
-        assert abs(np.vdot(v1, v2)) < 1e-8
-        assert residual_gevp(a, b, 1.0, v1) < 1e-10
-        assert residual_gevp(a, b, 1.0, v2) < 1e-10
+        def refuse(*args):
+            raise AssertionError("the Hermitian route ran a general solve")
 
-    def test_inverse_iteration_takes_the_norms_once(self, monkeypatch):
-        from specmat import build_fem_p3, fem_p3_eigenvalues, inverse_iteration
-
-        a, b = build_fem_p3(6)
-        calls = []
-        monkeypatch.setattr(oracle, "inf_norm", lambda m: calls.append(1) or inf_norm(m))
-        for i, lam in enumerate(fem_p3_eigenvalues(6)[:4]):
-            calls.clear()
-            x = inverse_iteration(a, b, lam, seed=i)
-            assert len(calls) == 2
-            assert residual_gevp(a, b, lam, x) <= 1e-11
-
-    def test_inverse_iteration_on_a_singular_pencil_raises(self):
-        from specmat import inverse_iteration
-
-        # A - shift B is the zero matrix for every shift
-        with pytest.raises(SingularMatrixError):
-            inverse_iteration(np.zeros((3, 3)), np.zeros((3, 3)), 1.0)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        sol = solve_gevp_numeric(a, b)
+        assert np.allclose(sol.values, w, rtol=1e-12, atol=0)
+        phases = np.sum(sol.vectors.conj() * expected, axis=0)
+        assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
+        assert np.max(sol.residuals) < 1e-13
 
 
 def _rotated(a, b, rng):

@@ -1,8 +1,12 @@
 """Closed-form eigenpair generators versus constructed matrices and worked examples."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmat import (
     BadBandwidthError,
@@ -20,9 +24,12 @@ from specmat import (
     corner_block_quadratic_bands,
     fem_p2_eigenpairs,
     fem_p2_eigenvalues,
+    fem_p3_eigenpairs,
     fem_p3_eigenvalues,
     gevp_eigenpairs,
     gevp_eigenvalues,
+    gevp_eigenvalues_numeric,
+    pencil_residuals,
     pevp_eigenpairs,
     residual_gevp,
     scale_pencil,
@@ -230,6 +237,43 @@ class TestGevpEigenvalues:
 
 
 class TestCornerBlockEigenpairs:
+    @staticmethod
+    def per_mode_reference(alpha, beta, half_n):
+        """Labels and values of the per-mode loop that the vectorized form replaced."""
+        thetas = np.pi * (1.0 / (half_n + 1)) * np.arange(1, half_n + 1)
+        c_hats, b_hats, a_hats = (symbol(band, thetas) for band in corner_block_quadratic_bands(alpha, beta))
+        modes, values = [], []
+        for j, a_hat, b_hat, c_hat in zip(range(1, half_n + 1), a_hats, b_hats, c_hats):
+            if abs(a_hat) < 1e-14:
+                modes.append(2 * j - 1)
+                values.append(-c_hat / b_hat)
+                continue
+            disc = np.sqrt(complex(b_hat * b_hat - 4.0 * a_hat * c_hat))
+            minus, plus = -(b_hat + disc) / (2.0 * a_hat), (disc - b_hat) / (2.0 * a_hat)
+            if abs(minus) >= abs(plus):
+                plus = c_hat / (a_hat * minus) if minus else plus
+            else:
+                minus = c_hat / (a_hat * plus)
+            modes += [2 * j - 1, 2 * j]
+            values += [minus, plus]
+        return np.array(modes + [2 * half_n + 1]), np.array(values + [alpha[3] / beta[3]])
+
+    def test_matches_per_mode_loop(self):
+        # the roots now come from batched_roots, whose Vieta step rounds
+        # differently: the same labels, the values within a few eps
+        rng = np.random.default_rng(17)
+        cases = [([4.0, 1.0, 0.5, 3.0], [2.0, 1.0, 1.0, 1.0], 2),  # degree drops
+                 ([5.0, -1.0, 7 / 8, 33 / 8], [39 / 8, -1.0, -5 / 8, 33 / 8], 9)]
+        for i in range(60):
+            alpha = rng.standard_normal(4) + (1j * rng.standard_normal(4) if i % 2 else 0.0)
+            beta = rng.standard_normal(4) + (1j * rng.standard_normal(4) if i % 2 else 0.0)
+            cases.append((alpha, beta + [3.0, 0.0, 0.0, 3.0], int(rng.integers(1, 30))))
+        for alpha, beta, half_n in cases:
+            modes, values = self.per_mode_reference(np.asarray(alpha, complex), np.asarray(beta, complex), half_n)
+            sol = corner_block_eigenpairs(alpha, beta, half_n)
+            assert np.array_equal(sol.modes, modes)
+            assert np.all(np.abs(sol.values - values) <= 8 * EPS * np.abs(values))
+
     def test_5x5_closed_forms_with_identity_b(self):
         # alpha = (2, -1, 0, 2) gives {2, 2 +/- sqrt(3), 3, 1}
         sol = corner_block_eigenpairs([2.0, -1.0, 0.0, 2.0], [1.0, 0.0, 0.0, 1.0], 2)
@@ -298,18 +342,45 @@ class TestCornerBlockEigenpairs:
         with pytest.raises(SingularPencilError):
             corner_block_eigenpairs([1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], 2)
 
-    def test_flat_eigenvalue_colliding_with_quadratic_root_recovers_numerically(self):
-        # alpha[1] = 0 with B = I makes lambda = alpha[3] a root of every mode
-        # quadratic, so the odd-entry recursion divides by zero there
-        alpha = [5.0, 0.0, 1.0, 2.0]
-        beta = [1.0, 0.0, 0.0, 1.0]
-        with pytest.warns(RuntimeWarning):
-            sol = corner_block_eigenpairs(alpha, beta, 2)
-        assert any("recovered numerically" in note for note in sol.notes)
-        assert np.allclose(np.sort(sol.values.real), [2.0, 2.0, 2.0, 4.0, 6.0], atol=1e-12)
-        a = build_corner_block(alpha, 2)
-        b = build_corner_block(beta, 2)
-        assert max_residual(sol, a, b) < 1e-10
+    @pytest.mark.parametrize(
+        "alpha, beta, half_n",
+        [
+            # alpha[1] = 0 with B = I: the values are 2, 2, 2, 4, 6
+            ([5.0, 0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 1.0], 2),
+            ([5.0, -1.0, 7 / 8, 33 / 8], [39 / 8, -1.0, -5 / 8, 33 / 8], 58),
+            # both roots of one mode are lam0: at c = 0 here, at c = +-1/2 below
+            ([23 / 4, -15 / 8, -1.0, 1.0], [23 / 4, -15 / 8, 3 / 8, 1.0], 5),
+            ([47 / 8, 5 / 4, 13 / 8, 5.0], [35 / 8, 1.0, 13 / 8, 4.0], 14),
+        ],
+        ids=["eye", "n58", "double-c0", "double-half"],
+    )
+    def test_lam0_roots_get_closed_form_vectors(self, alpha, beta, half_n):
+        # alpha[1] beta[3] = alpha[3] beta[1] makes lam0 = alpha[3] / beta[3] a
+        # root of every mode quadratic, where the odd-entry ratio divides by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = corner_block_eigenpairs(alpha, beta, half_n)
+        a = build_corner_block(alpha, half_n)
+        b = build_corner_block(beta, half_n)
+        numeric = gevp_eigenvalues_numeric(a, b)
+        assert np.max(np.abs(np.sort(sol.values.real) - numeric)) <= 1e-12 * np.max(np.abs(numeric))
+        if half_n == 2:
+            assert np.allclose(np.sort(sol.values.real), [2.0, 2.0, 2.0, 4.0, 6.0], atol=1e-12)
+        assert np.max(pencil_residuals(a, b, sol.values, sol.vectors)) <= 1e-10
+        assert np.linalg.matrix_rank(sol.vectors) == 2 * half_n + 1
+
+    @pytest.mark.parametrize("offset", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_nearly_degenerate_pencils_keep_small_residuals(self, offset):
+        # alpha[1] a relative offset away from alpha[3] beta[1] / beta[3]: one
+        # root of every mode lies about offset^2 from lam0, where the ratio
+        # coupling / odd cancels in both terms
+        alpha = [5.0, -1.0 - offset, 7 / 8, 33 / 8]
+        beta = [39 / 8, -1.0, -5 / 8, 33 / 8]
+        sol = corner_block_eigenpairs(alpha, beta, 20)
+        a = build_corner_block(alpha, 20)
+        b = build_corner_block(beta, 20)
+        assert np.max(pencil_residuals(a, b, sol.values, sol.vectors)) <= 1e-12
+        assert np.linalg.matrix_rank(sol.vectors) == 41
 
     def test_degenerate_quadratic_falls_back_to_linear_root(self):
         # beta = (2, 1, 1, 1) zeroes the quadratic coefficient at every angle
@@ -333,6 +404,38 @@ class TestCornerBlockEigenpairs:
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             corner_block_eigenpairs([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0], 0)
+
+
+_EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8)  # dyadic, so products stay exact
+
+
+@st.composite
+def _dyadic_corner_block_pencils(draw):
+    """Corner-block pencils with diagonally dominant B, half with alpha[1] beta[3] = alpha[3] beta[1]."""
+    complex_entries = draw(st.booleans())
+
+    def entry():
+        return complex(draw(_EIGHTHS), draw(_EIGHTHS) if complex_entries else 0.0)
+
+    alpha = [entry() + draw(st.sampled_from([0.0, 4.0])) for _ in range(4)]
+    beta = [16.0 + entry(), entry(), entry(), 8.0 + abs(draw(_EIGHTHS))]
+    if draw(st.booleans()):
+        beta[3] = 2.0 ** draw(st.integers(3, 5))  # a power of two: alpha[1] below is exact
+        alpha[1] = alpha[3] * beta[1] / beta[3]
+    return alpha, beta, draw(st.integers(1, 30))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_dyadic_corner_block_pencils())
+def test_corner_block_vectors_form_a_basis(case):
+    alpha, beta, half_n = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = corner_block_eigenpairs(alpha, beta, half_n)
+    a = build_corner_block(alpha, half_n)
+    b = build_corner_block(beta, half_n)
+    assert np.max(pencil_residuals(a, b, sol.values, sol.vectors)) <= 1e-12
+    assert np.linalg.matrix_rank(sol.vectors) == 2 * half_n + 1
 
 
 class TestFemP2Eigenpairs:
@@ -474,6 +577,38 @@ class TestFemP3Eigenvalues:
         values = fem_p3_eigenvalues(n)
         assert not values.imag.any()
         assert np.all(np.abs(values.real - exact) <= 4 * EPS * kappa * exact)
+
+
+class TestFemP3Eigenpairs:
+    @pytest.mark.parametrize("n", [2, 3, 8, 40, 200])
+    def test_values_and_residuals(self, n):
+        sol = fem_p3_eigenpairs(n)
+        assert same_bits(sol.values, fem_p3_eigenvalues(n))
+        assert np.array_equal(sol.modes, np.arange(1, 3 * n))
+        k, m = build_fem_p3(n)
+        assert np.max(pencil_residuals(k, m, sol.values, sol.vectors)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 40, 100])
+    def test_vectors_have_full_rank(self, n):
+        assert np.linalg.matrix_rank(fem_p3_eigenpairs(n).vectors) == 3 * n - 1
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_element_local_modes(self, n):
+        # (1, 1) alternating from element to element at 10 n^2, (1, -1) on
+        # every element at 42 n^2; both vanish at the vertices
+        sol = fem_p3_eigenpairs(n)
+        k, m = build_fem_p3(n)
+        signs = (-1.0) ** np.arange(n)
+        for value, first, second in ((10.0, signs, signs), (42.0, 1.0, -1.0)):
+            x = sol.vector_for_mode(int(np.flatnonzero(sol.values == value * n * n)[0]) + 1)
+            assert np.array_equal(x[0::3], np.broadcast_to(first, n))
+            assert np.array_equal(x[1::3], np.broadcast_to(second, n))
+            assert not x[2::3].any()
+            assert pencil_residuals(k, m, value * n * n, x) <= 1e-15
+
+    def test_too_small(self):
+        with pytest.raises(TooSmallError):
+            fem_p3_eigenpairs(1)
 
 
 class TestPevpEigenpairs:
