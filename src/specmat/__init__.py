@@ -52,6 +52,7 @@ from .oracle import (
     residual_gevp,
     solve_gevp_numeric,
     solve_pevp_numeric,
+    stacked_gevp_eigenvalues,
 )
 from .solution import EigenSolution, PolynomialEigenSolution
 from .spectra import (
@@ -125,6 +126,7 @@ __all__ = [
     "scale_pencil",
     "solve_gevp_numeric",
     "solve_pevp_numeric",
+    "stacked_gevp_eigenvalues",
     "symbol",
     "tensor_eigenpairs",
     "trig_identity",

@@ -268,18 +268,16 @@ def _identity_reports(args):
 
 def _cmd_identity(args) -> int:
     reports = _identity_reports(args)
-    checked = []
-    for rep in reports:
-        params = " ".join(f"{key}={val}" for key, val in rep.inputs.items())
-        print(
-            f"kind={rep.kind} {params} lhs={format_scalar(rep.lhs)} "
-            f"rhs={format_scalar(rep.rhs)} rel_diff={rep.rel_diff:.3e}"
-            + (" conditioning-warning" if rep.conditioning_warning else "")
-        )
-        if not rep.conditioning_warning:
-            checked.append(rep.rel_diff)
+    lines = [
+        f"kind={rep.kind} {' '.join(f'{key}={val}' for key, val in rep.inputs.items())} "
+        f"lhs={format_scalar(rep.lhs)} rhs={format_scalar(rep.rhs)} rel_diff={rep.rel_diff:.3e}"
+        + (" conditioning-warning" if rep.conditioning_warning else "")
+        for rep in reports
+    ]
+    checked = [rep.rel_diff for rep in reports if not rep.conditioning_warning]
     worst = float(np.max(checked)) if checked else 0.0  # NaN if any is NaN
-    print(f"max rel_diff = {worst:.3e} over {len(reports)} evaluations")
+    lines.append(f"max rel_diff = {worst:.3e} over {len(reports)} evaluations")
+    _emit(lines, None)
     proven = args.kind in ("eve", "ti31", "ti3") or (
         args.kind == "gevp-eve" and args.form == "proof"
     )
@@ -363,15 +361,14 @@ def _cmd_pevp(args) -> int:
     numeric, dropped = solve_pevp_numeric(mats)
     flat = analytic.all_values()
     matched, distances = pair_values(flat, numeric)
-    lines = ["mode_index,root_index,lambda_re,lambda_im,oracle_distance"]
-    pos = 0
-    for mode, roots in zip(analytic.modes, analytic.mode_roots):
-        for ridx, root in enumerate(roots, start=1):
-            lines.append(
-                f"{mode},{ridx},{root.real:.17g},{root.imag:.17g},{distances[pos]:.17g}"
-            )
-            pos += 1
-    _emit(lines, args.out)
+    counts = [roots.size for roots in analytic.mode_roots]
+    # each root's 1-based index within its mode: its flat position less its mode's start
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    columns = [np.repeat(analytic.modes, counts), np.arange(1, flat.size + 1) - starts,
+               flat.real, flat.imag, distances]
+    rows = zip(*(column.tolist() for column in columns))
+    # a whole number formats the same by %.17g as by %d
+    _emit(_csv_lines("mode_index,root_index,lambda_re,lambda_im,oracle_distance", rows), args.out)
     if dropped or analytic.degree_drops:
         print(
             f"degree drop: analytic modes {list(analytic.degree_drops)}, "

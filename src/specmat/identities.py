@@ -5,6 +5,15 @@ report; nothing here asserts.  The generalized identity exists in two
 shapes: the proof form (characteristic polynomials weighted by ``x* B x``),
 which holds, and the literal eigenvalue-ratio form, which is evaluated
 as printed and reported even where it fails.
+
+Each eigenvector-eigenvalue identity is computed as one table over every
+mode j (rows) and removed index k (columns).  The principal minors form one
+``(n, n-1, n-1)`` stack, gathered by a single index, and one stacked LAPACK
+call gives all their eigenvalues: ``eigvalsh`` for a matrix, and for a
+pencil the oracle's stacked route, taken once from the whole pencil.  Both
+sides are then products over broadcast difference tables.  A single (j, k)
+evaluation runs the same kernel on the k-minor alone, so it equals the
+entry of the whole table bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NotHermitianError, SingularBError, SingularDenominatorError
+from .errors import IndexOutOfRangeError, NotHermitianError, SingularDenominatorError
 from .linalg import as_square, hermitian_eigen, is_hermitian
-from .oracle import gevp_eigenvalues_numeric, is_singular, solve_gevp_numeric
+from .oracle import solve_gevp_numeric, stacked_gevp_eigenvalues
 from .spectra import symbol
 
 GAP_WARNING_TOL = 1e-6
@@ -45,6 +54,30 @@ def _report(kind, lhs, rhs, inputs, warning=False) -> IdentityReport:
     return IdentityReport(kind, lhs, rhs, abs_diff, rel_diff, inputs, warning)
 
 
+def _table_reports(kind, lhs, rhs, ks, warning, **inputs) -> list:
+    """One report per entry of the ``(n, len(ks))`` tables, j slowest.
+
+    The differences are those of :func:`_report`, for the whole table at once.
+    """
+    lhs, rhs = lhs.astype(complex), rhs.astype(complex)
+    abs_diff = np.abs(lhs - rhs)
+    rel_diff = abs_diff / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    n, ks = lhs.shape[0], (ks + 1).tolist()
+    rows = zip(lhs.tolist(), rhs.tolist(), abs_diff.tolist(), rel_diff.tolist())
+    return [
+        IdentityReport(kind, *entry, {"j": j, "k": k, "n": n, **inputs}, warning)
+        for j, row in enumerate(rows, start=1)
+        for k, *entry in zip(ks, *row)
+    ]
+
+
+def _minor_stack(m, ks) -> np.ndarray:
+    """The principal minors of ``m`` without row and column k, for each 0-based k in ``ks``."""
+    size = m.shape[0] - 1
+    keep = np.arange(size) + (np.arange(size) >= ks[:, None])  # rows from k on shift by one
+    return m[keep[:, :, None], keep[:, None, :]]
+
+
 def minor_remove(a, k: int) -> np.ndarray:
     """Principal minor: drop the k-th row and column (1-based)."""
     a = as_square(a)
@@ -53,27 +86,53 @@ def minor_remove(a, k: int) -> np.ndarray:
         raise IndexOutOfRangeError("cannot remove a row/column from a 1x1 matrix")
     if not 1 <= k <= n:
         raise IndexOutOfRangeError(f"index k={k} outside 1..{n}")
-    keep = np.delete(np.arange(n), k - 1)
-    return a[np.ix_(keep, keep)]
+    return _minor_stack(a, np.array([k - 1]))[0]
 
 
-def _min_gap(values) -> float:
+def _minor_indices(n, pair) -> np.ndarray:
+    """The 0-based minors of a table: all n of them, or the k of a 1-based ``pair = (j, k)``."""
+    if pair is not None and not (1 <= pair[0] <= n and 1 <= pair[1] <= n):
+        raise IndexOutOfRangeError(f"(j, k)={pair} outside 1..{n}")
+    if n < 2:
+        raise IndexOutOfRangeError("cannot remove a row/column from a 1x1 matrix")
+    return np.arange(n) if pair is None else np.array([pair[1] - 1])
+
+
+def _near_repeated(values) -> bool:
+    """Whether two eigenvalues lie within ``GAP_WARNING_TOL`` times the largest modulus.
+
+    The test is relative, so a scaled matrix or pencil is flagged as it is.
+    """
     vals = np.sort(np.asarray(values, dtype=complex))
     if vals.size < 2:
-        return np.inf
-    return float(np.min(np.abs(np.diff(vals))))
+        return False
+    return bool(np.min(np.abs(np.diff(vals))) <= GAP_WARNING_TOL * np.max(np.abs(vals)))
 
 
-def _evp_report(lams, vectors, minors, j, k, warning) -> IdentityReport:
-    """The (j, k) evaluation from the spectrum of A and of its k-minor."""
-    lhs = abs(vectors[k - 1, j - 1]) ** 2 * np.prod(lams[j - 1] - np.delete(lams, j - 1))
-    rhs = np.prod(lams[j - 1] - minors)
-    return _report("eve-evp", lhs, rhs, {"j": j, "k": k, "n": lams.size}, warning)
+def _products_but_own(table) -> np.ndarray:
+    """``prod_{l != j} table[j, l]`` for every row j; the diagonal of ``table`` is overwritten."""
+    np.fill_diagonal(table, 1.0)
+    return np.prod(table, axis=1)
 
 
-def _check_indices(n, j, k):
-    if not (1 <= j <= n and 1 <= k <= n):
-        raise IndexOutOfRangeError(f"(j, k)=({j}, {k}) outside 1..{n}")
+def _minor_products(lams, mus) -> np.ndarray:
+    """``prod_l (lam_j - mu_{k,l})``, j by row and minor k by column."""
+    return np.prod(lams[:, None, None] - mus[None], axis=2)
+
+
+def _evp_table(a, pair=None):
+    """Both sides of the identity for every j and every minor, or the k-minor of ``pair`` alone.
+
+    Returns ``(lhs, rhs, ks, warning)`` with ``(n, len(ks))`` tables.
+    """
+    a = as_square(a)
+    full = hermitian_eigen(a)
+    ks = _minor_indices(a.shape[0], pair)
+    lams = full.values.real
+    mus = np.linalg.eigvalsh(_minor_stack(a, ks))  # Hermitian, as minors of A
+    gaps = _products_but_own(lams[:, None] - lams[None, :])
+    lhs = np.abs(full.vectors[ks].T) ** 2 * gaps[:, None]
+    return lhs, _minor_products(lams, mus), ks, _near_repeated(lams)
 
 
 def eve_identity_evp(a, j: int, k: int) -> IdentityReport:
@@ -82,82 +141,61 @@ def eve_identity_evp(a, j: int, k: int) -> IdentityReport:
     Left side: ``|x_{j,k}|^2  prod_{l != j} (lam_j - lam_l)``.
     Right side: ``prod_l (lam_j - mu_l)`` over the spectrum of the k-minor.
     """
-    a = as_square(a)
-    full = hermitian_eigen(a)
-    _check_indices(a.shape[0], j, k)
-    lams = full.values.real
-    minors = np.linalg.eigvalsh(minor_remove(a, k))  # Hermitian, as a minor of A
-    return _evp_report(lams, full.vectors, minors, j, k, _min_gap(lams) < GAP_WARNING_TOL)
+    return _table_reports("eve-evp", *_evp_table(a, (j, k)))[j - 1]
 
 
 def eve_identity_evp_all(a) -> list:
     """Every (j, k) report of :func:`eve_identity_evp`, j slowest.
 
-    The matrix is diagonalized once; of each of its n minors, only the
-    eigenvalues are computed.
+    The matrix is diagonalized once, and the eigenvalues of all n minors
+    come from one stacked solve.
     """
-    a = as_square(a)
-    full = hermitian_eigen(a)
-    n = a.shape[0]
-    lams = full.values.real
-    minors = [np.linalg.eigvalsh(minor_remove(a, k)) for k in range(1, n + 1)]
-    warning = _min_gap(lams) < GAP_WARNING_TOL
-    return [
-        _evp_report(lams, full.vectors, minors[k - 1], j, k, warning)
-        for j in range(1, n + 1)
-        for k in range(1, n + 1)
-    ]
+    return _table_reports("eve-evp", *_evp_table(a))
 
 
-@dataclass
-class _PencilView:
-    """What the generalized identity needs of one pencil, computed once."""
+def _route(b) -> str:
+    """The oracle route of a Hermitian pencil with right side B, for it and all its minors.
 
-    values: np.ndarray   # ascending by (real, imag)
-    vectors: list        # unit eigenvectors in the same order; empty for a minor
-    b: np.ndarray
-    weight: object       # det B (proof form) or the ascending eigenvalues of B (literal)
-
-
-def _pencil_view(a, b, form, with_vectors) -> _PencilView:
-    weight = np.linalg.det(b) if form == PROOF_FORM else np.sort(np.linalg.eigvalsh(b))
-    if not with_vectors:
-        return _PencilView(gevp_eigenvalues_numeric(a, b), [], b, weight)
-    sol = solve_gevp_numeric(a, b)
-    order = np.lexsort((sol.values.imag, sol.values.real))
-    vectors = [sol.vectors[:, i] / np.linalg.norm(sol.vectors[:, i]) for i in order]
-    return _PencilView(sol.values[order], vectors, b, weight)
+    A positive-definite B makes every principal minor positive definite, so
+    one decision serves the whole table and no minor's values depend on
+    which other minors are evaluated with it.
+    """
+    try:
+        np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return "general"
+    return "hermitian"
 
 
-def _checked_pencil(a, b, form):
+def _gevp_table(a, b, form, pair=None):
+    """:func:`_evp_table` for the pencil ``A x = lam B x`` in either form."""
     a, b = as_square(a), as_square(b)
     if not is_hermitian(a) or not is_hermitian(b):
         raise NotHermitianError("the generalized identity takes Hermitian A and B")
-    if is_singular(b):
-        raise SingularBError("B must be invertible")
     if form not in (PROOF_FORM, LITERAL_FORM):
         raise ValueError(f"unknown form {form!r}")
-    return a, b
-
-
-def _gevp_report(full, minor, j, k, form, warning) -> IdentityReport:
-    """The (j, k) evaluation from views of the pencil and of its k-minor."""
-    lams = full.values
-    x = full.vectors[j - 1]
-    lam_j = lams[j - 1]
-    gaps = np.delete(lams, j - 1)
-    mus = minor.values
-    inputs = {"j": j, "k": k, "n": lams.size, "form": form}
+    ks = _minor_indices(a.shape[0], pair)
+    method = _route(b)
+    sol = solve_gevp_numeric(a, b, method)  # unit vectors, values by (real, imag)
+    lams, vectors = sol.values, sol.vectors
+    if not (a.imag.any() or b.imag.any()):
+        a, b = a.real, b.real  # real minors run the real LAPACK routines
+    minors_b = _minor_stack(b, ks)
+    products = _minor_products(lams, stacked_gevp_eigenvalues(_minor_stack(a, ks), minors_b, method))
+    gaps = _products_but_own(lams[:, None] - lams[None, :])
+    weights = np.abs(vectors[ks].T) ** 2
     if form == PROOF_FORM:
-        q_prime = full.weight * np.prod(lam_j - gaps)
-        eta_j = x.conj() @ full.b @ x
-        p_minor = minor.weight * np.prod(lam_j - mus)
-        lhs = abs(x[k - 1]) ** 2 * q_prime
-        rhs = eta_j * p_minor
-        return _report("eve-gevp-proof", lhs, rhs, inputs, warning)
-    lhs = abs(x[k - 1]) ** 2 * np.prod(lam_j - gaps)
-    rhs = np.prod(minor.weight) / np.prod(np.delete(full.weight, j - 1)) * np.prod(lam_j - mus)
-    return _report("eve-gevp-literal", lhs, rhs, inputs, warning)
+        eta = np.sum(vectors.conj() * (b @ vectors), axis=0)  # x_j^* B x_j
+        lhs = weights * (np.linalg.det(b) * gaps)[:, None]
+        rhs = eta[:, None] * (np.linalg.det(minors_b) * products)
+    else:
+        # ascending eigenvalues of B and of each minor, paired to the modes by rank
+        b_values = np.linalg.eigvalsh(b)
+        ratio = np.prod(np.linalg.eigvalsh(minors_b), axis=1) / _products_but_own(
+            np.tile(b_values, (b_values.size, 1)))[:, None]
+        lhs = weights * gaps[:, None]
+        rhs = ratio * products
+    return lhs, rhs, ks, _near_repeated(lams)
 
 
 def eve_identity_gevp(a, b, j: int, k: int, form: str = PROOF_FORM) -> IdentityReport:
@@ -169,31 +207,16 @@ def eve_identity_gevp(a, b, j: int, k: int, form: str = PROOF_FORM) -> IdentityR
     minor, paired to the mode index by rank; it is evaluated exactly as
     stated and the report carries whatever disagreement results.
     """
-    a, b = _checked_pencil(a, b, form)
-    _check_indices(a.shape[0], j, k)
-    full = _pencil_view(a, b, form, with_vectors=True)
-    minor = _pencil_view(minor_remove(a, k), minor_remove(b, k), form, with_vectors=False)
-    return _gevp_report(full, minor, j, k, form, _min_gap(full.values) < GAP_WARNING_TOL)
+    return _table_reports(f"eve-gevp-{form}", *_gevp_table(a, b, form, (j, k)), form=form)[j - 1]
 
 
 def eve_identity_gevp_all(a, b, form: str = PROOF_FORM) -> list:
     """Every (j, k) report of :func:`eve_identity_gevp`, j slowest.
 
-    The pencil and each of its n minors are solved once.
+    The pencil is solved once, and the eigenvalues of all n minor pencils
+    come from one stacked solve.
     """
-    a, b = _checked_pencil(a, b, form)
-    n = a.shape[0]
-    full = _pencil_view(a, b, form, with_vectors=True)
-    minors = [
-        _pencil_view(minor_remove(a, k), minor_remove(b, k), form, with_vectors=False)
-        for k in range(1, n + 1)
-    ]
-    warning = _min_gap(full.values) < GAP_WARNING_TOL
-    return [
-        _gevp_report(full, minors[k - 1], j, k, form, warning)
-        for j in range(1, n + 1)
-        for k in range(1, n + 1)
-    ]
+    return _table_reports(f"eve-gevp-{form}", *_gevp_table(a, b, form), form=form)
 
 
 def _guard_denominator(factors, context):

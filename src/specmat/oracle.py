@@ -4,7 +4,9 @@ Hermitian pencils with a positive-definite right side go through a Cholesky
 reduction and a Hermitian eigensolver, in real arithmetic when neither side
 has an imaginary part.  Every other pencil with an invertible right side
 runs LAPACK's general eigensolver on ``B^{-1} A``.  Both routes also run
-without eigenvectors, for callers that read only the values.  Polynomial
+without eigenvectors, for callers that read only the values, and on a
+stack of small pencils, one LAPACK call per step for the whole stack, on a
+route the caller takes once for all of them.  Polynomial
 pencils are linearized to a companion pencil and solved the same way.
 None of these routes samples a symbol, so they share nothing with the
 closed forms they check.
@@ -142,21 +144,36 @@ def _join_halves(even, odd):
     return joined
 
 
-def _regular_by_cholesky(b, inv_chols) -> bool:
+def _regular_by_cholesky(b, inv_chols):
     """Whether ``L^{-1}``, for ``B = L L^H``, already shows B is not singular.
 
-    ``lambda_min(B) = 1 / ||L^{-1}||_2^2 >= 1 / ||L^{-1}||_F^2``; a bound above
-    twice the threshold of :func:`is_singular` (the factor covers rounding)
-    settles the question without computing the eigenvalues of B.
-    ``inv_chols`` holds one inverse factor per block of B (B itself, or its
-    two centrosymmetric halves), and the threshold scales with the whole B.
-    The Cholesky factor is that of a block's lower triangle, so the bound
-    holds only when B, and with it each half, is exactly Hermitian.
+    ``lambda_min(H) = 1 / ||L^{-1}||_2^2 >= 1 / ||L^{-1}||_F^2`` for the
+    Hermitian H that B's lower triangle defines, the matrix Cholesky
+    factors; by Weyl's inequality the smallest singular value of B is at
+    most ``||B - B^H||_F`` below it, so B need not be exactly Hermitian.  A
+    bound above twice the threshold of :func:`is_singular` (the factor
+    covers rounding) settles the question without computing the eigenvalues
+    of B.  ``inv_chols`` holds one inverse factor per block of B (B itself,
+    or its two centrosymmetric halves), and the threshold scales with the
+    whole B.  For a stack of matrices B, with ``inv_chols`` one stack of
+    their factors, the answer is an array with one entry per matrix.
     """
-    if inv_chols is None or not np.array_equal(b, b.conj().T):
+    if inv_chols is None:
         return False
-    bound = min(1.0 / np.linalg.norm(inv) ** 2 for inv in inv_chols)
-    return bound > 2.0 * SINGULAR_B_RTOL * max(inf_norm(b), 1e-300)
+    inverse_norm = np.max([np.linalg.norm(inv, axis=(-2, -1)) for inv in inv_chols], axis=0)
+    b_h = b.conj().swapaxes(-1, -2)
+    asymmetry = 0.0 if np.array_equal(b, b_h) else np.linalg.norm(b - b_h, axis=(-2, -1))
+    scale = np.maximum(abs(b).sum(axis=-1).max(axis=-1), 1e-300)
+    return 1.0 / inverse_norm ** 2 - asymmetry > 2.0 * SINGULAR_B_RTOL * scale
+
+
+def _congruence(inv, a):
+    """The Hermitian ``L^{-1} A L^{-H}`` for ``inv = L^{-1}``, of one matrix or of a stack.
+
+    ``L^{-1}`` and two products cost less than two n-column solves.
+    """
+    block = inv @ (a @ inv.conj().swapaxes(-1, -2))
+    return 0.5 * (block + block.conj().swapaxes(-1, -2))
 
 
 def _reduce_pencil(a, b, method):
@@ -196,11 +213,7 @@ def _reduce_pencil(a, b, method):
     if method == "hermitian" and not hermitian_pair:
         raise NotHermitianError("the forced Hermitian path needs Hermitian A and B")
     if inv_chols is not None:
-        reduced = []
-        for (block_a, _), inv in zip(blocks, inv_chols):
-            # L^{-1} and two products cost less than two n-column solves
-            block = inv @ (block_a @ inv.conj().T)
-            reduced.append(0.5 * (block + block.conj().T))
+        reduced = [_congruence(inv, block_a) for (block_a, _), inv in zip(blocks, inv_chols)]
         return a, b, inv_chols, reduced
     if method == "hermitian":
         raise SingularBError("Hermitian path needs a positive-definite right side")
@@ -262,6 +275,40 @@ def gevp_eigenvalues_numeric(a, b, method: str = "auto") -> np.ndarray:
         return values[0] if len(values) == 1 else np.sort(np.concatenate(values))
     values = np.concatenate([np.linalg.eigvals(block) for block in reduced])
     return values[np.lexsort((values.imag, values.real))]
+
+
+def stacked_gevp_eigenvalues(a, b, method: str) -> np.ndarray:
+    """Eigenvalues of a stack of Hermitian pencils ``A[i] x = lam B[i] x``, one row per pencil.
+
+    ``a`` and ``b`` have shape ``(m, p, p)``.  The caller takes the route
+    once for the whole stack, as :func:`solve_gevp_numeric` takes one for
+    both halves of a pencil, so that a pencil's values do not depend on
+    which others share its stack.  ``"hermitian"`` reduces each pencil by
+    the Cholesky factor of its B and returns ascending real rows;
+    ``"general"`` runs ``eigvals`` on ``B^{-1} A`` and sorts each row by
+    (real, imag).  Each B must pass the test of :func:`is_singular`, else
+    :class:`SingularBError`; on the Hermitian route the Cholesky bound
+    clears most of them without it.  One LAPACK call serves the whole stack
+    at each step, and a real stack runs the real routines.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2]:
+        raise ShapeMismatchError(f"expected two stacks of square matrices, got {a.shape} and {b.shape}")
+    if method not in ("hermitian", "general"):
+        raise ValueError(f"unknown stacked method {method!r}")
+    cleared = np.zeros(len(b), dtype=bool)
+    if method == "hermitian":
+        try:
+            inv_chols = np.linalg.inv(np.linalg.cholesky(b))
+        except np.linalg.LinAlgError:
+            raise SingularBError("Hermitian path needs a positive-definite right side") from None
+        cleared = _regular_by_cholesky(b, [inv_chols])
+    if any(_singular(m, [m]) for m in b[~cleared]):
+        raise SingularBError("right-hand matrix of a stacked pencil is singular")
+    if method == "hermitian":
+        return np.linalg.eigvalsh(_congruence(inv_chols, a))
+    values = np.linalg.eigvals(np.linalg.solve(b, a))
+    return np.take_along_axis(values, np.lexsort((values.imag, values.real), axis=-1), axis=-1)
 
 
 def _companion_matrix(mats):

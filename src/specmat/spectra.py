@@ -279,9 +279,7 @@ def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
     sampled = np.flatnonzero(np.arange(1, dim + 1) != n)  # columns of every mode but n
     scaled = values[sampled] * h * h
     factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
-    # even[k] = entry 2k, k = 0..n; row n samples the right end, sin(j pi),
-    # which is zero only to rounding
-    even = _vertex_samples(np.tile(np.arange(1, n), 2), h, n)[:-1]
+    even = _vertex_samples(np.tile(np.arange(1, n), 2), h, n - 1)  # even[k] = entry 2k, k = 0..n
     vectors = np.zeros((dim, dim), dtype=complex)
     vectors[1::2, sampled] = even[1:n]                       # entries 2k, k=1..n-1
     vectors[0::2, sampled] = factor * (even[:n] + even[1:])  # entries 2k+1

@@ -5,7 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from specmat import cli, fem_p2_eigenpairs, gevp_eigenpairs, read_matrix_market, scale_pencil
+from specmat import (
+    HankelVariant,
+    PolynomialPencil,
+    assemble_toeplitz_hankel,
+    cli,
+    fem_p2_eigenpairs,
+    gevp_eigenpairs,
+    pevp_eigenpairs,
+    read_matrix_market,
+    scale_pencil,
+    solve_pevp_numeric,
+)
+from specmat.oracle import pair_values
 from specmat.identities import IdentityReport
 from specmat.cli import (
     IGA2_EXAMPLE_MASS_BAND,
@@ -334,16 +346,16 @@ class TestOracleWork:
         assert max(float(line.split(",")[6]) for line in lines[1:]) < 1e-11
 
     @staticmethod
-    def _record_lapack_shapes(monkeypatch):
+    def _record_lapack_shapes(monkeypatch, stacks=False):
         """Record the shape of each single matrix handed to a dense LAPACK driver.
 
         Stacks of small matrices, such as the closed forms' per-mode
-        companion matrices, are not recorded.
+        companion matrices, are recorded only when ``stacks`` is set.
         """
         seen = []
-        for name in ("eigvals", "eigvalsh", "eig", "eigh", "cholesky", "inv", "solve", "svd"):
+        for name in ("eigvals", "eigvalsh", "eig", "eigh", "cholesky", "inv", "solve", "svd", "det"):
             def recorded(m, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
-                if np.ndim(m) == 2:
+                if stacks or np.ndim(m) == 2:
                     seen.append((_name, np.shape(m)))
                 return _call(m, *args, **kwargs)
 
@@ -390,6 +402,23 @@ class TestOracleWork:
         assert main(["identity", *argv]) == 0
         capsys.readouterr()
         assert seen == [(6, 6)] * calls
+
+    def test_eve_minors_take_one_stacked_eigvalsh_per_trial(self, monkeypatch, capsys):
+        seen = self._record_lapack_shapes(monkeypatch, stacks=True)
+        assert main(["identity", "--kind", "eve", "--n", "6", "--random", "2"]) == 0
+        capsys.readouterr()
+        assert [shape for name, shape in seen if name == "eigvalsh"] == [(6, 5, 5)] * 2
+        assert all(shape[-1] == 6 for _, shape in seen if len(shape) == 2), seen
+
+    @pytest.mark.parametrize("form", ["proof", "literal"])
+    def test_gevp_eve_runs_no_per_minor_solve(self, monkeypatch, capsys, form):
+        seen = self._record_lapack_shapes(monkeypatch, stacks=True)
+        assert main(["identity", "--kind", "gevp-eve", "--n", "6", "--form", form]) == 0
+        capsys.readouterr()
+        assert all(shape[-1] == 6 for _, shape in seen if len(shape) == 2), seen
+        stacked = [name for name, shape in seen if shape == (6, 5, 5)]
+        weight = "det" if form == "proof" else "eigvalsh"
+        assert sorted(stacked) == sorted(["cholesky", "inv", "eigvalsh", weight]), seen
 
 
 class TestIdentityCommand:
@@ -539,6 +568,37 @@ class TestPevpCommand:
         assert lines[0] == "mode_index,root_index,lambda_re,lambda_im,oracle_distance"
         assert len(lines) == 13  # q*n roots
         assert max(float(line.split(",")[4]) for line in lines[1:]) < 1e-8
+
+    @staticmethod
+    def _per_root_lines(payload):
+        """The CSV as the per-root f-string loop wrote it before the one-pass formatting."""
+        variant, n = HankelVariant.coerce(payload["variant"]), payload["n"]
+        bands = [np.array([parse_complex_literal(entry) for entry in band]) for band in payload["bands"]]
+        analytic = pevp_eigenpairs(PolynomialPencil(bands=tuple(bands), variant=variant, n=n))
+        numeric, _ = solve_pevp_numeric([assemble_toeplitz_hankel(band, n, variant) for band in bands])
+        _, distances = pair_values(analytic.all_values(), numeric)
+        lines = ["mode_index,root_index,lambda_re,lambda_im,oracle_distance"]
+        pos = 0
+        for mode, roots in zip(analytic.modes, analytic.mode_roots):
+            for ridx, root in enumerate(roots, start=1):
+                lines.append(f"{mode},{ridx},{root.real:.17g},{root.imag:.17g},{distances[pos]:.17g}")
+                pos += 1
+        return lines
+
+    @pytest.mark.parametrize("payload", [
+        {"variant": 2, "n": 9, "bands": [["1", "1/2"], ["2", "1/4i"], ["4", "-1"], ["6+i", "1"]]},
+        {"variant": 3, "n": 8, "bands": [["-3/2", "1/8"], ["2", "-1/4"], ["5+1/2i", "1"]]},
+        # degree drops: the roots per mode are 3, 3, 1, 2, 3
+        {"variant": 1, "n": 5, "bands": [["1", "1/2", "1/5"], ["2", "3/10", "1/10"],
+                                         ["1", "0", "1/2"], ["1", "1/2", "1/2"]]},
+    ], ids=["cubic", "quadratic", "degree-drops"])
+    def test_output_matches_per_root_formatting(self, tmp_path, capsys, payload):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(payload))
+        out_path = tmp_path / "roots.csv"
+        main(["pevp", "--input", str(path), "--out", str(out_path)])
+        capsys.readouterr()
+        assert out_path.read_text(encoding="ascii") == "\n".join(self._per_root_lines(payload)) + "\n"
 
     def test_bad_json_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "pencil.json"

@@ -1,7 +1,10 @@
 """Eigenvector-eigenvalue identity (both pencil forms) and trigonometric identities."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmat import (
     NotHermitianError,
@@ -12,10 +15,13 @@ from specmat import (
     eve_identity_gevp,
     eve_identity_gevp_all,
     minor_remove,
+    solve_gevp_numeric,
+    stacked_gevp_eigenvalues,
     trig_identity,
 )
 
 RNG = np.random.default_rng(314)
+EPS = np.finfo(float).eps
 
 
 def random_hermitian(n, rng=RNG, gap=1e-4):
@@ -165,6 +171,19 @@ class TestAllPairEvaluators:
         ]
         assert batch == looped
 
+    def test_singular_minor_of_an_indefinite_b(self):
+        # B is invertible with eigenvalues -1, 1, 1, but its minors without
+        # row and column 1 or 2 are singular; the one without 3 is not
+        a = random_hermitian(3)
+        b = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        for form in ("proof", "literal"):
+            with pytest.raises(SingularBError):
+                eve_identity_gevp_all(a, b, form=form)
+            for k in (1, 2):
+                with pytest.raises(SingularBError):
+                    eve_identity_gevp(a, b, 2, k, form=form)
+            assert eve_identity_gevp(a, b, 2, 3, form=form).inputs["k"] == 3
+
     def test_gevp_rejects_what_the_per_pair_function_rejects(self):
         with pytest.raises(NotHermitianError):
             eve_identity_gevp_all(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
@@ -172,6 +191,161 @@ class TestAllPairEvaluators:
             eve_identity_gevp_all(np.eye(2), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
             eve_identity_gevp_all(np.eye(2), np.eye(2), form="other")
+
+
+class TestConditioningWarning:
+    """The near-repeated-eigenvalue flag is relative to the spectrum's scale."""
+
+    @staticmethod
+    def _flags(values):
+        rng = np.random.default_rng(11)
+        n = len(values)
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        chol = np.linalg.cholesky(random_spd(n, rng))
+        # A = L diag(values) L^H has the pencil eigenvalues ``values`` with B = L L^H
+        a, a_pencil = (m @ np.diag(values) @ m.conj().T for m in (q, chol))
+        a, a_pencil = 0.5 * (a + a.conj().T), 0.5 * (a_pencil + a_pencil.conj().T)
+        b = chol @ chol.conj().T
+        return {
+            scale: (
+                [rep.conditioning_warning for rep in eve_identity_evp_all(scale * a)],
+                [rep.conditioning_warning for rep in eve_identity_gevp_all(scale * a_pencil, b)],
+            )
+            for scale in (1.0, 1e-8, 1e8)
+        }
+
+    @pytest.mark.parametrize("values, flagged", [
+        ([1.0, 2.0, 3.0, 4.0, 5.0], False),
+        ([1.0, 1.0 + 1e-8, 2.0, 3.0, 5.0], True),
+        ([-4.0, -1.0, 1e-9, 2e-9, 3.0], True),
+    ])
+    def test_scaling_flags_the_same_pairs(self, values, flagged):
+        flags = self._flags(values)
+        assert flags[1e-8] == flags[1.0] == flags[1e8]
+        assert all(all(table) == flagged and any(table) == flagged for table in flags[1.0])
+
+
+@st.composite
+def _hermitian_pencils(draw):
+    """Hermitian A and an invertible Hermitian B, definite or indefinite.
+
+    A is real, complex, or diagonal with repeated entries; a diagonal A
+    comes with a diagonal B, so the pencil repeats eigenvalues too.
+    """
+    n = draw(st.integers(2, 10))
+    shape = draw(st.sampled_from(["real", "complex", "diagonal"]))
+    definite = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = np.ones(n) if definite else rng.permutation(np.r_[-1.0, rng.choice([-1.0, 1.0], n - 1)])
+    if shape == "diagonal":
+        return np.diag(rng.integers(-2, 3, n).astype(float)), np.diag(signs * rng.integers(1, 3, n))
+    m, q = rng.standard_normal((2, n, n))
+    if shape == "complex":
+        m, q = m + 1j * rng.standard_normal((n, n)), q + 1j * rng.standard_normal((n, n))
+    q = np.linalg.qr(q)[0]
+    b = (q * (signs * rng.uniform(0.5, 2.0, n))) @ q.conj().T
+    return m + m.conj().T, 0.5 * (b + b.conj().T)
+
+
+def _minor(m, k):
+    return np.delete(np.delete(m, k - 1, axis=0), k - 1, axis=1)
+
+
+def _mp_prod(factors):
+    out = mpmath.mpc(1)
+    for factor in factors:
+        out *= factor
+    return out
+
+
+def _mp_weight(z):
+    """``|z|^2`` of a double, exactly."""
+    return mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2
+
+
+def _reference_tables(a, b=None, form=None):
+    """Each side of every (j, k) in 30-digit mpmath, from the inputs the evaluators use.
+
+    The eigenvalues, vectors, determinants and minor eigenvalues are computed
+    in double precision as the evaluators compute them; only the formula is
+    evaluated exactly.  Returns ``(lhs, rhs, lhs_scale, rhs_scale)``, n x n
+    nested lists: each side, and the magnitude that its rounding error scales
+    with.  Only x_j^* B x_j is a sum; every other step is a product, whose
+    relative error is bounded by its count of roundings.
+    """
+    n = a.shape[0]
+    mp = lambda values: [mpmath.mpc(complex(z)) for z in values]  # noqa: E731
+    with mpmath.workdps(30):
+        if b is None:
+            lams, vectors = np.linalg.eigh(np.asarray(a, dtype=complex))
+            mus = [np.linalg.eigvalsh(minor_remove(a, k)) for k in range(1, n + 1)]
+        else:
+            a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+            try:
+                np.linalg.cholesky(b)
+                method = "hermitian"
+            except np.linalg.LinAlgError:
+                method = "general"
+            sol = solve_gevp_numeric(a, b, method)
+            lams, vectors = sol.values, sol.vectors
+            real_a, real_b = (a, b) if (a.imag.any() or b.imag.any()) else (a.real, b.real)
+            minors = [(_minor(real_a, k), _minor(real_b, k)) for k in range(1, n + 1)]
+            mus = [stacked_gevp_eigenvalues(m_a[None], m_b[None], method)[0] for m_a, m_b in minors]
+            if form == "proof":
+                det_b = mp([np.linalg.det(real_b)])[0]
+                minor_weights = mp(np.linalg.det(m_b) for _, m_b in minors)
+                b_entries = [mp(row) for row in b]
+            else:
+                b_values = mp(np.linalg.eigvalsh(real_b))
+                minor_weights = [_mp_prod(mp(np.linalg.eigvalsh(m_b))) for _, m_b in minors]
+        lam, mu = mp(lams), [mp(values) for values in mus]
+        lhs, rhs, lhs_scale, rhs_scale = ([[None] * n for _ in range(n)] for _ in range(4))
+        for j in range(n):
+            q_prime = _mp_prod(lam[j] - lam[l] for l in range(n) if l != j)
+            if form == "proof":
+                x = mp(vectors[:, j])
+                terms = [x[i].conjugate() * b_entries[i][l] * x[l] for i in range(n) for l in range(n)]
+                eta, eta_scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+                q_prime *= det_b
+            elif form == "literal":
+                own = _mp_prod(b_values[l] for l in range(n) if l != j)
+            for k in range(n):
+                lhs[j][k] = lhs_scale[j][k] = _mp_weight(vectors[k, j]) * q_prime
+                rhs[j][k] = rhs_scale[j][k] = _mp_prod(lam[j] - m for m in mu[k])
+                if form == "proof":
+                    rhs_scale[j][k] = eta_scale * abs(minor_weights[k] * rhs[j][k])
+                    rhs[j][k] *= eta * minor_weights[k]
+                elif form == "literal":
+                    rhs[j][k] = rhs_scale[j][k] = minor_weights[k] / own * rhs[j][k]
+    return lhs, rhs, lhs_scale, rhs_scale
+
+
+def _assert_near_reference(reports, reference, n):
+    """Each side within a small multiple of eps of the 30-digit value, scaled as the rounding scales."""
+    lhs, rhs, lhs_scale, rhs_scale = reference
+    bound = 4 * EPS * (n + 2)  # a few roundings per factor; x^* B x sums n^2 terms
+    for rep in reports:
+        j, k = rep.inputs["j"] - 1, rep.inputs["k"] - 1
+        assert abs(rep.lhs - lhs[j][k]) <= bound * abs(lhs_scale[j][k]), rep
+        assert abs(rep.rhs - rhs[j][k]) <= bound * abs(rhs_scale[j][k]), rep
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_hermitian_pencils())
+def test_identity_tables_property(pencil):
+    """The batch tables equal the per-pair evaluations bit for bit and the exact formula to rounding."""
+    a, b = pencil
+    n = a.shape[0]
+    # every mode j and every minor k, each against two others
+    pairs = sorted({(j, k) for j in range(1, n + 1) for k in (1, j, n + 1 - j)})
+    batch = eve_identity_evp_all(a)
+    assert [batch[(j - 1) * n + k - 1] for j, k in pairs] == [eve_identity_evp(a, j, k) for j, k in pairs]
+    _assert_near_reference(batch, _reference_tables(a), n)
+    for form in ("proof", "literal"):
+        batch = eve_identity_gevp_all(a, b, form=form)
+        assert [batch[(j - 1) * n + k - 1] for j, k in pairs] == [
+            eve_identity_gevp(a, b, j, k, form=form) for j, k in pairs]
+        _assert_near_reference(batch, _reference_tables(a, b, form), n)
 
 
 class TestTrigIdentities:

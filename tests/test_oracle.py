@@ -271,6 +271,33 @@ class TestGevpEigenvaluesNumeric:
         assert np.array_equal(gevp_eigenvalues_numeric(a, b), values)
         assert np.array_equal(solve_gevp_numeric(a, b).values, full)
 
+    def test_cholesky_bound_clears_a_b_hermitian_only_to_rounding(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        basis = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        a = basis + basis.conj().T
+        b = basis @ basis.conj().T + 7.0 * np.eye(7)
+        assert not np.array_equal(b, b.conj().T)  # rounding in the product
+        values, full = gevp_eigenvalues_numeric(a, b), solve_gevp_numeric(a, b).values
+
+        def refuse(*args):
+            raise AssertionError("the singularity check ran on a B that Cholesky already cleared")
+
+        monkeypatch.setattr(oracle, "_singular", refuse)
+        assert np.array_equal(gevp_eigenvalues_numeric(a, b), values)
+        assert np.array_equal(solve_gevp_numeric(a, b).values, full)
+        minor_a, minor_b = (np.delete(np.delete(m, 0, 0), 0, 1) for m in (a, b))
+        stacked = oracle.stacked_gevp_eigenvalues(minor_a[None], minor_b[None], "hermitian")
+        assert np.array_equal(stacked[0], gevp_eigenvalues_numeric(minor_a, minor_b))
+
+    def test_stacked_route_rejects_bad_shapes_and_methods(self):
+        stack = np.stack([np.eye(3)] * 2)
+        with pytest.raises(ShapeMismatchError):
+            oracle.stacked_gevp_eigenvalues(stack, stack[:, :2], "general")
+        with pytest.raises(ShapeMismatchError):
+            oracle.stacked_gevp_eigenvalues(np.eye(3), np.eye(3), "general")
+        with pytest.raises(ValueError):
+            oracle.stacked_gevp_eigenvalues(stack, stack, "auto")
+
 
 @st.composite
 def _dominant_complex_pencils(draw):

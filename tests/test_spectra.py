@@ -455,6 +455,17 @@ class TestFemP2Eigenpairs:
             k, m = build_fem_p2(n)
             assert max_residual(sol, k, m) < 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000])
+    def test_right_dirichlet_end_is_an_exact_zero(self, n):
+        # the last odd entry neighbours vertex n - 1 and the right end; with
+        # the end sampled as sin(j pi) it carried that sine's rounding error
+        sol = fem_p2_eigenpairs(n)
+        sampled = np.flatnonzero(sol.modes != n)
+        scaled = sol.values[sampled].real * sol.h * sol.h
+        factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
+        last_even = sol.vectors[2 * n - 3, sampled].real  # entry 2(n-1), 1-based
+        assert np.array_equal(sol.vectors[2 * n - 2, sampled], factor * last_even)
+
     def test_lower_branch_exact_to_rounding_at_large_n(self):
         # 13 + 2c - sqrt(124 + 112c - 11c^2) cancels as c -> 1; evaluated as
         # written it puts modes 1 and 3 of n=1000 below the Rayleigh-Ritz bound
@@ -510,6 +521,7 @@ class TestFemP2Eigenvalues:
             scaled = lam * h * h
             factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
             even = np.sin(k * np.pi * np.arange(n + 1) * h)
+            even[n] = 0.0  # the right Dirichlet end, exactly
             vectors[1::2, j - 1] = even[1:n]
             vectors[0::2, j - 1] = factor * (even[:n] + even[1:])
         return values, vectors
