@@ -25,6 +25,7 @@ from .errors import (
 )
 from .families import (
     HankelVariant,
+    SymmetricBand,
     assemble_tensor_pencil,
     assemble_toeplitz_hankel,
     build_corner_block,
@@ -32,6 +33,10 @@ from .families import (
     build_fem_p3,
     build_hankel,
     build_toeplitz,
+    corner_block_band,
+    fem_p2_bands,
+    fem_p3_bands,
+    toeplitz_hankel_band,
 )
 from .identities import (
     IdentityReport,
@@ -90,6 +95,7 @@ __all__ = [
     "SingularDenominatorError",
     "SingularPencilError",
     "SpecmatError",
+    "SymmetricBand",
     "TooSmallError",
     "ZeroScaleError",
     "ZeroVectorError",
@@ -101,14 +107,17 @@ __all__ = [
     "build_fem_p3",
     "build_hankel",
     "build_toeplitz",
+    "corner_block_band",
     "corner_block_eigenpairs",
     "corner_block_quadratic_bands",
     "eve_identity_evp",
     "eve_identity_evp_all",
     "eve_identity_gevp",
     "eve_identity_gevp_all",
+    "fem_p2_bands",
     "fem_p2_eigenpairs",
     "fem_p2_eigenvalues",
+    "fem_p3_bands",
     "fem_p3_eigenpairs",
     "fem_p3_eigenvalues",
     "gevp_eigenpairs",
@@ -129,6 +138,7 @@ __all__ = [
     "stacked_gevp_eigenvalues",
     "symbol",
     "tensor_eigenpairs",
+    "toeplitz_hankel_band",
     "trig_identity",
     "write_matrix_market",
 ]

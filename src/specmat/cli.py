@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -23,6 +24,10 @@ from .families import (
     build_corner_block,
     build_fem_p2,
     build_fem_p3,
+    corner_block_band,
+    fem_p2_bands,
+    fem_p3_bands,
+    toeplitz_hankel_band,
 )
 from .identities import eve_identity_evp_all, eve_identity_gevp_all, trig_identity
 from .mmio import write_matrix_market
@@ -117,6 +122,7 @@ def _pad_bands(alpha, beta):
 # ----------------------------------------------------------------- build
 
 def _cmd_build(args) -> int:
+    # every family is written from its band, so no n x n matrix is formed
     outputs = []
     if args.family == "toeplitz-hankel":
         if args.alpha is None or args.n is None:
@@ -126,25 +132,21 @@ def _cmd_build(args) -> int:
             raise SpecmatError(
                 f"--m {args.m} contradicts the band, which has bandwidth {band.size - 1}"
             )
-        matrix = assemble_toeplitz_hankel(band, args.n, args.variant)
         path = args.out or f"toeplitz-hankel-set{args.variant}-n{args.n}.mtx"
-        write_matrix_market(matrix, path)
+        write_matrix_market(toeplitz_hankel_band(band, args.n, args.variant), path)
         outputs.append(path)
     elif args.family == "corner-block":
         if args.alpha is None or args.half_n is None:
             raise SpecmatError("corner-block needs --alpha (four entries) and --half-n")
-        xi = parse_band(args.alpha)
-        matrix = build_corner_block(xi, args.half_n)
         path = args.out or f"corner-block-n{2 * args.half_n + 1}.mtx"
-        write_matrix_market(matrix, path)
+        write_matrix_market(corner_block_band(parse_band(args.alpha), args.half_n), path)
         outputs.append(path)
     elif args.family in ("fem-p2", "fem-p3"):
         if args.n_elems is None:
             raise SpecmatError(f"{args.family} needs --n-elems")
-        builder = build_fem_p2 if args.family == "fem-p2" else build_fem_p3
-        stiffness, mass = builder(args.n_elems)
+        bands = fem_p2_bands if args.family == "fem-p2" else fem_p3_bands
         prefix = args.out or f"{args.family}-nel{args.n_elems}"
-        for name, matrix in (("K", stiffness), ("M", mass)):
+        for name, matrix in zip("KM", bands(args.n_elems)):
             path = f"{prefix}_{name}.mtx"
             write_matrix_market(matrix, path)
             outputs.append(path)
@@ -266,14 +268,37 @@ def _identity_reports(args):
     return reports
 
 
+def _scalar_column(values) -> list:
+    """:func:`format_scalar` of every value, formatted as one column."""
+    z = np.asarray(values, dtype=complex)
+    texts = ("%.12g\n" * z.size % tuple(z.real.tolist())).split("\n")
+    shown = np.flatnonzero(~(np.abs(z.imag) < IMAG_SUPPRESS))  # a NaN part is shown too
+    imag = z.imag[shown]
+    for i, sign, part in zip(shown.tolist(), np.where(imag >= 0, "+", "-").tolist(),
+                             ("%.12gi\n" * shown.size % tuple(np.abs(imag).tolist())).split("\n")):
+        texts[i] += sign + part
+    return texts[:-1]
+
+
+def _report_lines(reports) -> list:
+    """One line per report, formatted by columns: one ``%`` per run of reports with the same inputs."""
+    lines = []
+    for keys, group in groupby(reports, key=lambda rep: tuple(rep.inputs)):
+        group = list(group)
+        line = "kind=%s " + "".join(f"{key}=%s " for key in keys) + "lhs=%s rhs=%s rel_diff=%.3e%s\n"
+        columns = [[rep.kind for rep in group],
+                   *([rep.inputs[key] for rep in group] for key in keys),
+                   _scalar_column([rep.lhs for rep in group]),
+                   _scalar_column([rep.rhs for rep in group]),
+                   [rep.rel_diff for rep in group],
+                   [" conditioning-warning" if rep.conditioning_warning else "" for rep in group]]
+        lines.extend((line * len(group) % tuple(chain.from_iterable(zip(*columns)))).split("\n")[:-1])
+    return lines
+
+
 def _cmd_identity(args) -> int:
     reports = _identity_reports(args)
-    lines = [
-        f"kind={rep.kind} {' '.join(f'{key}={val}' for key, val in rep.inputs.items())} "
-        f"lhs={format_scalar(rep.lhs)} rhs={format_scalar(rep.rhs)} rel_diff={rep.rel_diff:.3e}"
-        + (" conditioning-warning" if rep.conditioning_warning else "")
-        for rep in reports
-    ]
+    lines = _report_lines(reports)
     checked = [rep.rel_diff for rep in reports if not rep.conditioning_warning]
     worst = float(np.max(checked)) if checked else 0.0  # NaN if any is NaN
     lines.append(f"max rel_diff = {worst:.3e} over {len(reports)} evaluations")
@@ -313,25 +338,25 @@ def dispersion_rows(method: str, n: int):
         values = gevp_eigenvalues(stiffness, mass, n - 1, HankelVariant.SET1)
         # scale_pencil's factor c1 / c2, applied to the values alone
         discrete = np.sort((values * (complex(c1) / complex(c2))).real)
-        branches = [""] * (n - 1)
+        branches = [""] * discrete.size
     elif method == "fem2":
         discrete = np.sort(fem_p2_eigenvalues(n))
         flat = 10.0 * n * n
-        branches = ["minus" if v < flat else ("10n^2" if v == flat else "plus") for v in discrete]
+        branches = np.where(discrete < flat, "minus", np.where(discrete == flat, "10n^2", "plus")).tolist()
     else:
         raise SpecmatError(f"unknown dispersion method {method!r}")
-    rows = []
-    for j, lam in enumerate(discrete.tolist(), start=1):  # Python floats format faster
-        exact = (j * np.pi) ** 2
-        rows.append((j, lam, exact, abs(lam - exact) / exact, branches[j - 1]))
-    return rows
+    j = np.arange(1, discrete.size + 1)
+    angle = j * np.pi
+    exact = angle * angle  # the correctly rounded square of angle
+    rel_error = np.abs(discrete - exact) / exact
+    return list(zip(j.tolist(), discrete.tolist(), exact.tolist(), rel_error.tolist(), branches))
 
 
 def _cmd_dispersion(args) -> int:
     rows = dispersion_rows(args.method, args.n)
-    lines = ["j,lambda_h,lambda_exact,rel_error,branch"]
-    lines.extend("%d,%.17g,%.17g,%.17g,%s" % row for row in rows)
-    _emit(lines, args.out)
+    _emit(["j,lambda_h,lambda_exact,rel_error,branch",
+           ("%d,%.17g,%.17g,%.17g,%s\n" * len(rows) % tuple(chain.from_iterable(rows)))[:-1]],
+          args.out)
     return 0
 
 

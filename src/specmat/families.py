@@ -1,17 +1,23 @@
 """Builders for every structured matrix family the library knows about.
 
-All builders return dense complex arrays, assembled in place from their
-structure: one strided write per diagonal of a zero-filled array, the Hankel
-corners (O(m^2) entries) added into that array, the cubic elements scattered
-in one vectorized add.  Beyond the zero fill, the work follows the nonzeros.
-The four Hankel boundary-correction variants differ only in which corner
-entries they touch and in the sign with which the correction combines with
-the banded Toeplitz part.
+Every family is banded with a small bandwidth m, and symmetric (complex
+symmetric, not Hermitian).  Each has one representation, a
+:class:`SymmetricBand`: LAPACK's upper band storage, an ``(m+1, n)`` complex
+array with ``ab[m+i-j, j] = A[i, j]`` for ``i <= j`` (*LAPACK Users'
+Guide*, section 5.3.3).  The ``*_band`` and ``*_bands`` functions return it;
+assembling a band costs O(n m).  The Hankel corners (O(m^2) entries) are
+folded into the band, and the cubic elements are written one diagonal
+pattern at a time.  The dense builders return the same matrices as dense
+complex arrays: a zero fill plus one strided write per band diagonal, above
+and below.  The four Hankel boundary-correction variants differ only in
+which corner entries they touch and in the sign with which the correction
+combines with the banded Toeplitz part.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +57,34 @@ class HankelVariant(enum.IntEnum):
             raise ValueError(f"unknown Hankel variant {value!r}") from exc
 
 
+class SymmetricBand(NamedTuple):
+    """A symmetric matrix in upper band storage.
+
+    ``ab`` has shape ``(m+1, n)`` and holds ``A[i, j]`` at ``ab[m+i-j, j]``
+    for ``max(0, j-m) <= i <= j``: row ``m - k`` is diagonal k, from column
+    k on.  The unused entries ``ab[m-k, :k]`` are zero.
+    """
+
+    ab: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, entry for entry (signed zeros included) that of the band."""
+        return _dense(self.ab)
+
+
+def _dense(ab: np.ndarray) -> np.ndarray:
+    """Zeros plus one strided write per band diagonal, above and below."""
+    m, n = ab.shape[0] - 1, ab.shape[1]
+    out = np.zeros((n, n), dtype=ab.dtype)
+    flat = out.reshape(-1)
+    for k in range(min(m, n - 1) + 1):
+        diagonal = ab[m - k, k:]
+        flat[k:n * (n - k):n + 1] = diagonal  # diagonal k above
+        if k:
+            flat[k * n::n + 1] = diagonal  # and below
+    return out
+
+
 def as_band(values) -> np.ndarray:
     band = np.atleast_1d(np.asarray(values, dtype=complex))
     if band.ndim != 1 or band.size == 0:
@@ -65,29 +99,20 @@ def _check_bandwidth(m: int, n: int):
         raise BadBandwidthError(f"bandwidth m={m} too large for dimension n={n}")
 
 
-def _diagonal(a: np.ndarray, k: int) -> np.ndarray:
-    """Writable view of diagonal ``k`` of the square C-contiguous array ``a``; ``k < 0`` lies below."""
-    n = a.shape[0]
-    flat = a.reshape(-1)
-    return flat[k:n * (n - k):n + 1] if k >= 0 else flat[-k * n::n + 1]
-
-
-def _banded(band: np.ndarray, n: int) -> np.ndarray:
-    """The n x n symmetric Toeplitz matrix of ``band``: one strided write per diagonal."""
-    out = np.zeros((n, n), dtype=complex)
-    flat = out.reshape(-1)
-    for k, value in enumerate(band[:n].tolist()):
-        flat[k:n * (n - k):n + 1] = value  # diagonal k above
-        flat[k * n::n + 1] = value  # and below
-    return out
+def _toeplitz_ab(band: np.ndarray, n: int) -> np.ndarray:
+    """Band storage of the n x n symmetric Toeplitz matrix of ``band``, whose size is m + 1."""
+    m = band.size - 1
+    ab = np.zeros((m + 1, n), dtype=complex)
+    for k, value in enumerate(band.tolist()):
+        ab[m - k, k:] = value
+    return ab
 
 
 def build_toeplitz(band, n: int) -> np.ndarray:
     """Symmetric banded Toeplitz matrix with ``T[j, j+k] = band[|k|]``."""
     band = as_band(band)
-    m = band.size - 1
-    _check_bandwidth(m, n)
-    return _banded(band, n)
+    _check_bandwidth(band.size - 1, n)
+    return _dense(_toeplitz_ab(band, n))
 
 
 # each variant's top-left corner, top[at + r, at + c] = band[r + c + lead] (zero
@@ -128,6 +153,22 @@ def _hankel_corner(band: np.ndarray, n: int, variant: HankelVariant) -> np.ndarr
     return corner
 
 
+def _fold_corners(ab: np.ndarray, diagonals) -> np.ndarray:
+    """Write a symmetric m x m top-left block over the band ``ab``, and its
+    persymmetric reflection over the bottom-right block.
+
+    ``diagonals[k]`` is the block's diagonal k, for k < m.  When the blocks
+    overlap (``n = 2m - 1``) they share one entry, the block's last diagonal
+    entry, which both writes agree on.
+    """
+    rows, n = ab.shape
+    m = len(diagonals)
+    for k, diagonal in enumerate(diagonals):
+        ab[rows - 1 - k, k:m] = diagonal
+        ab[rows - 1 - k, n - m + k:] = diagonal[::-1]
+    return ab
+
+
 def build_hankel(band, n: int, variant) -> np.ndarray:
     """Corner Hankel correction for one of the four boundary rules.
 
@@ -137,34 +178,59 @@ def build_hankel(band, n: int, variant) -> np.ndarray:
     corrections collide.
     """
     band = as_band(band)
+    corner = _hankel_corner(band, n, HankelVariant.coerce(variant))
+    diagonals = [np.diagonal(corner, k) for k in range(corner.shape[0])]
+    return _dense(_fold_corners(np.zeros((band.size, n), dtype=complex), diagonals))
+
+
+def _toeplitz_hankel_ab(band, n: int, variant) -> np.ndarray:
+    band = as_band(band)
     variant = HankelVariant.coerce(variant)
-    corner = _hankel_corner(band, n, variant)
-    m = corner.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    out[:m, :m] = corner
-    out[n - m:, n - m:] = corner[::-1, ::-1]
-    return out
+    m = band.size - 1
+    _check_bandwidth(m, n)
+    sign = variant.sign
+    signed = sign * _hankel_corner(band, n, variant)
+    # the diagonals of the top-left m x m block of T + sign * H
+    block = [band[k] + np.diagonal(signed, k) for k in range(m)]
+    # off the corners H is zero, and adding sign * 0 turns some -0.0 parts into +0.0
+    return _fold_corners(_toeplitz_ab(band + sign * 0j, n), block)
+
+
+def toeplitz_hankel_band(band, n: int, variant) -> SymmetricBand:
+    """The band of :func:`assemble_toeplitz_hankel`'s matrix, bandwidth ``len(band) - 1``."""
+    return SymmetricBand(_toeplitz_hankel_ab(band, n, variant))
 
 
 def assemble_toeplitz_hankel(band, n: int, variant) -> np.ndarray:
     """Toeplitz part combined with the variant's Hankel correction.
 
     SET1/SET2 produce ``T - H``, SET3/SET4 produce ``T + H``.  The result is
-    always symmetric and persymmetric.  It is assembled in place, the band's
-    diagonals and then the two m x m corner blocks, and every entry, signed
-    zeros included, is that of the whole-matrix ``T + sign * H``.
+    always symmetric and persymmetric.  Every entry, signed zeros included,
+    is that of the whole-matrix ``T + sign * H``; the corner blocks are
+    folded into the band, so the Hankel part costs O(m^2).
     """
-    band = as_band(band)
-    variant = HankelVariant.coerce(variant)
-    m = band.size - 1
-    _check_bandwidth(m, n)
-    sign = variant.sign
-    block = _banded(band, m) + sign * _hankel_corner(band, n, variant)  # top-left m x m
-    # off the corners H is zero, and adding sign * 0 turns some -0.0 parts into +0.0
-    out = _banded(band + sign * 0j, n)
-    out[:m, :m] = block
-    out[n - m:, n - m:] = block[::-1, ::-1]  # T's corner blocks are persymmetric
-    return out
+    return _dense(_toeplitz_hankel_ab(band, n, variant))
+
+
+def _corner_block_ab(xi, half_n: int) -> np.ndarray:
+    xi = np.asarray(xi, dtype=complex)
+    if xi.shape != (4,):
+        raise ValueError("expected exactly four block parameters")
+    if half_n < 1:
+        raise TooSmallError(f"half_n={half_n} must be at least 1")
+    ab = np.zeros((3, 2 * half_n + 1), dtype=complex)
+    # the diagonal alternates xi[3], xi[0]; every second row from the second
+    # couples two steps over, to the column two to its right
+    ab[2, 0::2] = xi[3]
+    ab[2, 1::2] = xi[0]
+    ab[1, 1:] = xi[1]
+    ab[0, 3::2] = xi[2]
+    return ab
+
+
+def corner_block_band(xi, half_n: int) -> SymmetricBand:
+    """The band of :func:`build_corner_block`'s matrix, bandwidth 2."""
+    return SymmetricBand(_corner_block_ab(xi, half_n))
 
 
 def build_corner_block(xi, half_n: int) -> np.ndarray:
@@ -174,22 +240,7 @@ def build_corner_block(xi, half_n: int) -> np.ndarray:
     first off-diagonal is ``xi[1]``, and even rows couple two steps over via
     ``xi[2]``.  Adjacent 3x3 blocks share one corner entry.
     """
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (4,):
-        raise ValueError("expected exactly four block parameters")
-    if half_n < 1:
-        raise TooSmallError(f"half_n={half_n} must be at least 1")
-    dim = 2 * half_n + 1
-    g = np.zeros((dim, dim), dtype=complex)
-    # the diagonal alternates xi[3], xi[0]; every second row from the second
-    # couples two steps over
-    _diagonal(g, 0)[0::2] = xi[3]
-    _diagonal(g, 0)[1::2] = xi[0]
-    for k in (1, -1):
-        _diagonal(g, k)[:] = xi[1]
-    for k in (2, -2):
-        _diagonal(g, k)[1::2] = xi[2]
-    return g
+    return _dense(_corner_block_ab(xi, half_n))
 
 
 # quadratic-element parameters: (even diagonal, off-diagonal, even skip, odd diagonal)
@@ -216,18 +267,61 @@ _FEM_P3_M_LOCAL = np.array(
 )
 
 
+def _fem_p2_abs(n_elems: int):
+    if n_elems < 2:
+        raise TooSmallError(f"need at least 2 elements, got {n_elems}")
+    h = 1.0 / n_elems
+    return (_corner_block_ab(np.asarray(FEM_P2_STIFFNESS_BAND, dtype=complex) / h, n_elems - 1),
+            _corner_block_ab(np.asarray(FEM_P2_MASS_BAND, dtype=complex) * h, n_elems - 1))
+
+
+def fem_p2_bands(n_elems: int):
+    """The bands of :func:`build_fem_p2`'s ``(K, M)``, bandwidth 2."""
+    return tuple(SymmetricBand(ab) for ab in _fem_p2_abs(n_elems))
+
+
 def build_fem_p2(n_elems: int):
     """Stiffness and mass matrices of quadratic elements on a uniform unit-interval mesh.
 
     Homogeneous Dirichlet ends, ``n_elems`` elements, matrices of dimension
     ``2*n_elems - 1``.  Returns ``(K, M)`` scaled by ``1/h`` and ``h``.
     """
+    return tuple(_dense(ab) for ab in _fem_p2_abs(n_elems))
+
+
+# _FEM_P3_SLOTS[k, a] indexes local[a, a + k] in the flattened local matrix, or
+# the zero appended after it when a + k > 3
+_FEM_P3_SLOTS = np.array([[5 * a + k if a + k <= 3 else 16 for a in range(3)] for k in range(4)])
+
+
+def _fem_p3_element_ab(local: np.ndarray, dim: int) -> np.ndarray:
+    """Band storage of the cubic elements' assembly of ``local``.
+
+    Node g (matrix index g - 1) sits in slot ``g % 3`` of its element: 0 for
+    a vertex, which closes one element and opens the next, and 1, 2 for the
+    interior nodes.  Entry ``(i, i + k)`` is ``local[a, a + k]`` for the slot
+    a of row i, zero past the element, and a vertex's diagonal is the sum of
+    both elements' entries.  Every diagonal is thus a pattern of period 3.
+    """
+    pattern = np.append(local.ravel(), 0.0)[_FEM_P3_SLOTS]
+    pattern[0, 0] = local[3, 3] + local[0, 0]
+    k = np.arange(3, -1, -1)[:, None]  # row 3 - k holds diagonal k
+    j = np.arange(dim)
+    # column j of diagonal k holds row i = j - k, node i + 1
+    return np.where(j >= k, pattern[k, (j - k + 1) % 3], 0.0).astype(complex)
+
+
+def _fem_p3_abs(n_elems: int):
     if n_elems < 2:
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
     h = 1.0 / n_elems
-    stiffness = build_corner_block(np.asarray(FEM_P2_STIFFNESS_BAND, dtype=complex) / h, n_elems - 1)
-    mass = build_corner_block(np.asarray(FEM_P2_MASS_BAND, dtype=complex) * h, n_elems - 1)
-    return stiffness, mass
+    dim = 3 * n_elems - 1
+    return _fem_p3_element_ab(_FEM_P3_K_LOCAL / h, dim), _fem_p3_element_ab(_FEM_P3_M_LOCAL * h, dim)
+
+
+def fem_p3_bands(n_elems: int):
+    """The bands of :func:`build_fem_p3`'s ``(K, M)``, bandwidth 3."""
+    return tuple(SymmetricBand(ab) for ab in _fem_p3_abs(n_elems))
 
 
 def build_fem_p3(n_elems: int):
@@ -236,22 +330,7 @@ def build_fem_p3(n_elems: int):
     Homogeneous Dirichlet ends, ``n_elems`` elements, matrices of dimension
     ``3*n_elems - 1``; element blocks overlap in the shared-node corner.
     """
-    if n_elems < 2:
-        raise TooSmallError(f"need at least 2 elements, got {n_elems}")
-    h = 1.0 / n_elems
-    dim = 3 * n_elems - 1
-    # element e holds global nodes 3e..3e+3; nodes 0 and 3*n_elems are the
-    # clamped boundary, and node g is matrix index g - 1
-    nodes = 3 * np.arange(n_elems)[:, None] + np.arange(4)
-    rows = np.broadcast_to(nodes[:, :, None], (n_elems, 4, 4))
-    cols = np.broadcast_to(nodes[:, None, :], (n_elems, 4, 4))
-    kept = (rows >= 1) & (rows <= dim) & (cols >= 1) & (cols <= dim)
-    index = (rows[kept] - 1, cols[kept] - 1)  # element by element, each in local order
-    stiffness = np.zeros((dim, dim), dtype=complex)
-    mass = np.zeros((dim, dim), dtype=complex)
-    np.add.at(stiffness, index, np.broadcast_to(_FEM_P3_K_LOCAL / h, rows.shape)[kept])
-    np.add.at(mass, index, np.broadcast_to(_FEM_P3_M_LOCAL * h, rows.shape)[kept])
-    return stiffness, mass
+    return tuple(_dense(ab) for ab in _fem_p3_abs(n_elems))
 
 
 def assemble_tensor_pencil(a, b, c, d):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, NotHermitianError, SingularDenominatorError
 from .linalg import as_square, hermitian_eigen, is_hermitian
-from .oracle import solve_gevp_numeric, stacked_gevp_eigenvalues
+from .oracle import _eigenpairs, stacked_gevp_eigenvalues
 from .spectra import symbol
 
 GAP_WARNING_TOL = 1e-6
@@ -153,20 +153,6 @@ def eve_identity_evp_all(a) -> list:
     return _table_reports("eve-evp", *_evp_table(a))
 
 
-def _route(b) -> str:
-    """The oracle route of a Hermitian pencil with right side B, for it and all its minors.
-
-    A positive-definite B makes every principal minor positive definite, so
-    one decision serves the whole table and no minor's values depend on
-    which other minors are evaluated with it.
-    """
-    try:
-        np.linalg.cholesky(b)
-    except np.linalg.LinAlgError:
-        return "general"
-    return "hermitian"
-
-
 def _gevp_table(a, b, form, pair=None):
     """:func:`_evp_table` for the pencil ``A x = lam B x`` in either form."""
     a, b = as_square(a), as_square(b)
@@ -175,11 +161,13 @@ def _gevp_table(a, b, form, pair=None):
     if form not in (PROOF_FORM, LITERAL_FORM):
         raise ValueError(f"unknown form {form!r}")
     ks = _minor_indices(a.shape[0], pair)
-    method = _route(b)
-    sol = solve_gevp_numeric(a, b, method)  # unit vectors, values by (real, imag)
-    lams, vectors = sol.values, sol.vectors
-    if not (a.imag.any() or b.imag.any()):
-        a, b = a.real, b.real  # real minors run the real LAPACK routines
+    # unit vectors, values by (real, imag); a real pencil comes back real, so
+    # that its minors run the real LAPACK routines
+    a, b, lams, vectors, hermitian = _eigenpairs(a, b, "auto")
+    # a positive-definite B makes every principal minor positive definite, so
+    # the pencil's route serves the whole table, and no minor's values depend
+    # on which other minors are evaluated with it
+    method = "hermitian" if hermitian else "general"
     minors_b = _minor_stack(b, ks)
     products = _minor_products(lams, stacked_gevp_eigenvalues(_minor_stack(a, ks), minors_b, method))
     gaps = _products_but_own(lams[:, None] - lams[None, :])

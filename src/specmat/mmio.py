@@ -3,113 +3,206 @@
 Real matrices are written in the dense ``array real general`` format;
 complex matrices use ``coordinate complex`` with symmetric storage whenever
 the matrix equals its transpose.  Entries are rendered with 17 significant
-digits so a read-back reproduces the floats bit for bit.
+digits so a read-back reproduces the floats bit for bit (Boisvert, Pozo &
+Remington, "The Matrix Market exchange formats", NIST, 1996).
 
-The built matrices are banded, so most entries are zero, and both
-directions pay per nonzero rather than per entry: the writer formats only
-the entries that are not +0.0 (the rest are the literal line ``0``, or
-``0 0`` for a complex array) and the reader converts only the tokens that
-are not the literal ``0``.  When at most half the tokens are ``0``, picking
-them out costs more than it saves, and the reader converts every token.
-The bytes written and the floats read back are those of formatting and
-parsing every entry.
+The built matrices are banded, so most entries are zero.  What follows the
+nonzeros and what follows the bytes:
+
+- The writer takes a dense matrix or a :class:`~specmat.families.SymmetricBand`.
+  From a band it never forms the n x n matrix: the coordinate entries and
+  the array layout's formatted entries come straight from the band's
+  O(n m) slots, and only the string of literal ``0`` lines between them
+  grows with n^2.  From a dense matrix, finding the nonzeros is one
+  vectorized pass over the n^2 entries.  Either way, only entries that are
+  not +0.0 are formatted (the rest are the literal line ``0``, or ``0 0``
+  for a complex array), and the bytes are those of formatting every entry.
+- The reader makes one numpy pass over the body's bytes, which finds the
+  token boundaries, the non-blank lines and the literal ``0`` tokens; its
+  cost follows the bytes, at a few numpy operations per byte.  ``float``
+  then runs only on the other tokens.  A body in which at most half the
+  tokens are ``0`` (a coordinate file, a dense array) is split and
+  converted whole, which costs less than picking the zeros out.  The floats
+  read back are those of parsing every token.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+
+from .families import SymmetricBand
 
 HEADER_PREFIX = "%%MatrixMarket matrix"
 _FLOAT = "%.17g"
 
-# str.splitlines' line breaks in ASCII text become "\n" (reading in text mode
-# has already turned "\r" and "\r\n" into "\n"); the other whitespace
-# characters, which str.split also splits on, are deleted by _INLINE_SPACE
-_NEWLINES = str.maketrans("\x0b\x0c\x1c\x1d\x1e", "\n" * 5)
-_INLINE_SPACE = str.maketrans("", "", " \t\x1f")
+# the characters str.split splits on besides "\n" and " ": the other line breaks
+# of str.splitlines (reading in text mode has already turned "\r\n" and "\r" into
+# "\n") become "\n", the other blanks " "
+_LINE_BREAKS = "\x0b\x0c\r\x1c\x1d\x1e"
+_BLANKS = "\t\x1f"
+_PLAIN = str.maketrans(_LINE_BREAKS + _BLANKS, "\n" * len(_LINE_BREAKS) + " " * len(_BLANKS))
+_LINE_BREAK = re.compile(f"[\n{_LINE_BREAKS}]")
 
 
-def _array_body(parts: np.ndarray) -> str:
-    """Array-layout lines, one row of ``parts`` (one entry) per line.
+def _array_body(at: np.ndarray, fields: list, size: int, width: int, spec: str = _FLOAT) -> str:
+    """Array-layout lines for ``size`` entries of ``width`` parts each.
 
-    An entry whose parts are all +0.0 is the literal ``0`` per part, which is
-    what ``%.17g`` makes of it; -0.0 and NaN parts have other bits and are
-    formatted.
+    The entries at the sorted positions ``at`` take their parts from
+    ``fields``, in order, by the format ``spec`` each; every other entry is
+    the literal ``0`` per part, which is what ``%.17g`` makes of +0.0.
     """
-    width = parts.shape[1]
-    lines = (" ".join(["0"] * width) + "\n", " ".join([_FLOAT] * width) + "\n")
-    formatted = parts.view(np.uint64).any(axis=1)  # +0.0 alone has no bit set
+    zero, line = " ".join(["0"] * width) + "\n", " ".join([spec] * width) + "\n"
+    if not at.size:
+        return zero * size
     # the entries come in runs of formatted ones and of zeros: one string product per run
-    starts = np.flatnonzero(np.concatenate(([True], formatted[1:] != formatted[:-1]))[:formatted.size])
-    counts = np.diff(starts, append=formatted.size)
-    template = "".join(lines[kind] * count
-                       for kind, count in zip(formatted[starts].tolist(), counts.tolist()))
-    return template % tuple(parts[formatted].ravel().tolist())
+    first = np.flatnonzero(np.diff(at, prepend=-2) != 1)  # where each formatted run starts
+    last = np.append(first[1:], at.size) - 1
+    gaps = at[first] - np.append(0, at[last[:-1]] + 1)
+    template = "".join(zero * gap + line * count
+                       for gap, count in zip(gaps.tolist(), (last - first + 1).tolist()))
+    template += zero * (size - 1 - int(at[-1]))
+    return template % tuple(fields)
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """``%.17g`` of every float of ``values``, as an object array of the same shape.
+
+    Each distinct bit pattern is formatted once.  A band holds few distinct
+    values, since each Toeplitz diagonal repeats one, and placing a string
+    costs a tenth of formatting a float to 17 digits.
+    """
+    distinct, index = np.unique(np.ascontiguousarray(values).view(np.uint64), return_inverse=True)
+    texts = f"{_FLOAT}\n" * distinct.size % tuple(distinct.view(float).tolist())
+    return np.array(texts.split("\n")[:-1], dtype=object)[index.reshape(values.shape)]
+
+
+def _band_body(ab: np.ndarray, fmt: str, real: bool):
+    """Body and entry count of the file of the symmetric matrix in the band ``ab``.
+
+    The n x n matrix is never formed.  Coordinate: the lower triangle row by
+    row, where row i holds ``(i, i - m + t) = ab[t, i]`` for ``t = 0..m``, so
+    the band's columns in order are the entries in order.  Array: column c
+    of the matrix holds rows ``c - m .. c + m`` of its band, ``ab[:, c]``
+    and then, mirrored, diagonal d of the band at column ``c + d``.
+    """
+    m, n = ab.shape[0] - 1, ab.shape[1]
+    if fmt == "coordinate":
+        lower = ab.T
+        kept = (np.arange(m + 1) >= m - np.arange(n)[:, None]) & ((lower.real != 0) | (lower.imag != 0))
+        i, t = np.divmod(np.flatnonzero(kept), m + 1)
+        fields = np.empty((i.size, 4), dtype=object)
+        fields[:, 0], fields[:, 1] = (i + 1).tolist(), (i - m + t + 1).tolist()
+        fields[:, 2:] = _texts(lower[i, t].view(float).reshape(-1, 2))
+        return "%d %d %s %s\n" * i.size % tuple(fields.ravel().tolist()), i.size
+    column = np.zeros((n, 2 * m + 1), dtype=ab.dtype)
+    column[:, :m + 1] = ab.T
+    for d in range(1, min(m, n - 1) + 1):
+        column[:n - d, m + d] = ab[m - d, d:]
+    row = np.arange(n)[:, None] - m + np.arange(2 * m + 1)
+    parts = column.view(float).reshape(n, 2 * m + 1, 2)[:, :, :1 if real else 2]
+    kept = (row >= 0) & (row < n) & parts.view(np.uint64).any(axis=2)  # not +0.0 alone
+    at = (np.arange(n)[:, None] * n + row)[kept]  # column-major positions, in order
+    return _array_body(at, _texts(parts[kept]).ravel().tolist(), n * n, parts.shape[2], "%s"), None
 
 
 def write_matrix_market(a, path, fmt: str | None = None) -> str:
-    """Write a dense matrix to ``path`` in Matrix Market form.
+    """Write a matrix to ``path`` in Matrix Market form.
 
-    ``fmt`` may force ``"array"`` or ``"coordinate"``; by default real
-    matrices go to the array format and complex ones to coordinate.
-    Returns the header line that was written.
+    ``a`` is a dense matrix or a :class:`~specmat.families.SymmetricBand`;
+    both write the same bytes for the same matrix.  ``fmt`` may force
+    ``"array"`` or ``"coordinate"``; by default real matrices go to the
+    array format and complex ones to coordinate.  Returns the header line
+    that was written.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("only 2-D matrices can be written")
-    rows, cols = a.shape
-    # which parts are nonzero, real and imaginary side by side: one vectorized
-    # comparison, several times faster than comparing the complex entries
-    nonzero = np.ascontiguousarray(a).view(float) != 0
-    real = not nonzero[:, 1::2].any()
+    band = isinstance(a, SymmetricBand)
+    if band:
+        ab = np.asarray(a.ab, dtype=complex)
+        rows = cols = ab.shape[1]
+        real = not ab.imag.any()
+        if np.isnan(ab.view(float)).any():
+            # a NaN entry is not equal to its mirror, so the file is not symmetric
+            a, band = SymmetricBand(ab).dense(), False
+    if not band:
+        a = np.asarray(a, dtype=complex)
+        if a.ndim != 2:
+            raise ValueError("only 2-D matrices can be written")
+        rows, cols = a.shape
+        # which parts are nonzero, real and imaginary side by side: one vectorized
+        # comparison, several times faster than comparing the complex entries
+        nonzero = np.ascontiguousarray(a).view(float) != 0
+        real = not nonzero[:, 1::2].any()
     if fmt is None:
         fmt = "array" if real else "coordinate"
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"unknown format {fmt!r}")
 
-    if fmt == "array":
-        field = "real" if real else "complex"
-        header = f"{HEADER_PREFIX} array {field} general"
-        size_line = f"{rows} {cols}"
+    symmetric = True
+    if band:
+        body, nnz = _band_body(ab, fmt, real)
+    elif fmt == "array":
         flat = a.T.ravel()  # array format is column-major
         # the float view interleaves real and imaginary parts
-        body = _array_body(flat.real[:, None] if real else flat.view(float).reshape(-1, 2))
+        parts = flat.real[:, None] if real else flat.view(float).reshape(-1, 2)
+        at = np.flatnonzero(parts.view(np.uint64).any(axis=1))  # not +0.0 alone
+        body = _array_body(at, parts[at].ravel().tolist(), flat.size, parts.shape[1])
     else:
         i, j = np.divmod(np.flatnonzero(nonzero[:, 0::2] | nonzero[:, 1::2]), cols)  # row-major
         # equal to its transpose when every nonzero entry equals its mirror
         symmetric = rows == cols and bool(np.all(a[j, i] == a[i, j]))
-        shape_word = "symmetric" if symmetric else "general"
-        header = f"{HEADER_PREFIX} coordinate complex {shape_word}"
         if symmetric:  # the lower triangle only
             lower = i >= j
             i, j = i[lower], j[lower]
         parts = np.stack((i + 1, j + 1, a.real[i, j], a.imag[i, j]), axis=1)
-        size_line = f"{rows} {cols} {i.size}"
-        body = f"%d %d {_FLOAT} {_FLOAT}\n" * i.size % tuple(parts.ravel().tolist())
+        body, nnz = f"%d %d {_FLOAT} {_FLOAT}\n" * i.size % tuple(parts.ravel().tolist()), i.size
 
+    if fmt == "array":
+        header = f"{HEADER_PREFIX} array {'real' if real else 'complex'} general"
+        size_line = f"{rows} {cols}"
+    else:
+        header = f"{HEADER_PREFIX} coordinate complex {'symmetric' if symmetric else 'general'}"
+        size_line = f"{rows} {cols} {nnz}"
     with open(path, "w", encoding="ascii") as handle:
         handle.write(f"{header}\n{size_line}\n{body}")
     return header
 
 
-def _count_lines(text: str) -> int:
-    """How many lines of ``text``, whose line breaks are all ``\\n``, are not blank."""
-    text = text.translate(_INLINE_SPACE)
-    while "\n\n" in text:
-        text = text.replace("\n\n", "\n")
-    text = text.strip("\n")
-    return text.count("\n") + 1 if text else 0
+def _body_values(body: str, layout: str, lines: int, count: int) -> np.ndarray:
+    """The ``count`` numbers of ``body``, which must hold ``lines`` non-blank lines.
 
-
-def _parse_floats(tokens, count) -> np.ndarray:
-    if len(tokens) != count:
-        raise ValueError(f"expected {count} numbers in the body, found {len(tokens)}")
-    if 2 * tokens.count("0") <= count:  # mostly nonzero: masking would cost more than it saves
-        return np.array(tokens, dtype=float)
-    tokens = np.array(tokens, dtype=object)
+    One numpy pass over the bytes finds what ``body.split()`` and
+    ``str.splitlines`` would: the tokens, the non-blank lines and the
+    tokens that are the literal ``0``.
+    """
+    if any(c in body for c in _LINE_BREAKS + _BLANKS):
+        body = body.translate(_PLAIN)  # now "\n" and " " are the only separators
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    breaks, blanks = raw == ord("\n"), raw == ord(" ")
+    separator = np.ones(raw.size + 2, dtype=bool)  # padded: both ends act as separators
+    np.logical_or(breaks, blanks, out=separator[1:-1])
+    if "\n " in body or body.startswith(" "):
+        # some line starts with blanks: leave them out, so that each non-blank
+        # line starts with a token byte right after a break (or at the start)
+        breaks = breaks.compress(~blanks)
+        token = ~breaks
+    else:
+        token = ~separator[1:-1]
+    found = np.count_nonzero(breaks[:-1] & token[1:]) + bool(token[:1].any())
+    if found != lines:
+        raise ValueError(f"{layout} body length does not match the size line")
+    starts = separator[:-2] > separator[1:-1]  # a separator, then a token byte
+    tokens = np.count_nonzero(starts)
+    if tokens != count:
+        raise ValueError(f"expected {count} numbers in the body, found {tokens}")
+    zeros = (raw == ord("0")) & separator[:-2] & separator[2:]  # the one-byte tokens "0"
+    if 2 * np.count_nonzero(zeros) <= count:  # mostly nonzero: masking would cost more than it saves
+        return np.array(body.split(), dtype=float)
+    # the literal 0 is +0.0 and needs no parsing: blank it out, then parse the rest
+    others = raw - (ord("0") - ord(" ")) * zeros.view(np.uint8)
     values = np.zeros(count)
-    parsed = tokens != "0"  # the literal 0 is +0.0 and needs no parsing
-    values[parsed] = tokens[parsed].astype(float)
+    values[~zeros.take(np.flatnonzero(starts))] = np.array(
+        others.tobytes().decode("ascii").split(), dtype=float)
     return values
 
 
@@ -123,17 +216,18 @@ def read_matrix_market(path) -> np.ndarray:
     """
     with open(path, encoding="ascii") as handle:
         text = handle.read()
-    rest = text.translate(_NEWLINES)
     if "%" in text.partition("\n")[2]:  # comment lines besides the header
-        rest = "\n".join(
-            line for line in rest.split("\n")
+        text = "\n".join(
+            line for line in _LINE_BREAK.split(text)
             if not (line.strip().startswith("%") and not line.strip().startswith("%%"))
         )
-    lines = []
-    while len(lines) < 2 and rest:  # the header and size lines
-        line, _, rest = rest.partition("\n")
-        if line.strip():
-            lines.append(line.strip())
+    lines, end = [], -1
+    while len(lines) < 2 and end < len(text):  # the header and size lines
+        start = end + 1
+        found = _LINE_BREAK.search(text, start)
+        end = found.start() if found else len(text)
+        if text[start:end].strip():
+            lines.append(text[start:end].strip())
     if len(lines) < 2:
         raise ValueError("a Matrix Market file needs a header line and a size line")
     header = lines[0]
@@ -142,15 +236,12 @@ def read_matrix_market(path) -> np.ndarray:
     tokens = header.split()
     _, _, layout, field, shape_word = tokens[:5]
     size = [int(t) for t in lines[1].split()]
-    body_lines = _count_lines(rest)
-    body = rest.split()
+    body = text[end + 1:]
 
     if layout == "array":
         rows, cols = size
-        if body_lines != rows * cols:
-            raise ValueError("array body length does not match the size line")
         width = 1 if field == "real" else 2
-        values = _parse_floats(body, rows * cols * width).reshape(cols, rows, width)
+        values = _body_values(body, layout, rows * cols, rows * cols * width).reshape(cols, rows, width)
         out = np.zeros((rows, cols), dtype=complex)
         out.real = values[:, :, 0].T  # column-major
         if width == 2:
@@ -159,10 +250,8 @@ def read_matrix_market(path) -> np.ndarray:
 
     if layout == "coordinate":
         rows, cols, nnz = size
-        if body_lines != nnz:
-            raise ValueError("coordinate body length does not match the size line")
         width = 4 if field == "complex" else 3
-        entries = _parse_floats(body, nnz * width).reshape(nnz, width)
+        entries = _body_values(body, layout, nnz, nnz * width).reshape(nnz, width)
         i, j = entries[:, 0], entries[:, 1]
         if not (np.all((i >= 1) & (i <= rows) & (i == np.floor(i)))
                 and np.all((j >= 1) & (j <= cols) & (j == np.floor(j)))):

@@ -221,18 +221,11 @@ def _reduce_pencil(a, b, method):
     return a, b, None, [np.linalg.solve(block_b, block_a) for block_a, block_b in blocks]
 
 
-def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
-    """Numerically solve ``A x = lam B x`` with per-mode residuals attached.
+def _eigenpairs(a, b, method):
+    """The values and unit vectors of :func:`solve_gevp_numeric`, without residuals.
 
-    ``method`` picks the route: ``"auto"`` uses the Cholesky/Hermitian path
-    when A, B are Hermitian with B positive definite and otherwise the
-    general path, LAPACK's eigensolver on ``B^{-1} A`` with the values
-    sorted by (real, imag).  ``"hermitian"`` and ``"general"`` force one
-    route, mainly for cross-checks.  Raises :class:`SingularBError` when B
-    is numerically singular.  Vectors are unit-norm and the residuals are
-    those of the full pencil, also when it was solved in centrosymmetric
-    halves.  Callers that read only the eigenvalues use
-    :func:`gevp_eigenvalues_numeric`, which takes the same routes.
+    Returns ``(a, b, values, vectors, hermitian)``: the checked pencil (real
+    arrays for a real pencil), and whether the Hermitian-definite route ran.
     """
     a, b, inv_chols, reduced = _reduce_pencil(a, b, method)
     values, vectors = [], []
@@ -252,7 +245,23 @@ def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
         order = np.argsort(values, kind="stable")
     else:
         order = np.lexsort((values.imag, values.real))
-    values, vectors = values[order], vectors[:, order]
+    return a, b, values[order], vectors[:, order], inv_chols is not None
+
+
+def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
+    """Numerically solve ``A x = lam B x`` with per-mode residuals attached.
+
+    ``method`` picks the route: ``"auto"`` uses the Cholesky/Hermitian path
+    when A, B are Hermitian with B positive definite and otherwise the
+    general path, LAPACK's eigensolver on ``B^{-1} A`` with the values
+    sorted by (real, imag).  ``"hermitian"`` and ``"general"`` force one
+    route, mainly for cross-checks.  Raises :class:`SingularBError` when B
+    is numerically singular.  Vectors are unit-norm and the residuals are
+    those of the full pencil, also when it was solved in centrosymmetric
+    halves.  Callers that read only the eigenvalues use
+    :func:`gevp_eigenvalues_numeric`, which takes the same routes.
+    """
+    a, b, values, vectors, _ = _eigenpairs(a, b, method)
     return EigenSolution(
         modes=np.arange(1, a.shape[0] + 1),
         values=values,

@@ -9,6 +9,9 @@ from specmat import (
     HankelVariant,
     PolynomialPencil,
     assemble_toeplitz_hankel,
+    build_corner_block,
+    build_fem_p2,
+    build_fem_p3,
     cli,
     fem_p2_eigenpairs,
     gevp_eigenpairs,
@@ -16,6 +19,7 @@ from specmat import (
     read_matrix_market,
     scale_pencil,
     solve_pevp_numeric,
+    write_matrix_market,
 )
 from specmat.oracle import pair_values
 from specmat.identities import IdentityReport
@@ -28,6 +32,7 @@ from specmat.cli import (
     _csv_lines,
     _within,
     dispersion_rows,
+    format_scalar,
     main,
     parse_complex_literal,
 )
@@ -103,6 +108,40 @@ class TestBuild:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha, n", [
+        ("4,-1,1/4", 9), ("4+1i,-1+1/2i,1/4i", 9), ("2,0,-1/2", 7), ("3,1/2i,0", 8),
+        ("5/2,-1,1/4", 3), ("4-1i,1/2+1/8i,1/4", 3), ("2,-1", 2), ("2+1i,-1i", 2),
+    ], ids=["real", "complex", "zero-diagonal", "zero-corner", "real-overlap", "complex-overlap",
+            "m1-real", "m1-complex"])
+    def test_toeplitz_hankel_writes_the_bytes_of_the_dense_builder(self, tmp_path, variant, alpha, n):
+        # the overlap edge n = 2m - 1 is n = 3 for m = 2; for m = 1 the smallest n is 2
+        self._assert_same_bytes(
+            tmp_path, ["--family", "toeplitz-hankel", "--variant", str(variant), "--n", str(n), "--alpha", alpha],
+            [assemble_toeplitz_hankel(cli.parse_band(alpha), n, variant)])
+
+    @pytest.mark.parametrize("alpha", ["5,-1,1/2,4", "5+1i,-1,0,4-1/2i", "0,0,0,0"])
+    @pytest.mark.parametrize("half_n", [1, 4])
+    def test_corner_block_writes_the_bytes_of_the_dense_builder(self, tmp_path, alpha, half_n):
+        self._assert_same_bytes(tmp_path, ["--family", "corner-block", "--half-n", str(half_n), "--alpha", alpha],
+                                [build_corner_block(cli.parse_band(alpha), half_n)])
+
+    @pytest.mark.parametrize("family, builder", [("fem-p2", build_fem_p2), ("fem-p3", build_fem_p3)])
+    @pytest.mark.parametrize("n_elems", [2, 7])
+    def test_fem_writes_the_bytes_of_the_dense_builder(self, tmp_path, family, builder, n_elems):
+        self._assert_same_bytes(tmp_path, ["--family", family, "--n-elems", str(n_elems)], builder(n_elems))
+
+    @staticmethod
+    def _assert_same_bytes(tmp_path, argv, matrices):
+        """``build`` writes from the band the bytes that ``write_matrix_market`` writes from each dense matrix."""
+        out = tmp_path / "built"
+        assert main(["build", *argv, "--out", str(out)]) == 0
+        paths = [out] if len(matrices) == 1 else [f"{out}_{name}.mtx" for name in "KM"]
+        for path, matrix in zip(paths, matrices):
+            write_matrix_market(matrix, tmp_path / "dense.mtx")
+            with open(path, "rb") as built, open(tmp_path / "dense.mtx", "rb") as dense:
+                assert built.read() == dense.read()
 
     def test_inconsistent_m_is_validation_error(self, tmp_path):
         code = main(
@@ -474,6 +513,22 @@ class TestIdentityCommand:
         captured = capsys.readouterr()
         assert "max rel_diff = nan over 2 evaluations" in captured.out
         assert captured.err.startswith("error: max rel_diff nan exceeds tolerance")
+
+    def test_lines_are_those_of_the_per_report_format(self):
+        # the per-report f-string that formatting by columns replaced
+        def reference(rep):
+            return (f"kind={rep.kind} {' '.join(f'{key}={val}' for key, val in rep.inputs.items())} "
+                    f"lhs={format_scalar(rep.lhs)} rhs={format_scalar(rep.rhs)} rel_diff={rep.rel_diff:.3e}"
+                    + (" conditioning-warning" if rep.conditioning_warning else ""))
+
+        sides = [0.0, -0.0, 1.5, -2e-13j + 3, 2e-12j - 3, 1 - 1j, complex(0.0, -0.0), complex("nan"),
+                 complex(1, float("nan")), complex(float("inf"), -1), 1e300 - 1e-300j]
+        reports = [IdentityReport("eve-evp", lhs, rhs, 0.0, rel, {"j": j, "k": 2, "n": 9}, j % 3 == 0)
+                   for j, (lhs, rhs, rel) in enumerate(zip(sides, sides[::-1], [0.0, 1e-17, float("nan")] * 4))]
+        reports += [IdentityReport("ti3g", 1.0, 2.0, 1.0, 0.5,
+                                   {"n": 4, "k": 1, "l": 2, "alpha": (2 + 0j, -1 + 0j), "beta": (1j, 0.5)}),
+                    IdentityReport("eve-evp", 1.0, 1.0, 0.0, 0.0, {"j": 1, "k": 1, "n": 2})]
+        assert cli._report_lines(reports) == [reference(rep) for rep in reports]
 
     def test_unknown_kind_is_usage_error(self, capsys):
         assert main(["identity", "--kind", "ti32", "--n", "4"]) == 2

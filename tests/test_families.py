@@ -18,8 +18,12 @@ from specmat import (
     build_fem_p3,
     build_hankel,
     build_toeplitz,
+    corner_block_band,
+    fem_p2_bands,
+    fem_p3_bands,
     hermitian_eigen,
     solve_gevp_numeric,
+    toeplitz_hankel_band,
 )
 from specmat.families import _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL
 
@@ -413,3 +417,60 @@ def test_fem_builders_match_the_loop_references(n_elems):
     stiffness, mass = build_fem_p2(n_elems)
     assert _same_bits(stiffness, _reference_corner_block([14 / 3, -8 / 3, 1 / 3, 16 / 3], n_elems - 1) / h)
     assert _same_bits(mass, _reference_corner_block([4 / 15, 1 / 15, -1 / 30, 8 / 15], n_elems - 1) * h)
+
+
+# ------------------------------------------------------------ band storage
+
+def _assert_is_band_of(band, dense):
+    """``band.ab`` is the upper band storage of ``dense``: ``ab[m+i-j, j] = A[i, j]``
+    for ``j - m <= i <= j``, the unused slots zero, and every other entry of
+    ``dense`` +0.0; ``band.dense()`` is ``dense`` bit for bit."""
+    ab = band.ab
+    m, n = ab.shape[0] - 1, ab.shape[1]
+    assert ab.dtype == complex and dense.shape == (n, n)
+    assert _same_bits(band.dense(), dense)
+    i, j = np.indices((n, n))
+    inside = (i <= j) & (j - i <= m)
+    assert _same_bits(ab[(m + i - j)[inside], j[inside]], dense[inside])
+    assert _same_bits(np.ascontiguousarray(dense.T), dense)
+    assert not dense[~inside & ~inside.T].view(np.uint64).any()
+    for k in range(1, m + 1):
+        assert not ab[m - k, :k].view(np.uint64).any()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_banded_case(), st.sampled_from([1, 2, 3, 4]))
+@example((np.array([-0.0, 1.0, -0.0]), 5), 3)
+@example((np.array([2.0, -1.0 + 0.5j, complex(0.25, -0.5)]), 3), 3)  # the corners meet
+def test_toeplitz_hankel_band_is_the_dense_matrix(case, variant):
+    band, n = case
+    if band.size - 1 <= n - 1:
+        with np.errstate(over="ignore"):  # drawn parts near the float limit overflow in T + H
+            _assert_is_band_of(toeplitz_hankel_band(band, n, variant), assemble_toeplitz_hankel(band, n, variant))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 20), st.lists(_PARTS, min_size=4, max_size=4),
+       st.lists(_PARTS, min_size=4, max_size=4))
+def test_corner_block_band_is_the_dense_matrix(half_n, real, imag):
+    xi = np.array(real, dtype=complex)
+    xi.imag = imag
+    _assert_is_band_of(corner_block_band(xi, half_n), build_corner_block(xi, half_n))
+
+
+@pytest.mark.parametrize("n_elems", [2, 3, 4, 7, 40])
+def test_fem_bands_are_the_dense_matrices(n_elems):
+    for bands, builder in ((fem_p2_bands, build_fem_p2), (fem_p3_bands, build_fem_p3)):
+        for band, dense in zip(bands(n_elems), builder(n_elems)):
+            _assert_is_band_of(band, dense)
+
+
+def test_band_builders_check_as_the_dense_ones():
+    with pytest.raises(BadBandwidthError):
+        toeplitz_hankel_band([1.0, 2.0, 3.0, 4.0], 3, 1)
+    with pytest.raises(OverlapError):
+        toeplitz_hankel_band([1.0, 2.0, 3.0, 4.0], 4, 2)
+    with pytest.raises(TooSmallError):
+        corner_block_band([1, 2, 3, 4], 0)
+    with pytest.raises(TooSmallError):
+        fem_p3_bands(1)

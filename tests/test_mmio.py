@@ -1,13 +1,15 @@
 """Matrix Market round trips and exact header strings."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specmat import (
+    SymmetricBand,
     assemble_toeplitz_hankel,
     build_fem_p2,
     read_matrix_market,
@@ -243,3 +245,169 @@ def test_roundtrip_property(mm_dir, a, fmt):
     assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))  # bit for bit
     for part in ("real", "imag"):
         assert np.array_equal(np.signbit(getattr(back, part)), np.signbit(getattr(expected, part)))
+
+
+# ------------------------------------------------------------ band writer
+
+@st.composite
+def _bands(draw):
+    """Upper band storage of symmetric matrices up to 12 x 12 with bandwidth 1-3.
+
+    The slots hold zeros of both signs, NaN and the special values above, so
+    that files hold runs of the literal 0 around -0.0 and NaN entries, and a
+    NaN makes the matrix unequal to its transpose.
+    """
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    slots = st.one_of(st.sampled_from([0.0, 0.0, 0.0, -0.0, math.nan]), _ENTRIES)
+    ab = np.zeros((m + 1, n), dtype=complex)
+    ab.real = np.reshape(draw(st.lists(slots, min_size=ab.size, max_size=ab.size)), ab.shape)
+    if draw(st.booleans()):
+        ab.imag = np.reshape(draw(st.lists(slots, min_size=ab.size, max_size=ab.size)), ab.shape)
+    for k in range(1, m + 1):
+        ab[m - k, :k] = 0  # the unused slots
+    return SymmetricBand(ab)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_bands(), st.sampled_from([None, "array", "coordinate"]))
+@example(SymmetricBand(np.array([[0, 0, 2, -0.0], [1, complex(0, -0.0), 0, 3]])), None)
+@example(SymmetricBand(np.array([[0, 0, 2, -0.0], [1, 0, 0, 3]])), None)
+def test_band_writes_the_bytes_of_its_dense_matrix(mm_dir, band, fmt):
+    band_path, dense_path = mm_dir / "band.mtx", mm_dir / "dense.mtx"
+    dense = band.dense()
+    assert write_matrix_market(band, band_path, fmt) == write_matrix_market(dense, dense_path, fmt)
+    text = band_path.read_text(encoding="ascii")
+    assert text == dense_path.read_text(encoding="ascii")
+    assert text == _reference_write(dense, fmt)[1]
+
+
+# ------------------------------------------------------------ reader layouts
+
+def _reference_read(path):
+    """The reader that the numpy tokenizer replaced: ``str.split`` and an
+    object-array mask; pins which files are accepted and what they hold."""
+    with open(path, encoding="ascii") as handle:
+        text = handle.read()
+    rest = text.translate(str.maketrans("\x0b\x0c\x1c\x1d\x1e", "\n" * 5))
+    if "%" in text.partition("\n")[2]:
+        rest = "\n".join(
+            line for line in rest.split("\n")
+            if not (line.strip().startswith("%") and not line.strip().startswith("%%"))
+        )
+    lines = []
+    while len(lines) < 2 and rest:
+        line, _, rest = rest.partition("\n")
+        if line.strip():
+            lines.append(line.strip())
+    if len(lines) < 2:
+        raise ValueError("a Matrix Market file needs a header line and a size line")
+    header = lines[0]
+    if not header.startswith("%%MatrixMarket matrix"):
+        raise ValueError(f"not a Matrix Market file: {header!r}")
+    _, _, layout, field, shape_word = header.split()[:5]
+    size = [int(t) for t in lines[1].split()]
+    body_lines = [line for line in rest.translate(str.maketrans("", "", " \t\x1f")).split("\n") if line]
+    tokens = rest.split()
+
+    def parse(count):
+        if len(tokens) != count:
+            raise ValueError(f"expected {count} numbers in the body, found {len(tokens)}")
+        if 2 * tokens.count("0") <= count:
+            return np.array(tokens, dtype=float)
+        masked = np.array(tokens, dtype=object)
+        values = np.zeros(count)
+        parsed = masked != "0"
+        values[parsed] = masked[parsed].astype(float)
+        return values
+
+    if layout == "array":
+        rows, cols = size
+        if len(body_lines) != rows * cols:
+            raise ValueError("array body length does not match the size line")
+        width = 1 if field == "real" else 2
+        values = parse(rows * cols * width).reshape(cols, rows, width)
+        out = np.zeros((rows, cols), dtype=complex)
+        out.real = values[:, :, 0].T
+        if width == 2:
+            out.imag = values[:, :, 1].T
+        return out
+    if layout == "coordinate":
+        rows, cols, nnz = size
+        if len(body_lines) != nnz:
+            raise ValueError("coordinate body length does not match the size line")
+        width = 4 if field == "complex" else 3
+        entries = parse(nnz * width).reshape(nnz, width)
+        i, j = entries[:, 0], entries[:, 1]
+        if not (np.all((i >= 1) & (i <= rows) & (i == np.floor(i)))
+                and np.all((j >= 1) & (j <= cols) & (j == np.floor(j)))):
+            raise ValueError("coordinate index out of range")
+        i, j = i.astype(int) - 1, j.astype(int) - 1
+        if shape_word == "symmetric":
+            i, j = np.concatenate((i, j)), np.concatenate((j, i))
+            entries = np.concatenate((entries, entries))
+        out = np.zeros((rows, cols), dtype=complex)
+        out.real[i, j] = entries[:, 2]
+        if width == 4:
+            out.imag[i, j] = entries[:, 3]
+        return out
+    raise ValueError(f"unsupported layout {layout!r}")
+
+
+# the ten ASCII characters str.split splits on: the line breaks of
+# str.splitlines (with "\r\n" as one) and the blanks within a line
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+_BLANKS = [" ", "\t", "\x1f"]
+
+
+@st.composite
+def _laid_out(draw):
+    """A written file, its lines joined again by drawn separators.
+
+    Tokens within a line after the header are joined by runs of blanks,
+    lines by any line break; blank, whitespace-only and comment lines go in between, and lines
+    may start or end with blanks.  In about one file in four, a body line is
+    merged with the next or split in two, which the size line no longer
+    matches, or a body line starts with ``%%``, which is no comment.
+    """
+    a = draw(_matrices())
+    _, text = _reference_write(a, draw(st.sampled_from([None, "array", "coordinate"])))
+    lines = [line.split(" ") for line in text.split("\n")[:-1]]
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # a seed: drawing each choice costs more
+    blanks = lambda low: "".join(rnd.choices(_BLANKS, k=rnd.randint(low, 2)))  # noqa: E731
+    if len(lines) > 2 and rnd.random() < 0.25:
+        i = rnd.randrange(2, len(lines))
+        fault = rnd.choice(["merge", "split", "%%"])
+        if fault == "merge" and i + 1 < len(lines):
+            lines[i:i + 2] = [lines[i] + lines[i + 1]]
+        elif fault == "split" and len(lines[i]) > 1:
+            lines[i:i + 1] = [lines[i][:1], lines[i][1:]]
+        else:
+            lines.insert(i, ["%%", "not", "a", "comment"])
+    out = []
+    for i, tokens in enumerate(lines):
+        if rnd.random() < 0.3:
+            extra = rnd.choice(["", blanks(1), "% a comment", blanks(1) + "% an indented one"])
+            out += [extra if i else blanks(0), rnd.choice(_BREAKS)]  # no comment before the header
+        joined = [t + blanks(1) for t in tokens[:-1]] if i else [t + " " for t in tokens[:-1]]
+        out += [blanks(0), *joined, tokens[-1], blanks(0), rnd.choice(_BREAKS)]  # the header as it was
+    return "".join(out)
+
+
+def _read_or_error(reader, path):
+    try:
+        return reader(path)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_laid_out())
+def test_reader_matches_the_split_reference_on_any_layout(mm_dir, text):
+    path = mm_dir / "layout.mtx"
+    path.write_bytes(text.encode("ascii"))
+    got, want = _read_or_error(read_matrix_market, path), _read_or_error(_reference_read, path)
+    if want is ValueError:
+        assert got is ValueError
+    else:
+        assert got is not ValueError and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
