@@ -177,25 +177,32 @@ def _body_values(body: str, layout: str, lines: int, count: int) -> np.ndarray:
     """
     if any(c in body for c in _LINE_BREAKS + _BLANKS):
         body = body.translate(_PLAIN)  # now "\n" and " " are the only separators
+    # few fresh arrays of the body's size: filling new memory costs more than the comparisons
     raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    breaks, blanks = raw == ord("\n"), raw == ord(" ")
+    breaks = raw == ord("\n")
     separator = np.ones(raw.size + 2, dtype=bool)  # padded: both ends act as separators
-    np.logical_or(breaks, blanks, out=separator[1:-1])
-    if "\n " in body or body.startswith(" "):
+    inner = separator[1:-1]
+    np.equal(raw, ord(" "), out=inner)
+    work = np.empty(raw.size, dtype=bool)
+    indented = body.startswith(" ") or np.logical_and(breaks[:-1], inner[1:], out=work[:-1]).any()
+    if indented:
         # some line starts with blanks: leave them out, so that each non-blank
-        # line starts with a token byte right after a break (or at the start)
-        breaks = breaks.compress(~blanks)
-        token = ~breaks
-    else:
-        token = ~separator[1:-1]
-    found = np.count_nonzero(breaks[:-1] & token[1:]) + bool(token[:1].any())
+        # line starts with a token byte right after a break
+        breaks_and_tokens = breaks.compress(~inner)
+    inner |= breaks
+    line_breaks, line_separators = (breaks_and_tokens,) * 2 if indented else (breaks, inner)
+    # a non-blank line starts at the first byte, and after each break, where a token byte follows
+    found = (np.count_nonzero(np.greater(line_breaks[:-1], line_separators[1:], out=work[:line_breaks.size - 1]))
+             + bool(line_separators.size and not line_separators[0]))
     if found != lines:
         raise ValueError(f"{layout} body length does not match the size line")
-    starts = separator[:-2] > separator[1:-1]  # a separator, then a token byte
+    starts = separator[:-2] > inner  # a separator, then a token byte
     tokens = np.count_nonzero(starts)
     if tokens != count:
         raise ValueError(f"expected {count} numbers in the body, found {tokens}")
-    zeros = (raw == ord("0")) & separator[:-2] & separator[2:]  # the one-byte tokens "0"
+    zeros = np.equal(raw, ord("0"), out=work)
+    zeros &= separator[:-2]
+    zeros &= separator[2:]  # the one-byte tokens "0"
     if 2 * np.count_nonzero(zeros) <= count:  # mostly nonzero: masking would cost more than it saves
         return np.array(body.split(), dtype=float)
     # the literal 0 is +0.0 and needs no parsing: blank it out, then parse the rest
