@@ -12,11 +12,12 @@ nonzeros and what follows the bytes:
 - The writer takes a dense matrix or a :class:`~specmat.families.SymmetricBand`.
   From a band it never forms the n x n matrix: the coordinate entries and
   the array layout's formatted entries come straight from the band's
-  O(n m) slots, and only the string of literal ``0`` lines between them
-  grows with n^2.  From a dense matrix, finding the nonzeros is one
-  vectorized pass over the n^2 entries.  Either way, only entries that are
-  not +0.0 are formatted (the rest are the literal line ``0``, or ``0 0``
-  for a complex array), and the bytes are those of formatting every entry.
+  O(n m) slots, each distinct value is formatted once, and only the string
+  of literal ``0`` lines between them grows with n^2.  From a dense
+  matrix, finding the nonzeros is one vectorized pass over the n^2
+  entries.  Either way, only entries that are not +0.0 are formatted (the
+  rest are the literal line ``0``, or ``0 0`` for a complex array), and the
+  bytes are those of formatting every entry.
 - The reader makes one numpy pass over the body's bytes, which finds the
   token boundaries, the non-blank lines and the literal ``0`` tokens; its
   cost follows the bytes, at a few numpy operations per byte.  ``float``
@@ -192,7 +193,8 @@ def _body_values(body: str, layout: str, lines: int, count: int) -> np.ndarray:
     inner |= breaks
     line_breaks, line_separators = (breaks_and_tokens,) * 2 if indented else (breaks, inner)
     # a non-blank line starts at the first byte, and after each break, where a token byte follows
-    found = (np.count_nonzero(np.greater(line_breaks[:-1], line_separators[1:], out=work[:line_breaks.size - 1]))
+    before, after = line_breaks[:-1], line_separators[1:]
+    found = (np.count_nonzero(np.greater(before, after, out=work[:before.size]))
              + bool(line_separators.size and not line_separators[0]))
     if found != lines:
         raise ValueError(f"{layout} body length does not match the size line")

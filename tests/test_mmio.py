@@ -402,6 +402,9 @@ def _read_or_error(reader, path):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_laid_out())
+@example("%%MatrixMarket matrix array real general\n0 0\n   ")  # a body of blanks only
+@example("%%MatrixMarket matrix array complex general\n1 2\n 0 0\n 1 -0")  # indented lines
+@example("%%MatrixMarket matrix array real general\n1 1\n\x0c0\x1f")  # the rare separators
 def test_reader_matches_the_split_reference_on_any_layout(mm_dir, text):
     path = mm_dir / "layout.mtx"
     path.write_bytes(text.encode("ascii"))
