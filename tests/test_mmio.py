@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from specmat import (
     SymmetricBand,
     assemble_toeplitz_hankel,
+    build_corner_block,
     build_fem_p2,
+    corner_block_band,
     read_matrix_market,
+    toeplitz_hankel_band,
     write_matrix_market,
 )
 
@@ -279,6 +282,23 @@ def test_band_writes_the_bytes_of_its_dense_matrix(mm_dir, band, fmt):
     text = band_path.read_text(encoding="ascii")
     assert text == dense_path.read_text(encoding="ascii")
     assert text == _reference_write(dense, fmt)[1]
+
+
+_SIGNED_ZEROS = [np.array([2.0, -0.0, 0.5]), np.array([complex(2, -0.0), -1.0, complex(-0.0, 0.25)]),
+                 np.array([complex(-0.0, 1.0), 0.0, -0.0])]
+
+
+@pytest.mark.parametrize("fmt", [None, "array", "coordinate"])
+@pytest.mark.parametrize("n", [3, 7], ids=["overlap", "apart"])  # corners meet at n = 2m - 1
+@pytest.mark.parametrize("variant", [1, 2, 3, 4])
+@pytest.mark.parametrize("band", _SIGNED_ZEROS, ids=["real", "complex", "zero-diagonals"])
+def test_family_bands_with_signed_zeros_write_the_dense_bytes(mm_dir, band, variant, n, fmt):
+    pairs = [(toeplitz_hankel_band(band, n, variant), assemble_toeplitz_hankel(band, n, variant)),
+             (corner_block_band([*band, -0.0], n // 2), build_corner_block([*band, -0.0], n // 2))]
+    for band_form, dense in pairs:
+        write_matrix_market(band_form, mm_dir / "band.mtx", fmt)
+        write_matrix_market(dense, mm_dir / "dense.mtx", fmt)
+        assert (mm_dir / "band.mtx").read_bytes() == (mm_dir / "dense.mtx").read_bytes()
 
 
 # ------------------------------------------------------------ reader layouts
