@@ -44,10 +44,9 @@ from .identities import (
     eve_identity_evp_all,
     eve_identity_gevp,
     eve_identity_gevp_all,
-    minor_remove,
     trig_identity,
 )
-from .linalg import batched_roots, hermitian_eigen, kron, poly_roots
+from .linalg import batched_roots
 from .mmio import read_matrix_market, write_matrix_market
 from .oracle import (
     OracleReport,
@@ -57,7 +56,6 @@ from .oracle import (
     residual_gevp,
     solve_gevp_numeric,
     solve_pevp_numeric,
-    stacked_gevp_eigenvalues,
 )
 from .solution import EigenSolution, PolynomialEigenSolution
 from .spectra import (
@@ -123,19 +121,14 @@ __all__ = [
     "gevp_eigenpairs",
     "gevp_eigenvalues",
     "gevp_eigenvalues_numeric",
-    "hermitian_eigen",
-    "kron",
     "match_spectra",
-    "minor_remove",
     "pencil_residuals",
     "pevp_eigenpairs",
-    "poly_roots",
     "read_matrix_market",
     "residual_gevp",
     "scale_pencil",
     "solve_gevp_numeric",
     "solve_pevp_numeric",
-    "stacked_gevp_eigenvalues",
     "symbol",
     "tensor_eigenpairs",
     "toeplitz_hankel_band",

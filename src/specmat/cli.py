@@ -123,7 +123,6 @@ def _pad_bands(alpha, beta):
 
 def _cmd_build(args) -> int:
     # every family is written from its band, so no n x n matrix is formed
-    outputs = []
     if args.family == "toeplitz-hankel":
         if args.alpha is None or args.n is None:
             raise SpecmatError("toeplitz-hankel needs --alpha and --n")
@@ -132,25 +131,22 @@ def _cmd_build(args) -> int:
             raise SpecmatError(
                 f"--m {args.m} contradicts the band, which has bandwidth {band.size - 1}"
             )
-        path = args.out or f"toeplitz-hankel-set{args.variant}-n{args.n}.mtx"
-        write_matrix_market(toeplitz_hankel_band(band, args.n, args.variant), path)
-        outputs.append(path)
+        files = [(args.out or f"toeplitz-hankel-set{args.variant}-n{args.n}.mtx",
+                  toeplitz_hankel_band(band, args.n, args.variant))]
     elif args.family == "corner-block":
         if args.alpha is None or args.half_n is None:
             raise SpecmatError("corner-block needs --alpha (four entries) and --half-n")
-        path = args.out or f"corner-block-n{2 * args.half_n + 1}.mtx"
-        write_matrix_market(corner_block_band(parse_band(args.alpha), args.half_n), path)
-        outputs.append(path)
-    elif args.family in ("fem-p2", "fem-p3"):
+        files = [(args.out or f"corner-block-n{2 * args.half_n + 1}.mtx",
+                  corner_block_band(parse_band(args.alpha), args.half_n))]
+    else:
         if args.n_elems is None:
             raise SpecmatError(f"{args.family} needs --n-elems")
         bands = fem_p2_bands if args.family == "fem-p2" else fem_p3_bands
         prefix = args.out or f"{args.family}-nel{args.n_elems}"
-        for name, matrix in zip("KM", bands(args.n_elems)):
-            path = f"{prefix}_{name}.mtx"
-            write_matrix_market(matrix, path)
-            outputs.append(path)
-    for path in outputs:
+        files = [(f"{prefix}_{name}.mtx", band) for name, band in zip("KM", bands(args.n_elems))]
+    for path, band in files:
+        write_matrix_market(band, path)
+    for path, _ in files:
         print(f"wrote {path}")
     return 0
 
@@ -175,17 +171,12 @@ def _spectrum_problem(args):
         beta = parse_band(args.beta) if args.beta else np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
         sol = corner_block_eigenpairs(alpha, beta, args.half_n)
         return sol.values, sol.vectors, build_corner_block(alpha, args.half_n), build_corner_block(beta, args.half_n)
-    if args.family == "fem-p2":
-        if args.n_elems is None:
-            raise SpecmatError("fem-p2 spectra need --n-elems")
-        sol = fem_p2_eigenpairs(args.n_elems)
-        a, b = build_fem_p2(args.n_elems)
-        return sol.values, sol.vectors, a, b
     if args.n_elems is None:
-        raise SpecmatError("fem-p3 spectra need --n-elems")
-    sol = fem_p3_eigenpairs(args.n_elems)
-    a, b = build_fem_p3(args.n_elems)
-    return sol.values, sol.vectors, a, b
+        raise SpecmatError(f"{args.family} spectra need --n-elems")
+    eigenpairs, build = {"fem-p2": (fem_p2_eigenpairs, build_fem_p2),
+                         "fem-p3": (fem_p3_eigenpairs, build_fem_p3)}[args.family]
+    sol = eigenpairs(args.n_elems)
+    return (sol.values, sol.vectors, *build(args.n_elems))
 
 
 def _csv_lines(header, rows):

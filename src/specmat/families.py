@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatchError,
     TooSmallError,
 )
-from .linalg import as_square, kron
+from .linalg import as_square
 
 
 class HankelVariant(enum.IntEnum):
@@ -68,21 +68,20 @@ class SymmetricBand(NamedTuple):
     ab: np.ndarray
 
     def dense(self) -> np.ndarray:
-        """The n x n matrix, entry for entry (signed zeros included) that of the band."""
-        return _dense(self.ab)
+        """The n x n matrix, entry for entry (signed zeros included) that of the band.
 
-
-def _dense(ab: np.ndarray) -> np.ndarray:
-    """Zeros plus one strided write per band diagonal, above and below."""
-    m, n = ab.shape[0] - 1, ab.shape[1]
-    out = np.zeros((n, n), dtype=ab.dtype)
-    flat = out.reshape(-1)
-    for k in range(min(m, n - 1) + 1):
-        diagonal = ab[m - k, k:]
-        flat[k:n * (n - k):n + 1] = diagonal  # diagonal k above
-        if k:
-            flat[k * n::n + 1] = diagonal  # and below
-    return out
+        Zeros plus one strided write per band diagonal, above and below.
+        """
+        ab = self.ab
+        m, n = ab.shape[0] - 1, ab.shape[1]
+        out = np.zeros((n, n), dtype=ab.dtype)
+        flat = out.reshape(-1)
+        for k in range(min(m, n - 1) + 1):
+            diagonal = ab[m - k, k:]
+            flat[k:n * (n - k):n + 1] = diagonal  # diagonal k above
+            if k:
+                flat[k * n::n + 1] = diagonal  # and below
+        return out
 
 
 def as_band(values) -> np.ndarray:
@@ -112,7 +111,7 @@ def build_toeplitz(band, n: int) -> np.ndarray:
     """Symmetric banded Toeplitz matrix with ``T[j, j+k] = band[|k|]``."""
     band = as_band(band)
     _check_bandwidth(band.size - 1, n)
-    return _dense(_toeplitz_ab(band, n))
+    return SymmetricBand(_toeplitz_ab(band, n)).dense()
 
 
 # each variant's top-left corner, top[at + r, at + c] = band[r + c + lead] (zero
@@ -180,10 +179,11 @@ def build_hankel(band, n: int, variant) -> np.ndarray:
     band = as_band(band)
     corner = _hankel_corner(band, n, HankelVariant.coerce(variant))
     diagonals = [np.diagonal(corner, k) for k in range(corner.shape[0])]
-    return _dense(_fold_corners(np.zeros((band.size, n), dtype=complex), diagonals))
+    return SymmetricBand(_fold_corners(np.zeros((band.size, n), dtype=complex), diagonals)).dense()
 
 
-def _toeplitz_hankel_ab(band, n: int, variant) -> np.ndarray:
+def toeplitz_hankel_band(band, n: int, variant) -> SymmetricBand:
+    """The band of :func:`assemble_toeplitz_hankel`'s matrix, bandwidth ``len(band) - 1``."""
     band = as_band(band)
     variant = HankelVariant.coerce(variant)
     m = band.size - 1
@@ -193,12 +193,7 @@ def _toeplitz_hankel_ab(band, n: int, variant) -> np.ndarray:
     # the diagonals of the top-left m x m block of T + sign * H
     block = [band[k] + np.diagonal(signed, k) for k in range(m)]
     # off the corners H is zero, and adding sign * 0 turns some -0.0 parts into +0.0
-    return _fold_corners(_toeplitz_ab(band + sign * 0j, n), block)
-
-
-def toeplitz_hankel_band(band, n: int, variant) -> SymmetricBand:
-    """The band of :func:`assemble_toeplitz_hankel`'s matrix, bandwidth ``len(band) - 1``."""
-    return SymmetricBand(_toeplitz_hankel_ab(band, n, variant))
+    return SymmetricBand(_fold_corners(_toeplitz_ab(band + sign * 0j, n), block))
 
 
 def assemble_toeplitz_hankel(band, n: int, variant) -> np.ndarray:
@@ -209,10 +204,11 @@ def assemble_toeplitz_hankel(band, n: int, variant) -> np.ndarray:
     is that of the whole-matrix ``T + sign * H``; the corner blocks are
     folded into the band, so the Hankel part costs O(m^2).
     """
-    return _dense(_toeplitz_hankel_ab(band, n, variant))
+    return toeplitz_hankel_band(band, n, variant).dense()
 
 
-def _corner_block_ab(xi, half_n: int) -> np.ndarray:
+def corner_block_band(xi, half_n: int) -> SymmetricBand:
+    """The band of :func:`build_corner_block`'s matrix, bandwidth 2."""
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != (4,):
         raise ValueError("expected exactly four block parameters")
@@ -225,12 +221,7 @@ def _corner_block_ab(xi, half_n: int) -> np.ndarray:
     ab[2, 1::2] = xi[0]
     ab[1, 1:] = xi[1]
     ab[0, 3::2] = xi[2]
-    return ab
-
-
-def corner_block_band(xi, half_n: int) -> SymmetricBand:
-    """The band of :func:`build_corner_block`'s matrix, bandwidth 2."""
-    return SymmetricBand(_corner_block_ab(xi, half_n))
+    return SymmetricBand(ab)
 
 
 def build_corner_block(xi, half_n: int) -> np.ndarray:
@@ -240,7 +231,7 @@ def build_corner_block(xi, half_n: int) -> np.ndarray:
     first off-diagonal is ``xi[1]``, and even rows couple two steps over via
     ``xi[2]``.  Adjacent 3x3 blocks share one corner entry.
     """
-    return _dense(_corner_block_ab(xi, half_n))
+    return corner_block_band(xi, half_n).dense()
 
 
 # quadratic-element parameters: (even diagonal, off-diagonal, even skip, odd diagonal)
@@ -267,17 +258,13 @@ _FEM_P3_M_LOCAL = np.array(
 )
 
 
-def _fem_p2_abs(n_elems: int):
+def fem_p2_bands(n_elems: int):
+    """The bands of :func:`build_fem_p2`'s ``(K, M)``, bandwidth 2."""
     if n_elems < 2:
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
     h = 1.0 / n_elems
-    return (_corner_block_ab(np.asarray(FEM_P2_STIFFNESS_BAND, dtype=complex) / h, n_elems - 1),
-            _corner_block_ab(np.asarray(FEM_P2_MASS_BAND, dtype=complex) * h, n_elems - 1))
-
-
-def fem_p2_bands(n_elems: int):
-    """The bands of :func:`build_fem_p2`'s ``(K, M)``, bandwidth 2."""
-    return tuple(SymmetricBand(ab) for ab in _fem_p2_abs(n_elems))
+    return (corner_block_band(np.asarray(FEM_P2_STIFFNESS_BAND, dtype=complex) / h, n_elems - 1),
+            corner_block_band(np.asarray(FEM_P2_MASS_BAND, dtype=complex) * h, n_elems - 1))
 
 
 def build_fem_p2(n_elems: int):
@@ -286,7 +273,7 @@ def build_fem_p2(n_elems: int):
     Homogeneous Dirichlet ends, ``n_elems`` elements, matrices of dimension
     ``2*n_elems - 1``.  Returns ``(K, M)`` scaled by ``1/h`` and ``h``.
     """
-    return tuple(_dense(ab) for ab in _fem_p2_abs(n_elems))
+    return tuple(band.dense() for band in fem_p2_bands(n_elems))
 
 
 # _FEM_P3_SLOTS[k, a] indexes local[a, a + k] in the flattened local matrix, or
@@ -311,17 +298,14 @@ def _fem_p3_element_ab(local: np.ndarray, dim: int) -> np.ndarray:
     return np.where(j >= k, pattern[k, (j - k + 1) % 3], 0.0).astype(complex)
 
 
-def _fem_p3_abs(n_elems: int):
+def fem_p3_bands(n_elems: int):
+    """The bands of :func:`build_fem_p3`'s ``(K, M)``, bandwidth 3."""
     if n_elems < 2:
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
     h = 1.0 / n_elems
     dim = 3 * n_elems - 1
-    return _fem_p3_element_ab(_FEM_P3_K_LOCAL / h, dim), _fem_p3_element_ab(_FEM_P3_M_LOCAL * h, dim)
-
-
-def fem_p3_bands(n_elems: int):
-    """The bands of :func:`build_fem_p3`'s ``(K, M)``, bandwidth 3."""
-    return tuple(SymmetricBand(ab) for ab in _fem_p3_abs(n_elems))
+    return (SymmetricBand(_fem_p3_element_ab(_FEM_P3_K_LOCAL / h, dim)),
+            SymmetricBand(_fem_p3_element_ab(_FEM_P3_M_LOCAL * h, dim)))
 
 
 def build_fem_p3(n_elems: int):
@@ -330,7 +314,7 @@ def build_fem_p3(n_elems: int):
     Homogeneous Dirichlet ends, ``n_elems`` elements, matrices of dimension
     ``3*n_elems - 1``; element blocks overlap in the shared-node corner.
     """
-    return tuple(_dense(ab) for ab in _fem_p3_abs(n_elems))
+    return tuple(band.dense() for band in fem_p3_bands(n_elems))
 
 
 def assemble_tensor_pencil(a, b, c, d):
@@ -344,6 +328,4 @@ def assemble_tensor_pencil(a, b, c, d):
         raise ShapeMismatchError(f"left factors differ: {a.shape} vs {b.shape}")
     if c.shape != d.shape:
         raise ShapeMismatchError(f"right factors differ: {c.shape} vs {d.shape}")
-    lhs = kron(a, d) + kron(b, c)
-    rhs = kron(b, d)
-    return lhs, rhs
+    return np.kron(a, d) + np.kron(b, c), np.kron(b, d)

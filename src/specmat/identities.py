@@ -10,7 +10,7 @@ Each eigenvector-eigenvalue identity is computed as one table over every
 mode j (rows) and removed index k (columns).  The principal minors form one
 ``(n, n-1, n-1)`` stack, gathered by a single index, and one stacked LAPACK
 call gives all their eigenvalues: ``eigvalsh`` for a matrix, and for a
-pencil the oracle's stacked route, taken once from the whole pencil.  Both
+pencil the oracle's solve of the stack on the whole pencil's route.  Both
 sides are then products over broadcast difference tables.  A single (j, k)
 evaluation runs the same kernel on the k-minor alone, so it equals the
 entry of the whole table bit for bit.
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRangeError, NotHermitianError, SingularDenominatorError
-from .linalg import as_square, hermitian_eigen, is_hermitian
-from .oracle import _eigenpairs, stacked_gevp_eigenvalues
+from .linalg import as_square, is_hermitian
+from .oracle import _solve
 from .spectra import symbol
 
 GAP_WARNING_TOL = 1e-6
@@ -78,17 +78,6 @@ def _minor_stack(m, ks) -> np.ndarray:
     return m[keep[:, :, None], keep[:, None, :]]
 
 
-def minor_remove(a, k: int) -> np.ndarray:
-    """Principal minor: drop the k-th row and column (1-based)."""
-    a = as_square(a)
-    n = a.shape[0]
-    if n < 2:
-        raise IndexOutOfRangeError("cannot remove a row/column from a 1x1 matrix")
-    if not 1 <= k <= n:
-        raise IndexOutOfRangeError(f"index k={k} outside 1..{n}")
-    return _minor_stack(a, np.array([k - 1]))[0]
-
-
 def _minor_indices(n, pair) -> np.ndarray:
     """The 0-based minors of a table: all n of them, or the k of a 1-based ``pair = (j, k)``."""
     if pair is not None and not (1 <= pair[0] <= n and 1 <= pair[1] <= n):
@@ -126,12 +115,13 @@ def _evp_table(a, pair=None):
     Returns ``(lhs, rhs, ks, warning)`` with ``(n, len(ks))`` tables.
     """
     a = as_square(a)
-    full = hermitian_eigen(a)
+    if not is_hermitian(a):
+        raise NotHermitianError("matrix is not Hermitian to 1e-12 relative tolerance")
     ks = _minor_indices(a.shape[0], pair)
-    lams = full.values.real
+    lams, vectors = np.linalg.eigh(a)
     mus = np.linalg.eigvalsh(_minor_stack(a, ks))  # Hermitian, as minors of A
     gaps = _products_but_own(lams[:, None] - lams[None, :])
-    lhs = np.abs(full.vectors[ks].T) ** 2 * gaps[:, None]
+    lhs = np.abs(vectors[ks].T) ** 2 * gaps[:, None]
     return lhs, _minor_products(lams, mus), ks, _near_repeated(lams)
 
 
@@ -163,13 +153,13 @@ def _gevp_table(a, b, form, pair=None):
     ks = _minor_indices(a.shape[0], pair)
     # unit vectors, values by (real, imag); a real pencil comes back real, so
     # that its minors run the real LAPACK routines
-    a, b, lams, vectors, hermitian = _eigenpairs(a, b, "auto")
+    a, b, lams, vectors, hermitian = _solve(a, b, "auto", True)
     # a positive-definite B makes every principal minor positive definite, so
     # the pencil's route serves the whole table, and no minor's values depend
     # on which other minors are evaluated with it
     method = "hermitian" if hermitian else "general"
     minors_b = _minor_stack(b, ks)
-    products = _minor_products(lams, stacked_gevp_eigenvalues(_minor_stack(a, ks), minors_b, method))
+    products = _minor_products(lams, _solve(_minor_stack(a, ks), minors_b, method, False)[2])
     gaps = _products_but_own(lams[:, None] - lams[None, :])
     weights = np.abs(vectors[ks].T) ** 2
     if form == PROOF_FORM:

@@ -1,22 +1,17 @@
 """Dense linear-algebra helpers and a batched polynomial root finder.
 
 Everything operates on plain numpy arrays over complex128; real input is the
-zero-imaginary special case.  The heavy lifting is LAPACK through numpy: the
-Hermitian eigensolver is ``eigh``, and polynomials of degree three and up
-are solved as stacked companion matrices by ``eigvals`` (Edelman & Murakami,
-*Math. Comp.* 1995), one batch for a whole table of per-mode polynomials.
-Degrees one and two use closed forms.
+zero-imaginary special case.  Polynomials of degree three and up are solved
+as stacked companion matrices by LAPACK's ``eigvals`` through numpy (Edelman
+& Murakami, *Math. Comp.* 1995), one batch for a whole table of per-mode
+polynomials.  Degrees one and two use closed forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHermitianError
-from .solution import NUMERIC, EigenSolution
-
 HERMITIAN_RTOL = 1e-12
-COEFF_TRIM_RTOL = 1e-14
 NEWTON_STEPS = 2
 
 
@@ -41,31 +36,6 @@ def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
     if scale == 0.0:
         return True
     return float(np.max(np.abs(a - a.conj().T))) <= rtol * scale
-
-
-def hermitian_eigen(a) -> EigenSolution:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues come back real and ascending, eigenvectors unit-norm and
-    mutually orthogonal.  Raises :class:`NotHermitianError` when the input
-    fails the symmetry check at 1e-12 relative.
-    """
-    a = as_square(a)
-    if not is_hermitian(a):
-        raise NotHermitianError("matrix is not Hermitian to 1e-12 relative tolerance")
-    w, v = np.linalg.eigh(a)
-    n = a.shape[0]
-    return EigenSolution(
-        modes=np.arange(1, n + 1),
-        values=w.astype(complex),
-        vectors=v.astype(complex),
-        provenance=NUMERIC,
-    )
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with ``(kron(a, b))[(i,k),(j,l)] = a[i,j] b[k,l]``."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _horner(coeffs, z):
@@ -120,22 +90,3 @@ def batched_roots(coeffs) -> np.ndarray:
         roots = np.where(better, candidate, roots)
         value = np.where(better, cand_value, value)
     return roots
-
-
-def poly_roots(coeffs) -> np.ndarray:
-    """All complex roots of one polynomial given by ascending coefficients.
-
-    Leading coefficients below ``1e-14`` of the largest magnitude are
-    trimmed first; the roots come from :func:`batched_roots`.
-    """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must form a nonempty 1-D sequence")
-    biggest = float(np.max(np.abs(c)))
-    if biggest == 0.0:
-        raise ValueError("the zero polynomial has no well-defined roots")
-    keep = np.flatnonzero(np.abs(c) > COEFF_TRIM_RTOL * biggest)
-    c = c[: keep[-1] + 1]
-    if c.size < 2:
-        raise ValueError("degree must be at least 1 after trimming")
-    return batched_roots(c[None, :])[0]

@@ -225,7 +225,8 @@ def read_matrix_market(path) -> np.ndarray:
     """
     with open(path, encoding="ascii") as handle:
         text = handle.read()
-    if "%" in text.partition("\n")[2]:  # comment lines besides the header
+    first_break = _LINE_BREAK.search(text)
+    if first_break and text.find("%", first_break.end()) >= 0:  # comment lines besides the header
         text = "\n".join(
             line for line in _LINE_BREAK.split(text)
             if not (line.strip().startswith("%") and not line.strip().startswith("%%"))

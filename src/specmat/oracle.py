@@ -67,20 +67,14 @@ def residual_gevp(a, b, lam, x) -> float:
     return float(pencil_residuals(as_square(a), as_square(b), complex(lam), x))
 
 
-def is_singular(m) -> bool:
+def _singular(m, blocks) -> bool:
     """Whether the smallest singular value of ``m`` is at most ``SINGULAR_B_RTOL * ||m||_inf``.
 
-    The singular values of a Hermitian matrix are the moduli of its
-    eigenvalues, which ``eigvalsh`` finds at a fraction of the cost of an SVD.
-    """
-    return _singular(m, [m])
-
-
-def _singular(m, blocks) -> bool:
-    """:func:`is_singular` for ``m``, whose singular values are those of ``blocks`` together.
-
-    ``blocks`` is ``[m]`` itself or the two halves of a centrosymmetric
-    ``m``; the threshold always scales with the norm of the whole ``m``.
+    The singular values of ``m`` are those of ``blocks`` together: ``[m]``
+    itself or the two halves of a centrosymmetric ``m``; the threshold
+    always scales with the norm of the whole ``m``.  The singular values of
+    a Hermitian block are the moduli of its eigenvalues, which ``eigvalsh``
+    finds at a fraction of the cost of an SVD.
     """
     smallest = math.inf
     for block in blocks:
@@ -151,7 +145,7 @@ def _regular_by_cholesky(b, inv_chols):
     Hermitian H that B's lower triangle defines, the matrix Cholesky
     factors; by Weyl's inequality the smallest singular value of B is at
     most ``||B - B^H||_F`` below it, so B need not be exactly Hermitian.  A
-    bound above twice the threshold of :func:`is_singular` (the factor
+    bound above twice the threshold of :func:`_singular` (the factor
     covers rounding) settles the question without computing the eigenvalues
     of B.  ``inv_chols`` holds one inverse factor per block of B (B itself,
     or its two centrosymmetric halves), and the threshold scales with the
@@ -167,15 +161,6 @@ def _regular_by_cholesky(b, inv_chols):
     return 1.0 / inverse_norm ** 2 - asymmetry > 2.0 * SINGULAR_B_RTOL * scale
 
 
-def _congruence(inv, a):
-    """The Hermitian ``L^{-1} A L^{-H}`` for ``inv = L^{-1}``, of one matrix or of a stack.
-
-    ``L^{-1}`` and two products cost less than two n-column solves.
-    """
-    block = inv @ (a @ inv.conj().swapaxes(-1, -2))
-    return 0.5 * (block + block.conj().swapaxes(-1, -2))
-
-
 def _reduce_pencil(a, b, method):
     """Check the pencil ``A x = lam B x``, choose the route, reduce it to standard problems.
 
@@ -186,16 +171,29 @@ def _reduce_pencil(a, b, method):
     blocks of B and ``reduced`` the Hermitian ``L^{-1} A L^{-H}``; on the
     general route ``inv_chols`` is None and ``reduced`` holds ``B^{-1} A``.
     The route and the singularity test are decided on the full pencil.  A
-    real pencil comes back as real arrays.
+    real pencil comes back as real arrays.  Two ``(m, p, p)`` stacks are one
+    block, never split, and keep their dtype; they take the route ``method``
+    names, ``"hermitian"`` or ``"general"``, unchecked for symmetry, and
+    each B is tested alone.
     """
-    a, b = as_square(a), as_square(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"pencil shapes differ: {a.shape} vs {b.shape}")
-    if not (a.imag.any() or b.imag.any()):
-        # a real pencil runs the real LAPACK routines, about twice as fast
-        a, b = a.real.copy(), b.real.copy()
-    blocks = _centrosymmetric_halves([a, b]) or [[a, b]]
-    hermitian_pair = is_hermitian(a) and is_hermitian(b)
+    stacked = np.ndim(a) == 3
+    if stacked:
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape != b.shape or a.shape[1] != a.shape[2]:
+            raise ShapeMismatchError(f"expected two stacks of square matrices, got {a.shape} and {b.shape}")
+        if method not in ("hermitian", "general"):
+            # "auto" would need a Hermitian check per pencil: Cholesky reads only the lower triangle
+            raise ValueError(f"a stack of pencils takes method 'hermitian' or 'general', not {method!r}")
+    else:
+        a, b = as_square(a), as_square(b)
+        if a.shape != b.shape:
+            raise ShapeMismatchError(f"pencil shapes differ: {a.shape} vs {b.shape}")
+        if not (a.imag.any() or b.imag.any()):
+            # a real pencil runs the real LAPACK routines, about twice as fast
+            a, b = a.real.copy(), b.real.copy()
+    blocks = [[a, b]] if stacked else _centrosymmetric_halves([a, b]) or [[a, b]]
+    # a stack's route is the caller's choice; its matrices are not checked
+    hermitian_pair = method == "hermitian" if stacked else is_hermitian(a) and is_hermitian(b)
     inv_chols = None
     if method in ("auto", "hermitian") and hermitian_pair:
         try:
@@ -205,7 +203,12 @@ def _reduce_pencil(a, b, method):
             pass
         else:
             inv_chols = [np.linalg.inv(chol) for chol in chols]
-    if not _regular_by_cholesky(b, inv_chols) and _singular(b, [block_b for _, block_b in blocks]):
+    if stacked:
+        cleared = np.broadcast_to(_regular_by_cholesky(b, inv_chols), len(b))
+        singular = any(_singular(m, [m]) for m in b[~cleared])
+    else:
+        singular = not _regular_by_cholesky(b, inv_chols) and _singular(b, [block_b for _, block_b in blocks])
+    if singular:
         raise SingularBError("right-hand matrix of the pencil is singular")
 
     if method not in ("auto", "hermitian", "general"):
@@ -213,7 +216,11 @@ def _reduce_pencil(a, b, method):
     if method == "hermitian" and not hermitian_pair:
         raise NotHermitianError("the forced Hermitian path needs Hermitian A and B")
     if inv_chols is not None:
-        reduced = [_congruence(inv, block_a) for (block_a, _), inv in zip(blocks, inv_chols)]
+        reduced = []
+        for (block_a, _), inv in zip(blocks, inv_chols):
+            # the Hermitian L^{-1} A L^{-H}; L^{-1} and two products cost less than two solves
+            block = inv @ (block_a @ inv.conj().swapaxes(-1, -2))
+            reduced.append(0.5 * (block + block.conj().swapaxes(-1, -2)))
         return a, b, inv_chols, reduced
     if method == "hermitian":
         raise SingularBError("Hermitian path needs a positive-definite right side")
@@ -221,31 +228,45 @@ def _reduce_pencil(a, b, method):
     return a, b, None, [np.linalg.solve(block_b, block_a) for block_a, block_b in blocks]
 
 
-def _eigenpairs(a, b, method):
-    """The values and unit vectors of :func:`solve_gevp_numeric`, without residuals.
+def _solve(a, b, method, vectors):
+    """The values of :func:`_reduce_pencil`'s pencil, and its unit vectors if ``vectors``.
 
-    Returns ``(a, b, values, vectors, hermitian)``: the checked pencil (real
-    arrays for a real pencil), and whether the Hermitian-definite route ran.
+    Returns ``(a, b, values, vectors, hermitian)``: the checked pencil, the
+    values (one row per pencil of a stack, whose vectors are not solved),
+    the vectors or None, and whether the Hermitian-definite route ran.
     """
+    if vectors and np.ndim(a) != 2:
+        raise ValueError("eigenvectors are solved for one pencil at a time")
     a, b, inv_chols, reduced = _reduce_pencil(a, b, method)
-    values, vectors = [], []
+    hermitian = inv_chols is not None
+    parts, vecs = [], []
     for i, block in enumerate(reduced):
-        if inv_chols is not None:
+        if not vectors:
+            parts.append((np.linalg.eigvalsh if hermitian else np.linalg.eigvals)(block))
+            continue
+        if hermitian:
             w, q = np.linalg.eigh(block)
             v = inv_chols[i].conj().T @ q  # x = L^{-H} q
             v = v / np.linalg.norm(v, axis=0)
         else:
             # LAPACK's eig returns unit-norm vectors
             w, v = np.linalg.eig(block)
-        values.append(w)
-        vectors.append(v)
-    values = np.concatenate(values)
-    vectors = vectors[0] if len(vectors) == 1 else _join_halves(*vectors)
-    if inv_chols is not None:
+        parts.append(w)
+        vecs.append(v)
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    vecs = None if not vectors else vecs[0] if len(vecs) == 1 else _join_halves(*vecs)
+    if hermitian:
+        # eigh and eigvalsh return each block, and each row of a stack, ascending
+        if len(parts) == 1:
+            return a, b, values, vecs, True
+        if not vectors:
+            return a, b, np.sort(values), None, True
         order = np.argsort(values, kind="stable")
     else:
         order = np.lexsort((values.imag, values.real))
-    return a, b, values[order], vectors[:, order], inv_chols is not None
+        if values.ndim == 2:
+            return a, b, np.take_along_axis(values, order, axis=-1), None, False
+    return a, b, values[order], None if vecs is None else vecs[:, order], hermitian
 
 
 def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
@@ -261,7 +282,7 @@ def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
     halves.  Callers that read only the eigenvalues use
     :func:`gevp_eigenvalues_numeric`, which takes the same routes.
     """
-    a, b, values, vectors, _ = _eigenpairs(a, b, method)
+    a, b, values, vectors, _ = _solve(a, b, method, True)
     return EigenSolution(
         modes=np.arange(1, a.shape[0] + 1),
         values=values,
@@ -276,48 +297,15 @@ def gevp_eigenvalues_numeric(a, b, method: str = "auto") -> np.ndarray:
 
     Same routes, order and errors: ascending and real from ``eigvalsh`` on
     the Hermitian-definite route, complex and sorted by (real, imag) from
-    ``eigvals`` on the general route.
+    ``eigvals`` on the general route.  Two ``(m, p, p)`` stacks give one row
+    per pencil, from one LAPACK call per step for the whole stack.  A stack
+    takes the route ``method`` names for all its pencils, ``"hermitian"``
+    (not checked for symmetry) or ``"general"``; ``"auto"`` raises
+    ``ValueError``.  It is never split in centrosymmetric halves and keeps
+    its dtype, so each row is bit for bit what its pencil alone gives as a
+    stack of the same dtype, whatever else shares the stack.
     """
-    _, _, inv_chols, reduced = _reduce_pencil(a, b, method)
-    if inv_chols is not None:
-        values = [np.linalg.eigvalsh(block) for block in reduced]
-        return values[0] if len(values) == 1 else np.sort(np.concatenate(values))
-    values = np.concatenate([np.linalg.eigvals(block) for block in reduced])
-    return values[np.lexsort((values.imag, values.real))]
-
-
-def stacked_gevp_eigenvalues(a, b, method: str) -> np.ndarray:
-    """Eigenvalues of a stack of Hermitian pencils ``A[i] x = lam B[i] x``, one row per pencil.
-
-    ``a`` and ``b`` have shape ``(m, p, p)``.  The caller takes the route
-    once for the whole stack, as :func:`solve_gevp_numeric` takes one for
-    both halves of a pencil, so that a pencil's values do not depend on
-    which others share its stack.  ``"hermitian"`` reduces each pencil by
-    the Cholesky factor of its B and returns ascending real rows;
-    ``"general"`` runs ``eigvals`` on ``B^{-1} A`` and sorts each row by
-    (real, imag).  Each B must pass the test of :func:`is_singular`, else
-    :class:`SingularBError`; on the Hermitian route the Cholesky bound
-    clears most of them without it.  One LAPACK call serves the whole stack
-    at each step, and a real stack runs the real routines.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2]:
-        raise ShapeMismatchError(f"expected two stacks of square matrices, got {a.shape} and {b.shape}")
-    if method not in ("hermitian", "general"):
-        raise ValueError(f"unknown stacked method {method!r}")
-    cleared = np.zeros(len(b), dtype=bool)
-    if method == "hermitian":
-        try:
-            inv_chols = np.linalg.inv(np.linalg.cholesky(b))
-        except np.linalg.LinAlgError:
-            raise SingularBError("Hermitian path needs a positive-definite right side") from None
-        cleared = _regular_by_cholesky(b, [inv_chols])
-    if any(_singular(m, [m]) for m in b[~cleared]):
-        raise SingularBError("right-hand matrix of a stacked pencil is singular")
-    if method == "hermitian":
-        return np.linalg.eigvalsh(_congruence(inv_chols, a))
-    values = np.linalg.eigvals(np.linalg.solve(b, a))
-    return np.take_along_axis(values, np.lexsort((values.imag, values.real), axis=-1), axis=-1)
+    return _solve(a, b, method, False)[2]
 
 
 def _companion_matrix(mats):
@@ -354,29 +342,25 @@ def solve_pevp_numeric(mats):
         raise ShapeMismatchError("all coefficient matrices must share one shape")
     halves = _centrosymmetric_halves(mats) or [mats]
 
-    if not _singular(mats[-1], [half[-1] for half in halves]):
+    dropped = _singular(mats[-1], [half[-1] for half in halves])
+    if not dropped:
         values = np.concatenate([np.linalg.eigvals(_companion_matrix(half)) for half in halves])
-        order = np.lexsort((values.imag, values.real))
-        return values[order], False
-
-    if _singular(mats[0], [half[0] for half in halves]):
+    elif _singular(mats[0], [half[0] for half in halves]):
         raise SingularPencilError(
             "both the leading and constant coefficient matrices are singular"
         )
-    mu = np.concatenate([np.linalg.eigvals(_companion_matrix(half[::-1])) for half in halves])
-    finite = np.abs(mu) > 1e-10 * max(1.0, float(np.max(np.abs(mu))))
-    values = 1.0 / mu[finite]
-    order = np.lexsort((values.imag, values.real))
-    return values[order], True
+    else:
+        mu = np.concatenate([np.linalg.eigvals(_companion_matrix(half[::-1])) for half in halves])
+        finite = np.abs(mu) > 1e-10 * max(1.0, float(np.max(np.abs(mu))))
+        values = 1.0 / mu[finite]
+    return values[np.lexsort((values.imag, values.real))], dropped
 
 
 def polynomial_residual(mats, lam) -> float:
     """Smallest singular value of ``P(lam)`` relative to the pencil's scale."""
     mats = [as_square(m) for m in mats]
     lam = complex(lam)
-    p = np.zeros_like(mats[0])
-    for k, m in enumerate(mats):
-        p = p + (lam ** k) * m
+    p = sum((lam ** k) * m for k, m in enumerate(mats))
     scale = sum(inf_norm(m) * abs(lam) ** k for k, m in enumerate(mats))
     return float(np.linalg.svd(p, compute_uv=False)[-1] / max(scale, 1e-300))
 

@@ -24,7 +24,7 @@ from .errors import (
     ZeroScaleError,
 )
 from .families import _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL, HankelVariant, as_band
-from .linalg import batched_roots, kron
+from .linalg import batched_roots
 from .solution import ANALYTIC, NUMERIC, EigenSolution, PolynomialEigenSolution
 
 SYMBOL_ZERO_RTOL = 1e-12
@@ -64,33 +64,26 @@ def symbol(band, theta):
     return complex(acc) if theta_arr.ndim == 0 else acc
 
 
+# per variant: h = 1 / (n + shift), and the first angle multiplier
+_MODE_ANGLES = {HankelVariant.SET1: (1, 1), HankelVariant.SET2: (0, 1),
+                HankelVariant.SET3: (-1, 0), HankelVariant.SET4: (0, 0)}
+# per variant: the sampled wave, and the offset of entry k (1-based) in k - offset
+_EIGENVECTOR_SAMPLES = {HankelVariant.SET1: (np.sin, 0), HankelVariant.SET2: (np.sin, 0.5),
+                        HankelVariant.SET3: (np.cos, 1), HankelVariant.SET4: (np.cos, 0.5)}
+
+
 def mode_angles(variant, n: int):
     """Mesh parameter ``h`` and angle multipliers for a variant's n modes."""
-    variant = HankelVariant.coerce(variant)
-    if variant == HankelVariant.SET1:
-        return 1.0 / (n + 1), np.arange(1, n + 1)
-    if variant == HankelVariant.SET2:
-        return 1.0 / n, np.arange(1, n + 1)
-    if variant == HankelVariant.SET3:
-        return 1.0 / (n - 1), np.arange(n)
-    return 1.0 / n, np.arange(n)
+    shift, first = _MODE_ANGLES[HankelVariant.coerce(variant)]
+    return 1.0 / (n + shift), np.arange(first, first + n)
 
 
 def eigenvector_basis(variant, n: int) -> np.ndarray:
     """The variant's sampled sine/cosine eigenvectors, one column per mode."""
     variant = HankelVariant.coerce(variant)
     h, angles = mode_angles(variant, n)
-    if variant == HankelVariant.SET1:
-        entries = np.arange(1, n + 1)
-        return np.sin(np.pi * h * np.outer(entries, angles)).astype(complex)
-    if variant == HankelVariant.SET2:
-        entries = np.arange(1, n + 1) - 0.5
-        return np.sin(np.pi * h * np.outer(entries, angles)).astype(complex)
-    if variant == HankelVariant.SET3:
-        entries = np.arange(n)
-        return np.cos(np.pi * h * np.outer(entries, angles)).astype(complex)
-    entries = np.arange(1, n + 1) - 0.5
-    return np.cos(np.pi * h * np.outer(entries, angles)).astype(complex)
+    wave, offset = _EIGENVECTOR_SAMPLES[variant]
+    return wave(np.pi * h * np.outer(np.arange(1, n + 1) - offset, angles)).astype(complex)
 
 
 def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
@@ -446,7 +439,7 @@ def tensor_eigenpairs(left: EigenSolution, right: EigenSolution) -> EigenSolutio
     return EigenSolution(
         modes=np.arange(1, count + 1),
         values=values,
-        vectors=kron(left.vectors, right.vectors),  # column j n_R + k is kron(x_j, y_k)
+        vectors=np.kron(left.vectors, right.vectors),  # column j n_R + k is kron(x_j, y_k)
         provenance=provenance,
     )
 

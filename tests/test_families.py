@@ -21,7 +21,6 @@ from specmat import (
     corner_block_band,
     fem_p2_bands,
     fem_p3_bands,
-    hermitian_eigen,
     solve_gevp_numeric,
     toeplitz_hankel_band,
 )
@@ -200,7 +199,7 @@ class TestFemP2:
     def test_mass_positive_definite(self):
         for n_elems in (2, 5, 12, 32):
             _, m = build_fem_p2(n_elems)
-            w = hermitian_eigen(m).values.real
+            w = np.linalg.eigvalsh(m)
             assert np.all(w > 0)
 
     def test_too_small(self):
@@ -234,7 +233,7 @@ class TestFemP3:
             k, m = build_fem_p3(n_elems)
             assert np.allclose(k, k.T, atol=0)
             assert np.allclose(m, m.T, atol=0)
-            assert np.all(hermitian_eigen(m).values.real > 0)
+            assert np.all(np.linalg.eigvalsh(m) > 0)
 
     def test_too_small(self):
         with pytest.raises(TooSmallError):
@@ -278,6 +277,28 @@ class TestTensorPencil:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             assemble_tensor_pencil(np.eye(2), np.eye(3), np.eye(2), np.eye(2))
+
+    def test_identity_factor_gives_block_diagonal(self):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        zero = np.zeros((2, 2))
+        lhs, rhs = assemble_tensor_pencil(zero, np.eye(2), zero, m)  # rhs = kron(I, m)
+        assert np.array_equal(rhs, np.block([[m, zero], [zero, m]]))
+        assert not lhs.any()
+
+    def test_one_by_one_right_factor(self):
+        b = np.array([[0.0, 1.0], [0.0, 0.0]])
+        _, rhs = assemble_tensor_pencil(b, b, [[0.0]], [[1.0]])
+        assert np.array_equal(rhs, b)
+
+    def test_mixed_product_with_vectors(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        _, product = assemble_tensor_pencil(np.zeros((3, 3)), a, np.zeros((2, 2)), b)  # kron(a, b)
+        assert product.dtype == complex
+        assert np.max(np.abs(product @ np.kron(x, y) - np.kron(a @ x, b @ y))) < 1e-12
 
 
 class TestVariantEnum:

@@ -14,11 +14,11 @@ from specmat import (
     eve_identity_evp_all,
     eve_identity_gevp,
     eve_identity_gevp_all,
-    minor_remove,
+    gevp_eigenvalues_numeric,
     solve_gevp_numeric,
-    stacked_gevp_eigenvalues,
     trig_identity,
 )
+from specmat.identities import _minor_stack
 
 RNG = np.random.default_rng(314)
 EPS = np.finfo(float).eps
@@ -38,21 +38,28 @@ def random_spd(n, rng=RNG):
     return basis @ basis.conj().T + n * np.eye(n)
 
 
-class TestMinorRemove:
+class TestMinors:
     def test_2x2(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(minor_remove(a, 1), [[4.0]])
+        assert np.array_equal(_minor_stack(a, np.array([0]))[0], [[4.0]])
 
-    def test_identity(self):
-        assert np.array_equal(minor_remove(np.eye(3), 2), np.eye(2))
+    def test_stack_matches_deleted_rows_and_columns(self):
+        a = np.arange(25.0).reshape(5, 5) + 1j
+        stack = _minor_stack(a, np.arange(5))
+        for k in range(1, 6):
+            assert np.array_equal(stack[k - 1], _minor(a, k))
 
     def test_1x1_rejected(self):
         with pytest.raises(IndexError):
-            minor_remove(np.array([[1.0]]), 1)
+            eve_identity_evp(np.array([[1.0]]), 1, 1)
+        with pytest.raises(IndexError):
+            eve_identity_gevp(np.array([[1.0]]), np.array([[2.0]]), 1, 1)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            minor_remove(np.eye(3), 4)
+            eve_identity_evp(np.eye(3), 1, 4)
+        with pytest.raises(IndexError):
+            eve_identity_gevp(np.eye(3), np.eye(3), 0, 1)
 
 
 class TestEvpIdentity:
@@ -93,6 +100,20 @@ class TestEvpIdentity:
         rep = eve_identity_evp(a, 3, 1)
         assert rep.conditioning_warning
 
+    def test_modes_ascend_and_vectors_are_orthonormal(self):
+        # lhs[j, k] = |x_kj|^2 prod_{l != j} (lam_j - lam_l): with unit, orthogonal
+        # vectors each row sums to the gap product of the j-th smallest eigenvalue,
+        # and each column, over the gap products, to 1
+        rng = np.random.default_rng(7)
+        for n in (2, 5, 16, 33):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = a + a.conj().T
+            lams = np.linalg.eigvalsh(a)
+            gaps = np.array([np.prod(np.delete(lam - lams, j)) for j, lam in enumerate(lams)])
+            lhs = np.array([rep.lhs for rep in eve_identity_evp_all(a)]).reshape(n, n)
+            assert np.max(np.abs(lhs.sum(axis=1) / gaps - 1.0)) < 1e-9
+            assert np.max(np.abs((lhs / gaps[:, None]).sum(axis=0) - 1.0)) < 1e-9
+
 
 class TestGevpIdentity:
     def test_identity_b_reduces_to_evp_form(self):
@@ -125,6 +146,20 @@ class TestGevpIdentity:
         assert rep.lhs == pytest.approx(2.0 * np.sqrt(2.0) / 3.0, abs=1e-10)
         assert rep.rhs == pytest.approx(np.sqrt(2.0), abs=1e-10)
         assert rep.rel_diff > 0.3
+
+    def test_real_minor_of_a_complex_pencil_matches_the_table(self):
+        # only row and column 1 of A are complex, so minor 1 has no imaginary
+        # part; alone it must still be solved in the complex arithmetic of the table
+        rng = np.random.default_rng(21)
+        n = 5
+        a = random_hermitian(n, rng).real.astype(complex)
+        a[0, 1:] += 1j * rng.standard_normal(n - 1)
+        a[1:, 0] = a[0, 1:].conj()
+        b = np.diag(rng.uniform(1.0, 2.0, n)) + 0.1 * np.ones((n, n))
+        for form in ("proof", "literal"):
+            table = eve_identity_gevp_all(a, b, form=form)
+            for j in range(1, n + 1):
+                assert eve_identity_gevp(a, b, j, 1, form=form) == table[(j - 1) * n]
 
     def test_proof_form_random_definite_pairs(self):
         for n in (3, 5):
@@ -278,7 +313,7 @@ def _reference_tables(a, b=None, form=None):
     with mpmath.workdps(30):
         if b is None:
             lams, vectors = np.linalg.eigh(np.asarray(a, dtype=complex))
-            mus = [np.linalg.eigvalsh(minor_remove(a, k)) for k in range(1, n + 1)]
+            mus = [np.linalg.eigvalsh(_minor(np.asarray(a, dtype=complex), k)) for k in range(1, n + 1)]
         else:
             a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
             try:
@@ -290,7 +325,7 @@ def _reference_tables(a, b=None, form=None):
             lams, vectors = sol.values, sol.vectors
             real_a, real_b = (a, b) if (a.imag.any() or b.imag.any()) else (a.real, b.real)
             minors = [(_minor(real_a, k), _minor(real_b, k)) for k in range(1, n + 1)]
-            mus = [stacked_gevp_eigenvalues(m_a[None], m_b[None], method)[0] for m_a, m_b in minors]
+            mus = [gevp_eigenvalues_numeric(m_a[None], m_b[None], method)[0] for m_a, m_b in minors]
             if form == "proof":
                 det_b = mp([np.linalg.det(real_b)])[0]
                 minor_weights = mp(np.linalg.det(m_b) for _, m_b in minors)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ def _reference_read(path):
     with open(path, encoding="ascii") as handle:
         text = handle.read()
     rest = text.translate(str.maketrans("\x0b\x0c\x1c\x1d\x1e", "\n" * 5))
-    if "%" in text.partition("\n")[2]:
+    if re.search("[\n\x0b\x0c\r\x1c\x1d\x1e].*%", text, re.DOTALL):  # after any line break
         rest = "\n".join(
             line for line in rest.split("\n")
             if not (line.strip().startswith("%") and not line.strip().startswith("%%"))
@@ -425,6 +426,7 @@ def _read_or_error(reader, path):
 @example("%%MatrixMarket matrix array real general\n0 0\n   ")  # a body of blanks only
 @example("%%MatrixMarket matrix array complex general\n1 2\n 0 0\n 1 -0")  # indented lines
 @example("%%MatrixMarket matrix array real general\n1 1\n\x0c0\x1f")  # the rare separators
+@example("%%MatrixMarket matrix coordinate complex general\x0c% a comment\x0c2 2 1\x0c2 1 1.5 0\n")
 def test_reader_matches_the_split_reference_on_any_layout(mm_dir, text):
     path = mm_dir / "layout.mtx"
     path.write_bytes(text.encode("ascii"))
@@ -434,3 +436,11 @@ def test_reader_matches_the_split_reference_on_any_layout(mm_dir, text):
     else:
         assert got is not ValueError and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("first_break", ["\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e"])
+def test_comment_line_after_any_first_line_break(mm_dir, first_break):
+    path = mm_dir / "comment.mtx"
+    text = f"%%MatrixMarket matrix coordinate complex general{first_break}% a comment\x0c2 2 1\x0c2 1 1.5 0\n"
+    path.write_bytes(text.encode("ascii"))
+    assert np.array_equal(read_matrix_market(path), [[0, 0], [1.5, 0]])

@@ -12,6 +12,7 @@ from specmat import (
     SingularPencilError,
     ZeroVectorError,
     assemble_toeplitz_hankel,
+    build_fem_p2,
     fem_p3_eigenvalues,
     gevp_eigenvalues_numeric,
     match_spectra,
@@ -21,7 +22,7 @@ from specmat import (
     solve_pevp_numeric,
 )
 from specmat import oracle
-from specmat.oracle import is_singular, pair_values, polynomial_residual
+from specmat.oracle import pair_values, polynomial_residual
 
 RNG = np.random.default_rng(99)
 
@@ -250,7 +251,7 @@ class TestGevpEigenvaluesNumeric:
         b = (q * [smallest, 0.5, 0.75, 1.0, 1.0, 1.0]) @ q.T
         b = 0.5 * (b + b.T)
         assert np.linalg.cholesky(b) is not None
-        assert is_singular(b) is singular
+        assert oracle._singular(b, [b]) is singular
         for solver in (solve_gevp_numeric, gevp_eigenvalues_numeric):
             if singular:
                 with pytest.raises(SingularBError):
@@ -265,8 +266,6 @@ class TestGevpEigenvaluesNumeric:
         def refuse(*args):
             raise AssertionError("the singularity check ran on a B that Cholesky already cleared")
 
-        # the IGA pencil is solved in centrosymmetric halves, which check B through _singular
-        monkeypatch.setattr(oracle, "is_singular", refuse)
         monkeypatch.setattr(oracle, "_singular", refuse)
         assert np.array_equal(gevp_eigenvalues_numeric(a, b), values)
         assert np.array_equal(solve_gevp_numeric(a, b).values, full)
@@ -286,17 +285,83 @@ class TestGevpEigenvaluesNumeric:
         assert np.array_equal(gevp_eigenvalues_numeric(a, b), values)
         assert np.array_equal(solve_gevp_numeric(a, b).values, full)
         minor_a, minor_b = (np.delete(np.delete(m, 0, 0), 0, 1) for m in (a, b))
-        stacked = oracle.stacked_gevp_eigenvalues(minor_a[None], minor_b[None], "hermitian")
+        stacked = gevp_eigenvalues_numeric(minor_a[None], minor_b[None], "hermitian")
         assert np.array_equal(stacked[0], gevp_eigenvalues_numeric(minor_a, minor_b))
 
-    def test_stacked_route_rejects_bad_shapes_and_methods(self):
+
+def _stack(rng, count, n, hermitian, complex_entries):
+    """Two ``(count, n, n)`` stacks of random pencils, none of them centrosymmetric."""
+    def draw():
+        m = rng.standard_normal((count, n, n))
+        return m + 1j * rng.standard_normal((count, n, n)) if complex_entries else m
+
+    a, basis = draw(), draw()
+    if not hermitian:
+        return a, basis + 2 * n * np.eye(n)
+    return a + a.conj().swapaxes(1, 2), basis @ basis.conj().swapaxes(1, 2) + n * np.eye(n)
+
+
+class TestStackedPencils:
+    """``gevp_eigenvalues_numeric`` on two ``(m, p, p)`` stacks, one row of values per pencil."""
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian-pencils", "general-pencils"])
+    def test_each_row_is_its_pencil_alone_bit_for_bit(self, hermitian, complex_entries):
+        rng = np.random.default_rng(31)
+        a, b = _stack(rng, 6, 7, hermitian, complex_entries)
+        for method in ("hermitian", "general") if hermitian else ("general",):
+            rows = gevp_eigenvalues_numeric(a, b, method)
+            assert rows.shape == (6, 7)
+            for row, pencil_a, pencil_b in zip(rows, a, b):
+                # eigvals returns real values when all are real: of the pencil, or of the whole stack
+                alone = np.asarray(gevp_eigenvalues_numeric(pencil_a, pencil_b, method), dtype=complex)
+                assert np.array_equal(row.astype(complex).view(np.uint64), alone.view(np.uint64))
+
+    def test_auto_is_refused(self):
+        # cholesky reads only the lower triangle, so "auto" could send a
+        # non-Hermitian stack down the Hermitian route
+        a, b = _stack(np.random.default_rng(32), 3, 4, True, True)
+        with pytest.raises(ValueError):
+            gevp_eigenvalues_numeric(a, b)
+        with pytest.raises(ValueError):
+            gevp_eigenvalues_numeric(a, b, "auto")
+
+    def test_never_split_in_centrosymmetric_halves(self, monkeypatch):
+        pencils = [tuple(m.real for m in pencil) for pencil in (_iga_pencil(9), build_fem_p2(5))]
+        for pencil_a, pencil_b in pencils:
+            assert oracle._centrosymmetric_halves([pencil_a, pencil_b]) is not None
+        a, b = (np.stack(side) for side in zip(*pencils))
+
+        def refuse(mats):
+            raise AssertionError("a stack was tested for the centrosymmetric split")
+
+        for method in ("hermitian", "general"):
+            want = [_dense(gevp_eigenvalues_numeric, pencil_a, pencil_b, method)
+                    for pencil_a, pencil_b in pencils]
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_centrosymmetric_halves", refuse)
+                rows = gevp_eigenvalues_numeric(a, b, method)
+            assert np.array_equal(rows, want)
+
+    @pytest.mark.parametrize("method", ["hermitian", "general"])
+    def test_one_singular_b_raises(self, method):
+        a, b = _stack(np.random.default_rng(33), 4, 5, True, False)
+        b[2] = np.diag([1.0, 2.0, 0.0, 3.0, 1.0])
+        with pytest.raises(SingularBError) as caught:
+            gevp_eigenvalues_numeric(a, b, method)
+        assert type(caught.value) is SingularBError
+        b[2] = np.diag([1.0, 2.0, 1e-15, 3.0, 1.0])  # below the threshold, still definite
+        with pytest.raises(SingularBError):
+            gevp_eigenvalues_numeric(a, b, method)
+
+    def test_bad_shapes_and_stacked_vectors_are_refused(self):
         stack = np.stack([np.eye(3)] * 2)
         with pytest.raises(ShapeMismatchError):
-            oracle.stacked_gevp_eigenvalues(stack, stack[:, :2], "general")
+            gevp_eigenvalues_numeric(stack, stack[:, :2], "general")
         with pytest.raises(ShapeMismatchError):
-            oracle.stacked_gevp_eigenvalues(np.eye(3), np.eye(3), "general")
+            gevp_eigenvalues_numeric(stack, np.eye(3), "general")
         with pytest.raises(ValueError):
-            oracle.stacked_gevp_eigenvalues(stack, stack, "auto")
+            solve_gevp_numeric(stack, stack, "general")
 
 
 @st.composite
@@ -630,7 +695,7 @@ class TestCentrosymmetricSplit:
         # the whole B is not (1e-12 < 1e-13 * ||B||_inf, about 1e-11)
         b = self._from_halves(np.diag([1e-12, 1.0, 1.0]), 100.0 * np.eye(3))
         halves = oracle._centrosymmetric_halves([b])
-        assert halves is not None and not is_singular(halves[0][0])
+        assert halves is not None and not oracle._singular(halves[0][0], [halves[0][0]])
         assert np.linalg.cholesky(b) is not None
         for solver in (solve_gevp_numeric, gevp_eigenvalues_numeric):
             for run in (solver, lambda *args, **kw: _dense(solver, *args, **kw)):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from specmat import (
     BadBandwidthError,
+    EigenSolution,
     HankelVariant,
     PolynomialPencil,
     SingularPencilError,
@@ -755,6 +756,17 @@ class TestTensorEigenpairs:
         ]
         assert same_bits(combined.vectors, np.column_stack(columns))
         assert same_bits(combined.values, [x + y for x in left.values for y in right.values])
+
+    def test_vectors_follow_the_entrywise_kron_definition(self):
+        # one-row and one-column bases: entry (k, j) of kron(x, y) is x[0, j] y[k, 0]
+        x, y = np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])
+        left = EigenSolution(modes=[1, 2], values=[0.0, 1.0], vectors=x, provenance="analytic")
+        right = EigenSolution(modes=[1], values=[0.0], vectors=y, provenance="analytic")
+        full = tensor_eigenpairs(left, right).vectors
+        assert full.shape == (2, 2)
+        for j in range(2):
+            for k in range(2):
+                assert full[k, j] == x[0, j] * y[k, 0]
 
 
 class TestScalePencil:
