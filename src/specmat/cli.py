@@ -113,10 +113,12 @@ def _within(values, tol) -> bool:
     return bool(np.all(np.asarray(values) <= tol))
 
 
-def _pad_bands(alpha, beta):
-    width = max(alpha.size, beta.size)
-    pad = lambda b: np.pad(b, (0, width - b.size))
-    return pad(alpha), pad(beta)
+def _gate(name, values, tol) -> int:
+    """The exit code of a tolerance gate: 0 when every value is within ``tol``, else 3."""
+    if _within(values, tol):
+        return 0
+    print(f"error: max {name} {np.max(values):.3e} exceeds tolerance {tol:.3e}", file=sys.stderr)
+    return 3
 
 
 # ----------------------------------------------------------------- build
@@ -158,7 +160,9 @@ def _spectrum_problem(args):
     if args.family == "toeplitz-hankel":
         if args.alpha is None or args.beta is None or args.n is None:
             raise SpecmatError("toeplitz-hankel spectra need --alpha, --beta and --n")
-        alpha, beta = _pad_bands(parse_band(args.alpha), parse_band(args.beta))
+        alpha, beta = parse_band(args.alpha), parse_band(args.beta)
+        width = max(alpha.size, beta.size)  # the shorter band's missing diagonals are zero
+        alpha, beta = (np.pad(band, (0, width - band.size)) for band in (alpha, beta))
         variant = HankelVariant.coerce(args.variant)
         sol = gevp_eigenpairs(alpha, beta, args.n, variant)
         a = assemble_toeplitz_hankel(alpha, args.n, variant)
@@ -207,45 +211,29 @@ def _cmd_spectrum(args) -> int:
     else:
         _emit(_csv_lines(header, rows), args.out)
 
-    if not _within(residuals, args.tol):
-        print(
-            f"error: max residual {np.max(residuals):.3e} exceeds tolerance {args.tol:.3e}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _gate("residual", residuals, args.tol)
 
 
 # -------------------------------------------------------------- identity
 
 def _identity_reports(args):
-    reports = []
-    if args.kind in ("ti31", "ti3", "ti3g"):
-        if args.n is None:
-            raise SpecmatError(f"{args.kind} needs --n")
-        ks = [args.k] if args.k is not None else list(range(1, args.n + 1))
-        if args.kind == "ti31":
-            for k in ks:
-                reports.append(trig_identity("ti31", args.n, k))
-        else:
-            ls = [args.l] if args.l is not None else list(range(1, args.n + 1))
-            for k in ks:
-                for l in ls:
-                    if args.kind == "ti3":
-                        reports.append(trig_identity("ti3", args.n, k, l))
-                    else:
-                        if args.alpha is None or args.beta is None:
-                            raise SpecmatError("ti3g needs --alpha and --beta (two entries each)")
-                        reports.append(
-                            trig_identity(
-                                "ti3g", args.n, k, l,
-                                alpha=parse_band(args.alpha), beta=parse_band(args.beta),
-                            )
-                        )
-        return reports
-
     if args.n is None:
         raise SpecmatError(f"{args.kind} needs --n")
+    if args.kind in ("ti31", "ti3", "ti3g"):
+        bands = {}
+        if args.kind == "ti3g":
+            if args.alpha is None or args.beta is None:
+                raise SpecmatError("ti3g needs --alpha and --beta (two entries each)")
+            bands = {"alpha": parse_band(args.alpha), "beta": parse_band(args.beta)}
+        if args.n < 2:  # else an empty sweep would pass the gate on no evaluations
+            raise SpecmatError(f"{args.kind} needs --n of at least 2, got {args.n}")
+        # each index sweeps 1..n unless given; ti31 has no l
+        ks, ls = ([i] if i is not None else list(range(1, args.n + 1)) for i in (args.k, args.l))
+        if args.kind == "ti31":
+            ls = [None]
+        return [trig_identity(args.kind, args.n, k, l, **bands) for k in ks for l in ls]
+
+    reports = []
     rng = np.random.default_rng(args.seed)
     for _ in range(args.random):
         a = rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal((args.n, args.n))
@@ -297,13 +285,7 @@ def _cmd_identity(args) -> int:
     proven = args.kind in ("eve", "ti31", "ti3") or (
         args.kind == "gevp-eve" and args.form == "proof"
     )
-    if proven and not _within(checked, args.tol):
-        print(
-            f"error: max rel_diff {worst:.3e} exceeds tolerance {args.tol:.3e}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _gate("rel_diff", checked, args.tol) if proven else 0
 
 
 # ------------------------------------------------------------ dispersion
@@ -391,14 +373,7 @@ def _cmd_pevp(args) -> int:
             f"oracle flagged {dropped}",
             file=sys.stderr,
         )
-    worst = float(np.max(distances)) if distances.size else 0.0
-    if not _within(distances, args.tol):
-        print(
-            f"error: max oracle distance {worst:.3e} exceeds tolerance {args.tol:.3e}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _gate("oracle distance", distances, args.tol)
 
 
 # ----------------------------------------------------------------- parser
@@ -411,33 +386,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="materialize a matrix family to Matrix Market files")
-    build.add_argument("--family", required=True,
-                       choices=["toeplitz-hankel", "corner-block", "fem-p2", "fem-p3"])
-    build.add_argument("--variant", type=int, default=1, choices=[1, 2, 3, 4])
-    build.add_argument("--n", type=int)
+    # the options that pick a family and where its output goes, shared by build and spectrum
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True,
+                        choices=["toeplitz-hankel", "corner-block", "fem-p2", "fem-p3"])
+    family.add_argument("--variant", type=int, default=1, choices=[1, 2, 3, 4])
+    family.add_argument("--n", type=int)
+    family.add_argument("--alpha", help="comma-separated complex band, e.g. 1,-1/3,-1/6")
+    family.add_argument("--half-n", type=int, dest="half_n")
+    family.add_argument("--n-elems", type=int, dest="n_elems")
+    family.add_argument("--out")
+
+    build = sub.add_parser("build", parents=[family],
+                           help="materialize a matrix family to Matrix Market files")
     build.add_argument("--m", type=int)
-    build.add_argument("--alpha", help="comma-separated complex band, e.g. 1,-1/3,-1/6")
-    build.add_argument("--half-n", type=int, dest="half_n")
-    build.add_argument("--n-elems", type=int, dest="n_elems")
-    build.add_argument("--out")
     build.set_defaults(func=_cmd_build)
 
-    spectrum = sub.add_parser("spectrum", help="closed-form spectrum with residuals and oracle comparison")
-    spectrum.add_argument("--family", required=True,
-                          choices=["toeplitz-hankel", "corner-block", "fem-p2", "fem-p3"])
-    spectrum.add_argument("--variant", type=int, default=1, choices=[1, 2, 3, 4])
-    spectrum.add_argument("--n", type=int)
-    spectrum.add_argument("--alpha")
+    spectrum = sub.add_parser("spectrum", parents=[family],
+                              help="closed-form spectrum with residuals and oracle comparison")
     spectrum.add_argument("--beta")
-    spectrum.add_argument("--half-n", type=int, dest="half_n")
-    spectrum.add_argument("--n-elems", type=int, dest="n_elems")
     spectrum.add_argument("--no-oracle", action="store_true")
     spectrum.add_argument("--tol", type=float, default=1e-8)
     spectrum.add_argument("--perturb", type=float, default=0.0,
                           help="debug: shift every eigenvalue before the residual check")
     spectrum.add_argument("--format", choices=["csv", "json"], default="csv")
-    spectrum.add_argument("--out")
     spectrum.set_defaults(func=_cmd_spectrum)
 
     identity = sub.add_parser("identity", help="evaluate eigenvector-eigenvalue and trigonometric identities")

@@ -218,10 +218,12 @@ def _body_values(body: str, layout: str, lines: int, count: int) -> np.ndarray:
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file written by :func:`write_matrix_market`.
 
-    Handles array real/complex and coordinate complex (general or
-    symmetric).  Always returns a complex array.  Blank lines and comment
-    lines are skipped; the body must hold exactly the lines and numbers the
-    size line announces.
+    Handles the array and coordinate layouts with a ``real``, ``integer``
+    or ``complex`` field and ``general`` or ``symmetric`` storage; any other
+    header raises ``ValueError`` rather than being read as ``general``.
+    Always returns a complex array.  Blank lines and comment lines are
+    skipped; the body must hold exactly the lines and numbers the size line
+    announces.
     """
     with open(path, encoding="ascii") as handle:
         text = handle.read()
@@ -245,12 +247,15 @@ def read_matrix_market(path) -> np.ndarray:
         raise ValueError(f"not a Matrix Market file: {header!r}")
     tokens = header.split()
     _, _, layout, field, shape_word = tokens[:5]
+    if (layout not in ("array", "coordinate") or field not in ("real", "integer", "complex")
+            or shape_word not in ("general", "symmetric")):
+        raise ValueError(f"unsupported Matrix Market header {header!r}")
     size = [int(t) for t in lines[1].split()]
     body = text[end + 1:]
 
     if layout == "array":
         rows, cols = size
-        width = 1 if field == "real" else 2
+        width = 2 if field == "complex" else 1
         values = _body_values(body, layout, rows * cols, rows * cols * width).reshape(cols, rows, width)
         out = np.zeros((rows, cols), dtype=complex)
         out.real = values[:, :, 0].T  # column-major
@@ -258,23 +263,20 @@ def read_matrix_market(path) -> np.ndarray:
             out.imag = values[:, :, 1].T
         return out
 
-    if layout == "coordinate":
-        rows, cols, nnz = size
-        width = 4 if field == "complex" else 3
-        entries = _body_values(body, layout, nnz, nnz * width).reshape(nnz, width)
-        i, j = entries[:, 0], entries[:, 1]
-        if not (np.all((i >= 1) & (i <= rows) & (i == np.floor(i)))
-                and np.all((j >= 1) & (j <= cols) & (j == np.floor(j)))):
-            raise ValueError(f"coordinate indices must be integers in 1..{rows} and 1..{cols}")
-        i, j = i.astype(int) - 1, j.astype(int) - 1
-        if shape_word == "symmetric":
-            i, j = np.concatenate((i, j)), np.concatenate((j, i))
-            entries = np.concatenate((entries, entries))
-        out = np.zeros((rows, cols), dtype=complex)
-        # the parts are set apart: re + 1j * im would turn an imaginary -0.0 into +0.0
-        out.real[i, j] = entries[:, 2]
-        if width == 4:
-            out.imag[i, j] = entries[:, 3]
-        return out
-
-    raise ValueError(f"unsupported layout {layout!r}")
+    rows, cols, nnz = size
+    width = 4 if field == "complex" else 3
+    entries = _body_values(body, layout, nnz, nnz * width).reshape(nnz, width)
+    i, j = entries[:, 0], entries[:, 1]
+    if not (np.all((i >= 1) & (i <= rows) & (i == np.floor(i)))
+            and np.all((j >= 1) & (j <= cols) & (j == np.floor(j)))):
+        raise ValueError(f"coordinate indices must be integers in 1..{rows} and 1..{cols}")
+    i, j = i.astype(int) - 1, j.astype(int) - 1
+    if shape_word == "symmetric":
+        i, j = np.concatenate((i, j)), np.concatenate((j, i))
+        entries = np.concatenate((entries, entries))
+    out = np.zeros((rows, cols), dtype=complex)
+    # the parts are set apart: re + 1j * im would turn an imaginary -0.0 into +0.0
+    out.real[i, j] = entries[:, 2]
+    if width == 4:
+        out.imag[i, j] = entries[:, 3]
+    return out

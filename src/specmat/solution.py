@@ -27,7 +27,6 @@ class EigenSolution:
     provenance: str
     h: float | None = None
     residuals: np.ndarray | None = None
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.modes = np.asarray(self.modes, dtype=int)
@@ -47,10 +46,6 @@ class EigenSolution:
     @property
     def n_modes(self) -> int:
         return len(self.values)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
     def value_for_mode(self, mode: int) -> complex:
         idx = np.flatnonzero(self.modes == mode)

@@ -168,6 +168,8 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     mode's 2x2 symbol.  When ``alpha[1] beta[3] = alpha[3] beta[1]``, lam0 is
     a root of every quadratic and its vectors live on the odd entries; where
     both roots of a mode are lam0, the second one lives on the even entries.
+    Where angle j's quadratic degenerates to linear, its one root is mode
+    ``2j-1`` and the label ``2j`` is missing from ``modes``.
     """
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
@@ -196,10 +198,6 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     roots[linear, :1] = batched_roots(table[linear, :2])
     kept = np.ones((n, 2), dtype=bool)
     kept[:, 1] = ~linear
-    notes = tuple(
-        f"mode {2 * j} dropped: quadratic degenerated to linear at angle index {j}"
-        for j in np.flatnonzero(linear) + 1
-    )
 
     # each root's weights on the even and odd entries span the null space of
     # its mode's 2x2 symbol [[vertex, fold * coupling], [coupling, -odd]],
@@ -235,7 +233,6 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
         vectors=vectors,
         provenance=ANALYTIC,
         h=h,
-        notes=notes,
     )
 
 
@@ -388,10 +385,6 @@ class PolynomialPencil:
     @property
     def degree(self) -> int:
         return len(self.bands) - 1
-
-    @property
-    def bandwidth(self) -> int:
-        return self.bands[0].size - 1
 
 
 def pevp_eigenpairs(pencil: PolynomialPencil) -> PolynomialEigenSolution:

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, exit codes, file and CSV outputs."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -547,6 +548,15 @@ class TestIdentityCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, n", [("ti31", -2), ("ti3", 0), ("ti3", 1), ("ti3g", 0)])
+    def test_trig_sweep_below_two_is_validation_error(self, capsys, kind, n):
+        # an empty sweep would otherwise pass the gate on zero evaluations
+        argv = ["identity", "--kind", kind, "--n", str(n), "--alpha", "2,-1", "--beta", "2/3,1/6"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {kind} needs --n of at least 2, got {n}\n"
+
 
 class TestDispersion:
     def test_fdm_first_mode_numbers(self):
@@ -654,6 +664,15 @@ class TestPevpCommand:
         main(["pevp", "--input", str(path), "--out", str(out_path)])
         capsys.readouterr()
         assert out_path.read_text(encoding="ascii") == "\n".join(self._per_root_lines(payload)) + "\n"
+
+    def test_distance_above_tolerance_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": 1, "n": 6, "bands": [["1", "1/2"], ["2", "0.3"]]}))
+        assert main(["pevp", "--input", str(path), "--tol", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("mode_index,root_index,")
+        assert re.fullmatch(r"error: max oracle distance \S+ exceeds tolerance -1\.000e\+00\n",
+                            captured.err)
 
     def test_bad_json_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "pencil.json"

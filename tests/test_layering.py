@@ -1,6 +1,7 @@
 """Which module may import which: the closed forms never reach the numeric
 oracle that checks them, file I/O needs neither, and nothing needs scipy.
-Only the oracle's pencil reduction factors by Cholesky."""
+Only the oracle's pencil reduction factors by Cholesky, and only the CLI's
+gate returns the tolerance exit code."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import specmat
+import specmat.cli
 import specmat.mmio
 import specmat.oracle
 import specmat.spectra
@@ -56,23 +58,47 @@ def test_the_check_sees_imports_inside_functions():
     assert [node.lineno for node in _imports(tree, "scipy")] == [8]
 
 
-def _cholesky_calls(tree):
-    """``(function, line)`` of every call of a function named ``cholesky`` in ``tree``."""
-    calls = []
+def _found_in_functions(tree, matches):
+    """``(function, line)`` of every node of ``tree`` that ``matches``, in its innermost function."""
+    found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "cholesky":
-                calls.append((function, node.lineno))
+        if matches(node):
+            found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, None)
-    return calls
+    return found
+
+
+def _is_cholesky_call(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "cholesky"
+
+
+def _cholesky_calls(tree):
+    """``(function, line)`` of every call of a function named ``cholesky`` in ``tree``."""
+    return _found_in_functions(tree, _is_cholesky_call)
+
+
+def _results(expr):
+    """The expressions that ``expr`` may evaluate to, through conditionals and ``and``/``or``."""
+    if isinstance(expr, ast.IfExp):
+        return _results(expr.body) + _results(expr.orelse)
+    if isinstance(expr, ast.BoolOp):
+        return [result for value in expr.values for result in _results(value)]
+    return [expr]
+
+
+def _returns_of_3(tree):
+    """``(function, line)`` of every ``return`` in ``tree`` that may return the literal 3."""
+    return _found_in_functions(tree, lambda node: isinstance(node, ast.Return) and any(
+        isinstance(result, ast.Constant) and result.value == 3 for result in _results(node.value)))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda path: path.name)
@@ -92,3 +118,20 @@ def test_the_cholesky_check_finds_the_call_and_its_function():
                      "\ndef other(b):\n    from numpy.linalg import cholesky\n    return cholesky(b)\n")
     assert _cholesky_calls(tree) == [("_reduce_pencil", 4), ("other", 8)]
     assert _cholesky_calls(ast.parse(Path(specmat.oracle.__file__).read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda path: path.name)
+def test_only_the_gate_returns_the_tolerance_exit_code(path):
+    """Exit code 3, a tolerance failure, comes from ``cli._gate`` alone, so
+    that every command gates and words the failure the same way."""
+    returns = _returns_of_3(ast.parse(path.read_text(encoding="utf-8")))
+    allowed = "_gate" if path.name == "cli.py" else None
+    stray = [(function, line) for function, line in returns if function != allowed]
+    assert stray == [], f"{path.name} returns 3 outside cli._gate: {stray}"
+
+
+def test_the_exit_code_check_finds_each_return_of_3():
+    tree = ast.parse("def _gate(ok):\n    return 0 if ok else 3\n\ndef run(ok):\n    if not ok:\n"
+                     "        return 3\n    return ok and 3\n\ndef count():\n    return 4, [3]\n")
+    assert _returns_of_3(tree) == [("_gate", 2), ("run", 6), ("run", 7)]
+    assert _returns_of_3(ast.parse(Path(specmat.cli.__file__).read_text(encoding="utf-8")))

@@ -71,6 +71,15 @@ class TestWriteRead:
         write_matrix_market(a, path)
         assert np.array_equal(read_matrix_market(path), a.astype(complex))
 
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix array integer general\n2 2\n2\n-1\n-1\n3\n",
+        "%%MatrixMarket matrix coordinate integer symmetric\n2 2 3\n1 1 2\n2 1 -1\n2 2 3\n",
+    ], ids=["array", "coordinate-symmetric"])
+    def test_integer_files_read_as_real(self, tmp_path, text):
+        path = tmp_path / "i.mtx"
+        path.write_text(text, encoding="ascii")
+        assert np.array_equal(read_matrix_market(path), [[2, -1], [-1, 3]])
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -118,13 +127,18 @@ class TestWriteRead:
             "",
             " \n\t\n",
             "%%MatrixMarket matrix array real general\n% only a comment\n",
+            "%%MatrixMarket matrix coordinate complex hermitian\n2 2 2\n1 1 2 0\n2 1 1 1\n",
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1\n",
+            "%%MatrixMarket matrix coordinate bogus general\n2 2 1\n2 1 1\n",
+            "%%MatrixMarket matrix coordinate real bogus\n2 2 1\n2 1 1\n",
         ],
         ids=["short-array", "extra-token", "missing-imag", "short-coordinate",
              "missing-token", "bad-layout", "no-header", "row-index-zero", "col-index-zero",
              "negative-index", "row-index-above-size", "col-index-above-size",
              "non-integral-index", "nan-index", "infinite-index", "crlf-two-entries-on-a-line",
              "crlf-short-array", "crlf-extra-line", "form-feed-splits-an-entry",
-             "unit-separator-joins-entries", "empty", "blank", "no-size-line"],
+             "unit-separator-joins-entries", "empty", "blank", "no-size-line",
+             "hermitian", "skew-symmetric", "unknown-field", "unknown-symmetry"],
     )
     def test_malformed_files_are_rejected(self, tmp_path, text):
         path = tmp_path / "bad.mtx"
@@ -326,6 +340,8 @@ def _reference_read(path):
     if not header.startswith("%%MatrixMarket matrix"):
         raise ValueError(f"not a Matrix Market file: {header!r}")
     _, _, layout, field, shape_word = header.split()[:5]
+    if field not in ("real", "integer", "complex") or shape_word not in ("general", "symmetric"):
+        raise ValueError(f"unsupported Matrix Market header {header!r}")
     size = [int(t) for t in lines[1].split()]
     body_lines = [line for line in rest.translate(str.maketrans("", "", " \t\x1f")).split("\n") if line]
     tokens = rest.split()
@@ -345,7 +361,7 @@ def _reference_read(path):
         rows, cols = size
         if len(body_lines) != rows * cols:
             raise ValueError("array body length does not match the size line")
-        width = 1 if field == "real" else 2
+        width = 2 if field == "complex" else 1
         values = parse(rows * cols * width).reshape(cols, rows, width)
         out = np.zeros((rows, cols), dtype=complex)
         out.real = values[:, :, 0].T
