@@ -45,6 +45,7 @@ from .identities import (
     eve_identity_gevp,
     eve_identity_gevp_all,
     trig_identity,
+    trig_identity_all,
 )
 from .linalg import batched_roots
 from .mmio import read_matrix_market, write_matrix_market
@@ -133,5 +134,6 @@ __all__ = [
     "tensor_eigenpairs",
     "toeplitz_hankel_band",
     "trig_identity",
+    "trig_identity_all",
     "write_matrix_market",
 ]

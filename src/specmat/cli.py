@@ -29,7 +29,7 @@ from .families import (
     fem_p3_bands,
     toeplitz_hankel_band,
 )
-from .identities import eve_identity_evp_all, eve_identity_gevp_all, trig_identity
+from .identities import eve_identity_evp_all, eve_identity_gevp_all, trig_identity_all
 from .mmio import write_matrix_market
 from .oracle import (
     gevp_eigenvalues_numeric,
@@ -227,11 +227,9 @@ def _identity_reports(args):
             bands = {"alpha": parse_band(args.alpha), "beta": parse_band(args.beta)}
         if args.n < 2:  # else an empty sweep would pass the gate on no evaluations
             raise SpecmatError(f"{args.kind} needs --n of at least 2, got {args.n}")
-        # each index sweeps 1..n unless given; ti31 has no l
-        ks, ls = ([i] if i is not None else list(range(1, args.n + 1)) for i in (args.k, args.l))
-        if args.kind == "ti31":
-            ls = [None]
-        return [trig_identity(args.kind, args.n, k, l, **bands) for k in ks for l in ls]
+        # each index sweeps 1..n unless given
+        ks, ls = (None if i is None else [i] for i in (args.k, args.l))
+        return trig_identity_all(args.kind, args.n, ks, ls, **bands)
 
     reports = []
     rng = np.random.default_rng(args.seed)

@@ -6,14 +6,14 @@ shapes: the proof form (characteristic polynomials weighted by ``x* B x``),
 which holds, and the literal eigenvalue-ratio form, which is evaluated
 as printed and reported even where it fails.
 
-Each eigenvector-eigenvalue identity is computed as one table over every
-mode j (rows) and removed index k (columns).  The principal minors form one
-``(n, n-1, n-1)`` stack, gathered by a single index, and one stacked LAPACK
-call gives all their eigenvalues: ``eigvalsh`` for a matrix, and for a
-pencil the oracle's solve of the stack on the whole pencil's route.  Both
-sides are then products over broadcast difference tables.  A single (j, k)
-evaluation runs the same kernel on the k-minor alone, so it equals the
-entry of the whole table bit for bit.
+Each identity is computed as one table: modes j by removed indices k for
+the eigenvector-eigenvalue identities, k by l for the trigonometric ones.
+The principal minors form one ``(n, n-1, n-1)`` stack, gathered by a single
+index, and one stacked LAPACK call gives all their eigenvalues: ``eigvalsh``
+for a matrix, and for a pencil the oracle's solve of the stack on the whole
+pencil's route.  Both sides are then products over broadcast difference
+tables.  A single evaluation runs the same kernel on its own row and
+column, so it equals the entry of the whole table bit for bit.
 """
 
 from __future__ import annotations
@@ -47,28 +47,18 @@ class IdentityReport:
     conditioning_warning: bool = False
 
 
-def _report(kind, lhs, rhs, inputs, warning=False) -> IdentityReport:
-    lhs, rhs = complex(lhs), complex(rhs)
-    abs_diff = abs(lhs - rhs)
-    rel_diff = abs_diff / max(abs(lhs), abs(rhs), 1e-30)
-    return IdentityReport(kind, lhs, rhs, abs_diff, rel_diff, inputs, warning)
-
-
-def _table_reports(kind, lhs, rhs, ks, warning, **inputs) -> list:
-    """One report per entry of the ``(n, len(ks))`` tables, j slowest.
-
-    The differences are those of :func:`_report`, for the whole table at once.
-    """
-    lhs, rhs = lhs.astype(complex), rhs.astype(complex)
+def _table_reports(kind, lhs, rhs, inputs, warning=False) -> list:
+    """One report per entry of the tables ``lhs`` and ``rhs`` in C order, ``inputs`` each entry's dict."""
+    lhs, rhs = lhs.astype(complex).ravel(), rhs.astype(complex).ravel()
     abs_diff = np.abs(lhs - rhs)
     rel_diff = abs_diff / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
-    n, ks = lhs.shape[0], (ks + 1).tolist()
-    rows = zip(lhs.tolist(), rhs.tolist(), abs_diff.tolist(), rel_diff.tolist())
-    return [
-        IdentityReport(kind, *entry, {"j": j, "k": k, "n": n, **inputs}, warning)
-        for j, row in enumerate(rows, start=1)
-        for k, *entry in zip(ks, *row)
-    ]
+    rows = zip(lhs.tolist(), rhs.tolist(), abs_diff.tolist(), rel_diff.tolist(), inputs)
+    return [IdentityReport(kind, *entry, entry_inputs, warning) for *entry, entry_inputs in rows]
+
+
+def _eve_inputs(n, ks, **extra) -> list:
+    """The inputs of each entry of an ``(n, len(ks))`` table over modes j and 0-based minors ks."""
+    return [{"j": j, "k": k, "n": n, **extra} for j in range(1, n + 1) for k in (ks + 1).tolist()]
 
 
 def _minor_stack(m, ks) -> np.ndarray:
@@ -98,9 +88,13 @@ def _near_repeated(values) -> bool:
     return bool(np.min(np.abs(np.diff(vals))) <= GAP_WARNING_TOL * np.max(np.abs(vals)))
 
 
-def _products_but_own(table) -> np.ndarray:
-    """``prod_{l != j} table[j, l]`` for every row j; the diagonal of ``table`` is overwritten."""
-    np.fill_diagonal(table, 1.0)
+def _products_but_own(table, own=None) -> np.ndarray:
+    """``prod_{l != own[j]} table[j, l]`` for every row j, by default ``own[j] = j``.
+
+    The own entries of ``table`` are overwritten by 1.
+    """
+    rows = np.arange(table.shape[0])
+    table[rows, rows if own is None else own] = 1.0
     return np.prod(table, axis=1)
 
 
@@ -112,7 +106,7 @@ def _minor_products(lams, mus) -> np.ndarray:
 def _evp_table(a, pair=None):
     """Both sides of the identity for every j and every minor, or the k-minor of ``pair`` alone.
 
-    Returns ``(lhs, rhs, ks, warning)`` with ``(n, len(ks))`` tables.
+    Returns ``(lhs, rhs, inputs, warning)`` with ``(n, len(ks))`` tables.
     """
     a = as_square(a)
     if not is_hermitian(a):
@@ -122,7 +116,7 @@ def _evp_table(a, pair=None):
     mus = np.linalg.eigvalsh(_minor_stack(a, ks))  # Hermitian, as minors of A
     gaps = _products_but_own(lams[:, None] - lams[None, :])
     lhs = np.abs(vectors[ks].T) ** 2 * gaps[:, None]
-    return lhs, _minor_products(lams, mus), ks, _near_repeated(lams)
+    return lhs, _minor_products(lams, mus), _eve_inputs(a.shape[0], ks), _near_repeated(lams)
 
 
 def eve_identity_evp(a, j: int, k: int) -> IdentityReport:
@@ -173,7 +167,7 @@ def _gevp_table(a, b, form, pair=None):
             np.tile(b_values, (b_values.size, 1)))[:, None]
         lhs = weights * gaps[:, None]
         rhs = ratio * products
-    return lhs, rhs, ks, _near_repeated(lams)
+    return lhs, rhs, _eve_inputs(a.shape[0], ks, form=form), _near_repeated(lams)
 
 
 def eve_identity_gevp(a, b, j: int, k: int, form: str = PROOF_FORM) -> IdentityReport:
@@ -185,7 +179,7 @@ def eve_identity_gevp(a, b, j: int, k: int, form: str = PROOF_FORM) -> IdentityR
     minor, paired to the mode index by rank; it is evaluated exactly as
     stated and the report carries whatever disagreement results.
     """
-    return _table_reports(f"eve-gevp-{form}", *_gevp_table(a, b, form, (j, k)), form=form)[j - 1]
+    return _table_reports(f"eve-gevp-{form}", *_gevp_table(a, b, form, (j, k)))[j - 1]
 
 
 def eve_identity_gevp_all(a, b, form: str = PROOF_FORM) -> list:
@@ -194,14 +188,85 @@ def eve_identity_gevp_all(a, b, form: str = PROOF_FORM) -> list:
     The pencil is solved once, and the eigenvalues of all n minor pencils
     come from one stacked solve.
     """
-    return _table_reports(f"eve-gevp-{form}", *_gevp_table(a, b, form), form=form)
+    return _table_reports(f"eve-gevp-{form}", *_gevp_table(a, b, form))
 
 
-def _guard_denominator(factors, context):
-    factors = np.asarray(factors)
-    if factors.size and np.min(np.abs(factors)) < DENOMINATOR_TOL:
+def _guarded_products(table, ks, context):
+    """:func:`_products_but_own` without column k - 1 in the row of each k; a vanishing factor raises."""
+    products = _products_but_own(table, ks - 1)
+    if np.min(np.abs(table), initial=np.inf) < DENOMINATOR_TOL:
         raise SingularDenominatorError(f"denominator factor vanishes in {context}")
-    return factors
+    return products
+
+
+def _trig_tables(kind, n, ks, ls, alpha, beta):
+    """Both sides of a trigonometric identity, k by row and l by column.
+
+    With ``theta_j = j pi/(n+1)`` and f the cosine, or the symbol ratio for
+    ti3g, the right side is ``w_k G(k, l) G(k, n-l+1) / prod_{j != k}
+    (f(theta_k) - f(theta_j))``.  ``G(k, d) = prod_{i<d} (f(theta_k) -
+    f(i pi/d))`` is the gap product over one block's angles, and w is 1, or
+    for ti3g the ratio of the beta band's Toeplitz determinants.
+    """
+    grid = np.arange(1, n + 1) * np.pi / (n + 1)
+    f, weights = np.cos, 1.0
+    if kind == "ti3g":
+        def f(theta):
+            s_beta = symbol(beta, theta)
+            if np.any(np.abs(s_beta) < DENOMINATOR_TOL * np.sum(np.abs(beta))):
+                raise SingularDenominatorError(f"beta symbol vanishes in ti3g(n={n})")
+            # Python's complex division divides; numpy's multiplies by a rounded reciprocal
+            return np.array([x / y for x, y in zip(symbol(alpha, theta).tolist(), s_beta.tolist())], complex)
+
+        bottom = _guarded_products(np.tile(symbol(beta, grid), (ks.size, 1)), ks, f"ti3g(n={n})")
+        weights = (np.prod(symbol(beta, np.arange(1, n) * np.pi / n)) / bottom)[:, None]
+    f_grid = f(grid)
+    f_k = f_grid[ks - 1]
+    denom = _guarded_products(f_k[:, None] - f_grid, ks, f"{kind}(n={n})")
+    # the angles are rational multiples of pi, so the true zeros of the cosine
+    # gaps and of the sine are known in integers; snapping them to zero keeps
+    # the floored rel_diff honest where both sides vanish
+    snap = kind != "ti3g"
+    gaps = np.ones((ks.size, n + 1), dtype=f_k.dtype)  # G(k, d) in column d
+    for d in {*ls.tolist(), *(n + 1 - ls).tolist()}:
+        i = np.arange(1, d)
+        table = f_k[:, None] - f(i * np.pi / d)
+        if snap:
+            table[ks[:, None] * d == i * (n + 1)] = 0.0  # theta_k = i pi/d
+        gaps[:, d] = np.prod(table, axis=1)
+    kl = np.multiply.outer(ks, ls)
+    sines = np.sin(kl * np.pi / (n + 1))
+    lhs = 2.0 / (n + 1) * (sines * sines)
+    if snap:
+        lhs[kl % (n + 1) == 0] = 0.0
+    return lhs, weights * gaps[:, ls] * gaps[:, n + 1 - ls] / denom[:, None]
+
+
+def trig_identity_all(kind: str, n: int, ks=None, ls=None, alpha=None, beta=None) -> list:
+    """Every (k, l) report of :func:`trig_identity`, k slowest; ``ks`` and ``ls`` default to 1..n.
+
+    ti31 has no l: it ignores ``ls`` and reports ``l = 1``.
+    """
+    if kind not in ("ti31", "ti3", "ti3g"):
+        raise ValueError(f"unknown identity kind {kind!r}")
+    ks = list(range(1, n + 1)) if ks is None else list(ks)
+    ls = [1] if kind == "ti31" else list(range(1, n + 1)) if ls is None else list(ls)
+    if n < 2:
+        raise IndexOutOfRangeError(f"need n >= 2, got n={n}")
+    for name, values in (("k", ks), ("l", ls)):
+        bad = [v for v in values if v is None or not 1 <= v <= n]
+        if bad:
+            raise IndexOutOfRangeError(f"need 1 <= {name} <= n, got n={n}, {name}={bad[0]}")
+    bands = {}
+    if kind == "ti3g":
+        if alpha is None or beta is None:
+            raise ValueError("ti3g needs alpha and beta bands of bandwidth 1")
+        alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+        if alpha.shape != (2,) or beta.shape != (2,):
+            raise ValueError("ti3g bands must have exactly two entries")
+        bands = {"alpha": tuple(alpha.tolist()), "beta": tuple(beta.tolist())}
+    lhs, rhs = _trig_tables(kind, n, np.array(ks, dtype=int), np.array(ls, dtype=int), alpha, beta)
+    return _table_reports(kind, lhs, rhs, [{"n": n, "k": k, "l": l, **bands} for k in ks for l in ls])
 
 
 def trig_identity(kind: str, n: int, k: int, l: int | None = None,
@@ -216,72 +281,4 @@ def trig_identity(kind: str, n: int, k: int, l: int | None = None,
     it is reported, not asserted, since the stated determinant ratio only
     matches the minor structure at the edge indices.
     """
-    if kind not in ("ti31", "ti3", "ti3g"):
-        raise ValueError(f"unknown identity kind {kind!r}")
-    if n < 2 or not 1 <= k <= n:
-        raise IndexOutOfRangeError(f"need n >= 2 and 1 <= k <= n, got n={n}, k={k}")
-    if kind == "ti31":
-        l = 1
-    if l is None or not 1 <= l <= n:
-        raise IndexOutOfRangeError(f"need 1 <= l <= n, got l={l}")
-
-    cos_k = np.cos(k * np.pi / (n + 1))
-    denom = _guard_denominator(
-        [cos_k - np.cos(jj * np.pi / (n + 1)) for jj in range(1, n + 1) if jj != k],
-        f"{kind}(n={n}, k={k})",
-    )
-
-    if kind in ("ti31", "ti3"):
-        # all angles are rational multiples of pi, so true zeros of each side
-        # are detectable exactly in integer arithmetic; snapping them keeps
-        # the floored rel_diff honest where both sides vanish
-        if (k * l) % (n + 1) == 0:
-            lhs = 0.0
-        else:
-            lhs = 2.0 / (n + 1) * np.sin(k * l * np.pi / (n + 1)) ** 2
-        left_block = [
-            0.0 if k * l == jj * (n + 1) else cos_k - np.cos(jj * np.pi / l)
-            for jj in range(1, l)
-        ]
-        right_block = [
-            0.0
-            if k * (n - l + 1) == (jj - l + 1) * (n + 1)
-            else cos_k - np.cos((jj - l + 1) * np.pi / (n - l + 1))
-            for jj in range(l, n)
-        ]
-        rhs = np.prod(left_block) * np.prod(right_block) / np.prod(denom)
-        return _report(kind, lhs, rhs, {"n": n, "k": k, "l": l})
-
-    if alpha is None or beta is None:
-        raise ValueError("ti3g needs alpha and beta bands of bandwidth 1")
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    if alpha.shape != (2,) or beta.shape != (2,):
-        raise ValueError("ti3g bands must have exactly two entries")
-
-    def ratio(theta):
-        s_beta = symbol(beta, theta)
-        if abs(s_beta) < DENOMINATOR_TOL * float(np.sum(np.abs(beta))):
-            raise SingularDenominatorError(f"beta symbol vanishes at angle {theta}")
-        return symbol(alpha, theta) / s_beta
-
-    lhs = 2.0 / (n + 1) * np.sin(k * l * np.pi / (n + 1)) ** 2
-    eta_top = np.prod([symbol(beta, jj * np.pi / n) for jj in range(1, n)])
-    eta_bottom = _guard_denominator(
-        [symbol(beta, jj * np.pi / (n + 1)) for jj in range(1, n + 1) if jj != k],
-        f"ti3g(n={n}, k={k})",
-    )
-    r_k = ratio(k * np.pi / (n + 1))
-    block1 = np.prod([r_k - ratio(jj * np.pi / l) for jj in range(1, l)]) if l > 1 else 1.0
-    block2 = (
-        np.prod([r_k - ratio((jj - l + 1) * np.pi / (n - l + 1)) for jj in range(l, n)])
-        if l < n
-        else 1.0
-    )
-    block3 = _guard_denominator(
-        [r_k - ratio(jj * np.pi / (n + 1)) for jj in range(1, n + 1) if jj != k],
-        f"ti3g(n={n}, k={k})",
-    )
-    rhs = (eta_top / np.prod(eta_bottom)) * block1 * block2 / np.prod(block3)
-    inputs = {"n": n, "k": k, "l": l, "alpha": tuple(alpha), "beta": tuple(beta)}
-    return _report("ti3g", lhs, rhs, inputs)
+    return trig_identity_all(kind, n, [k], [l], alpha, beta)[0]

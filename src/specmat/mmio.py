@@ -220,8 +220,9 @@ def read_matrix_market(path) -> np.ndarray:
 
     Handles the array and coordinate layouts with a ``real``, ``integer``
     or ``complex`` field and ``general`` or ``symmetric`` storage; any other
-    header raises ``ValueError`` rather than being read as ``general``.
-    Always returns a complex array.  Blank lines and comment lines are
+    header raises ``ValueError`` rather than being read as ``general``.  A
+    symmetric array holds the lower triangle column by column, n(n+1)/2
+    entries, and is mirrored.  Always returns a complex array.  Blank lines and comment lines are
     skipped; the body must hold exactly the lines and numbers the size line
     announces.
     """
@@ -253,30 +254,34 @@ def read_matrix_market(path) -> np.ndarray:
     size = [int(t) for t in lines[1].split()]
     body = text[end + 1:]
 
+    width = 2 if field == "complex" else 1
     if layout == "array":
         rows, cols = size
-        width = 2 if field == "complex" else 1
-        values = _body_values(body, layout, rows * cols, rows * cols * width).reshape(cols, rows, width)
-        out = np.zeros((rows, cols), dtype=complex)
-        out.real = values[:, :, 0].T  # column-major
-        if width == 2:
-            out.imag = values[:, :, 1].T
-        return out
-
-    rows, cols, nnz = size
-    width = 4 if field == "complex" else 3
-    entries = _body_values(body, layout, nnz, nnz * width).reshape(nnz, width)
-    i, j = entries[:, 0], entries[:, 1]
-    if not (np.all((i >= 1) & (i <= rows) & (i == np.floor(i)))
-            and np.all((j >= 1) & (j <= cols) & (j == np.floor(j)))):
-        raise ValueError(f"coordinate indices must be integers in 1..{rows} and 1..{cols}")
-    i, j = i.astype(int) - 1, j.astype(int) - 1
+        if shape_word == "general":
+            values = _body_values(body, layout, rows * cols, rows * cols * width).reshape(cols, rows, width)
+            out = np.zeros((rows, cols), dtype=complex)
+            out.real = values[:, :, 0].T  # column-major
+            if width == 2:
+                out.imag = values[:, :, 1].T
+            return out
+        if rows != cols:
+            raise ValueError(f"a symmetric array must be square, got {rows} x {cols}")
+        j, i = np.triu_indices(rows)  # the lower triangle, column by column
+        parts = _body_values(body, layout, i.size, i.size * width).reshape(i.size, width)
+    else:
+        rows, cols, nnz = size
+        entries = _body_values(body, layout, nnz, nnz * (width + 2)).reshape(nnz, width + 2)
+        i, j, parts = entries[:, 0], entries[:, 1], entries[:, 2:]
+        if not (np.all((i >= 1) & (i <= rows) & (i == np.floor(i)))
+                and np.all((j >= 1) & (j <= cols) & (j == np.floor(j)))):
+            raise ValueError(f"coordinate indices must be integers in 1..{rows} and 1..{cols}")
+        i, j = i.astype(int) - 1, j.astype(int) - 1
     if shape_word == "symmetric":
         i, j = np.concatenate((i, j)), np.concatenate((j, i))
-        entries = np.concatenate((entries, entries))
+        parts = np.concatenate((parts, parts))
     out = np.zeros((rows, cols), dtype=complex)
     # the parts are set apart: re + 1j * im would turn an imaginary -0.0 into +0.0
-    out.real[i, j] = entries[:, 2]
-    if width == 4:
-        out.imag[i, j] = entries[:, 3]
+    out.real[i, j] = parts[:, 0]
+    if width == 2:
+        out.imag[i, j] = parts[:, 1]
     return out

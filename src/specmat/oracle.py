@@ -253,20 +253,12 @@ def _solve(a, b, method, vectors):
             w, v = np.linalg.eig(block)
         parts.append(w)
         vecs.append(v)
-    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    values = np.concatenate(parts, axis=-1)  # a stack is one block
     vecs = None if not vectors else vecs[0] if len(vecs) == 1 else _join_halves(*vecs)
-    if hermitian:
-        # eigh and eigvalsh return each block, and each row of a stack, ascending
-        if len(parts) == 1:
-            return a, b, values, vecs, True
-        if not vectors:
-            return a, b, np.sort(values), None, True
-        order = np.argsort(values, kind="stable")
-    else:
-        order = np.lexsort((values.imag, values.real))
-        if values.ndim == 2:
-            return a, b, np.take_along_axis(values, order, axis=-1), None, False
-    return a, b, values[order], None if vecs is None else vecs[:, order], hermitian
+    # ascending, by (real, imag) off the Hermitian route; each row of a stack alone
+    order = np.argsort(values, kind="stable") if hermitian else np.lexsort((values.imag, values.real))
+    values = np.take_along_axis(values, order, axis=-1)
+    return a, b, values, None if vecs is None else vecs[:, order], hermitian
 
 
 def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:

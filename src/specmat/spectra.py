@@ -105,8 +105,8 @@ def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
     h, angles = mode_angles(variant, n)
     thetas = np.pi * h * angles
     denom = symbol(beta, thetas)
-    floor = SYMBOL_ZERO_RTOL * float(np.sum(np.abs(beta)))
-    bad = np.flatnonzero(np.abs(denom) < floor)
+    # at or below the floor: an all-zero band's floor is 0, and its symbol with it
+    bad = np.flatnonzero(np.abs(denom) <= SYMBOL_ZERO_RTOL * float(np.sum(np.abs(beta))))
     if bad.size:
         raise SingularPencilError(
             f"denominator symbol vanishes at mode angle index {angles[bad[0]]}"
@@ -400,8 +400,8 @@ def pevp_eigenpairs(pencil: PolynomialPencil) -> PolynomialEigenSolution:
     basis = eigenvector_basis(pencil.variant, pencil.n)
     floors = np.array([SYMBOL_ZERO_RTOL * float(np.sum(np.abs(b))) for b in pencil.bands])
     table = np.stack([symbol(b, thetas) for b in pencil.bands], axis=1)
-    # each mode's degree is its highest power whose symbol clears the floor
-    above = np.abs(table) >= floors
+    # each mode's degree is its highest power whose symbol is above the floor (0 for a zero band)
+    above = np.abs(table) > floors
     above[:, 0] = True
     degrees = pencil.degree - np.argmax(above[:, ::-1], axis=1)
     mode_roots = [np.empty(0, dtype=complex)] * pencil.n

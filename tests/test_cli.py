@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from specmat import (
     read_matrix_market,
     scale_pencil,
     solve_pevp_numeric,
+    trig_identity_all,
     write_matrix_market,
 )
 from specmat.oracle import pair_values
@@ -506,6 +508,30 @@ class TestIdentityCommand:
         assert code == 0
         assert "max rel_diff" in out
 
+    def test_ti3g_lines_show_the_bands_as_python_complex(self, capsys):
+        assert main(["identity", "--kind", "ti3g", "--n", "3", "--k", "1", "--l", "1",
+                     "--alpha", "2,-1", "--beta", "1/2,1/8"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("kind=ti3g n=3 k=1 l=1 alpha=((2+0j), (-1+0j)) beta=((0.5+0j), (0.125+0j)) lhs=")
+
+    @pytest.mark.parametrize("argv, pairs", [
+        (["--kind", "ti31", "--n", "5", "--l", "3"], 5),
+        (["--kind", "ti3", "--n", "5"], 25),
+        (["--kind", "ti3", "--n", "5", "--l", "2"], 5),
+        (["--kind", "ti3g", "--n", "4", "--k", "2", "--alpha", "2,-1", "--beta", "2/3,1/6"], 4),
+    ])
+    def test_trig_kinds_take_one_table_call(self, capsys, monkeypatch, argv, pairs):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return trig_identity_all(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "trig_identity_all", counted)
+        assert main(["identity", *argv]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.endswith(f" over {pairs} evaluations\n")
+
     def test_nan_rel_diff_trips_the_gate(self, capsys, monkeypatch):
         reports = [IdentityReport("eve", 1.0, complex("nan"), float("nan"), float("nan")),
                    IdentityReport("eve", 1.0, 1.0, 0.0, 0.0)]
@@ -673,6 +699,16 @@ class TestPevpCommand:
         assert captured.out.startswith("mode_index,root_index,")
         assert re.fullmatch(r"error: max oracle distance \S+ exceeds tolerance -1\.000e\+00\n",
                             captured.err)
+
+    def test_all_zero_leading_band_lists_every_mode_as_a_degree_drop(self, tmp_path, capsys):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": 4, "n": 6, "bands": [["1", "1/2"], ["0", "0"]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pevp", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "mode_index,root_index,lambda_re,lambda_im,oracle_distance\n"
+        assert captured.err == "degree drop: analytic modes [1, 2, 3, 4, 5, 6], oracle flagged True\n"
 
     def test_bad_json_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "pencil.json"

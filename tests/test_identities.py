@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specmat import (
@@ -17,6 +17,7 @@ from specmat import (
     gevp_eigenvalues_numeric,
     solve_gevp_numeric,
     trig_identity,
+    trig_identity_all,
 )
 from specmat.identities import _minor_stack
 
@@ -450,6 +451,10 @@ class TestTrigIdentities:
         with pytest.raises(SingularDenominatorError):
             trig_identity("ti3g", n, 2, 2, alpha=(2.0, -1.0), beta=(beta0, beta1))
 
+    def test_empty_index_lists_give_no_reports(self):
+        assert trig_identity_all("ti3", 5, ks=[]) == trig_identity_all("ti3", 5, ls=[]) == []
+        assert trig_identity_all("ti3g", 5, ks=[], alpha=(2, -1), beta=(2 / 3, 1 / 6)) == []
+
     def test_bad_kind_and_ranges(self):
         with pytest.raises(ValueError):
             trig_identity("ti99", 4, 1)
@@ -457,3 +462,111 @@ class TestTrigIdentities:
             trig_identity("ti31", 1, 1)
         with pytest.raises(IndexError):
             trig_identity("ti3", 4, 1, 9)
+
+
+# ------------------------------------------------------- trigonometric tables
+
+@st.composite
+def _trig_cases(draw):
+    """A kind, a size, bands for ti3g (real or complex), and index subsets of the table."""
+    kind = draw(st.sampled_from(["ti31", "ti3", "ti3g"]))
+    n = draw(st.integers(2, 80))
+    bands = {}
+    if kind == "ti3g":
+        part = st.integers(-16, 16).map(lambda v: v / 8)
+        imag = part if draw(st.booleans()) else st.just(0.0)
+        entry = lambda: complex(draw(part), draw(imag))  # noqa: E731
+        # |beta_0| >= 3 > 2 |beta_1|: beta's symbol stays away from zero
+        bands = {"alpha": (entry(), entry()),
+                 "beta": (3 + abs(draw(part)) + 1j * draw(imag), entry() / 2)}
+    indices = st.lists(st.integers(1, n), min_size=1, max_size=4)
+    return kind, n, bands, draw(indices), draw(indices)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_trig_cases())
+@example(("ti3g", 80, {"alpha": (4 + 1j, 0.5), "beta": (1, 0.2j)}, [1, 52, 80], [1, 77, 80]))
+@example(("ti3g", 2, {"alpha": (2, -1), "beta": (2 / 3, 1 / 6)}, [1, 2], [2]))
+@example(("ti3", 80, {}, [52, 77], [52, 77]))
+def test_trig_entry_is_the_table_entry_bit_for_bit(case):
+    # each entry depends only on its own k and l, not on the table it sits in
+    kind, n, bands, ks, ls = case
+    table = trig_identity_all(kind, n, **bands)
+    width = 1 if kind == "ti31" else n
+    entry = lambda k, l: table[(k - 1) * width + (l - 1 if width > 1 else 0)]  # noqa: E731
+    for k in ks:
+        for l in ls:
+            assert trig_identity(kind, n, k, l, **bands) == entry(k, l)
+    part = trig_identity_all(kind, n, ks, ls, **bands)
+    assert part == [entry(k, l) for k in ks for l in ([1] if kind == "ti31" else ls)]
+
+
+def _scalar_ti3(n, k, l):
+    """ti3 one (k, l) at a time, as lists of gaps and their products, with the exact zeros snapped."""
+    cos_k = np.cos(k * np.pi / (n + 1))
+    denom = [cos_k - np.cos(j * np.pi / (n + 1)) for j in range(1, n + 1) if j != k]
+    left = [0.0 if k * l == i * (n + 1) else cos_k - np.cos(i * np.pi / l) for i in range(1, l)]
+    right = [0.0 if k * (n - l + 1) == i * (n + 1) else cos_k - np.cos(i * np.pi / (n - l + 1))
+             for i in range(1, n - l + 1)]
+    sine = np.sin(k * l * np.pi / (n + 1))
+    lhs = 0.0 if (k * l) % (n + 1) == 0 else 2.0 / (n + 1) * (sine * sine)
+    return lhs, np.prod(left) * np.prod(right) / np.prod(denom)
+
+
+@pytest.mark.parametrize("n", [*range(2, 14), 30])
+def test_ti3_table_is_the_scalar_formula_bit_for_bit(n):
+    # the table kernel keeps each product's order, so the printed ti31 and ti3 lines stay as they were
+    for rep in trig_identity_all("ti3", n) + trig_identity_all("ti31", n):
+        lhs, rhs = _scalar_ti3(n, rep.inputs["k"], rep.inputs["l"])
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+
+def _ti3_reference(n, k, l):
+    """``2/(n+1) sin^2(k l pi/(n+1))`` in 50 digits, which both sides of ti3 equal."""
+    return 2 * mpmath.sin(k * l * mpmath.pi / (n + 1)) ** 2 / (n + 1)
+
+
+def _ti3_bounds(n, k, l):
+    """First-order error bounds of the float sides of ti3, relative to the reference.
+
+    Each gap ``cos(theta_k) - cos(phi)`` carries the rounding of both cosines
+    and of both angles, at most ``(2 + 2 pi) eps`` absolute, so the right
+    side's relative error is at most ``eps`` times the sum of
+    ``(2 + 2 pi) / |gap|`` over every gap, plus two roundings per factor;
+    the left side's sine carries the rounding of its angle.
+    """
+    def angles(d):
+        return np.arange(1, d) * np.pi / d
+    theta = k * np.pi / (n + 1)
+    numerators = np.concatenate((angles(l), angles(n - l + 1)))
+    denominators = np.delete(angles(n + 1), k - 1)
+    gaps = np.abs(np.cos(theta) - np.cos(np.concatenate((numerators, denominators))))
+    rhs = EPS * (2 * gaps.size + np.sum((2 + 2 * np.pi) / gaps[gaps > 0]))
+    angle = k * l * np.pi / (n + 1)
+    lhs = EPS * (4 + 2 * angle * abs(np.cos(angle) / np.sin(angle)))
+    return lhs, rhs
+
+
+def test_ti31_and_ti3_match_50_digit_references_up_to_n_200():
+    with mpmath.workdps(50):
+        for n in (2, 3, 7, 64, 200):
+            ls = sorted({1, 2, 3, n // 3, n // 2, (n + 1) // 2 + 1, n - 1, n} & set(range(1, n + 1)))
+            reports = trig_identity_all("ti3", n, ls=ls) + trig_identity_all("ti31", n)
+            for rep in reports:
+                k, l = rep.inputs["k"], rep.inputs["l"]
+                reference = _ti3_reference(n, k, l)
+                if (k * l) % (n + 1) == 0:  # the true zeros are exact zeros on both sides
+                    assert rep.lhs == rep.rhs == 0
+                    continue
+                lhs_bound, rhs_bound = _ti3_bounds(n, k, l)
+                assert abs(rep.lhs - reference) <= 4 * lhs_bound * reference
+                assert abs(rep.rhs - reference) <= 4 * rhs_bound * reference
+        # the reference is the identity's common value: its right side in 50 digits agrees
+        n = 200
+        for k, l in [(1, 1), (7, 100), (52, 77), (150, 199), (200, 200)]:
+            theta = mpmath.cos(k * mpmath.pi / (n + 1))
+            gap = lambda i, d: theta - mpmath.cos(i * mpmath.pi / d)  # noqa: E731
+            rhs = (mpmath.fprod(gap(i, l) for i in range(1, l))
+                   * mpmath.fprod(gap(i, n - l + 1) for i in range(1, n - l + 1))
+                   / mpmath.fprod(gap(j, n + 1) for j in range(1, n + 1) if j != k))
+            assert abs(rhs - _ti3_reference(n, k, l)) <= mpmath.mpf(10) ** -40

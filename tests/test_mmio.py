@@ -80,6 +80,18 @@ class TestWriteRead:
         path.write_text(text, encoding="ascii")
         assert np.array_equal(read_matrix_market(path), [[2, -1], [-1, 3]])
 
+    @pytest.mark.parametrize("text, want", [
+        ("%%MatrixMarket matrix array real symmetric\n3 3\n4\n-1\n0.5\n5\n-2\n6\n",
+         [[4, -1, 0.5], [-1, 5, -2], [0.5, -2, 6]]),
+        ("%%MatrixMarket matrix array complex symmetric\n% lower triangle, column by column\n3 3\n"
+         "1 2\n0 -1\n3 0\n4 0\n-5 0.5\n6 -6\n",
+         [[1 + 2j, -1j, 3], [-1j, 4, -5 + 0.5j], [3, -5 + 0.5j, 6 - 6j]]),
+    ], ids=["real", "complex"])
+    def test_symmetric_array_holds_the_lower_triangle(self, tmp_path, text, want):
+        path = tmp_path / "s.mtx"
+        path.write_text(text, encoding="ascii")
+        assert np.array_equal(read_matrix_market(path), want)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -131,6 +143,10 @@ class TestWriteRead:
             "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1\n",
             "%%MatrixMarket matrix coordinate bogus general\n2 2 1\n2 1 1\n",
             "%%MatrixMarket matrix coordinate real bogus\n2 2 1\n2 1 1\n",
+            "%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n2\n3\n",
+            "%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n",
+            "%%MatrixMarket matrix array complex symmetric\n2 2\n1 0\n2 0\n3\n",
+            "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n4\n5\n",
         ],
         ids=["short-array", "extra-token", "missing-imag", "short-coordinate",
              "missing-token", "bad-layout", "no-header", "row-index-zero", "col-index-zero",
@@ -138,7 +154,9 @@ class TestWriteRead:
              "non-integral-index", "nan-index", "infinite-index", "crlf-two-entries-on-a-line",
              "crlf-short-array", "crlf-extra-line", "form-feed-splits-an-entry",
              "unit-separator-joins-entries", "empty", "blank", "no-size-line",
-             "hermitian", "skew-symmetric", "unknown-field", "unknown-symmetry"],
+             "hermitian", "skew-symmetric", "unknown-field", "unknown-symmetry",
+             "symmetric-array-of-full-size", "short-symmetric-array", "symmetric-array-missing-imag",
+             "non-square-symmetric-array"],
     )
     def test_malformed_files_are_rejected(self, tmp_path, text):
         path = tmp_path / "bad.mtx"

@@ -167,6 +167,11 @@ class TestGevpEigenpairs:
         with pytest.raises(SingularPencilError):
             gevp_eigenpairs([2.0, -1.0], [0.0, 1.0], 3, 1)
 
+    def test_all_zero_denominator_band_is_singular(self):
+        # the floor scales with sum |beta|, so an all-zero band's floor is 0 too
+        with pytest.raises(SingularPencilError):
+            gevp_eigenvalues([2.0, -1.0], [0.0, 0.0], 5, 1)
+
     def test_band_length_mismatch(self):
         with pytest.raises(BadBandwidthError):
             gevp_eigenpairs([2.0, -1.0], [1.0], 5, 1)
@@ -663,6 +668,12 @@ class TestPevpEigenpairs:
         assert poly.degree_drops == (2,)
         assert poly.mode_roots[1].size == 1
         assert poly.mode_roots[0].size == 2
+
+    def test_all_zero_leading_band_drops_every_mode(self):
+        pencil = PolynomialPencil(bands=([1.0, 0.5], [0.0, 0.0]), variant=HankelVariant.SET4, n=6)
+        poly = pevp_eigenpairs(pencil)
+        assert poly.degree_drops == (1, 2, 3, 4, 5, 6)
+        assert all(roots.size == 0 for roots in poly.mode_roots)
 
     def test_degree_drops_masked_per_mode(self):
         # at the angles j pi / 6 the cubic band vanishes at modes 3 and 4 and
