@@ -231,6 +231,8 @@ def _identity_reports(args):
         ks, ls = (None if i is None else [i] for i in (args.k, args.l))
         return trig_identity_all(args.kind, args.n, ks, ls, **bands)
 
+    if args.random < 1:  # else the gate would pass on no evaluations
+        raise SpecmatError(f"{args.kind} needs --random of at least 1, got {args.random}")
     reports = []
     rng = np.random.default_rng(args.seed)
     for _ in range(args.random):
@@ -446,6 +448,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if np.isnan(getattr(args, "tol", 0.0)):  # no value is within NaN, so every gate would fail
+            raise SpecmatError(f"{args.command} needs a --tol that is not NaN")
         return args.func(args)
     except (SpecmatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

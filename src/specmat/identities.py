@@ -25,7 +25,7 @@ import numpy as np
 from .errors import IndexOutOfRangeError, NotHermitianError, SingularDenominatorError
 from .linalg import as_square, is_hermitian
 from .oracle import _solve
-from .spectra import symbol
+from .spectra import divide_symbols, symbol
 
 GAP_WARNING_TOL = 1e-6
 DENOMINATOR_TOL = 1e-13
@@ -215,8 +215,7 @@ def _trig_tables(kind, n, ks, ls, alpha, beta):
             s_beta = symbol(beta, theta)
             if np.any(np.abs(s_beta) < DENOMINATOR_TOL * np.sum(np.abs(beta))):
                 raise SingularDenominatorError(f"beta symbol vanishes in ti3g(n={n})")
-            # Python's complex division divides; numpy's multiplies by a rounded reciprocal
-            return np.array([x / y for x, y in zip(symbol(alpha, theta).tolist(), s_beta.tolist())], complex)
+            return divide_symbols(symbol(alpha, theta), s_beta)
 
         bottom = _guarded_products(np.tile(symbol(beta, grid), (ks.size, 1)), ks, f"ti3g(n={n})")
         weights = (np.prod(symbol(beta, np.arange(1, n) * np.pi / n)) / bottom)[:, None]

@@ -9,15 +9,17 @@ Remington, "The Matrix Market exchange formats", NIST, 1996).
 The built matrices are banded, so most entries are zero.  What follows the
 nonzeros and what follows the bytes:
 
-- The writer takes a dense matrix or a :class:`~specmat.families.SymmetricBand`.
-  From a band it never forms the n x n matrix: the coordinate entries and
-  the array layout's formatted entries come straight from the band's
-  O(n m) slots, each distinct value is formatted once, and only the string
-  of literal ``0`` lines between them grows with n^2.  From a dense
-  matrix, finding the nonzeros is one vectorized pass over the n^2
-  entries.  Either way, only entries that are not +0.0 are formatted (the
-  rest are the literal line ``0``, or ``0 0`` for a complex array), and the
-  bytes are those of formatting every entry.
+- The writer takes a dense matrix or a :class:`~specmat.families.SymmetricBand`
+  and works on one list of its entries, those that are not +0.0: a band
+  lists its O(n m) entries itself, without forming the n x n matrix, and a
+  dense matrix finds its own in one vectorized pass over the n^2 entries.
+  Each layout then has one body builder.  The array layout writes the
+  entries in column-major order, and between them the literal ``0`` (``0 0``
+  for a complex array), one string product per run of zeros; the
+  coordinate layout drops the entries equal to zero and keeps the lower
+  triangle when every entry equals its mirror.  A band's values are
+  formatted once per distinct value.  The bytes are those of formatting
+  every entry.
 - The reader makes one numpy pass over the body's bytes, which finds the
   token boundaries, the non-blank lines and the literal ``0`` tokens; its
   cost follows the bytes, at a few numpy operations per byte.  ``float``
@@ -47,7 +49,7 @@ _PLAIN = str.maketrans(_LINE_BREAKS + _BLANKS, "\n" * len(_LINE_BREAKS) + " " * 
 _LINE_BREAK = re.compile(f"[\n{_LINE_BREAKS}]")
 
 
-def _array_body(at: np.ndarray, fields: list, size: int, width: int, spec: str = _FLOAT) -> str:
+def _array_body(at: np.ndarray, fields: list, size: int, width: int, spec: str) -> str:
     """Array-layout lines for ``size`` entries of ``width`` parts each.
 
     The entries at the sorted positions ``at`` take their parts from
@@ -79,33 +81,19 @@ def _texts(values: np.ndarray) -> np.ndarray:
     return np.array(texts.split("\n")[:-1], dtype=object)[index.reshape(values.shape)]
 
 
-def _band_body(ab: np.ndarray, fmt: str, real: bool):
-    """Body and entry count of the file of the symmetric matrix in the band ``ab``.
+def _entries(a):
+    """Row-major positions ``i * cols + j`` and values of the entries of ``a`` with a part other than +0.0.
 
-    The n x n matrix is never formed.  Coordinate: the lower triangle row by
-    row, where row i holds ``(i, i - m + t) = ab[t, i]`` for ``t = 0..m``, so
-    the band's columns in order are the entries in order.  Array: column c
-    of the matrix holds rows ``c - m .. c + m`` of its band, ``ab[:, c]``
-    and then, mirrored, diagonal d of the band at column ``c + d``.
+    A band lists its own; a dense matrix takes one vectorized pass over its
+    n^2 entries, real and imaginary parts side by side.
     """
-    m, n = ab.shape[0] - 1, ab.shape[1]
-    if fmt == "coordinate":
-        lower = ab.T
-        kept = (np.arange(m + 1) >= m - np.arange(n)[:, None]) & ((lower.real != 0) | (lower.imag != 0))
-        i, t = np.divmod(np.flatnonzero(kept), m + 1)
-        fields = np.empty((i.size, 4), dtype=object)
-        fields[:, 0], fields[:, 1] = (i + 1).tolist(), (i - m + t + 1).tolist()
-        fields[:, 2:] = _texts(lower[i, t].view(float).reshape(-1, 2))
-        return "%d %d %s %s\n" * i.size % tuple(fields.ravel().tolist()), i.size
-    column = np.zeros((n, 2 * m + 1), dtype=ab.dtype)
-    column[:, :m + 1] = ab.T
-    for d in range(1, min(m, n - 1) + 1):
-        column[:n - d, m + d] = ab[m - d, d:]
-    row = np.arange(n)[:, None] - m + np.arange(2 * m + 1)
-    parts = column.view(float).reshape(n, 2 * m + 1, 2)[:, :, :1 if real else 2]
-    kept = (row >= 0) & (row < n) & parts.view(np.uint64).any(axis=2)  # not +0.0 alone
-    at = (np.arange(n)[:, None] * n + row)[kept]  # column-major positions, in order
-    return _array_body(at, _texts(parts[kept]).ravel().tolist(), n * n, parts.shape[2], "%s"), None
+    if isinstance(a, SymmetricBand):
+        i, j, values = a.entries()
+        return i * a.shape[1] + j, values
+    a = np.ascontiguousarray(a)
+    bits = a.view(np.uint64)
+    flat = np.flatnonzero((bits[:, 0::2] | bits[:, 1::2]) != 0)
+    return flat, a.reshape(-1)[flat]
 
 
 def write_matrix_market(a, path, fmt: str | None = None) -> str:
@@ -118,52 +106,47 @@ def write_matrix_market(a, path, fmt: str | None = None) -> str:
     that was written.
     """
     band = isinstance(a, SymmetricBand)
-    if band:
-        ab = np.asarray(a.ab, dtype=complex)
-        rows = cols = ab.shape[1]
-        real = not ab.imag.any()
-        if np.isnan(ab.view(float)).any():
-            # a NaN entry is not equal to its mirror, so the file is not symmetric
-            a, band = SymmetricBand(ab).dense(), False
     if not band:
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2:
             raise ValueError("only 2-D matrices can be written")
-        rows, cols = a.shape
-        # which parts are nonzero, real and imaginary side by side: one vectorized
-        # comparison, several times faster than comparing the complex entries
-        nonzero = np.ascontiguousarray(a).view(float) != 0
-        real = not nonzero[:, 1::2].any()
+    rows, cols = a.shape
+    # the entries of the transpose, row-major, are those of ``a`` at their column-major
+    # positions; a band's entries mirror bit for bit, so it is its own transpose
+    at, mirrors = _entries(a if band else a.T)
+    real = not mirrors.imag.any()
     if fmt is None:
         fmt = "array" if real else "coordinate"
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"unknown format {fmt!r}")
 
-    symmetric = True
-    if band:
-        body, nnz = _band_body(ab, fmt, real)
-    elif fmt == "array":
-        flat = a.T.ravel()  # array format is column-major
-        # the float view interleaves real and imaginary parts
-        parts = flat.real[:, None] if real else flat.view(float).reshape(-1, 2)
-        at = np.flatnonzero(parts.view(np.uint64).any(axis=1))  # not +0.0 alone
-        body = _array_body(at, parts[at].ravel().tolist(), flat.size, parts.shape[1])
-    else:
-        i, j = np.divmod(np.flatnonzero(nonzero[:, 0::2] | nonzero[:, 1::2]), cols)  # row-major
-        # equal to its transpose when every nonzero entry equals its mirror
-        symmetric = rows == cols and bool(np.all(a[j, i] == a[i, j]))
-        if symmetric:  # the lower triangle only
-            lower = i >= j
-            i, j = i[lower], j[lower]
-        parts = np.stack((i + 1, j + 1, a.real[i, j], a.imag[i, j]), axis=1)
-        body, nnz = f"%d %d {_FLOAT} {_FLOAT}\n" * i.size % tuple(parts.ravel().tolist()), i.size
-
+    # a band's few distinct values are formatted once each, a dense matrix's by the % below
+    spec = "%s" if band else _FLOAT
     if fmt == "array":
+        parts = mirrors.real if real else mirrors.view(float)  # real and imaginary parts in turn
+        fields = _texts(parts) if band else parts
+        body = _array_body(at, fields.tolist(), rows * cols, 1 if real else 2, spec)
         header = f"{HEADER_PREFIX} array {'real' if real else 'complex'} general"
         size_line = f"{rows} {cols}"
     else:
+        flat, values = (at, mirrors) if band else _entries(a)
+        nonzero, mirrored = values != 0, mirrors != 0
+        flat, values, at, mirrors = flat[nonzero], values[nonzero], at[mirrored], mirrors[mirrored]
+        # equal to its transpose when the entries sit where their mirrors do and
+        # each equals its mirror; a NaN equals none
+        symmetric = rows == cols and np.array_equal(flat, at) and bool(np.all(values == mirrors))
+        i = flat // cols
+        j = flat - i * cols
+        if symmetric:  # the lower triangle only
+            lower = i >= j
+            i, j, values = i[lower], j[lower], values[lower]
+        fields = np.empty((i.size, 4), dtype=object)
+        fields[:, 0], fields[:, 1] = (i + 1).tolist(), (j + 1).tolist()
+        parts = values.view(float).reshape(-1, 2)
+        fields[:, 2:] = _texts(parts) if band else parts
+        body = f"%d %d {spec} {spec}\n" * i.size % tuple(fields.ravel().tolist())
         header = f"{HEADER_PREFIX} coordinate complex {'symmetric' if symmetric else 'general'}"
-        size_line = f"{rows} {cols} {nnz}"
+        size_line = f"{rows} {cols} {i.size}"
     with open(path, "w", encoding="ascii") as handle:
         handle.write(f"{header}\n{size_line}\n{body}")
     return header

@@ -64,6 +64,18 @@ def symbol(band, theta):
     return complex(acc) if theta_arr.ndim == 0 else acc
 
 
+def divide_symbols(numerator, denominator) -> np.ndarray:
+    """The quotients of two 1-D arrays of symbol values, correctly rounded where both are real.
+
+    numpy's complex division multiplies by a rounded reciprocal, even on
+    real values.  So real values divide as reals, and complex ones by
+    Python's complex division, which on real values is real division.
+    """
+    if not (numerator.imag.any() or denominator.imag.any()):
+        return (numerator.real / denominator.real).astype(complex)
+    return np.array([x / y for x, y in zip(numerator.tolist(), denominator.tolist())], dtype=complex)
+
+
 # per variant: h = 1 / (n + shift), and the first angle multiplier
 _MODE_ANGLES = {HankelVariant.SET1: (1, 1), HankelVariant.SET2: (0, 1),
                 HankelVariant.SET3: (-1, 0), HankelVariant.SET4: (0, 0)}
@@ -111,7 +123,7 @@ def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
         raise SingularPencilError(
             f"denominator symbol vanishes at mode angle index {angles[bad[0]]}"
         )
-    return symbol(alpha, thetas) / denom
+    return divide_symbols(symbol(alpha, thetas), denom)
 
 
 def gevp_eigenpairs(alpha, beta, n: int, variant) -> EigenSolution:

@@ -297,6 +297,27 @@ def test_within_fails_on_nan_and_values_above_the_tolerance():
     assert not _within([1e-8, 2e-8], 1e-8)
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "fem-p2", "--n-elems", "5"],
+    ["identity", "--kind", "eve", "--n", "4"],
+    ["pevp", "--input", "pencil.json"],
+], ids=["spectrum", "identity", "pevp"])
+@pytest.mark.parametrize("nan", ["nan", "NaN"])
+def test_nan_tolerance_is_usage_error(capsys, argv, nan):
+    # no value is within a NaN tolerance, so every gate would fail
+    assert main([*argv, "--tol", nan]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} needs a --tol that is not NaN\n"
+
+
+@pytest.mark.parametrize("tol, code", [("inf", 0), ("-1", 3)])
+def test_infinite_and_negative_tolerances_keep_their_meaning(capsys, tol, code):
+    argv = ["spectrum", "--family", "fem-p2", "--n-elems", "5", "--perturb", "0.5", "--tol", tol]
+    assert main(argv) == code
+    capsys.readouterr()
+
+
 class TestSpectrumCsv:
     def test_rows_match_the_per_field_formatter(self):
         special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
@@ -582,6 +603,14 @@ class TestIdentityCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {kind} needs --n of at least 2, got {n}\n"
+
+    @pytest.mark.parametrize("kind, trials", [("eve", 0), ("gevp-eve", -2)])
+    def test_no_random_trial_is_validation_error(self, capsys, kind, trials):
+        # the gate would otherwise pass on zero evaluations
+        assert main(["identity", "--kind", kind, "--n", "5", "--random", str(trials)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {kind} needs --random of at least 1, got {trials}\n"
 
 
 class TestDispersion:

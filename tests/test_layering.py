@@ -1,5 +1,6 @@
 """Which module may import which: the closed forms never reach the numeric
 oracle that checks them, file I/O needs neither, and nothing needs scipy.
+Only ``families`` reads a band's storage.
 Only the oracle's pencil reduction factors by Cholesky, and only the CLI's
 gate returns the tolerance exit code."""
 
@@ -56,6 +57,26 @@ def test_the_check_sees_imports_inside_functions():
                      "\ndef h():\n    import scipy.linalg\n")
     assert [node.lineno for node in _imports(tree, "oracle")] == [2, 5]
     assert [node.lineno for node in _imports(tree, "scipy")] == [8]
+
+
+def _attribute_reads(tree, name):
+    """The line of every ``.name`` attribute in ``tree``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == name]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda path: path.name)
+def test_only_families_reads_band_storage(path):
+    """LAPACK's band layout is known to ``families`` alone: the writer takes a
+    band's entries from ``SymmetricBand.entries``, not from its ``ab``."""
+    if path.name == "families.py":
+        return
+    lines = _attribute_reads(ast.parse(path.read_text(encoding="utf-8")), "ab")
+    assert lines == [], f"{path.name} reads band storage (.ab) on lines {lines}"
+
+
+def test_the_band_storage_check_sees_every_read():
+    tree = ast.parse("def f(band):\n    m = band.ab.shape[0]\n    return band.abc, band.ab[0]\n")
+    assert _attribute_reads(tree, "ab") == [2, 3]
 
 
 def _found_in_functions(tree, matches):

@@ -15,6 +15,7 @@ from specmat import (
     build_corner_block,
     build_fem_p2,
     corner_block_band,
+    fem_p2_bands,
     read_matrix_market,
     toeplitz_hankel_band,
     write_matrix_market,
@@ -332,6 +333,19 @@ def test_family_bands_with_signed_zeros_write_the_dense_bytes(mm_dir, band, vari
         write_matrix_market(band_form, mm_dir / "band.mtx", fmt)
         write_matrix_market(dense, mm_dir / "dense.mtx", fmt)
         assert (mm_dir / "band.mtx").read_bytes() == (mm_dir / "dense.mtx").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", [None, "array", "coordinate"])
+@pytest.mark.parametrize("band", [
+    toeplitz_hankel_band([2.5, -0.75, 0.125], 300, 2),
+    toeplitz_hankel_band([3 + 1j, -0.5 + 0.25j, 0.125j], 950, 3),
+    *fem_p2_bands(105),
+], ids=["real-toeplitz-hankel-300", "complex-toeplitz-hankel-950", "fem-p2-K-105", "fem-p2-M-105"])
+def test_benchmark_sized_bands_write_the_dense_bytes(mm_dir, band, fmt):
+    """The sizes that ``build`` writes in the benchmark, far past the property tests' 12 x 12."""
+    header = write_matrix_market(band, mm_dir / "band.mtx", fmt)
+    assert header == write_matrix_market(band.dense(), mm_dir / "dense.mtx", fmt)
+    assert (mm_dir / "band.mtx").read_bytes() == (mm_dir / "dense.mtx").read_bytes()
 
 
 # ------------------------------------------------------------ reader layouts

@@ -38,6 +38,7 @@ from specmat import (
     symbol,
     tensor_eigenpairs,
 )
+from specmat.spectra import mode_angles
 
 RNG = np.random.default_rng(2024)
 EPS = np.finfo(float).eps
@@ -232,6 +233,31 @@ class TestGevpEigenvalues:
                 beta[0] = 4.0 + abs(beta[0])
                 values = gevp_eigenvalues(alpha, beta, n, variant)
                 assert same_bits(values, gevp_eigenpairs(alpha, beta, n, variant).values)
+
+    @staticmethod
+    def _symbols(alpha, beta, n, variant):
+        h, angles = mode_angles(variant, n)
+        thetas = np.pi * h * angles
+        return symbol(alpha, thetas), symbol(beta, thetas)
+
+    @pytest.mark.parametrize("variant, n", [(1, 1000), (2, 151), (3, 40), (4, 33)])
+    def test_real_bands_give_the_real_quotient(self, variant, n):
+        # numpy's complex division multiplies by a rounded reciprocal: at n = 1000
+        # it misses the real quotient in 247 of the IGA pair's 1000 values
+        alpha, beta = [1.0, -1.0 / 3.0, -1.0 / 6.0], [11.0 / 20.0, 13.0 / 60.0, 1.0 / 120.0]
+        s_alpha, s_beta = self._symbols(alpha, beta, n, variant)
+        assert same_bits(gevp_eigenvalues(alpha, beta, n, variant), s_alpha.real / s_beta.real)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        ([4 + 1j, -1.0, 0.5j], [3.0, 0.2 + 0.1j, 0.1]),
+        ([2.0, -1.0], [1.0, 0.2j]),
+        ([2.0 + 0.5j, -1.0], [2.0 / 3.0, 1.0 / 6.0]),
+    ], ids=["complex", "complex-beta", "complex-alpha"])
+    def test_complex_bands_give_pythons_quotient(self, alpha, beta):
+        for variant, n in [(1, 300), (3, 40), (4, 7)]:
+            s_alpha, s_beta = self._symbols(alpha, beta, n, variant)
+            quotients = [x / y for x, y in zip(s_alpha.tolist(), s_beta.tolist())]
+            assert same_bits(gevp_eigenvalues(alpha, beta, n, variant), quotients)
 
     def test_checks_bands_and_singular_pencil(self):
         with pytest.raises(BadBandwidthError):
