@@ -67,29 +67,24 @@ class SymmetricBand(NamedTuple):
 
     ab: np.ndarray
 
-    @property
-    def shape(self) -> tuple:
-        """``(n, n)``, the shape of the matrix."""
-        return (self.ab.shape[1],) * 2
-
     def entries(self):
-        """Row-major ``i, j, values`` of the entries with a part other than +0.0.
+        """n, and row-major ``i, j, values`` of the entries with a part other than +0.0.
 
         O(n m): row i of a table holds ``A[i, i - m .. i + m]``, which is
         the band's column i and then, mirrored, diagonal d of the band at
-        column ``i + d``.  The values are complex.
+        column ``i + d``.  Its slots outside the matrix hold +0.0, from the
+        band's unused entries or from nothing, so they list nothing.  The
+        values are complex.
         """
         ab = np.asarray(self.ab, dtype=complex)
         m, n = ab.shape[0] - 1, ab.shape[1]
-        width = 2 * m + 1
-        row = np.zeros((n, width), dtype=complex)
+        row = np.zeros((n, 2 * m + 1), dtype=complex)
         row[:, :m + 1] = ab.T
         for d in range(1, min(m, n - 1) + 1):
             row[:n - d, m + d] = ab[m - d, d:]
-        j = np.arange(n)[:, None] - m + np.arange(width)
-        bits = row.view(np.uint64)
-        flat = np.flatnonzero(((bits[:, 0::2] | bits[:, 1::2]) != 0) & (j >= 0) & (j < n))
-        return flat // width, j.reshape(-1)[flat], row.reshape(-1)[flat]
+        flat = np.flatnonzero(not_plus_zero(row))
+        i, t = np.divmod(flat, 2 * m + 1)
+        return n, i, i - m + t, row.reshape(-1)[flat]
 
     def dense(self) -> np.ndarray:
         """The n x n matrix, entry for entry (signed zeros included) that of the band.
@@ -106,6 +101,12 @@ class SymmetricBand(NamedTuple):
             if k:
                 flat[k * n::n + 1] = diagonal  # and below
         return out
+
+
+def not_plus_zero(values: np.ndarray) -> np.ndarray:
+    """Where an entry of the C-contiguous complex ``values`` has a part other than +0.0."""
+    bits = values.view(np.uint64)
+    return (bits[..., 0::2] | bits[..., 1::2]) != 0
 
 
 def as_band(values) -> np.ndarray:

@@ -13,13 +13,13 @@ nonzeros and what follows the bytes:
   and works on one list of its entries, those that are not +0.0: a band
   lists its O(n m) entries itself, without forming the n x n matrix, and a
   dense matrix finds its own in one vectorized pass over the n^2 entries.
-  Each layout then has one body builder.  The array layout writes the
-  entries in column-major order, and between them the literal ``0`` (``0 0``
-  for a complex array), one string product per run of zeros; the
-  coordinate layout drops the entries equal to zero and keeps the lower
-  triangle when every entry equals its mirror.  A band's values are
-  formatted once per distinct value.  The bytes are those of formatting
-  every entry.
+  The list is column-major, and each layout has one body builder.  The
+  array layout writes the entries in that order, and between them the
+  literal ``0`` (``0 0`` for a complex array), one string product per run
+  of zeros; the coordinate layout drops the entries equal to zero, sorts
+  the rest row-major and keeps the lower triangle when every entry equals
+  its mirror.  A band's values are formatted once per distinct value.  The
+  bytes are those of formatting every entry.
 - The reader makes one numpy pass over the body's bytes, which finds the
   token boundaries, the non-blank lines and the literal ``0`` tokens; its
   cost follows the bytes, at a few numpy operations per byte.  ``float``
@@ -35,7 +35,7 @@ import re
 
 import numpy as np
 
-from .families import SymmetricBand
+from .families import SymmetricBand, not_plus_zero
 
 HEADER_PREFIX = "%%MatrixMarket matrix"
 _FLOAT = "%.17g"
@@ -82,18 +82,22 @@ def _texts(values: np.ndarray) -> np.ndarray:
 
 
 def _entries(a):
-    """Row-major positions ``i * cols + j`` and values of the entries of ``a`` with a part other than +0.0.
+    """Shape, column-major positions ``j * rows + i`` and values of the entries not +0.0 in ``a``.
 
-    A band lists its own; a dense matrix takes one vectorized pass over its
-    n^2 entries, real and imaginary parts side by side.
+    An entry is listed when some part of it is not +0.0.  A band lists its
+    own row-major, which is column-major: its entries mirror bit for bit.
+    A dense matrix takes one vectorized pass over the n^2 entries of its
+    transpose.
     """
     if isinstance(a, SymmetricBand):
-        i, j, values = a.entries()
-        return i * a.shape[1] + j, values
-    a = np.ascontiguousarray(a)
-    bits = a.view(np.uint64)
-    flat = np.flatnonzero((bits[:, 0::2] | bits[:, 1::2]) != 0)
-    return flat, a.reshape(-1)[flat]
+        n, i, j, values = a.entries()
+        return (n, n), i * n + j, values
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError("only 2-D matrices can be written")
+    at = np.ascontiguousarray(a.T)
+    flat = np.flatnonzero(not_plus_zero(at))
+    return a.shape, flat, at.reshape(-1)[flat]
 
 
 def write_matrix_market(a, path, fmt: str | None = None) -> str:
@@ -105,45 +109,36 @@ def write_matrix_market(a, path, fmt: str | None = None) -> str:
     array format and complex ones to coordinate.  Returns the header line
     that was written.
     """
-    band = isinstance(a, SymmetricBand)
-    if not band:
-        a = np.asarray(a, dtype=complex)
-        if a.ndim != 2:
-            raise ValueError("only 2-D matrices can be written")
-    rows, cols = a.shape
-    # the entries of the transpose, row-major, are those of ``a`` at their column-major
-    # positions; a band's entries mirror bit for bit, so it is its own transpose
-    at, mirrors = _entries(a if band else a.T)
-    real = not mirrors.imag.any()
+    (rows, cols), at, values = _entries(a)
+    # a band's few distinct values are formatted once each, a dense matrix's by the final %
+    spec, texts = ("%s", _texts) if isinstance(a, SymmetricBand) else (_FLOAT, np.asarray)
+    real = not values.imag.any()
     if fmt is None:
         fmt = "array" if real else "coordinate"
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"unknown format {fmt!r}")
 
-    # a band's few distinct values are formatted once each, a dense matrix's by the % below
-    spec = "%s" if band else _FLOAT
     if fmt == "array":
-        parts = mirrors.real if real else mirrors.view(float)  # real and imaginary parts in turn
-        fields = _texts(parts) if band else parts
-        body = _array_body(at, fields.tolist(), rows * cols, 1 if real else 2, spec)
+        parts = values.real if real else values.view(float)  # real and imaginary parts in turn
+        body = _array_body(at, texts(parts).tolist(), rows * cols, 1 if real else 2, spec)
         header = f"{HEADER_PREFIX} array {'real' if real else 'complex'} general"
         size_line = f"{rows} {cols}"
     else:
-        flat, values = (at, mirrors) if band else _entries(a)
-        nonzero, mirrored = values != 0, mirrors != 0
-        flat, values, at, mirrors = flat[nonzero], values[nonzero], at[mirrored], mirrors[mirrored]
-        # equal to its transpose when the entries sit where their mirrors do and
-        # each equals its mirror; a NaN equals none
-        symmetric = rows == cols and np.array_equal(flat, at) and bool(np.all(values == mirrors))
-        i = flat // cols
-        j = flat - i * cols
+        nonzero = values != 0
+        at, values = at[nonzero], values[nonzero]
+        j, i = np.divmod(at, rows)
+        flat = i * cols + j
+        order = np.argsort(flat, kind="stable")  # row-major
+        i, j, flat, by_rows = i[order], j[order], flat[order], values[order]
+        # equal to its transpose when the k-th entry by rows sits where the k-th by
+        # columns does, and so is its mirror, and equals it; a NaN equals none
+        symmetric = rows == cols and np.array_equal(flat, at) and bool(np.all(by_rows == values))
         if symmetric:  # the lower triangle only
             lower = i >= j
-            i, j, values = i[lower], j[lower], values[lower]
+            i, j, by_rows = i[lower], j[lower], by_rows[lower]
         fields = np.empty((i.size, 4), dtype=object)
         fields[:, 0], fields[:, 1] = (i + 1).tolist(), (j + 1).tolist()
-        parts = values.view(float).reshape(-1, 2)
-        fields[:, 2:] = _texts(parts) if band else parts
+        fields[:, 2:] = texts(by_rows.view(float).reshape(-1, 2))
         body = f"%d %d {spec} {spec}\n" * i.size % tuple(fields.ravel().tolist())
         header = f"{HEADER_PREFIX} coordinate complex {'symmetric' if symmetric else 'general'}"
         size_line = f"{rows} {cols} {i.size}"

@@ -68,8 +68,10 @@ def divide_symbols(numerator, denominator) -> np.ndarray:
     """The quotients of two 1-D arrays of symbol values, correctly rounded where both are real.
 
     numpy's complex division multiplies by a rounded reciprocal, even on
-    real values.  So real values divide as reals, and complex ones by
-    Python's complex division, which on real values is real division.
+    real values.  So complex values divide by Python's complex division,
+    which on real values is real division.  Real values take numpy's real
+    division, the same quotients: the Python loop alone would double the
+    cost of :func:`gevp_eigenvalues` at n = 2000.
     """
     if not (numerator.imag.any() or denominator.imag.any()):
         return (numerator.real / denominator.real).astype(complex)

@@ -445,11 +445,16 @@ def test_fem_builders_match_the_loop_references(n_elems):
 def _assert_is_band_of(band, dense):
     """``band.ab`` is the upper band storage of ``dense``: ``ab[m+i-j, j] = A[i, j]``
     for ``j - m <= i <= j``, the unused slots zero, and every other entry of
-    ``dense`` +0.0; ``band.dense()`` is ``dense`` bit for bit."""
+    ``dense`` +0.0; ``band.dense()`` is ``dense`` bit for bit, and
+    ``band.entries()`` lists its entries with a part other than +0.0, row-major."""
     ab = band.ab
     m, n = ab.shape[0] - 1, ab.shape[1]
     assert ab.dtype == complex and dense.shape == (n, n)
     assert _same_bits(band.dense(), dense)
+    size, rows, cols, values = band.entries()
+    listed = np.flatnonzero(np.ascontiguousarray(dense).view(np.uint64).reshape(n * n, 2).any(axis=1))
+    assert size == n and (rows * n + cols).tolist() == listed.tolist()
+    assert _same_bits(values, dense.reshape(-1)[listed])
     i, j = np.indices((n, n))
     inside = (i <= j) & (j - i <= m)
     assert _same_bits(ab[(m + i - j)[inside], j[inside]], dense[inside])
