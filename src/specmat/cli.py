@@ -21,9 +21,6 @@ from .errors import SpecmatError
 from .families import (
     HankelVariant,
     assemble_toeplitz_hankel,
-    build_corner_block,
-    build_fem_p2,
-    build_fem_p3,
     corner_block_band,
     fem_p2_bands,
     fem_p3_bands,
@@ -156,7 +153,7 @@ def _cmd_build(args) -> int:
 # -------------------------------------------------------------- spectrum
 
 def _spectrum_problem(args):
-    """Analytic solution plus materialized (A, B) for the chosen family."""
+    """Analytic values and vectors plus the bands of (A, B) for the chosen family."""
     if args.family == "toeplitz-hankel":
         if args.alpha is None or args.beta is None or args.n is None:
             raise SpecmatError("toeplitz-hankel spectra need --alpha, --beta and --n")
@@ -165,22 +162,21 @@ def _spectrum_problem(args):
         alpha, beta = (np.pad(band, (0, width - band.size)) for band in (alpha, beta))
         variant = HankelVariant.coerce(args.variant)
         sol = gevp_eigenpairs(alpha, beta, args.n, variant)
-        a = assemble_toeplitz_hankel(alpha, args.n, variant)
-        b = assemble_toeplitz_hankel(beta, args.n, variant)
-        return sol.values, sol.vectors, a, b
+        return (sol.values, sol.vectors, toeplitz_hankel_band(alpha, args.n, variant),
+                toeplitz_hankel_band(beta, args.n, variant))
     if args.family == "corner-block":
         if args.alpha is None or args.half_n is None:
             raise SpecmatError("corner-block spectra need --alpha and --half-n")
         alpha = parse_band(args.alpha)
         beta = parse_band(args.beta) if args.beta else np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
         sol = corner_block_eigenpairs(alpha, beta, args.half_n)
-        return sol.values, sol.vectors, build_corner_block(alpha, args.half_n), build_corner_block(beta, args.half_n)
+        return sol.values, sol.vectors, corner_block_band(alpha, args.half_n), corner_block_band(beta, args.half_n)
     if args.n_elems is None:
         raise SpecmatError(f"{args.family} spectra need --n-elems")
-    eigenpairs, build = {"fem-p2": (fem_p2_eigenpairs, build_fem_p2),
-                         "fem-p3": (fem_p3_eigenpairs, build_fem_p3)}[args.family]
+    eigenpairs, bands = {"fem-p2": (fem_p2_eigenpairs, fem_p2_bands),
+                         "fem-p3": (fem_p3_eigenpairs, fem_p3_bands)}[args.family]
     sol = eigenpairs(args.n_elems)
-    return (sol.values, sol.vectors, *build(args.n_elems))
+    return (sol.values, sol.vectors, *bands(args.n_elems))
 
 
 def _csv_lines(header, rows):
@@ -190,17 +186,23 @@ def _csv_lines(header, rows):
 
 
 def _cmd_spectrum(args) -> int:
+    """Closed-form pairs with residuals from the bands, in real arithmetic where nothing is complex.
+
+    Only the dense oracle forms n x n matrices: real ones for a real pencil.
+    """
     values, vectors, a, b = _spectrum_problem(args)
     values = values + args.perturb
-    operands = (a, b, values, vectors)
-    if not any(m.imag.any() for m in operands):
-        # a real pencil with real pairs: real products, about 3.5x cheaper
-        operands = tuple(m.real for m in operands)
-    residuals = pencil_residuals(*operands)
+    pair = (values, vectors)
+    real_bands = a.as_real(), b.as_real()
+    if None not in real_bands:
+        a, b = real_bands
+        if not (values.imag.any() or vectors.imag.any()):
+            pair = (values.real, vectors.real)  # real products, about 3.5x cheaper
+    residuals = pencil_residuals(a, b, *pair)
     header = "mode_index,lambda_re,lambda_im,residual"
     columns = [np.arange(1, values.size + 1), values.real, values.imag, residuals]
     if not args.no_oracle:
-        matched, distances = pair_values(values, gevp_eigenvalues_numeric(a, b))
+        matched, distances = pair_values(values, gevp_eigenvalues_numeric(a.dense(), b.dense()))
         header += ",oracle_lambda_re,oracle_lambda_im,oracle_distance"
         columns += [matched.real, matched.imag, distances]
     rows = list(zip(*(column.tolist() for column in columns)))  # Python scalars format faster
@@ -442,9 +444,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_band_values(argv) -> list:
+    """``argv`` with ``--alpha x`` and ``--beta x`` joined to ``--alpha=x`` where x starts with a minus sign.
+
+    argparse takes ``-1`` for a value, but ``-1,1/5`` or ``-1/2i`` for an option name.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--alpha", "--beta") and re.match(r"-[\d.iIjJ]", argv[i + 1]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_band_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -102,6 +102,27 @@ class SymmetricBand(NamedTuple):
                 flat[k * n::n + 1] = diagonal  # and below
         return out
 
+    def __matmul__(self, x) -> np.ndarray:
+        """``A @ x`` for a vector or an ``(n, p)`` block: one row-scaled add per diagonal, above and below."""
+        m, n = self.ab.shape[0] - 1, self.ab.shape[1]
+        xt = np.asarray(x).T  # the rows of x along the last axis, which numpy scales faster
+        if xt.shape[-1:] != (n,):
+            raise ShapeMismatchError(f"a band of dimension {n} cannot multiply shape {xt.T.shape}")
+        out = self.ab[m] * xt
+        for k in range(1, min(m, n - 1) + 1):
+            diagonal = self.ab[m - k, k:]  # A[i, i + k] = A[i + k, i]
+            out[..., :n - k] += diagonal * xt[..., k:]
+            out[..., k:] += diagonal * xt[..., :n - k]
+        return out.T
+
+    def inf_norm(self) -> float:
+        """``max_i sum_j |A[i, j]|``, from the band."""
+        return float((SymmetricBand(abs(self.ab)) @ np.ones(self.ab.shape[1])).max())
+
+    def as_real(self):
+        """This band in float64, or None when some entry has an imaginary part."""
+        return None if self.ab.imag.any() else SymmetricBand(self.ab.real.copy())
+
 
 def not_plus_zero(values: np.ndarray) -> np.ndarray:
     """Where an entry of the C-contiguous complex ``values`` has a part other than +0.0."""

@@ -40,6 +40,7 @@ from .errors import (
     SingularPencilError,
     ZeroVectorError,
 )
+from .families import SymmetricBand
 from .linalg import as_square, inf_norm, is_hermitian
 from .solution import NUMERIC, EigenSolution
 
@@ -51,15 +52,17 @@ def pencil_residuals(a, b, values, vectors) -> np.ndarray:
     """Relative residuals ``||A x - lam B x|| / ((||A|| + |lam| ||B||) ||x||)``, inf-norms.
 
     Column i of ``vectors`` pairs with ``values[i]``; a 1-D ``vectors`` takes
-    one scalar value.  Raises :class:`ZeroVectorError` on any zero column.
+    one scalar value.  A and B may be :class:`SymmetricBand` bands, at O(n m)
+    per vector.  Raises :class:`ZeroVectorError` on any zero column.
     """
     vectors = np.asarray(vectors)
     xnorm = abs(vectors).max(axis=0)
     if not xnorm.all():
         raise ZeroVectorError("candidate eigenvector is zero")
     num = abs(a @ vectors - (b @ vectors) * values).max(axis=0)
-    scale = (inf_norm(a) + abs(values) * inf_norm(b)) * xnorm
-    return num / np.maximum(scale, 1e-300)
+    # inf_norm would read a band's storage as a matrix
+    a_norm, b_norm = (m.inf_norm() if isinstance(m, SymmetricBand) else inf_norm(m) for m in (a, b))
+    return num / np.maximum((a_norm + abs(values) * b_norm) * xnorm, 1e-300)
 
 
 def residual_gevp(a, b, lam, x) -> float:
@@ -176,20 +179,21 @@ def _reduce_pencil(a, b, method):
     names, ``"hermitian"`` or ``"general"``, unchecked for symmetry, and
     each B is tested alone.
     """
-    stacked = np.ndim(a) == 3
+    a, b = np.asarray(a), np.asarray(b)
+    stacked = a.ndim == 3
     if stacked:
-        a, b = np.asarray(a), np.asarray(b)
         if a.shape != b.shape or a.shape[1] != a.shape[2]:
             raise ShapeMismatchError(f"expected two stacks of square matrices, got {a.shape} and {b.shape}")
         if method not in ("hermitian", "general"):
             # "auto" would need a Hermitian check per pencil: Cholesky reads only the lower triangle
             raise ValueError(f"a stack of pencils takes method 'hermitian' or 'general', not {method!r}")
     else:
-        a, b = as_square(a), as_square(b)
+        # a real pencil runs the real LAPACK routines, about twice as fast
+        dtype = float if a.dtype.kind in "biuf" and b.dtype.kind in "biuf" else complex
+        a, b = as_square(a, dtype), as_square(b, dtype)
         if a.shape != b.shape:
             raise ShapeMismatchError(f"pencil shapes differ: {a.shape} vs {b.shape}")
-        if not (a.imag.any() or b.imag.any()):
-            # a real pencil runs the real LAPACK routines, about twice as fast
+        if dtype is complex and not (a.imag.any() or b.imag.any()):
             a, b = a.real.copy(), b.real.copy()
     blocks = [[a, b]] if stacked else _centrosymmetric_halves([a, b]) or [[a, b]]
     # a stack's route is the caller's choice; its matrices are not checked
@@ -364,8 +368,9 @@ def pair_values(reference, candidates):
     closest unused candidate, the lowest index among equally close ones.
     Returns ``(matched, distances)`` aligned with the reference input order;
     unmatched positions (count mismatch) carry NaN matches and infinite
-    distances.  Finite real spectra, as on every Hermitian route, take a
-    bisection walk over the sorted candidates with the same result.
+    distances.  Finite real spectra, as on every Hermitian route, sort both
+    lists once and pair them by rank where :func:`_pairs_by_rank` shows the
+    walk would, else by a bisection walk; the result is the walk's.
     """
     ref = np.asarray(reference, dtype=complex)
     cand = np.asarray(candidates, dtype=complex)
@@ -374,41 +379,49 @@ def pair_values(reference, candidates):
     order = np.lexsort((ref.imag, ref.real))
     real = not (ref.imag.any() or cand.imag.any())
     if real and np.isfinite(ref).all() and np.isfinite(cand).all():
-        picks = _pair_real(ref.real[order].tolist(), cand.real)
-        rows = order[:len(picks)]
-        matched[rows] = cand[picks]
-        distances[rows] = np.abs(cand[picks] - ref[rows])
-        return matched, distances
-    # one row of gaps per reference value in walk order; a used candidate's
-    # column turns to inf, so argmin finds the nearest free candidate, or the
-    # first free NaN gap as a scan over the free candidates would
-    gaps = np.abs(cand - ref[order, None])
-    used = np.zeros(cand.size, dtype=bool)
-    picks, picked_gaps = [], []
-    for row in gaps[:cand.size]:
-        pick = int(row.argmin())
-        if used[pick]:
-            pick = int(used.argmin())  # every free gap is inf: the first free candidate
-        used[pick] = True
-        picks.append(pick)
-        picked_gaps.append(row[pick])
-        gaps[:, pick] = np.inf
+        walk, sort = ref.real[order], np.argsort(cand.real, kind="stable")
+        values = cand.real[sort]
+        picks = sort if _pairs_by_rank(walk, values) else _pair_real(walk.tolist(), values.tolist(), sort.tolist())
+    else:
+        # one row of gaps per reference value in walk order; a used candidate's
+        # column turns to inf, so argmin finds the nearest free candidate, or the
+        # first free NaN gap as a scan over the free candidates would
+        gaps = np.abs(cand - ref[order, None])
+        used = np.zeros(cand.size, dtype=bool)
+        picks = []
+        for row in gaps[:cand.size]:
+            pick = int(row.argmin())
+            if used[pick]:
+                pick = int(used.argmin())  # every free gap is inf: the first free candidate
+            used[pick] = True
+            picks.append(pick)
+            gaps[:, pick] = np.inf
     rows = order[:len(picks)]
     matched[rows] = cand[picks]
-    distances[rows] = picked_gaps
+    distances[rows] = np.abs(cand[picks] - ref[rows])  # the gap of each pick, as the walk saw it
     return matched, distances
 
 
-def _pair_real(ref, cand) -> list:
+def _pairs_by_rank(ref, values) -> bool:
+    """Whether the greedy walk pairs the sorted ``ref`` and ``values`` by rank: when both have
+    one length and each value but the last is strictly nearer ``ref[i]`` than the next value.
+
+    By induction values 0..i-1 are taken at step i.  The rounded distance to
+    ``ref[i]`` falls, then rises, along the sorted values, so ``values[i]``
+    is the one nearest free value, with no tie for the lowest index to break.
+    """
+    return ref.size == values.size and bool((abs(values[:-1] - ref[:-1]) < abs(values[1:] - ref[:-1])).all())
+
+
+def _pair_real(ref, values, index) -> list:
     """The greedy walk of :func:`pair_values` for finite real values, by bisection.
 
-    The free candidates stay sorted by (value, index).  The nearest ones
-    sit on either side of the bisection point; rounding can make farther
-    values equally near, so the equally near run is widened on both sides
-    before the lowest index in it is taken.
+    ``values`` are the candidates sorted by (value, index), and ``index``
+    their indices; the free ones stay so sorted.  The nearest ones sit on
+    either side of the bisection point; rounding can make farther values
+    equally near, so the equally near run is widened on both sides before
+    the lowest index in it is taken.
     """
-    sort = np.argsort(cand, kind="stable")
-    values, index = cand[sort].tolist(), sort.tolist()
     picks = []
     for r in ref[:len(values)]:
         p = bisect_left(values, r)

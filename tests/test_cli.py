@@ -24,6 +24,8 @@ from specmat import (
     trig_identity_all,
     write_matrix_market,
 )
+from specmat import oracle
+from specmat.families import SymmetricBand
 from specmat.oracle import pair_values
 from specmat.identities import IdentityReport
 from specmat.cli import (
@@ -344,6 +346,43 @@ class TestSpectrumCsv:
             assert len(lines) == 6 and all(line.count(",") == 6 for line in lines)
 
 
+class TestNegativeBands:
+    """A band whose first entry is negative is the value of ``--alpha`` or ``--beta``,
+    written after a space as after ``=``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "toeplitz-hankel", "--n", "3", "--alpha", "2,-1", "--beta", "-1,1/5"],
+        ["spectrum", "--family", "toeplitz-hankel", "--n", "5", "--alpha", "-2,1", "--beta", "-1/2i,1/8"],
+        ["spectrum", "--family", "corner-block", "--half-n", "2", "--alpha", "-4,1,1/2,-3", "--no-oracle"],
+        ["identity", "--kind", "ti3g", "--n", "4", "--alpha", "-2,1", "--beta", "-2/3,1/6"],
+    ], ids=["spectrum-beta", "spectrum-alpha-and-imaginary-beta", "corner-block-alpha", "identity"])
+    def test_spectrum_and_identity(self, capsys, argv):
+        joined = []
+        for token in argv:  # each band option and its value as one --option=value token
+            if joined and joined[-1] in ("--alpha", "--beta"):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        assert main(joined) == 0
+        want = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == want
+
+    def test_build(self, tmp_path, capsys):
+        written = []
+        for alpha in (["--alpha", "-1,1/2"], ["--alpha=-1,1/2"]):
+            path = tmp_path / f"t{len(written)}.mtx"
+            assert main(["build", "--family", "toeplitz-hankel", "--n", "5", *alpha, "--out", str(path)]) == 0
+            written.append(read_matrix_market(path))
+        capsys.readouterr()
+        assert np.array_equal(written[0], written[1])
+        assert written[0][0, 0] == -1.0 and written[0][0, 1] == 0.5
+
+    def test_a_missing_value_is_still_a_usage_error(self, capsys):
+        assert main(["spectrum", "--family", "toeplitz-hankel", "--n", "3", "--beta", "1", "--alpha"]) == 2
+        assert "argument --alpha: expected one argument" in capsys.readouterr().err
+
+
 class TestParserReuse:
     """``main`` builds its parser once; no call may see another call's options."""
 
@@ -407,6 +446,33 @@ class TestOracleWork:
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
         assert max(float(line.split(",")[6]) for line in lines[1:]) < 1e-11
+
+    @pytest.mark.parametrize("argv", _family_argv(),
+                             ids=["toeplitz-hankel", "corner-block", "fem-p2", "fem-p3",
+                                  "non-hermitian"])
+    def test_no_oracle_forms_no_dense_matrix(self, monkeypatch, capsys, argv):
+        def refuse(self):
+            raise AssertionError("spectrum --no-oracle formed an n x n matrix")
+
+        monkeypatch.setattr(SymmetricBand, "dense", refuse)
+        assert main(["spectrum", *argv, "--no-oracle"]) == 0
+        assert max(float(line.split(",")[3]) for line in capsys.readouterr().out.splitlines()[1:]) < 1e-13
+
+    @pytest.mark.parametrize("argv, dtype", [
+        (_family_argv()[0], np.float64), (_family_argv()[1], np.float64), (_family_argv()[2], np.float64),
+        (_family_argv()[3], np.float64), (_family_argv()[4], np.complex128),
+    ], ids=["toeplitz-hankel", "corner-block", "fem-p2", "fem-p3", "non-hermitian"])
+    def test_real_pencil_reaches_the_oracle_as_float64(self, monkeypatch, capsys, argv, dtype):
+        reduce_pencil, seen = oracle._reduce_pencil, []
+
+        def recorded(a, b, method):
+            seen.append((np.asarray(a).dtype, np.asarray(b).dtype))
+            return reduce_pencil(a, b, method)
+
+        monkeypatch.setattr(oracle, "_reduce_pencil", recorded)
+        assert main(["spectrum", *argv]) == 0
+        capsys.readouterr()
+        assert seen == [(dtype, dtype)]
 
     @staticmethod
     def _record_lapack_shapes(monkeypatch, stacks=False):

@@ -1,5 +1,7 @@
 """Matrix builders: banded Toeplitz, corner Hankel corrections, block families, FEM pairs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +26,9 @@ from specmat import (
     solve_gevp_numeric,
     toeplitz_hankel_band,
 )
-from specmat.families import _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL
+from specmat.families import _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL, SymmetricBand
+from specmat.linalg import inf_norm
+from specmat.oracle import pencil_residuals
 
 
 def _persymmetry_defect(a):
@@ -500,3 +504,90 @@ def test_band_builders_check_as_the_dense_ones():
         corner_block_band([1, 2, 3, 4], 0)
     with pytest.raises(TooSmallError):
         fem_p3_bands(1)
+
+
+# sha256 (first 16 hex digits) of each public dense builder's bytes, as the
+# builders wrote them before the bands took over the residuals; the benchmark
+# compares these matrices bit for bit with the Matrix Market files it reads back
+_DENSE_BUILDER_DIGESTS = {
+    "th-iga-v1": "cf37f1b992ad2b9b",
+    "th-iga-v2": "0af71687e9f9a5d2",
+    "th-iga-v3": "7ecd23b76d06e718",
+    "th-iga-v4": "20b3ea3306e77eab",
+    "th-complex-v3": "b8c41762cefda3c8",
+    "th-signed-zeros-v2": "f6990f7ecac1eb6b",
+    "corner-block": "e15143140b57cf71",
+    "fem-p2-K": "2013fa4a5281461c",
+    "fem-p2-M": "4b872f9ddfcbfd8d",
+    "fem-p3-K": "b717ad31b1f3df5d",
+    "fem-p3-M": "a1702398c30ca309",
+}
+
+
+def test_public_dense_builders_stay_complex_bit_for_bit():
+    built = {f"th-iga-v{v}": assemble_toeplitz_hankel([1, -1 / 3, -1 / 6], 9, v) for v in (1, 2, 3, 4)}
+    built["th-complex-v3"] = assemble_toeplitz_hankel([4 + 1j, -1, 0.5j], 7, 3)
+    built["th-signed-zeros-v2"] = assemble_toeplitz_hankel([complex(-0.0, -0.0), -1.0], 4, 2)
+    built["corner-block"] = build_corner_block([4 + 1j, 1, 0.5, 3 - 0.5j], 4)
+    for name, pair in (("fem-p2", build_fem_p2(5)), ("fem-p3", build_fem_p3(4))):
+        built.update({f"{name}-{side}": matrix for side, matrix in zip("KM", pair)})
+    for name, matrix in built.items():
+        assert matrix.dtype == np.complex128 and matrix.flags.c_contiguous, name
+        assert hashlib.sha256(matrix.tobytes()).hexdigest()[:16] == _DENSE_BUILDER_DIGESTS[name], name
+
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _family_bands(draw):
+    """``(A, B)`` bands of every family at bandwidth 1-3, n from the smallest allowed to about 60."""
+    family = draw(st.sampled_from(["th1", "th2", "th3", "th4", "corner-block", "fem-p2", "fem-p3"]))
+    complex_entries = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coefficients(size):
+        values = rng.uniform(-2.0, 2.0, size)
+        return values + 1j * rng.uniform(-2.0, 2.0, size) if complex_entries else values
+
+    if family.startswith("th"):
+        m = draw(st.integers(1, 3))
+        n = draw(st.integers(max(m + 1, 2 * m - 1), 60))
+        bands = [toeplitz_hankel_band(coefficients(m + 1), n, int(family[2])) for _ in range(2)]
+    elif family == "corner-block":
+        half_n = draw(st.integers(1, 29))
+        bands = [corner_block_band(coefficients(4), half_n) for _ in range(2)]
+    else:
+        bands = (fem_p2_bands if family == "fem-p2" else fem_p3_bands)(draw(st.integers(2, 20)))
+        if complex_entries:
+            bands = [SymmetricBand(band.ab * phase) for band, phase in zip(bands, (1 + 0.5j, 0.5 - 1j))]
+    # a real band as the command line passes it; a complex one as the family builds it
+    return [band.as_real() or band for band in bands], rng
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_family_bands(), st.booleans())
+def test_band_products_and_residuals_match_the_dense_ones(case, complex_pairs):
+    (a, b), rng = case
+    dense_a, dense_b = a.dense(), b.dense()
+    n = dense_a.shape[0]
+    assert (a.as_real() is None) == np.iscomplexobj(dense_a)
+    p = int(rng.integers(1, n + 1))
+    vectors, values = rng.standard_normal((n, p)), 3.0 * rng.standard_normal(p)
+    if complex_pairs:
+        vectors, values = vectors + 1j * rng.standard_normal((n, p)), values + 1j * rng.standard_normal(p)
+    # at most 2m + 1 products per entry, summed in another order than the dense product's
+    for x in (vectors, vectors[:, 0]):
+        assert np.all(np.abs(a @ x - dense_a @ x) <= 4 * _EPS * (np.abs(dense_a) @ np.abs(x)))
+    assert abs(a.inf_norm() - inf_norm(dense_a)) <= 4 * _EPS * inf_norm(dense_a)
+    # the residuals are relative to (||A|| + |lam| ||B||) ||x||, so 4 eps is 4 ulps of that scale
+    banded = pencil_residuals(a, b, values, vectors)
+    assert np.max(np.abs(banded - pencil_residuals(dense_a, dense_b, values, vectors))) <= 4 * _EPS
+
+
+def test_band_product_checks_the_shape():
+    band = toeplitz_hankel_band([2.0, -1.0], 5, 1)
+    with pytest.raises(ShapeMismatchError):
+        band @ np.ones(4)
+    with pytest.raises(ShapeMismatchError):
+        band @ np.ones((1, 5))

@@ -92,6 +92,12 @@ class TestSolveGevp:
         assert np.max(np.abs(real.values - cplx.values)) <= 1e-13 * scale
         assert np.max(real.residuals) < 1e-13
 
+    def test_a_float64_pencil_is_reduced_as_it_is(self):
+        a, b = (m.real.copy() for m in _iga_pencil(9))
+        checked_a, checked_b, _, reduced = oracle._reduce_pencil(a, b, "auto")
+        assert checked_a is a and checked_b is b  # neither cast to complex nor copied back
+        assert all(block.dtype == np.float64 for block in reduced)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             solve_gevp_numeric(np.eye(2), np.eye(3))
@@ -557,6 +563,50 @@ def test_pair_values_on_real_spectra_is_bit_for_bit():
         want_matched, want_distances = _pair_values_loop(reference, candidates)
         assert np.array_equal(matched.view(np.uint64), want_matched.view(np.uint64))
         assert np.array_equal(distances, want_distances)
+
+
+@st.composite
+def _near_rank_pairs(draw):
+    """Real reference values and candidates near them, both shuffled.
+
+    The references lie on a grid of quarters, so duplicates are common.  Each
+    candidate moves off its reference by nothing, a quarter or half of the
+    gap to the next reference, or a whole gap, and then maybe one ulp either
+    way, so that many draws sit on either side of the strict inequality
+    that lets the lists pair by rank.
+    """
+    ref = sorted(draw(st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=1, max_size=12)))
+    cand = []
+    for i, r in enumerate(ref):
+        gap = ref[i + 1] - r if i + 1 < len(ref) else 0.25
+        value = r + draw(st.sampled_from([0.0, 0.25, 0.5, -0.5, 1.0])) * gap
+        cand.append(np.nextafter(value, draw(st.sampled_from([value, np.inf, -np.inf]))))
+    return draw(st.permutations(ref)), draw(st.permutations(cand))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_near_rank_pairs())
+def test_rank_pairing_returns_the_walk(case):
+    reference, candidates = (np.array(values) for values in case)
+    walk = np.sort(reference)
+    sort = np.argsort(candidates, kind="stable")
+    values = candidates[sort]
+    if oracle._pairs_by_rank(walk, values):
+        assert oracle._pair_real(walk.tolist(), values.tolist(), sort.tolist()) == sort.tolist()
+    matched, distances = pair_values(reference, candidates)
+    want_matched, want_distances = _pair_values_loop(reference, candidates)
+    assert np.array_equal(matched.view(np.uint64), want_matched.view(np.uint64))
+    assert np.array_equal(distances, want_distances)
+
+
+def test_rank_pairing_needs_strictly_nearer_rank_mates():
+    # 1.5 is as near 1 as 0.5 is: the walk gives 1 the candidate of lower index
+    assert not oracle._pairs_by_rank(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
+    assert oracle._pairs_by_rank(np.array([1.0, 2.0]), np.array([np.nextafter(0.5, 1), 1.5]))
+    assert not oracle._pairs_by_rank(np.array([1.0, 2.0]), np.array([1.0, 1.0]))  # duplicates
+    assert not oracle._pairs_by_rank(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+    matched, _ = pair_values([2.0, 1.0], [1.5, 0.5])
+    assert matched.tolist() == [0.5, 1.5]
 
 
 class TestMatchSpectra:
