@@ -584,7 +584,7 @@ def _near_rank_pairs(draw):
     return draw(st.permutations(ref)), draw(st.permutations(cand))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(_near_rank_pairs())
 def test_rank_pairing_returns_the_walk(case):
     reference, candidates = (np.array(values) for values in case)
