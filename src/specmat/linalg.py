@@ -1,8 +1,9 @@
 """Dense linear-algebra helpers and a batched polynomial root finder.
 
-Everything operates on plain numpy arrays over complex128; real input is the
-zero-imaginary special case.  Polynomials of degree three and up are solved
-as stacked companion matrices by LAPACK's ``eigvals`` through numpy (Edelman
+Everything operates on plain numpy arrays.  Real input stays float64, but
+``as_square`` casts to complex128 unless told otherwise and roots are
+complex128.  Polynomials of degree three and up are solved as stacked
+companion matrices by LAPACK's ``eigvals`` through numpy (Edelman
 & Murakami, *Math. Comp.* 1995), one batch for a whole table of per-mode
 polynomials.  Degrees one and two use closed forms.
 """
@@ -32,10 +33,9 @@ def inf_norm(a) -> float:
 def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
     a = np.asarray(a)
     a = as_square(a, dtype=float if a.dtype.kind in "biuf" else complex)  # real stays real
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale == 0.0:
+    if np.array_equal(a, a.conj().T):  # one pass for the exactly Hermitian, and every empty or zero matrix
         return True
-    return float(np.max(np.abs(a - a.conj().T))) <= rtol * scale
+    return float(np.max(np.abs(a - a.conj().T))) <= rtol * np.max(np.abs(a))
 
 
 def _horner(coeffs, z):

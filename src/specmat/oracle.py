@@ -1,13 +1,14 @@
 """Independent dense numeric solvers used to validate every closed form.
 
 Hermitian pencils with a positive-definite right side go through a Cholesky
-reduction and a Hermitian eigensolver, in real arithmetic when neither side
-has an imaginary part.  Every other pencil with an invertible right side
-runs LAPACK's general eigensolver on ``B^{-1} A``.  Both routes also run
-without eigenvectors, for callers that read only the values, and on a
-stack of small pencils, one LAPACK call per step for the whole stack, on a
-route the caller takes once for all of them.  Polynomial
-pencils are linearized to a companion pencil and solved the same way.
+reduction ``L^{-1} A L^{-H}``, the triangular inverse taken by 2x2 blocks,
+and a Hermitian eigensolver, in real arithmetic when neither side has an
+imaginary part.  Every other pencil with an invertible right side runs
+LAPACK's general eigensolver on ``B^{-1} A``.  Both routes also run without
+eigenvectors, for callers that read only the values, and on a stack of
+small pencils, one LAPACK call per step for the whole stack, on a route the
+caller takes once for all of them.  Polynomial pencils are linearized to a
+companion pencil and solved the same way.
 None of these routes samples a symbol, so they share nothing with the
 closed forms they check.
 
@@ -46,6 +47,7 @@ from .solution import NUMERIC, EigenSolution
 
 SINGULAR_B_RTOL = 1e-13
 _SQRT2 = math.sqrt(2.0)
+_BLOCKED_INVERSE_MIN = 64  # below this order np.linalg.inv is as fast
 
 
 def pencil_residuals(a, b, values, vectors) -> np.ndarray:
@@ -141,6 +143,22 @@ def _join_halves(even, odd):
     return joined
 
 
+def _inverse_lower(chol):
+    """The inverse of a lower triangular matrix, or of a stack of them, by 2x2 blocks:
+    ``[[L11, 0], [L21, L22]]^{-1} = [[X11, 0], [-X22 L21 X11, X22]]``, ``Xii = Lii^{-1}``,
+    about a quarter of the flops of ``np.linalg.inv``, an LU solve of ``L X = I``.
+    """
+    n = chol.shape[-1]
+    if n < _BLOCKED_INVERSE_MIN:
+        return np.linalg.inv(chol)
+    h = n // 2
+    inv = np.zeros_like(chol)
+    inv[..., :h, :h] = top = _inverse_lower(chol[..., :h, :h])
+    inv[..., h:, h:] = bottom = _inverse_lower(chol[..., h:, h:])
+    inv[..., h:, :h] = -bottom @ (chol[..., h:, :h] @ top)
+    return inv
+
+
 def _regular_by_cholesky(b, inv_chols):
     """Whether ``L^{-1}``, for ``B = L L^H``, already shows B is not singular.
 
@@ -170,14 +188,14 @@ def _reduce_pencil(a, b, method):
     Returns ``(a, b, inv_chols, reduced)``, with one entry of ``inv_chols``
     and ``reduced`` per block: the full pencil, or its even and odd halves
     when A and B are exactly centrosymmetric.  On the Hermitian-definite
-    route ``inv_chols`` holds ``L^{-1}`` for the Cholesky factors L of the
-    blocks of B and ``reduced`` the Hermitian ``L^{-1} A L^{-H}``; on the
-    general route ``inv_chols`` is None and ``reduced`` holds ``B^{-1} A``.
-    The route and the singularity test are decided on the full pencil.  A
-    real pencil comes back as real arrays.  Two ``(m, p, p)`` stacks are one
-    block, never split, and keep their dtype; they take the route ``method``
-    names, ``"hermitian"`` or ``"general"``, unchecked for symmetry, and
-    each B is tested alone.
+    route ``inv_chols`` holds ``L^{-1}``, from :func:`_inverse_lower`, for
+    the Cholesky factors L of the blocks of B and ``reduced`` the Hermitian
+    ``L^{-1} A L^{-H}``; on the general route ``inv_chols`` is None and
+    ``reduced`` holds ``B^{-1} A``.  The route and the singularity test are
+    decided on the full pencil.  A real pencil comes back as real arrays.
+    Two ``(m, p, p)`` stacks are one block, never split, and keep their
+    dtype; they take the route ``method`` names, ``"hermitian"`` or
+    ``"general"``, unchecked for symmetry, and each B is tested alone.
     """
     a, b = np.asarray(a), np.asarray(b)
     stacked = a.ndim == 3
@@ -206,7 +224,7 @@ def _reduce_pencil(a, b, method):
         except np.linalg.LinAlgError:
             pass
         else:
-            inv_chols = [np.linalg.inv(chol) for chol in chols]
+            inv_chols = [_inverse_lower(chol) for chol in chols]
     if stacked:
         cleared = np.broadcast_to(_regular_by_cholesky(b, inv_chols), len(b))
         singular = any(_singular(m, [m]) for m in b[~cleared])

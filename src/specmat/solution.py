@@ -16,9 +16,10 @@ class EigenSolution:
 
     ``vectors[:, i]`` pairs with ``values[i]`` and carries the 1-based mode
     label ``modes[i]`` assigned by whichever closed form or solver produced
-    it.  ``h`` is the mesh parameter behind the mode angles, when there is
-    one.  ``residuals`` holds relative pencil residuals where the producer
-    computed them (see :func:`specmat.oracle.pencil_residuals`).
+    it; both share one dtype, float64 when neither is complex, else
+    complex128.  ``h`` is the mesh parameter behind the mode angles, when
+    there is one.  ``residuals`` holds relative pencil residuals where the
+    producer computed them (see :func:`specmat.oracle.pencil_residuals`).
     """
 
     modes: np.ndarray
@@ -30,8 +31,8 @@ class EigenSolution:
 
     def __post_init__(self):
         self.modes = np.asarray(self.modes, dtype=int)
-        self.values = np.asarray(self.values, dtype=complex)
-        self.vectors = np.asarray(self.vectors, dtype=complex)
+        dtype = complex if np.iscomplexobj(self.values) or np.iscomplexobj(self.vectors) else float
+        self.values, self.vectors = np.asarray(self.values, dtype), np.asarray(self.vectors, dtype)
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D array with one column per mode")
         if not (len(self.modes) == len(self.values) == self.vectors.shape[1]):

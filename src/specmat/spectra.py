@@ -70,34 +70,43 @@ def divide_symbols(numerator, denominator) -> np.ndarray:
     numpy's complex division multiplies by a rounded reciprocal, even on
     real values.  So complex values divide by Python's complex division,
     which on real values is real division.  Real values take numpy's real
-    division, the same quotients: the Python loop alone would double the
-    cost of :func:`gevp_eigenvalues` at n = 2000.
+    division, the same quotients, and stay float64: the Python loop alone
+    would double the cost of :func:`gevp_eigenvalues` at n = 2000.
     """
     if not (numerator.imag.any() or denominator.imag.any()):
-        return (numerator.real / denominator.real).astype(complex)
+        return numerator.real / denominator.real
     return np.array([x / y for x, y in zip(numerator.tolist(), denominator.tolist())], dtype=complex)
 
 
-# per variant: h = 1 / (n + shift), and the first angle multiplier
-_MODE_ANGLES = {HankelVariant.SET1: (1, 1), HankelVariant.SET2: (0, 1),
-                HankelVariant.SET3: (-1, 0), HankelVariant.SET4: (0, 0)}
-# per variant: the sampled wave, and the offset of entry k (1-based) in k - offset
-_EIGENVECTOR_SAMPLES = {HankelVariant.SET1: (np.sin, 0), HankelVariant.SET2: (np.sin, 0.5),
-                        HankelVariant.SET3: (np.cos, 1), HankelVariant.SET4: (np.cos, 0.5)}
+# per variant: h = 1 / (n + shift), the first angle multiplier, whether the
+# sampled wave is the cosine, and twice the offset of entry k (1-based) in k - offset
+_MODE_ANGLES = {HankelVariant.SET1: (1, 1, False, 0), HankelVariant.SET2: (0, 1, False, 1),
+                HankelVariant.SET3: (-1, 0, True, 2), HankelVariant.SET4: (0, 0, True, 1)}
 
 
 def mode_angles(variant, n: int):
     """Mesh parameter ``h`` and angle multipliers for a variant's n modes."""
-    shift, first = _MODE_ANGLES[HankelVariant.coerce(variant)]
+    shift, first, _, _ = _MODE_ANGLES[HankelVariant.coerce(variant)]
     return 1.0 / (n + shift), np.arange(first, first + n)
 
 
+def _sines(phases, d: int) -> np.ndarray:
+    """``sin(pi t / d)`` at integer phases t, looked up at ``t mod 2d`` in a one-period table whose
+    angles are at most pi/2: within a few eps of the exact sine at any n, and zeros are +0.0.
+    """
+    t = np.arange(d + 1)
+    half = np.sin(np.pi * np.minimum(t, d - t) / d)
+    return np.concatenate((half, -half[1:-1]))[phases % (2 * d)]
+
+
 def eigenvector_basis(variant, n: int) -> np.ndarray:
-    """The variant's sampled sine/cosine eigenvectors, one column per mode."""
-    variant = HankelVariant.coerce(variant)
-    h, angles = mode_angles(variant, n)
-    wave, offset = _EIGENVECTOR_SAMPLES[variant]
-    return wave(np.pi * h * np.outer(np.arange(1, n + 1) - offset, angles)).astype(complex)
+    """The variant's sampled sine/cosine eigenvectors, one column per mode (float64)."""
+    shift, first, cosine, twice_offset = _MODE_ANGLES[HankelVariant.coerce(variant)]
+    d = 2 * (n + shift)  # mode j samples entry k at the angle pi t / d, t = (2k - 2 offset) j
+    phases = np.outer(2 * np.arange(1, n + 1) - twice_offset, np.arange(first, first + n))
+    if cosine:
+        phases, d = 2 * phases + d, 2 * d  # cos(pi t / d) = sin(pi (2t + d) / 2d)
+    return _sines(phases, d)
 
 
 def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
@@ -159,15 +168,12 @@ def corner_block_quadratic_bands(alpha, beta):
     return band_d, band_c, band_b
 
 
-def _vertex_samples(angles, h, count):
-    """Samples ``sin(j pi k h)``: rows are vertices k = 0..count+1, columns angle indices j.
+def _vertex_samples(angles, count):
+    """Samples ``sin(j pi k / (count+1))``: rows are vertices k = 0..count+1, columns angle indices j.
 
-    Vertices 1..count are sampled; rows 0 and count+1 are exact zeros, the
-    Dirichlet ends when ``count = 1/h - 1``.
+    Rows 0 and count+1, the Dirichlet ends, are exact zeros.
     """
-    samples = np.zeros((count + 2, len(angles)))
-    samples[1:-1] = np.sin(np.multiply.outer(np.arange(1, count + 1), angles * np.pi) * h)
-    return samples
+    return _sines(np.multiply.outer(np.arange(count + 2), angles), count + 1)
 
 
 def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
@@ -233,10 +239,12 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     weights[1, double] = [1.0, 0.0]
     weights /= abs(weights).max(axis=0)
     values, (w_even, w_odd) = roots[kept], weights[:, kept]
+    if not (alpha.imag.any() or beta.imag.any() or values.imag.any()):  # real vectors, lam0 by real division
+        alpha, beta, values, w_even, w_odd = alpha.real, beta.real, values.real, w_even.real, w_odd.real
     angles = np.repeat(np.arange(1, n + 1), 2)[kept.ravel()]
-    even = _vertex_samples(angles, h, n)  # even[k] = entry 2k
+    even = _vertex_samples(angles, n)  # even[k] = entry 2k
     count = values.size
-    vectors = np.zeros((dim, count + 1), dtype=complex)
+    vectors = np.zeros((dim, count + 1), dtype=values.dtype)
     vectors[1::2, :count] = w_even * even[1:-1]             # entries 2k
     vectors[0::2, :count] = w_odd * (even[:-1] + even[1:])  # entries 2k+1
     vectors[0::2, count] = (-1.0) ** np.arange(n + 1)  # entries 1, 3, ..., 2n+1
@@ -283,8 +291,8 @@ def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
     sampled = np.flatnonzero(np.arange(1, dim + 1) != n)  # columns of every mode but n
     scaled = values[sampled] * h * h
     factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
-    even = _vertex_samples(np.tile(np.arange(1, n), 2), h, n - 1)  # even[k] = entry 2k, k = 0..n
-    vectors = np.zeros((dim, dim), dtype=complex)
+    even = _vertex_samples(np.tile(np.arange(1, n), 2), n - 1)  # even[k] = entry 2k, k = 0..n
+    vectors = np.zeros((dim, dim))
     vectors[1::2, sampled] = even[1:n]                       # entries 2k, k=1..n-1
     vectors[0::2, sampled] = factor * (even[:n] + even[1:])  # entries 2k+1
     vectors[0::2, n - 1] = (-1.0) ** np.arange(n)
@@ -300,8 +308,9 @@ def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
 def _fem_p3_modes(n_elems: int):
     """The mode cubic's roots ``s = lam h^2``, one row per interior angle, and every eigenvalue.
 
-    The eigenvalues are the roots over ``h^2`` row by row, then ``10 n^2``
-    and ``42 n^2``, unsorted.
+    The roots are float64 unless one is complex.  The eigenvalues are the
+    roots times the rounded ``1/h^2`` row by row, as numpy divides a complex
+    root by ``h^2``, then ``10 n^2`` and ``42 n^2``, unsorted.
     """
     if n_elems < 2:
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
@@ -320,7 +329,9 @@ def _fem_p3_modes(n_elems: int):
         axis=1,
     )
     roots = batched_roots(coeffs)
-    return roots, np.concatenate((roots.ravel() / (h * h), [10.0 * n * n, 42.0 * n * n]))
+    if not roots.imag.any():
+        roots = roots.real
+    return roots, np.concatenate((roots.ravel() * (1.0 / (h * h)), [10.0 * n * n, 42.0 * n * n]))
 
 
 def fem_p3_eigenvalues(n_elems: int) -> np.ndarray:
@@ -351,7 +362,7 @@ def fem_p3_eigenpairs(n_elems: int) -> EigenSolution:
     count = s.size
     # the interior rows of each mode's local K - s M, in local node order
     rows = _FEM_P3_K_LOCAL[1:3] - s[:, None, None] * _FEM_P3_M_LOCAL[1:3]
-    vertex = _vertex_samples(np.repeat(np.arange(1, n), 3), h, n - 1)  # vertex[k] = node 3k
+    vertex = _vertex_samples(np.repeat(np.arange(1, n), 3), n - 1)  # vertex[k] = node 3k
     ends = np.stack((vertex[:-1].T, vertex[1:].T), axis=1)  # [v_e, v_e+1] by mode, end, element
     nodes = np.linalg.solve(rows[:, :, 1:3], -rows[:, :, [0, 3]] @ ends)
     vectors = np.zeros((3 * n - 1, count + 2))
@@ -456,9 +467,10 @@ def scale_pencil(sol: EigenSolution, c1, c2) -> EigenSolution:
 
     If ``A x = lam B x`` then ``c1 A x = (lam c1 / c2) c2 B x``, so the
     eigenvalues pick up the factor ``c1 / c2`` and the eigenvectors are
-    untouched.
+    untouched; a real factor keeps real values real.
     """
     c1, c2 = complex(c1), complex(c2)
     if c1 == 0 or c2 == 0:
         raise ZeroScaleError("scaling constants must be nonzero")
-    return dataclasses.replace(sol, values=sol.values * (c1 / c2))
+    factor = c1 / c2
+    return dataclasses.replace(sol, values=sol.values * (factor.real if factor.imag == 0 else factor))

@@ -348,6 +348,7 @@ class TestSpectrumCsv:
 
 class TestNegativeBands:
     """A band whose first entry is negative is the value of ``--alpha`` or ``--beta``,
+    and a negative number in any form the value of ``--perturb`` or ``--tol``,
     written after a space as after ``=``."""
 
     @pytest.mark.parametrize("argv", [
@@ -378,9 +379,25 @@ class TestNegativeBands:
         assert np.array_equal(written[0], written[1])
         assert written[0][0, 0] == -1.0 and written[0][0, 1] == 0.5
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # residuals of infinite values
+    @pytest.mark.parametrize("option, value",
+                             [("--perturb", "-1e-3"), ("--tol", "-1e-9"), ("--perturb", "-inf")])
+    def test_numbers_in_exponent_form(self, capsys, option, value):
+        argv = ["spectrum", "--family", "fem-p2", "--n-elems", "3"]
+        code = main([*argv, f"{option}={value}"])
+        want = capsys.readouterr()
+        assert code == 3  # every residual fails the gate
+        assert main([*argv, option, value]) == code
+        assert capsys.readouterr() == want
+
     def test_a_missing_value_is_still_a_usage_error(self, capsys):
         assert main(["spectrum", "--family", "toeplitz-hankel", "--n", "3", "--beta", "1", "--alpha"]) == 2
         assert "argument --alpha: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tail", [["--tol"], ["--perturb", "--no-oracle"]], ids=["tol", "perturb"])
+    def test_a_missing_number_is_still_a_usage_error(self, capsys, tail):
+        assert main(["spectrum", "--family", "fem-p2", "--n-elems", "3", *tail]) == 2
+        assert f"argument {tail[0]}: expected one argument" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -194,6 +194,57 @@ def _rotated(a, b, rng):
     return a * rotate, b * rotate
 
 
+class TestBlockedInverse:
+    """The Cholesky factors' inverses by 2x2 blocks, against ``np.linalg.inv``, across the block size."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _factors(n, complex_entries, graded, rng, count=None):
+        shape = (n, n) if count is None else (count, n, n)
+        basis = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_entries else 0.0)
+        chol = np.linalg.cholesky(basis @ basis.conj().swapaxes(-1, -2) + n * np.eye(n))
+        # graded columns: condition numbers up to about 1e8
+        return chol * np.logspace(0, -8, n) if graded else chol
+
+    def _check(self, chol, inv):
+        n = chol.shape[-1]
+        reference = np.linalg.inv(chol)
+        kappa = np.linalg.cond(chol)
+        assert inv.dtype == chol.dtype
+        assert not np.triu(inv, 1).any()
+        residual = np.linalg.norm(inv @ chol - np.eye(n), 2, axis=(-2, -1))
+        assert np.all(residual <= 4 * n * self.EPS * kappa)
+        gap = np.linalg.norm(inv - reference, 2, axis=(-2, -1))
+        assert np.all(gap <= 4 * n * self.EPS * kappa * np.linalg.norm(reference, 2, axis=(-2, -1)))
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("graded", [False, True], ids=["well-conditioned", "graded"])
+    def test_matches_inv(self, complex_entries, graded):
+        rng = np.random.default_rng(11)
+        block = oracle._BLOCKED_INVERSE_MIN
+        sizes = {1, 2, 3, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1, 200}
+        for n in sorted(sizes | set(rng.integers(1, 201, 6).tolist())):
+            chol = self._factors(n, complex_entries, graded, rng)
+            self._check(chol, oracle._inverse_lower(chol))
+
+    @pytest.mark.parametrize("n", [5, 64, 150])
+    def test_stack(self, n):
+        rng = np.random.default_rng(n)
+        for complex_entries in (False, True):
+            chols = self._factors(n, complex_entries, False, rng, count=4)
+            self._check(chols, oracle._inverse_lower(chols))
+
+    def test_cholesky_route_inverts_no_large_block_by_lu(self, monkeypatch):
+        a, b = (m.real for m in _iga_pencil(301))  # halves of order 151 and 150
+        orders, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: orders.append(m.shape[-1]) or inv(m))
+        values = gevp_eigenvalues_numeric(a, b)
+        assert orders and max(orders) < oracle._BLOCKED_INVERSE_MIN
+        reference = np.sort(np.linalg.eigvals(np.linalg.solve(b, a)).real)
+        assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 class TestGevpEigenvaluesNumeric:
     """The values-only oracle against the full solve, on both routes."""
 

@@ -38,7 +38,8 @@ from specmat import (
     symbol,
     tensor_eigenpairs,
 )
-from specmat.spectra import mode_angles
+from specmat.families import corner_block_band, fem_p2_bands, fem_p3_bands, toeplitz_hankel_band
+from specmat.spectra import _vertex_samples, eigenvector_basis, mode_angles
 
 RNG = np.random.default_rng(2024)
 EPS = np.finfo(float).eps
@@ -534,7 +535,8 @@ class TestFemP2Eigenvalues:
 
         The square is ``s * s``, as in the broadcast form; the loop had
         ``s ** 2``, which on a numpy scalar goes through libm ``pow`` and can
-        differ in the last bit.
+        differ in the last bit.  Each sample ``sin(k pi i / n)`` reduces its
+        integer phase ``k i`` to one period and its angle to at most pi/2.
         """
         h, dim = 1.0 / n, 2 * n - 1
         values = np.empty(dim)
@@ -552,8 +554,11 @@ class TestFemP2Eigenvalues:
             values[j - 1] = lam
             scaled = lam * h * h
             factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
-            even = np.sin(k * np.pi * np.arange(n + 1) * h)
-            even[n] = 0.0  # the right Dirichlet end, exactly
+            even = np.empty(n + 1)
+            for i in range(n + 1):
+                t = k * i % (2 * n)
+                u = t if t <= n else t - n
+                even[i] = (1.0 if t <= n else -1.0) * np.sin(np.pi * min(u, n - u) / n)
             vectors[1::2, j - 1] = even[1:n]
             vectors[0::2, j - 1] = factor * (even[:n] + even[1:])
         return values, vectors
@@ -839,3 +844,106 @@ class TestScalePencil:
         sol = gevp_eigenpairs([2.0, -1.0], [1.0, 0.0], 2, 1)
         with pytest.raises(ZeroScaleError):
             scale_pencil(sol, 0.0, 1.0)
+
+
+IGA_ALPHA, IGA_BETA = [1.0, -1.0 / 3.0, -1.0 / 6.0], [11.0 / 20.0, 13.0 / 60.0, 1.0 / 120.0]
+CORNER_ALPHA, CORNER_BETA = [5.0, 1.0, -0.5, 3.0], [4.0, 0.5, 0.25, 2.0]
+
+
+class TestSampleTables:
+    """Every sampled sine or cosine is within 8 eps of the exact one, at any n."""
+
+    # per variant: the wave, and entry k of mode j at the angle pi * phase(k, j) / d(n)
+    WAVES = {
+        1: (mpmath.sin, lambda k, j: 2 * k * j, lambda n: 2 * (n + 1), 1),
+        2: (mpmath.sin, lambda k, j: (2 * k - 1) * j, lambda n: 2 * n, 1),
+        3: (mpmath.cos, lambda k, j: 2 * (k - 1) * j, lambda n: 2 * (n - 1), 0),
+        4: (mpmath.cos, lambda k, j: (2 * k - 1) * j, lambda n: 2 * n, 0),
+    }
+
+    @staticmethod
+    def exact(wave, phases, d):
+        """``wave(pi t / d)`` to 30 digits at each integer phase t, through its value at ``t mod 2d``."""
+        with mpmath.workdps(30):
+            period = np.array([float(wave(mpmath.pi * t / d)) for t in range(2 * d)])
+        return period[phases % (2 * d)]
+
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [7, 151, 2000])
+    def test_eigenvector_basis(self, variant, n):
+        wave, phase, d, first = self.WAVES[variant]
+        k, j = np.arange(1, n + 1)[:, None], np.arange(first, first + n)[None, :]
+        basis = eigenvector_basis(variant, n)
+        assert basis.dtype == np.float64
+        assert np.max(np.abs(basis - self.exact(wave, phase(k, j), d(n)))) <= 8 * EPS
+
+    @pytest.mark.parametrize("n", [7, 151, 2000])
+    def test_vertex_samples(self, n):
+        # the FEM families' vertices: sin(j pi k / n), k = 0..n, at the angle indices 1..n-1
+        samples = _vertex_samples(np.arange(1, n), n - 1)
+        exact = self.exact(mpmath.sin, np.multiply.outer(np.arange(n + 1), np.arange(1, n)), n)
+        assert np.max(np.abs(samples - exact)) <= 8 * EPS
+        assert not samples[[0, n]].any() and not np.signbit(samples[[0, n]]).any()  # +0.0 ends
+
+
+class TestResidualGate:
+    """The closed forms' residuals sit at rounding at n = 1000, on the bands and without the oracle.
+
+    ``sin`` at the unreduced angle ``pi h k j`` loses about ``k j h`` ulps,
+    which puts these residuals at 0.95-1.9e-13 for the IGA pair and at
+    5.6e-11 for fem-p2 at 1000 elements.
+    """
+
+    @pytest.mark.parametrize("variant", [1, 2, 3, 4])
+    def test_iga_pair(self, variant):
+        sol = gevp_eigenpairs(IGA_ALPHA, IGA_BETA, 1000, variant)
+        a, b = (toeplitz_hankel_band(band, 1000, variant).as_real() for band in (IGA_ALPHA, IGA_BETA))
+        assert np.max(pencil_residuals(a, b, sol.values, sol.vectors)) <= 2e-15
+
+    @pytest.mark.parametrize("family", ["fem-p2", "fem-p3", "corner-block"])
+    def test_corner_overlapped_families(self, family):
+        sol, bands = {
+            "fem-p2": lambda: (fem_p2_eigenpairs(1000), fem_p2_bands(1000)),
+            "fem-p3": lambda: (fem_p3_eigenpairs(300), fem_p3_bands(300)),
+            "corner-block": lambda: (corner_block_eigenpairs(CORNER_ALPHA, CORNER_BETA, 1000),
+                                     [corner_block_band(side, 1000) for side in (CORNER_ALPHA, CORNER_BETA)]),
+        }[family]()
+        a, b = (band.as_real() for band in bands)
+        assert np.max(pencil_residuals(a, b, sol.values, sol.vectors)) <= 1e-13
+
+
+class TestClosedFormDtypes:
+    """Values and vectors are float64 where nothing is complex, else both complex128."""
+
+    @pytest.mark.parametrize("solve, dtype", [
+        (lambda: gevp_eigenpairs(IGA_ALPHA, IGA_BETA, 9, 3), np.float64),
+        (lambda: corner_block_eigenpairs(CORNER_ALPHA, CORNER_BETA, 4), np.float64),
+        (lambda: fem_p2_eigenpairs(5), np.float64),
+        (lambda: fem_p3_eigenpairs(5), np.float64),
+        (lambda: scale_pencil(fem_p2_eigenpairs(5), 1.0 / 3.0, 3.0), np.float64),
+        (lambda: solve_gevp_numeric(*(assemble_toeplitz_hankel(band, 9, 1).real
+                                      for band in (IGA_ALPHA, IGA_BETA))), np.float64),
+        (lambda: gevp_eigenpairs([2.0 + 0.5j, -1.0], [2.0 / 3.0, 1.0 / 6.0], 9, 2), np.complex128),
+        (lambda: corner_block_eigenpairs([5.0, 1j, -0.5, 3.0], CORNER_BETA, 4), np.complex128),
+        (lambda: corner_block_eigenpairs([4.0, -3.0, -1.0, -1.0], [4.0, -3.0, 0.0, -2.0], 3), np.complex128),
+        (lambda: solve_gevp_numeric(assemble_toeplitz_hankel([2.0, 1j], 6, 1), np.eye(6)), np.complex128),
+        (lambda: scale_pencil(fem_p2_eigenpairs(5), 1j, 3.0), np.complex128),
+    ], ids=["toeplitz-hankel", "corner-block", "fem-p2", "fem-p3", "scaled", "hermitian-oracle",
+            "complex-alpha", "complex-corner-block", "real-corner-block-complex-roots",
+            "complex-hermitian-oracle", "complex-scale"])
+    def test_dtype(self, solve, dtype):
+        sol = solve()
+        assert sol.values.dtype == dtype and sol.vectors.dtype == dtype
+
+    def test_values_only_forms_are_real(self):
+        assert gevp_eigenvalues(IGA_ALPHA, IGA_BETA, 9, 4).dtype == np.float64
+        assert fem_p3_eigenvalues(6).dtype == np.float64
+
+    def test_one_complex_side_makes_both_complex(self):
+        sol = EigenSolution(modes=[1], values=[2.0], vectors=[[1j]], provenance="numeric")
+        assert sol.values.dtype == sol.vectors.dtype == np.complex128
+
+    def test_corner_block_flat_value_is_the_real_quotient(self):
+        # numpy's complex division gives 3 * (1/5) = 0.6000000000000001
+        sol = corner_block_eigenpairs([4.0, 1.0, 0.5, 3.0], [6.0, 1.0, 0.5, 5.0], 3)
+        assert sol.value_for_mode(7) == 3.0 / 5.0
