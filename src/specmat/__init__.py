@@ -39,7 +39,7 @@ from .families import (
     toeplitz_hankel_band,
 )
 from .identities import (
-    IdentityReport,
+    IdentityTable,
     eve_identity_evp,
     eve_identity_evp_all,
     eve_identity_gevp,
@@ -82,7 +82,7 @@ __all__ = [
     "DegenerateQuadraticError",
     "EigenSolution",
     "HankelVariant",
-    "IdentityReport",
+    "IdentityTable",
     "IndexOutOfRangeError",
     "NotHermitianError",
     "OracleReport",

@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain
 
 import numpy as np
 
@@ -94,6 +94,13 @@ def format_scalar(z) -> str:
         return f"{z.real:.12g}"
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real:.12g}{sign}{abs(z.imag):.12g}i"
+
+
+def _table_lines(template, rows) -> list:
+    """``template`` once per row, all filled by a single ``%`` from the rows' fields: one text of
+    every line, or no lines for no rows."""
+    rows = list(rows)
+    return ["\n".join([template] * len(rows)) % tuple(chain.from_iterable(rows))] if rows else []
 
 
 def _emit(lines, out_path):
@@ -179,12 +186,6 @@ def _spectrum_problem(args):
     return (sol.values, sol.vectors, *bands(args.n_elems))
 
 
-def _csv_lines(header, rows):
-    """The header, then each row's integer first field and the rest to 17 significant digits."""
-    line = "%d" + ",%.17g" * header.count(",")
-    return [header, *(line % row for row in rows)]
-
-
 def _cmd_spectrum(args) -> int:
     """Closed-form pairs with residuals from the bands, in real arithmetic where nothing is complex.
 
@@ -208,14 +209,15 @@ def _cmd_spectrum(args) -> int:
         payload = [dict(zip(header.split(","), row)) for row in rows]
         _emit([json.dumps(payload, indent=2)], args.out)
     else:
-        _emit(_csv_lines(header, rows), args.out)
+        # an integer first field, the rest to 17 significant digits
+        _emit([header, *_table_lines("%d" + ",%.17g" * header.count(","), rows)], args.out)
 
     return _gate("residual", residuals, args.tol)
 
 
 # -------------------------------------------------------------- identity
 
-def _identity_reports(args):
+def _identity_tables(args) -> list:
     if args.n is None:
         raise SpecmatError(f"{args.kind} needs --n")
     if args.kind in ("ti31", "ti3", "ti3g"):
@@ -228,22 +230,22 @@ def _identity_reports(args):
             raise SpecmatError(f"{args.kind} needs --n of at least 2, got {args.n}")
         # each index sweeps 1..n unless given
         ks, ls = (None if i is None else [i] for i in (args.k, args.l))
-        return trig_identity_all(args.kind, args.n, ks, ls, **bands)
+        return [trig_identity_all(args.kind, args.n, ks, ls, **bands)]
 
     if args.random < 1:  # else the gate would pass on no evaluations
         raise SpecmatError(f"{args.kind} needs --random of at least 1, got {args.random}")
-    reports = []
+    tables = []
     rng = np.random.default_rng(args.seed)
     for _ in range(args.random):
         a = rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal((args.n, args.n))
         a = a + a.conj().T
         if args.kind == "eve":
-            reports.extend(eve_identity_evp_all(a))
+            tables.append(eve_identity_evp_all(a))
         else:
             basis = rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal((args.n, args.n))
             b = basis @ basis.conj().T + args.n * np.eye(args.n)
-            reports.extend(eve_identity_gevp_all(a, b, form=args.form))
-    return reports
+            tables.append(eve_identity_gevp_all(a, b, form=args.form))
+    return tables
 
 
 def _scalar_column(values) -> list:
@@ -258,32 +260,27 @@ def _scalar_column(values) -> list:
     return texts[:-1]
 
 
-def _report_lines(reports) -> list:
-    """One line per report, formatted by columns: one ``%`` per run of reports with the same inputs."""
-    lines = []
-    for keys, group in groupby(reports, key=lambda rep: tuple(rep.inputs)):
-        group = list(group)
-        line = "kind=%s " + "".join(f"{key}=%s " for key in keys) + "lhs=%s rhs=%s rel_diff=%.3e%s\n"
-        columns = [[rep.kind for rep in group],
-                   *([rep.inputs[key] for rep in group] for key in keys),
-                   _scalar_column([rep.lhs for rep in group]),
-                   _scalar_column([rep.rhs for rep in group]),
-                   [rep.rel_diff for rep in group],
-                   [" conditioning-warning" if rep.conditioning_warning else "" for rep in group]]
-        lines.extend((line * len(group) % tuple(chain.from_iterable(zip(*columns)))).split("\n")[:-1])
-    return lines
+def _identity_lines(table) -> list:
+    """One line per entry of an identity table, row by row."""
+    size = table.lhs.size
+    template = ("kind=%s " + "".join(f"{key}=%s " for key in table.inputs) + "lhs=%s rhs=%s rel_diff=%.3e"
+                + (" conditioning-warning" if table.conditioning_warning else ""))
+    columns = [[table.kind] * size,
+               *(np.broadcast_to(value, table.lhs.shape).ravel().tolist() if isinstance(value, np.ndarray)
+                 else [value] * size for value in table.inputs.values()),
+               _scalar_column(table.lhs.ravel()), _scalar_column(table.rhs.ravel()),
+               table.rel_diff.ravel().tolist()]
+    return _table_lines(template, zip(*columns))
 
 
 def _cmd_identity(args) -> int:
-    reports = _identity_reports(args)
-    lines = _report_lines(reports)
-    checked = [rep.rel_diff for rep in reports if not rep.conditioning_warning]
-    worst = float(np.max(checked)) if checked else 0.0  # NaN if any is NaN
-    lines.append(f"max rel_diff = {worst:.3e} over {len(reports)} evaluations")
+    tables = _identity_tables(args)
+    lines = [line for table in tables for line in _identity_lines(table)]
+    checked = np.concatenate([t.rel_diff.ravel() for t in tables if not t.conditioning_warning] or [[]])
+    worst = float(np.max(checked)) if checked.size else 0.0  # NaN if any is NaN
+    lines.append(f"max rel_diff = {worst:.3e} over {sum(t.lhs.size for t in tables)} evaluations")
     _emit(lines, None)
-    proven = args.kind in ("eve", "ti31", "ti3") or (
-        args.kind == "gevp-eve" and args.form == "proof"
-    )
+    proven = args.kind in ("eve", "ti31", "ti3") or args.kind == "gevp-eve" and args.form == "proof"
     return _gate("rel_diff", checked, args.tol) if proven else 0
 
 
@@ -326,9 +323,7 @@ def dispersion_rows(method: str, n: int):
 
 def _cmd_dispersion(args) -> int:
     rows = dispersion_rows(args.method, args.n)
-    _emit(["j,lambda_h,lambda_exact,rel_error,branch",
-           ("%d,%.17g,%.17g,%.17g,%s\n" * len(rows) % tuple(chain.from_iterable(rows)))[:-1]],
-          args.out)
+    _emit(["j,lambda_h,lambda_exact,rel_error,branch", *_table_lines("%d,%.17g,%.17g,%.17g,%s", rows)], args.out)
     return 0
 
 
@@ -340,16 +335,8 @@ def _cmd_pevp(args) -> int:
     try:
         variant = HankelVariant.coerce(payload["variant"])
         n = int(payload["n"])
-        bands = [
-            np.array(
-                [
-                    parse_complex_literal(entry) if isinstance(entry, str) else complex(entry)
-                    for entry in band
-                ],
-                dtype=complex,
-            )
-            for band in payload["bands"]
-        ]
+        bands = [np.array([parse_complex_literal(entry) if isinstance(entry, str) else complex(entry)
+                           for entry in band], dtype=complex) for band in payload["bands"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecmatError(f"bad pencil description: {exc}") from exc
     pencil = PolynomialPencil(bands=tuple(bands), variant=variant, n=n)
@@ -357,7 +344,7 @@ def _cmd_pevp(args) -> int:
     mats = [assemble_toeplitz_hankel(band, n, variant) for band in bands]
     numeric, dropped = solve_pevp_numeric(mats)
     flat = analytic.all_values()
-    matched, distances = pair_values(flat, numeric)
+    _, distances = pair_values(flat, numeric)
     counts = [roots.size for roots in analytic.mode_roots]
     # each root's 1-based index within its mode: its flat position less its mode's start
     starts = np.repeat(np.cumsum(counts) - counts, counts)
@@ -365,13 +352,11 @@ def _cmd_pevp(args) -> int:
                flat.real, flat.imag, distances]
     rows = zip(*(column.tolist() for column in columns))
     # a whole number formats the same by %.17g as by %d
-    _emit(_csv_lines("mode_index,root_index,lambda_re,lambda_im,oracle_distance", rows), args.out)
+    _emit(["mode_index,root_index,lambda_re,lambda_im,oracle_distance",
+           *_table_lines("%d,%.17g,%.17g,%.17g,%.17g", rows)], args.out)
     if dropped or analytic.degree_drops:
-        print(
-            f"degree drop: analytic modes {list(analytic.degree_drops)}, "
-            f"oracle flagged {dropped}",
-            file=sys.stderr,
-        )
+        print(f"degree drop: analytic modes {list(analytic.degree_drops)}, oracle flagged {dropped}",
+              file=sys.stderr)
     return _gate("oracle distance", distances, args.tol)
 
 

@@ -1,10 +1,10 @@
 """Eigenvector-eigenvalue identities and the trigonometric identities they imply.
 
-Both sides of each identity are evaluated independently and returned in a
-report; nothing here asserts.  The generalized identity exists in two
-shapes: the proof form (characteristic polynomials weighted by ``x* B x``),
-which holds, and the literal eigenvalue-ratio form, which is evaluated
-as printed and reported even where it fails.
+Both sides of each identity are evaluated independently and returned as
+one :class:`IdentityTable`; nothing here asserts.  The generalized
+identity exists in two shapes: the proof form (characteristic polynomials
+weighted by ``x* B x``), which holds, and the literal eigenvalue-ratio
+form, which is evaluated as printed and reported even where it fails.
 
 Each identity is computed as one table: modes j by removed indices k for
 the eigenvector-eigenvalue identities, k by l for the trigonometric ones.
@@ -35,30 +35,39 @@ LITERAL_FORM = "literal"
 
 
 @dataclass
-class IdentityReport:
-    """Both sides of one identity evaluation plus their disagreement."""
+class IdentityTable:
+    """Both sides of an identity over a table of evaluations, plus their disagreement.
+
+    ``lhs``, ``rhs`` (complex), ``abs_diff`` and ``rel_diff`` share one shape: modes j by
+    minors k for the eigenvector-eigenvalue identities, k by l for the trigonometric ones.
+    ``inputs`` maps each input's name to an integer array that broadcasts to that shape, or
+    to one value for the whole table.  A single evaluation is the same record with scalar
+    fields, as ``table[row, column]`` gives it.
+    """
 
     kind: str
-    lhs: complex
-    rhs: complex
-    abs_diff: float
-    rel_diff: float
+    lhs: np.ndarray
+    rhs: np.ndarray
+    abs_diff: np.ndarray
+    rel_diff: np.ndarray
     inputs: dict = field(default_factory=dict)
     conditioning_warning: bool = False
 
+    def __getitem__(self, index) -> IdentityTable:
+        shape = self.lhs.shape
+        inputs = {key: np.broadcast_to(value, shape)[index].item() if isinstance(value, np.ndarray) else value
+                  for key, value in self.inputs.items()}
+        return IdentityTable(self.kind, complex(self.lhs[index]), complex(self.rhs[index]),
+                             float(self.abs_diff[index]), float(self.rel_diff[index]), inputs,
+                             self.conditioning_warning)
 
-def _table_reports(kind, lhs, rhs, inputs, warning=False) -> list:
-    """One report per entry of the tables ``lhs`` and ``rhs`` in C order, ``inputs`` each entry's dict."""
-    lhs, rhs = lhs.astype(complex).ravel(), rhs.astype(complex).ravel()
+
+def _identity_table(kind, lhs, rhs, warning, **inputs) -> IdentityTable:
+    """The record of the tables ``lhs`` and ``rhs``, with ``inputs`` in the order they are printed."""
+    lhs, rhs = lhs.astype(complex), rhs.astype(complex)
     abs_diff = np.abs(lhs - rhs)
     rel_diff = abs_diff / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
-    rows = zip(lhs.tolist(), rhs.tolist(), abs_diff.tolist(), rel_diff.tolist(), inputs)
-    return [IdentityReport(kind, *entry, entry_inputs, warning) for *entry, entry_inputs in rows]
-
-
-def _eve_inputs(n, ks, **extra) -> list:
-    """The inputs of each entry of an ``(n, len(ks))`` table over modes j and 0-based minors ks."""
-    return [{"j": j, "k": k, "n": n, **extra} for j in range(1, n + 1) for k in (ks + 1).tolist()]
+    return IdentityTable(kind, lhs, rhs, abs_diff, rel_diff, inputs, warning)
 
 
 def _minor_stack(m, ks) -> np.ndarray:
@@ -83,9 +92,7 @@ def _near_repeated(values) -> bool:
     The test is relative, so a scaled matrix or pencil is flagged as it is.
     """
     vals = np.sort(np.asarray(values, dtype=complex))
-    if vals.size < 2:
-        return False
-    return bool(np.min(np.abs(np.diff(vals))) <= GAP_WARNING_TOL * np.max(np.abs(vals)))
+    return vals.size > 1 and bool(np.min(np.abs(np.diff(vals))) <= GAP_WARNING_TOL * np.max(np.abs(vals)))
 
 
 def _products_but_own(table, own=None) -> np.ndarray:
@@ -103,11 +110,8 @@ def _minor_products(lams, mus) -> np.ndarray:
     return np.prod(lams[:, None, None] - mus[None], axis=2)
 
 
-def _evp_table(a, pair=None):
-    """Both sides of the identity for every j and every minor, or the k-minor of ``pair`` alone.
-
-    Returns ``(lhs, rhs, inputs, warning)`` with ``(n, len(ks))`` tables.
-    """
+def _evp_table(a, pair=None) -> IdentityTable:
+    """The identity for every j and every minor, or the k-minor of 1-based ``pair = (j, k)`` alone."""
     a = as_square(a)
     if not is_hermitian(a):
         raise NotHermitianError("matrix is not Hermitian to 1e-12 relative tolerance")
@@ -116,28 +120,29 @@ def _evp_table(a, pair=None):
     mus = np.linalg.eigvalsh(_minor_stack(a, ks))  # Hermitian, as minors of A
     gaps = _products_but_own(lams[:, None] - lams[None, :])
     lhs = np.abs(vectors[ks].T) ** 2 * gaps[:, None]
-    return lhs, _minor_products(lams, mus), _eve_inputs(a.shape[0], ks), _near_repeated(lams)
+    return _identity_table("eve-evp", lhs, _minor_products(lams, mus), _near_repeated(lams),
+                           j=np.arange(1, lams.size + 1)[:, None], k=ks[None] + 1, n=lams.size)
 
 
-def eve_identity_evp(a, j: int, k: int) -> IdentityReport:
+def eve_identity_evp(a, j: int, k: int) -> IdentityTable:
     """Squared eigenvector entry versus eigenvalue gaps of the matrix and its minor.
 
     Left side: ``|x_{j,k}|^2  prod_{l != j} (lam_j - lam_l)``.
     Right side: ``prod_l (lam_j - mu_l)`` over the spectrum of the k-minor.
     """
-    return _table_reports("eve-evp", *_evp_table(a, (j, k)))[j - 1]
+    return _evp_table(a, (j, k))[j - 1, 0]
 
 
-def eve_identity_evp_all(a) -> list:
-    """Every (j, k) report of :func:`eve_identity_evp`, j slowest.
+def eve_identity_evp_all(a) -> IdentityTable:
+    """Every (j, k) entry of :func:`eve_identity_evp` in one table, j by row and k by column.
 
     The matrix is diagonalized once, and the eigenvalues of all n minors
     come from one stacked solve.
     """
-    return _table_reports("eve-evp", *_evp_table(a))
+    return _evp_table(a)
 
 
-def _gevp_table(a, b, form, pair=None):
+def _gevp_table(a, b, form, pair=None) -> IdentityTable:
     """:func:`_evp_table` for the pencil ``A x = lam B x`` in either form."""
     a, b = as_square(a), as_square(b)
     if not is_hermitian(a) or not is_hermitian(b):
@@ -167,28 +172,29 @@ def _gevp_table(a, b, form, pair=None):
             np.tile(b_values, (b_values.size, 1)))[:, None]
         lhs = weights * gaps[:, None]
         rhs = ratio * products
-    return lhs, rhs, _eve_inputs(a.shape[0], ks, form=form), _near_repeated(lams)
+    return _identity_table(f"eve-gevp-{form}", lhs, rhs, _near_repeated(lams),
+                           j=np.arange(1, lams.size + 1)[:, None], k=ks[None] + 1, n=lams.size, form=form)
 
 
-def eve_identity_gevp(a, b, j: int, k: int, form: str = PROOF_FORM) -> IdentityReport:
+def eve_identity_gevp(a, b, j: int, k: int, form: str = PROOF_FORM) -> IdentityTable:
     """Generalized identity for the pencil ``A x = lam B x`` (two forms).
 
     The proof form weighs the characteristic polynomials by determinants and
     by ``eta_j = x_j^* B x_j`` with ``x_j^* x_j = 1``.  The literal form
     replaces the weights by a ratio of ascending eigenvalues of B and its
     minor, paired to the mode index by rank; it is evaluated exactly as
-    stated and the report carries whatever disagreement results.
+    stated and the record carries whatever disagreement results.
     """
-    return _table_reports(f"eve-gevp-{form}", *_gevp_table(a, b, form, (j, k)))[j - 1]
+    return _gevp_table(a, b, form, (j, k))[j - 1, 0]
 
 
-def eve_identity_gevp_all(a, b, form: str = PROOF_FORM) -> list:
-    """Every (j, k) report of :func:`eve_identity_gevp`, j slowest.
+def eve_identity_gevp_all(a, b, form: str = PROOF_FORM) -> IdentityTable:
+    """Every (j, k) entry of :func:`eve_identity_gevp` in one table, j by row and k by column.
 
     The pencil is solved once, and the eigenvalues of all n minor pencils
     come from one stacked solve.
     """
-    return _table_reports(f"eve-gevp-{form}", *_gevp_table(a, b, form))
+    return _gevp_table(a, b, form)
 
 
 def _guarded_products(table, ks, context):
@@ -241,10 +247,11 @@ def _trig_tables(kind, n, ks, ls, alpha, beta):
     return lhs, weights * gaps[:, ls] * gaps[:, n + 1 - ls] / denom[:, None]
 
 
-def trig_identity_all(kind: str, n: int, ks=None, ls=None, alpha=None, beta=None) -> list:
-    """Every (k, l) report of :func:`trig_identity`, k slowest; ``ks`` and ``ls`` default to 1..n.
+def trig_identity_all(kind: str, n: int, ks=None, ls=None, alpha=None, beta=None) -> IdentityTable:
+    """Every (k, l) entry of :func:`trig_identity` in one table, k by row and l by column;
+    ``ks`` and ``ls`` default to 1..n.
 
-    ti31 has no l: it ignores ``ls`` and reports ``l = 1``.
+    ti31 has no l: it ignores ``ls`` and has one column, ``l = 1``.
     """
     if kind not in ("ti31", "ti3", "ti3g"):
         raise ValueError(f"unknown identity kind {kind!r}")
@@ -264,12 +271,13 @@ def trig_identity_all(kind: str, n: int, ks=None, ls=None, alpha=None, beta=None
         if alpha.shape != (2,) or beta.shape != (2,):
             raise ValueError("ti3g bands must have exactly two entries")
         bands = {"alpha": tuple(alpha.tolist()), "beta": tuple(beta.tolist())}
-    lhs, rhs = _trig_tables(kind, n, np.array(ks, dtype=int), np.array(ls, dtype=int), alpha, beta)
-    return _table_reports(kind, lhs, rhs, [{"n": n, "k": k, "l": l, **bands} for k in ks for l in ls])
+    ks, ls = np.array(ks, dtype=int), np.array(ls, dtype=int)
+    lhs, rhs = _trig_tables(kind, n, ks, ls, alpha, beta)
+    return _identity_table(kind, lhs, rhs, False, n=n, k=ks[:, None], l=ls[None], **bands)
 
 
 def trig_identity(kind: str, n: int, k: int, l: int | None = None,
-                  alpha=None, beta=None) -> IdentityReport:
+                  alpha=None, beta=None) -> IdentityTable:
     """Evaluate one of the product trigonometric identities.
 
     ``"ti31"`` needs (n, k) and ignores any bands: it compares
@@ -280,4 +288,4 @@ def trig_identity(kind: str, n: int, k: int, l: int | None = None,
     it is reported, not asserted, since the stated determinant ratio only
     matches the minor structure at the edge indices.
     """
-    return trig_identity_all(kind, n, [k], [l], alpha, beta)[0]
+    return trig_identity_all(kind, n, [k], [l], alpha, beta)[0, 0]

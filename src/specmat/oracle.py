@@ -29,7 +29,6 @@ full pencil; input that is not centrosymmetric runs on the full matrices.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +54,18 @@ def pencil_residuals(a, b, values, vectors) -> np.ndarray:
 
     Column i of ``vectors`` pairs with ``values[i]``; a 1-D ``vectors`` takes
     one scalar value.  A and B may be :class:`SymmetricBand` bands, at O(n m)
-    per vector.  Raises :class:`ZeroVectorError` on any zero column.
+    per vector.  Raises :class:`ZeroVectorError` on any zero column.  A
+    value that is not finite gives a NaN residual, without a warning.
     """
     vectors = np.asarray(vectors)
     xnorm = abs(vectors).max(axis=0)
     if not xnorm.all():
         raise ZeroVectorError("candidate eigenvector is zero")
-    num = abs(a @ vectors - (b @ vectors) * values).max(axis=0)
     # inf_norm would read a band's storage as a matrix
     a_norm, b_norm = (m.inf_norm() if isinstance(m, SymmetricBand) else inf_norm(m) for m in (a, b))
-    return num / np.maximum((a_norm + abs(values) * b_norm) * xnorm, 1e-300)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+        num = abs(a @ vectors - (b @ vectors) * values).max(axis=0)
+        return num / np.maximum((a_norm + abs(values) * b_norm) * xnorm, 1e-300)
 
 
 def residual_gevp(a, b, lam, x) -> float:
@@ -383,40 +384,46 @@ def pair_values(reference, candidates):
     """Greedy nearest-neighbor pairing of two eigenvalue lists.
 
     Walks the reference values in (real, imag) order and assigns each the
-    closest unused candidate, the lowest index among equally close ones.
-    Returns ``(matched, distances)`` aligned with the reference input order;
-    unmatched positions (count mismatch) carry NaN matches and infinite
-    distances.  Finite real spectra, as on every Hermitian route, sort both
-    lists once and pair them by rank where :func:`_pairs_by_rank` shows the
-    walk would, else by a bisection walk; the result is the walk's.
+    closest unused candidate, the lowest index among equally close ones; a
+    NaN distance counts as the closest.  Returns ``(matched, distances)``
+    aligned with the reference input order; unmatched positions (count
+    mismatch) carry NaN matches and infinite distances.  Finite real
+    spectra, as on every Hermitian route, pair by rank where
+    :func:`_pairs_by_rank` shows the walk would.  Otherwise each walked
+    value's nearest candidate is found at once; when no two of these
+    coincide, no value's pick was taken before its turn, so they are the
+    walk's picks, and only else does the walk run value by value.
     """
     ref = np.asarray(reference, dtype=complex)
     cand = np.asarray(candidates, dtype=complex)
     matched = np.full(ref.shape, np.nan + 0j, dtype=complex)
     distances = np.full(ref.shape, np.inf)
     order = np.lexsort((ref.imag, ref.real))
+    rows = order[:cand.size]
     real = not (ref.imag.any() or cand.imag.any())
-    if real and np.isfinite(ref).all() and np.isfinite(cand).all():
-        walk, sort = ref.real[order], np.argsort(cand.real, kind="stable")
-        values = cand.real[sort]
-        picks = sort if _pairs_by_rank(walk, values) else _pair_real(walk.tolist(), values.tolist(), sort.tolist())
-    else:
-        # one row of gaps per reference value in walk order; a used candidate's
-        # column turns to inf, so argmin finds the nearest free candidate, or the
-        # first free NaN gap as a scan over the free candidates would
-        gaps = np.abs(cand - ref[order, None])
-        used = np.zeros(cand.size, dtype=bool)
-        picks = []
-        for row in gaps[:cand.size]:
-            pick = int(row.argmin())
-            if used[pick]:
-                pick = int(used.argmin())  # every free gap is inf: the first free candidate
-            used[pick] = True
-            picks.append(pick)
-            gaps[:, pick] = np.inf
-    rows = order[:len(picks)]
+    # real input is paired in float64: the same gaps, without complex temporaries
+    ref_part, cand_part = (ref.real, cand.real) if real else (ref, cand)
+    picks = None
+    if real and np.isfinite(ref_part).all() and np.isfinite(cand_part).all():
+        sort = np.argsort(cand_part, kind="stable")
+        picks = sort if _pairs_by_rank(ref_part[order], cand_part[sort]) else None
+    with np.errstate(invalid="ignore"):  # the gap between two infinities is NaN
+        if picks is None:
+            gaps = abs(cand_part - ref_part[rows, None])
+            picks = gaps.argmin(axis=1) if cand.size else np.zeros(0, dtype=int)
+            if np.unique(picks).size < picks.size:  # some pick was taken before its turn
+                # a used candidate's gaps turn to inf, so argmin finds the nearest free
+                # candidate, or the first free NaN gap as a scan over the free ones would
+                used = np.zeros(cand.size, dtype=bool)
+                for i, row in enumerate(gaps):
+                    pick = int(row.argmin())
+                    if used[pick]:
+                        pick = int(used.argmin())  # every free gap is inf: the first free candidate
+                    used[pick] = True
+                    picks[i] = pick
+                    gaps[:, pick] = np.inf
+        distances[rows] = abs(cand_part[picks] - ref_part[rows])  # the gap of each pick, as the walk saw it
     matched[rows] = cand[picks]
-    distances[rows] = np.abs(cand[picks] - ref[rows])  # the gap of each pick, as the walk saw it
     return matched, distances
 
 
@@ -429,36 +436,6 @@ def _pairs_by_rank(ref, values) -> bool:
     is the one nearest free value, with no tie for the lowest index to break.
     """
     return ref.size == values.size and bool((abs(values[:-1] - ref[:-1]) < abs(values[1:] - ref[:-1])).all())
-
-
-def _pair_real(ref, values, index) -> list:
-    """The greedy walk of :func:`pair_values` for finite real values, by bisection.
-
-    ``values`` are the candidates sorted by (value, index), and ``index``
-    their indices; the free ones stay so sorted.  The nearest ones sit on
-    either side of the bisection point; rounding can make farther values
-    equally near, so the equally near run is widened on both sides before
-    the lowest index in it is taken.
-    """
-    picks = []
-    for r in ref[:len(values)]:
-        p = bisect_left(values, r)
-        left = abs(values[p - 1] - r) if p else math.inf
-        right = abs(values[p] - r) if p < len(values) else math.inf
-        best = min(left, right)
-        lo = hi = p
-        if p and left == best:
-            lo -= 1
-            while lo and abs(values[lo - 1] - r) == best:
-                lo -= 1
-        if p < len(values) and right == best:
-            hi += 1
-            while hi < len(values) and abs(values[hi] - r) == best:
-                hi += 1
-        at = lo if hi - lo == 1 else min(range(lo, hi), key=index.__getitem__)
-        picks.append(index.pop(at))
-        del values[at]
-    return picks
 
 
 @dataclass
@@ -486,13 +463,7 @@ def match_spectra(analytic, numeric) -> OracleReport:
     max_distance = float(np.max(finite)) if finite.size else 0.0
     residuals = getattr(numeric, "residuals", None)
     max_residual = float(np.max(residuals)) if residuals is not None else float("nan")
-    order = np.lexsort((b_vals.imag, b_vals.real))
     pairs = [(complex(a_vals[i]), complex(matched[i])) for i in range(a_vals.size)]
-    return OracleReport(
-        spectrum=b_vals[order],
-        max_residual=max_residual,
-        pairs=pairs,
-        distances=distances,
-        max_distance=max_distance,
-        count_mismatch=a_vals.size != b_vals.size,
-    )
+    return OracleReport(spectrum=b_vals[np.lexsort((b_vals.imag, b_vals.real))], max_residual=max_residual,
+                        pairs=pairs, distances=distances, max_distance=max_distance,
+                        count_mismatch=a_vals.size != b_vals.size)

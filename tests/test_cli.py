@@ -9,6 +9,7 @@ import pytest
 
 from specmat import (
     HankelVariant,
+    IdentityTable,
     PolynomialPencil,
     assemble_toeplitz_hankel,
     build_corner_block,
@@ -27,14 +28,13 @@ from specmat import (
 from specmat import oracle
 from specmat.families import SymmetricBand
 from specmat.oracle import pair_values
-from specmat.identities import IdentityReport
 from specmat.cli import (
     IGA2_EXAMPLE_MASS_BAND,
     IGA2_EXAMPLE_STIFF_BAND,
     LAPLACE_FDM_BAND,
     LAPLACE_FEM1_MASS_BAND,
     LAPLACE_FEM1_STIFF_BAND,
-    _csv_lines,
+    _table_lines,
     _within,
     dispersion_rows,
     format_scalar,
@@ -224,12 +224,12 @@ class TestSpectrum:
         capsys.readouterr()
         assert code == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # residuals of infinite values
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # residuals of infinite values warn nothing
     @pytest.mark.parametrize("perturb", ["nan", "inf"])
     def test_non_finite_values_trip_tolerance_gate(self, capsys, perturb):
         code = main(["spectrum", "--family", "fem-p2", "--n-elems", "5", "--perturb", perturb])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: max residual nan exceeds tolerance")
+        assert capsys.readouterr().err == "error: max residual nan exceeds tolerance 1.000e-08\n"
 
     def test_json_format(self, capsys):
         code = main(
@@ -286,7 +286,7 @@ class TestSpectrum:
 
 
 def _per_field_rows(rows):
-    """The per-field formatter that ``_csv_lines`` replaced; pins the CSV text."""
+    """The per-field formatter that the one-``%`` table formatter replaced; pins the CSV text."""
     return [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
 
 
@@ -320,30 +320,41 @@ def test_infinite_and_negative_tolerances_keep_their_meaning(capsys, tol, code):
     capsys.readouterr()
 
 
-class TestSpectrumCsv:
-    def test_rows_match_the_per_field_formatter(self):
+class TestCsvTables:
+    # the fields of each command's rows: an integer (d), a float (f) or a string (s); the first is
+    # written by %d, a string by %s, the rest by %.17g, where pevp's whole-number root index
+    # formats as by %d
+    @pytest.mark.parametrize("kinds", ["dfff", "dffffff", "ddfff", "dfffs"],
+                             ids=["spectrum", "spectrum-oracle", "pevp", "dispersion"])
+    def test_rows_match_the_per_field_formatter(self, kinds):
         special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
                    1.0 / 3.0, -2.5e-17, 160.0, 9.8716978898774279]
         rng = np.random.default_rng(8)
-        columns = [np.arange(1, 41)] + [
-            np.concatenate((special, rng.standard_normal(29) * 10.0 ** rng.integers(-20, 20, 29)))
-            for _ in range(6)
-        ]
-        header = ("mode_index,lambda_re,lambda_im,residual,"
-                  "oracle_lambda_re,oracle_lambda_im,oracle_distance")
-        for width in (4, 7):  # without and with the oracle columns
-            rows = list(zip(*(c[:40].tolist() for c in columns[:width])))
-            old_rows = [tuple([i + 1] + [np.float64(v) for v in row[1:]]) for i, row in enumerate(rows)]
-            head = ",".join(header.split(",")[:width])
-            assert _csv_lines(head, rows) == [head, *_per_field_rows(old_rows)]
+        columns = [list(range(1, 41)) if kind == "d" else ["", "minus", "10n^2", "plus"] * 10 if kind == "s"
+                   else [np.float64(v) for v in np.concatenate(
+                       (special, rng.standard_normal(29) * 10.0 ** rng.integers(-20, 20, 29)))]
+                   for kind in kinds]
+        template = "%d" + "".join(",%s" if kind == "s" else ",%.17g" for kind in kinds[1:])
+        rows = list(zip(*columns))
+        assert _table_lines(template, [[v.item() if isinstance(v, np.float64) else v for v in row]
+                                       for row in rows]) == ["\n".join(_per_field_rows(rows))]
+        assert _table_lines(template, []) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # residuals of infinite values
+    @pytest.mark.parametrize("method", ["fdm", "fem1", "fem2", "iga2-example"])
+    def test_dispersion_output_is_the_per_field_format(self, capsys, method):
+        assert main(["dispersion", "--method", method, "--n", "12"]) == 0
+        rows = _per_field_rows(dispersion_rows(method, 12))
+        assert capsys.readouterr().out == "\n".join(["j,lambda_h,lambda_exact,rel_error,branch", *rows]) + "\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # residuals of infinite values warn nothing
     def test_nan_and_inf_rows_end_to_end(self, capsys):
         for perturb in ("nan", "inf"):
             main(["spectrum", "--family", "fem-p2", "--n-elems", "3", "--perturb", perturb])
-            lines = capsys.readouterr().out.splitlines()
+            captured = capsys.readouterr()
+            lines = captured.out.splitlines()
             assert lines[1].split(",")[1] == perturb
             assert len(lines) == 6 and all(line.count(",") == 6 for line in lines)
+            assert captured.err == "error: max residual nan exceeds tolerance 1.000e-08\n"
 
 
 class TestNegativeBands:
@@ -379,7 +390,7 @@ class TestNegativeBands:
         assert np.array_equal(written[0], written[1])
         assert written[0][0, 0] == -1.0 and written[0][0, 1] == 0.5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # residuals of infinite values
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # residuals of infinite values warn nothing
     @pytest.mark.parametrize("option, value",
                              [("--perturb", "-1e-3"), ("--tol", "-1e-9"), ("--perturb", "-inf")])
     def test_numbers_in_exponent_form(self, capsys, option, value):
@@ -387,6 +398,7 @@ class TestNegativeBands:
         code = main([*argv, f"{option}={value}"])
         want = capsys.readouterr()
         assert code == 3  # every residual fails the gate
+        assert re.fullmatch(r"error: max residual \S+ exceeds tolerance \S+\n", want.err)
         assert main([*argv, option, value]) == code
         assert capsys.readouterr() == want
 
@@ -637,29 +649,41 @@ class TestIdentityCommand:
         assert capsys.readouterr().out.endswith(f" over {pairs} evaluations\n")
 
     def test_nan_rel_diff_trips_the_gate(self, capsys, monkeypatch):
-        reports = [IdentityReport("eve", 1.0, complex("nan"), float("nan"), float("nan")),
-                   IdentityReport("eve", 1.0, 1.0, 0.0, 0.0)]
-        monkeypatch.setattr(cli, "_identity_reports", lambda args: reports)
+        nan = float("nan")
+        table = IdentityTable("eve", np.array([1.0 + 0j, 1.0]), np.array([complex(nan), 1.0]),
+                              np.array([nan, 0.0]), np.array([nan, 0.0]))
+        monkeypatch.setattr(cli, "_identity_tables", lambda args: [table])
         assert main(["identity", "--kind", "eve", "--n", "2"]) == 3
         captured = capsys.readouterr()
         assert "max rel_diff = nan over 2 evaluations" in captured.out
         assert captured.err.startswith("error: max rel_diff nan exceeds tolerance")
 
     def test_lines_are_those_of_the_per_report_format(self):
-        # the per-report f-string that formatting by columns replaced
+        # the per-entry f-string that formatting each table by columns replaced
         def reference(rep):
             return (f"kind={rep.kind} {' '.join(f'{key}={val}' for key, val in rep.inputs.items())} "
                     f"lhs={format_scalar(rep.lhs)} rhs={format_scalar(rep.rhs)} rel_diff={rep.rel_diff:.3e}"
                     + (" conditioning-warning" if rep.conditioning_warning else ""))
 
-        sides = [0.0, -0.0, 1.5, -2e-13j + 3, 2e-12j - 3, 1 - 1j, complex(0.0, -0.0), complex("nan"),
-                 complex(1, float("nan")), complex(float("inf"), -1), 1e300 - 1e-300j]
-        reports = [IdentityReport("eve-evp", lhs, rhs, 0.0, rel, {"j": j, "k": 2, "n": 9}, j % 3 == 0)
-                   for j, (lhs, rhs, rel) in enumerate(zip(sides, sides[::-1], [0.0, 1e-17, float("nan")] * 4))]
-        reports += [IdentityReport("ti3g", 1.0, 2.0, 1.0, 0.5,
-                                   {"n": 4, "k": 1, "l": 2, "alpha": (2 + 0j, -1 + 0j), "beta": (1j, 0.5)}),
-                    IdentityReport("eve-evp", 1.0, 1.0, 0.0, 0.0, {"j": 1, "k": 1, "n": 2})]
-        assert cli._report_lines(reports) == [reference(rep) for rep in reports]
+        sides = np.array([0.0, -0.0, 1.5, -2e-13j + 3, 2e-12j - 3, 1 - 1j, complex(0.0, -0.0), complex("nan"),
+                          complex(1, float("nan")), complex(float("inf"), -1), 1e300 - 1e-300j, 2.0])
+        rel = np.array([0.0, 1e-17, float("nan")] * 4)
+        j = np.arange(sides.size).reshape(6, 2)
+        tables = [IdentityTable("eve-evp", sides.reshape(6, 2), sides[::-1].reshape(6, 2), 0.0 * rel.reshape(6, 2),
+                                rel.reshape(6, 2), {"j": j[:, :1], "k": j[:1], "n": 9}, warning)
+                  for warning in (False, True)]
+        tables += [IdentityTable("ti3g", np.array([[1.0 + 0j, 2.0]]), np.array([[2.0 + 0j, 1e-300]]),
+                                 np.ones((1, 2)), np.array([[0.5, 1.0]]),
+                                 {"n": 4, "k": np.array([[1]]), "l": np.array([[2, 3]]),
+                                  "alpha": (2 + 0j, -1 + 0j), "beta": (1j, 0.5)}),
+                   IdentityTable("eve-gevp-literal", np.ones((1, 1), complex), np.ones((1, 1), complex),
+                                 np.zeros((1, 1)), np.zeros((1, 1)),
+                                 {"j": np.array([[1]]), "k": np.array([[1]]), "n": 2, "form": "literal"}),
+                   IdentityTable("ti3", np.ones((0, 3), complex), np.ones((0, 3), complex), np.zeros((0, 3)),
+                                 np.zeros((0, 3)), {"n": 3, "k": np.ones((0, 1), int), "l": np.array([[1, 2, 3]])})]
+        for table in tables:
+            want = [reference(table[index]) for index in np.ndindex(table.lhs.shape)]
+            assert cli._identity_lines(table) == (["\n".join(want)] if want else [])
 
     def test_unknown_kind_is_usage_error(self, capsys):
         assert main(["identity", "--kind", "ti32", "--n", "4"]) == 2

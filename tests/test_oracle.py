@@ -548,23 +548,25 @@ class TestResidual:
             pencil_residuals(np.eye(3), np.eye(3), np.ones(3), vectors)
 
 
-def _pair_values_loop(reference, candidates):
-    """The greedy full-scan walk that ``pair_values`` keeps for complex input: the reference."""
-    ref = np.asarray(reference, dtype=complex)
-    cand = np.asarray(candidates, dtype=complex)
-    matched = np.full(ref.shape, np.nan + 0j, dtype=complex)
-    distances = np.full(ref.shape, np.inf)
-    used = np.zeros(cand.size, dtype=bool)
-    order = np.lexsort((ref.imag, ref.real))
-    for idx in order:
-        free = np.flatnonzero(~used)
-        if free.size == 0:
+def _sequential_walk(reference, candidates):
+    """The walk of ``pair_values``' docstring, one reference value at a time.
+
+    The references go in (real, imag) order, a NaN part last and equal keys
+    by index; each takes the nearest unused candidate, a NaN distance first
+    and the lowest index among equally near ones, until none is left.
+    """
+    ref, cand = np.asarray(reference, dtype=complex), np.asarray(candidates, dtype=complex)
+    matched, distances = np.full(ref.size, complex(np.nan, 0.0)), np.full(ref.size, np.inf)
+    last_nan = lambda x: (x != x, 0.0 if x != x else x)  # noqa: E731
+    free = list(range(cand.size))
+    for i in sorted(range(ref.size), key=lambda i: (last_nan(ref[i].real), last_nan(ref[i].imag))):
+        if not free:
             break
-        gaps = np.abs(cand[free] - ref[idx])
-        pick = free[int(np.argmin(gaps))]
-        used[pick] = True
-        matched[idx] = cand[pick]
-        distances[idx] = float(np.abs(cand[pick] - ref[idx]))
+        with np.errstate(invalid="ignore"):  # the gap between two infinities
+            gaps = np.abs(cand - ref[i]).tolist()
+        pick = min(free, key=lambda c: (gaps[c] == gaps[c], gaps[c] if gaps[c] == gaps[c] else 0.0, c))
+        free.remove(pick)
+        matched[i], distances[i] = cand[pick], gaps[pick]
     return matched, distances
 
 
@@ -594,12 +596,11 @@ def _value_lists(draw):
     return values
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_value_lists(), _value_lists())
 def test_pair_values_matches_the_greedy_loop(reference, candidates):
     matched, distances = pair_values(reference, candidates)
-    want_matched, want_distances = _pair_values_loop(reference, candidates)
+    want_matched, want_distances = _sequential_walk(reference, candidates)
     assert np.array_equal(matched.view(np.uint64), want_matched.view(np.uint64))  # bit for bit
     assert np.array_equal(distances, want_distances, equal_nan=True)
 
@@ -611,7 +612,7 @@ def test_pair_values_on_real_spectra_is_bit_for_bit():
         reference = base[:n] + 1e-13 * rng.standard_normal(n)
         candidates = rng.permutation(base[:m])
         matched, distances = pair_values(reference, candidates)
-        want_matched, want_distances = _pair_values_loop(reference, candidates)
+        want_matched, want_distances = _sequential_walk(reference, candidates)
         assert np.array_equal(matched.view(np.uint64), want_matched.view(np.uint64))
         assert np.array_equal(distances, want_distances)
 
@@ -642,12 +643,46 @@ def test_rank_pairing_returns_the_walk(case):
     walk = np.sort(reference)
     sort = np.argsort(candidates, kind="stable")
     values = candidates[sort]
-    if oracle._pairs_by_rank(walk, values):
-        assert oracle._pair_real(walk.tolist(), values.tolist(), sort.tolist()) == sort.tolist()
     matched, distances = pair_values(reference, candidates)
-    want_matched, want_distances = _pair_values_loop(reference, candidates)
+    want_matched, want_distances = _sequential_walk(reference, candidates)
+    if oracle._pairs_by_rank(walk, values):  # the walk gives the k-th smallest reference the k-th candidate
+        assert np.array_equal(want_matched[np.argsort(reference, kind="stable")], values)
     assert np.array_equal(matched.view(np.uint64), want_matched.view(np.uint64))
     assert np.array_equal(distances, want_distances)
+
+
+_GRID = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5]
+_TIED_VALUES = [_GRID + [np.nan, np.inf],
+                [complex(x, y) for x in _GRID for y in (0.0, 0.5, -1.0)]
+                + [complex(np.nan, 0.0), complex(0.5, np.nan), complex(np.inf, 0.5)]]
+
+
+@st.composite
+def _tied_lists(draw):
+    """References and candidates on a grid of halves, real or complex, with exact ties forced.
+
+    Some references are midpoints of two candidates, which are then equally
+    near; values repeat, some carry a NaN or infinite part, and either list
+    may be empty or longer than the other.
+    """
+    values = draw(st.sampled_from(_TIED_VALUES))
+    pick = st.integers(0, len(values) - 1)
+    reference, candidates = ([values[i] for i in draw(st.lists(pick, max_size=7))] for _ in range(2))
+    between = st.integers(0, max(len(candidates) - 1, 0))
+    for i, j in draw(st.lists(st.tuples(between, between), max_size=3)):
+        if i != j:
+            reference.append((candidates[i] + candidates[j]) / 2)
+    return reference, candidates
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_tied_lists())
+def test_pair_values_is_the_sequential_walk(case):
+    reference, candidates = case
+    matched, distances = pair_values(reference, candidates)
+    want_matched, want_distances = _sequential_walk(reference, candidates)
+    assert np.array_equal(matched.view(np.uint64), want_matched.view(np.uint64))  # bit for bit
+    assert np.array_equal(distances, want_distances, equal_nan=True)
 
 
 def test_rank_pairing_needs_strictly_nearer_rank_mates():
