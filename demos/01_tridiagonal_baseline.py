@@ -10,10 +10,8 @@ import numpy as np
 from specmat import (
     assemble_toeplitz_hankel,
     gevp_eigenpairs,
-    match_spectra,
-    residual_gevp,
     scale_pencil,
-    solve_gevp_numeric,
+    verify,
 )
 
 n = 12
@@ -29,8 +27,8 @@ for j in range(1, 6):
     print(f"{j:>3} {formula:>18.10f} {sol.value_for_mode(j).real:>14.10f}")
 
 a = assemble_toeplitz_hankel([2.0, -1.0], n, 1)
-report = match_spectra(sol, solve_gevp_numeric(a, np.eye(n, dtype=complex)))
-print(f"max |closed form - dense solver| = {report.max_distance:.2e}")
+check = verify(sol, a, np.eye(n))
+print(f"max |closed form - dense solver| = {np.max(check.distances):.2e} ({check.route} route)")
 
 print()
 print("=" * 64)
@@ -46,7 +44,5 @@ for j in range(1, 6):
 
 k = assemble_toeplitz_hankel([2.0, -1.0], n, 1) / h
 m = assemble_toeplitz_hankel([2.0 / 3.0, 1.0 / 6.0], n, 1) * h
-worst = max(
-    residual_gevp(k, m, scaled.values[i], scaled.vectors[:, i]) for i in range(n)
-)
+worst = np.max(verify(scaled, k, m, oracle=False).residuals)
 print(f"worst relative residual of the scaled pencil: {worst:.2e}")

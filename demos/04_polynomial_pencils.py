@@ -15,9 +15,8 @@ from specmat import (
     assemble_toeplitz_hankel,
     corner_block_eigenpairs,
     corner_block_quadratic_bands,
-    match_spectra,
     pevp_eigenpairs,
-    solve_pevp_numeric,
+    verify,
 )
 
 print("=" * 64)
@@ -28,11 +27,9 @@ bands = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
 bands[-1][0] += 6.0
 pencil = PolynomialPencil(bands=tuple(bands), variant=HankelVariant.SET1, n=7)
 analytic = pevp_eigenpairs(pencil)
-mats = [assemble_toeplitz_hankel(band, 7, 1) for band in bands]
-numeric, _ = solve_pevp_numeric(mats)
-report = match_spectra(analytic.all_values(), numeric)
-print(f"{analytic.all_values().size} eigenvalues from 7 scalar quadratics")
-print(f"max gap to the companion linearization: {report.max_distance:.2e}")
+check = verify(analytic, *(assemble_toeplitz_hankel(band, 7, 1) for band in bands))
+print(f"{check.values.size} eigenvalues from 7 scalar quadratics")
+print(f"max gap to the {check.route} linearization: {np.max(check.distances):.2e}")
 
 print()
 print("=" * 64)

@@ -50,13 +50,12 @@ from .identities import (
 from .linalg import batched_roots
 from .mmio import read_matrix_market, write_matrix_market
 from .oracle import (
-    OracleReport,
+    Verification,
     gevp_eigenvalues_numeric,
-    match_spectra,
     pencil_residuals,
-    residual_gevp,
     solve_gevp_numeric,
     solve_pevp_numeric,
+    verify,
 )
 from .solution import EigenSolution, PolynomialEigenSolution
 from .spectra import (
@@ -85,7 +84,6 @@ __all__ = [
     "IdentityTable",
     "IndexOutOfRangeError",
     "NotHermitianError",
-    "OracleReport",
     "OverlapError",
     "PolynomialEigenSolution",
     "PolynomialPencil",
@@ -96,6 +94,7 @@ __all__ = [
     "SpecmatError",
     "SymmetricBand",
     "TooSmallError",
+    "Verification",
     "ZeroScaleError",
     "ZeroVectorError",
     "assemble_tensor_pencil",
@@ -122,11 +121,9 @@ __all__ = [
     "gevp_eigenpairs",
     "gevp_eigenvalues",
     "gevp_eigenvalues_numeric",
-    "match_spectra",
     "pencil_residuals",
     "pevp_eigenpairs",
     "read_matrix_market",
-    "residual_gevp",
     "scale_pencil",
     "solve_gevp_numeric",
     "solve_pevp_numeric",
@@ -135,5 +132,6 @@ __all__ = [
     "toeplitz_hankel_band",
     "trig_identity",
     "trig_identity_all",
+    "verify",
     "write_matrix_market",
 ]

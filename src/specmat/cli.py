@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import SpecmatError
 from .families import (
     HankelVariant,
-    assemble_toeplitz_hankel,
     corner_block_band,
     fem_p2_bands,
     fem_p3_bands,
@@ -28,12 +28,7 @@ from .families import (
 )
 from .identities import eve_identity_evp_all, eve_identity_gevp_all, trig_identity_all
 from .mmio import write_matrix_market
-from .oracle import (
-    gevp_eigenvalues_numeric,
-    pair_values,
-    pencil_residuals,
-    solve_pevp_numeric,
-)
+from .oracle import verify
 from .spectra import (
     PolynomialPencil,
     corner_block_eigenpairs,
@@ -160,7 +155,7 @@ def _cmd_build(args) -> int:
 # -------------------------------------------------------------- spectrum
 
 def _spectrum_problem(args):
-    """Analytic values and vectors plus the bands of (A, B) for the chosen family."""
+    """The closed-form solution and the bands of (A, B) for the chosen family."""
     if args.family == "toeplitz-hankel":
         if args.alpha is None or args.beta is None or args.n is None:
             raise SpecmatError("toeplitz-hankel spectra need --alpha, --beta and --n")
@@ -168,51 +163,43 @@ def _spectrum_problem(args):
         width = max(alpha.size, beta.size)  # the shorter band's missing diagonals are zero
         alpha, beta = (np.pad(band, (0, width - band.size)) for band in (alpha, beta))
         variant = HankelVariant.coerce(args.variant)
-        sol = gevp_eigenpairs(alpha, beta, args.n, variant)
-        return (sol.values, sol.vectors, toeplitz_hankel_band(alpha, args.n, variant),
+        return (gevp_eigenpairs(alpha, beta, args.n, variant), toeplitz_hankel_band(alpha, args.n, variant),
                 toeplitz_hankel_band(beta, args.n, variant))
     if args.family == "corner-block":
         if args.alpha is None or args.half_n is None:
             raise SpecmatError("corner-block spectra need --alpha and --half-n")
         alpha = parse_band(args.alpha)
         beta = parse_band(args.beta) if args.beta else np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-        sol = corner_block_eigenpairs(alpha, beta, args.half_n)
-        return sol.values, sol.vectors, corner_block_band(alpha, args.half_n), corner_block_band(beta, args.half_n)
+        return (corner_block_eigenpairs(alpha, beta, args.half_n), corner_block_band(alpha, args.half_n),
+                corner_block_band(beta, args.half_n))
     if args.n_elems is None:
         raise SpecmatError(f"{args.family} spectra need --n-elems")
     eigenpairs, bands = {"fem-p2": (fem_p2_eigenpairs, fem_p2_bands),
                          "fem-p3": (fem_p3_eigenpairs, fem_p3_bands)}[args.family]
-    sol = eigenpairs(args.n_elems)
-    return (sol.values, sol.vectors, *bands(args.n_elems))
+    return (eigenpairs(args.n_elems), *bands(args.n_elems))
 
 
 def _cmd_spectrum(args) -> int:
-    """Closed-form pairs with residuals from the bands, in real arithmetic where nothing is complex.
-
-    Only the dense oracle forms n x n matrices: real ones for a real pencil.
-    """
-    values, vectors, a, b = _spectrum_problem(args)
-    values = values + args.perturb
-    real_bands = a.as_real(), b.as_real()
-    if None not in real_bands:
-        a, b = real_bands  # with a real pair, real products: about 3.5x cheaper
-    residuals = pencil_residuals(a, b, values, vectors)
+    sol, a, b = _spectrum_problem(args)
+    sol.values = sol.values + args.perturb  # also with 0.0, which turns a -0.0 into +0.0
+    check = verify(sol, a, b, oracle=not args.no_oracle)
     header = "mode_index,lambda_re,lambda_im,residual"
-    columns = [np.arange(1, values.size + 1), values.real, values.imag, residuals]
-    if not args.no_oracle:
-        matched, distances = pair_values(values, gevp_eigenvalues_numeric(a.dense(), b.dense()))
+    columns = [np.arange(1, sol.n_modes + 1), sol.values.real, sol.values.imag, check.residuals]
+    if check.route:
         header += ",oracle_lambda_re,oracle_lambda_im,oracle_distance"
-        columns += [matched.real, matched.imag, distances]
+        columns += [check.matched.real, check.matched.imag, check.distances]
     rows = list(zip(*(column.tolist() for column in columns)))  # Python scalars format faster
 
     if args.format == "json":
-        payload = [dict(zip(header.split(","), row)) for row in rows]
-        _emit([json.dumps(payload, indent=2)], args.out)
+        # JSON has no NaN or infinity: a number that is not finite is written as null
+        payload = [{key: value if math.isfinite(value) else None for key, value in zip(header.split(","), row)}
+                   for row in rows]
+        _emit([json.dumps(payload, indent=2, allow_nan=False)], args.out)
     else:
         # an integer first field, the rest to 17 significant digits
         _emit([header, *_table_lines("%d" + ",%.17g" * header.count(","), rows)], args.out)
 
-    return _gate("residual", residuals, args.tol)
+    return _gate("residual", check.residuals, args.tol)
 
 
 # -------------------------------------------------------------- identity
@@ -341,10 +328,8 @@ def _cmd_pevp(args) -> int:
         raise SpecmatError(f"bad pencil description: {exc}") from exc
     pencil = PolynomialPencil(bands=tuple(bands), variant=variant, n=n)
     analytic = pevp_eigenpairs(pencil)
-    mats = [assemble_toeplitz_hankel(band, n, variant) for band in bands]
-    numeric, dropped = solve_pevp_numeric(mats)
-    flat = analytic.all_values()
-    _, distances = pair_values(flat, numeric)
+    check = verify(analytic, *(toeplitz_hankel_band(band, n, variant) for band in bands))
+    flat, distances = check.values, check.distances
     counts = [roots.size for roots in analytic.mode_roots]
     # each root's 1-based index within its mode: its flat position less its mode's start
     starts = np.repeat(np.cumsum(counts) - counts, counts)
@@ -354,6 +339,7 @@ def _cmd_pevp(args) -> int:
     # a whole number formats the same by %.17g as by %d
     _emit(["mode_index,root_index,lambda_re,lambda_im,oracle_distance",
            *_table_lines("%d,%.17g,%.17g,%.17g,%.17g", rows)], args.out)
+    dropped = check.route == "reversed-companion"
     if dropped or analytic.degree_drops:
         print(f"degree drop: analytic modes {list(analytic.degree_drops)}, oracle flagged {dropped}",
               file=sys.stderr)

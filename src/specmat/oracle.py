@@ -10,7 +10,7 @@ small pencils, one LAPACK call per step for the whole stack, on a route the
 caller takes once for all of them.  Polynomial pencils are linearized to a
 companion pencil and solved the same way.
 None of these routes samples a symbol, so they share nothing with the
-closed forms they check.
+closed forms they check; :func:`verify` checks a closed form against them.
 
 Every matrix the library builds is centrosymmetric, ``J M J = M`` for the
 exchange matrix J, and the real orthogonal transform of Cantoni & Butler
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .families import SymmetricBand
 from .linalg import as_square, inf_norm, is_hermitian
-from .solution import NUMERIC, EigenSolution
+from .solution import NUMERIC, EigenSolution, PolynomialEigenSolution
 
 SINGULAR_B_RTOL = 1e-13
 _SQRT2 = math.sqrt(2.0)
@@ -66,11 +66,6 @@ def pencil_residuals(a, b, values, vectors) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
         num = abs(a @ vectors - (b @ vectors) * values).max(axis=0)
         return num / np.maximum((a_norm + abs(values) * b_norm) * xnorm, 1e-300)
-
-
-def residual_gevp(a, b, lam, x) -> float:
-    """Relative pencil residual of one eigenpair; see :func:`pencil_residuals`."""
-    return float(pencil_residuals(as_square(a), as_square(b), complex(lam), x))
 
 
 def _singular(m, blocks) -> bool:
@@ -439,31 +434,43 @@ def _pairs_by_rank(ref, values) -> bool:
 
 
 @dataclass
-class OracleReport:
-    """Comparison of an analytic spectrum against a numeric one."""
-
-    spectrum: np.ndarray
-    max_residual: float
-    pairs: list
-    distances: np.ndarray
-    max_distance: float
-    count_mismatch: bool
-
-
-def match_spectra(analytic, numeric) -> OracleReport:
-    """Pair two spectra and report the worst pairwise distance.
-
-    Accepts :class:`EigenSolution` objects or plain value arrays.  A count
-    mismatch is reported in the flag, never raised.
+class Verification:
+    """What :func:`verify` found: the closed form's ``values`` and their relative ``residuals``
+    (None for a polynomial pencil); if the oracle ran, its values paired with them as by
+    :func:`pair_values` (``matched``, ``distances``), ``count_mismatch`` and its ``route``:
+    ``"hermitian"``, ``"general"``, ``"companion"`` or ``"reversed-companion"`` (infinite values dropped).
     """
-    a_vals = analytic.values if isinstance(analytic, EigenSolution) else np.asarray(analytic, dtype=complex)
-    b_vals = numeric.values if isinstance(numeric, EigenSolution) else np.asarray(numeric, dtype=complex)
-    matched, distances = pair_values(a_vals, b_vals)
-    finite = distances[np.isfinite(distances)]
-    max_distance = float(np.max(finite)) if finite.size else 0.0
-    residuals = getattr(numeric, "residuals", None)
-    max_residual = float(np.max(residuals)) if residuals is not None else float("nan")
-    pairs = [(complex(a_vals[i]), complex(matched[i])) for i in range(a_vals.size)]
-    return OracleReport(spectrum=b_vals[np.lexsort((b_vals.imag, b_vals.real))], max_residual=max_residual,
-                        pairs=pairs, distances=distances, max_distance=max_distance,
-                        count_mismatch=a_vals.size != b_vals.size)
+
+    values: np.ndarray
+    residuals: np.ndarray | None
+    matched: np.ndarray | None = None
+    distances: np.ndarray | None = None
+    count_mismatch: bool | None = None
+    route: str | None = None
+
+
+def verify(solution, *coefficients, oracle=True) -> Verification:
+    """Check a closed form on the matrices it solves, and against the oracle if ``oracle``.
+
+    An :class:`EigenSolution` takes ``(A, B)``, a :class:`PolynomialEigenSolution` ``A_0 ... A_q``,
+    each a :class:`SymmetricBand` (real bands in float64) or a dense array; only the oracle densifies.
+    """
+    if isinstance(solution, PolynomialEigenSolution):
+        values, residuals = solution.all_values(), None
+    else:
+        real = [m.as_real() if isinstance(m, SymmetricBand) else m for m in coefficients]
+        if all(m is not None for m in real):  # real bands: real products, about 3.5x cheaper
+            coefficients = real
+        values = solution.values
+        residuals = pencil_residuals(*coefficients, values, solution.vectors)
+    if not oracle:
+        return Verification(values, residuals)
+    dense = [m.dense() if isinstance(m, SymmetricBand) else m for m in coefficients]
+    if residuals is None:
+        numeric, dropped = solve_pevp_numeric(dense)
+        route = "reversed-companion" if dropped else "companion"
+    else:
+        _, _, numeric, _, hermitian = _solve(*dense, "auto", False)
+        route = "hermitian" if hermitian else "general"
+    matched, distances = pair_values(values, numeric)
+    return Verification(values, residuals, matched, distances, values.size != numeric.size, route)

@@ -244,6 +244,22 @@ class TestSpectrum:
         assert len(rows) == 3
         assert rows[0]["mode_index"] == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("perturb", ["nan", "inf", "-inf"])
+    def test_json_writes_non_finite_numbers_as_null(self, capsys, perturb):
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        code = main(["spectrum", "--family", "fem-p2", "--n-elems", "2", "--perturb", perturb, "--format", "json"])
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out, parse_constant=refuse)
+        assert code == 3 and captured.err == "error: max residual nan exceeds tolerance 1.000e-08\n"
+        assert len(rows) == 3
+        for row in rows:
+            # the shifted value, its residual and its distance to the oracle are not finite
+            assert row["lambda_re"] is row["residual"] is row["oracle_distance"] is None
+            assert row["lambda_im"] == 0.0 and np.isfinite(row["oracle_lambda_re"])
+
     def test_complex_bands(self, capsys):
         code = main(
             [

@@ -1,8 +1,9 @@
 """Which module may import which: the closed forms never reach the numeric
 oracle that checks them, file I/O needs neither, and nothing needs scipy.
 Only ``families`` reads a band's storage.
-Only the oracle's pencil reduction factors by Cholesky, and only the CLI's
-gate returns the tolerance exit code."""
+Only the oracle's pencil reduction factors by Cholesky, only the CLI's
+gate returns the tolerance exit code, and the CLI reaches the oracle
+through ``verify`` alone."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,34 @@ def test_the_check_sees_imports_inside_functions():
                      "\ndef h():\n    import scipy.linalg\n")
     assert [node.lineno for node in _imports(tree, "oracle")] == [2, 5]
     assert [node.lineno for node in _imports(tree, "scipy")] == [8]
+
+
+def _taken_from_oracle(tree):
+    """``(line, name)`` of every name an import in ``tree`` takes from the oracle, or of the
+    oracle module itself."""
+    taken = []
+    for node in _imports(tree, "oracle"):
+        from_oracle = isinstance(node, ast.ImportFrom) and "oracle" in (node.module or "").split(".")
+        taken += [(node.lineno, alias.name) for alias in node.names
+                  if from_oracle or "oracle" in alias.name.split(".")]
+    return taken
+
+
+def test_cli_takes_only_verify_from_the_oracle():
+    """One verification path: the CLI checks a closed form by ``oracle.verify``, never by
+    wiring residuals, dense matrices, solvers and pairing together itself."""
+    taken = _taken_from_oracle(ast.parse(Path(specmat.cli.__file__).read_text(encoding="utf-8")))
+    stray = [(line, name) for line, name in taken if name != "verify"]
+    assert stray == [], f"cli.py imports from the oracle more than verify: {stray}"
+
+
+def test_the_oracle_import_check_sees_every_name():
+    tree = ast.parse("from .oracle import verify\nfrom .oracle import (\n    pair_values,\n    verify as check,\n)\n"
+                     "\ndef f():\n    from . import oracle, spectra\n    import specmat.oracle\n"
+                     "    from specmat.oracle import pencil_residuals\n")
+    assert _taken_from_oracle(tree) == [(1, "verify"), (2, "pair_values"), (2, "verify"), (8, "oracle"),
+                                        (9, "specmat.oracle"), (10, "pencil_residuals")]
+    assert _taken_from_oracle(ast.parse(Path(specmat.cli.__file__).read_text(encoding="utf-8")))
 
 
 def _attribute_reads(tree, name):

@@ -6,20 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmat import (
+    EigenSolution,
     NotHermitianError,
+    PolynomialPencil,
     ShapeMismatchError,
     SingularBError,
     SingularPencilError,
+    SymmetricBand,
     ZeroVectorError,
     assemble_toeplitz_hankel,
     build_fem_p2,
+    corner_block_band,
+    corner_block_eigenpairs,
+    fem_p2_bands,
+    fem_p2_eigenpairs,
     fem_p3_eigenvalues,
+    gevp_eigenpairs,
     gevp_eigenvalues_numeric,
-    match_spectra,
     pencil_residuals,
-    residual_gevp,
+    pevp_eigenpairs,
     solve_gevp_numeric,
     solve_pevp_numeric,
+    toeplitz_hankel_band,
+    verify,
 )
 from specmat import oracle
 from specmat.oracle import pair_values, polynomial_residual
@@ -511,17 +520,19 @@ class TestSolvePevp:
 
 
 class TestResidual:
+    """``pencil_residuals`` on one pair: a 1-D vector and a scalar value."""
+
     def test_exact_pair_is_tiny(self):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        assert residual_gevp(a, np.eye(2), 1.0, [1.0, 1.0]) <= 1e-12
+        assert pencil_residuals(a, np.eye(2), 1.0, [1.0, 1.0]) <= 1e-12
 
     def test_perturbed_value_is_large(self):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        assert residual_gevp(a, np.eye(2), 1.1, [1.0, 1.0]) > 1e-3
+        assert pencil_residuals(a, np.eye(2), 1.1, [1.0, 1.0]) > 1e-3
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
-            residual_gevp(np.eye(2), np.eye(2), 1.0, [0.0, 0.0])
+            pencil_residuals(np.eye(2), np.eye(2), 1.0, [0.0, 0.0])
 
     def test_batched_kernel_matches_one_column_loop(self):
         n = 12
@@ -538,7 +549,7 @@ class TestResidual:
         ]
         for a_, b_, values, vectors in cases:
             batched = pencil_residuals(a_, b_, values, vectors)
-            looped = [residual_gevp(a_, b_, values[i], vectors[:, i]) for i in range(n)]
+            looped = [pencil_residuals(a_, b_, values[i], vectors[:, i]) for i in range(n)]
             assert np.max(np.abs(batched - looped)) <= 1e-15
 
     def test_batched_kernel_rejects_a_zero_column(self):
@@ -695,22 +706,117 @@ def test_rank_pairing_needs_strictly_nearer_rank_mates():
     assert matched.tolist() == [0.5, 1.5]
 
 
-class TestMatchSpectra:
-    def test_identical_lists(self):
-        report = match_spectra(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
-        assert report.max_distance == 0.0
-        assert not report.count_mismatch
+IGA_ALPHA, IGA_BETA = [1.0, -1.0 / 3.0, -1.0 / 6.0], [11.0 / 20.0, 13.0 / 60.0, 1.0 / 120.0]
+COMPLEX_ALPHA, COMPLEX_BETA = [8 + 2j, 5 - 1j, 2j], [6.0, 3j, 1 - 1j]
 
-    def test_permutation_tolerance(self):
-        report = match_spectra(
-            np.array([1.0, 3.0]), np.array([3.0000001, 0.9999999])
-        )
-        assert report.max_distance == pytest.approx(1e-7, rel=1e-3)
 
-    def test_count_mismatch_flagged_not_raised(self):
-        report = match_spectra(np.arange(5.0), np.arange(4.0))
-        assert report.count_mismatch
-        assert np.isinf(report.distances).sum() == 1
+def _th_problem(alpha, beta, n, variant):
+    """A closed-form solution and the bands of its pencil."""
+    return (gevp_eigenpairs(alpha, beta, n, variant),
+            toeplitz_hankel_band(alpha, n, variant), toeplitz_hankel_band(beta, n, variant))
+
+
+def _gevp_problems():
+    return [_th_problem(IGA_ALPHA, IGA_BETA, 12, 1), _th_problem(COMPLEX_ALPHA, COMPLEX_BETA, 5, 3),
+            _th_problem([4 + 1j, 0.5], [5.0, 0.25j], 6, 2), (fem_p2_eigenpairs(4), *fem_p2_bands(4)),
+            (corner_block_eigenpairs([2.0, -1.0, 0.5, 3.0], [9.0, 0.25, 0.5, 5.0], 3),
+             corner_block_band([2.0, -1.0, 0.5, 3.0], 3), corner_block_band([9.0, 0.25, 0.5, 5.0], 3))]
+
+
+def _pevp_problem(bands, variant, n):
+    """A polynomial pencil's closed-form roots and the bands of its coefficients."""
+    bands = [np.asarray(band, dtype=complex) for band in bands]
+    analytic = pevp_eigenpairs(PolynomialPencil(bands=tuple(bands), variant=variant, n=n))
+    return analytic, *(toeplitz_hankel_band(band, n, variant) for band in bands)
+
+
+CUBIC = ([1.0, 0.5], [2.0, 0.25j], [4.0, -1.0], [6 + 1j, 1.0]), 2, 9
+DEGREE_DROP = ([1.0, 0.5], [0.0, 0.0]), 4, 6
+
+
+def _bits(x):
+    """The bytes of an array, to compare two arrays bit for bit, signed zeros and NaNs included."""
+    return None if x is None else np.ascontiguousarray(x).tobytes()
+
+
+class TestVerify:
+    """``verify``: a closed form's residuals and its pairing with the oracle, in one record."""
+
+    @pytest.mark.parametrize("problem, route", [
+        (_th_problem(IGA_ALPHA, IGA_BETA, 12, 1), "hermitian"),
+        (_th_problem(COMPLEX_ALPHA, COMPLEX_BETA, 5, 3), "general"),
+        (_pevp_problem(*CUBIC), "companion"),
+        (_pevp_problem(*DEGREE_DROP), "reversed-companion"),
+    ], ids=["real-spd", "complex", "cubic", "degree-drop"])
+    def test_route(self, problem, route):
+        check = verify(*problem)
+        assert check.route == route
+        assert not check.count_mismatch and np.all(check.distances <= 1e-8)
+        assert (check.residuals is None) == route.endswith("companion")
+
+    @pytest.mark.parametrize("index", range(len(_gevp_problems())))
+    def test_is_the_composition_it_replaces_bit_for_bit(self, index):
+        """Residuals on the bands, in float64 when both are real, then the pairing with the
+        eigenvalues of the dense matrices of those bands."""
+        sol, a, b = _gevp_problems()[index]
+        real = a.as_real(), b.as_real()
+        if None not in real:
+            a, b = real
+        residuals = pencil_residuals(a, b, sol.values, sol.vectors)
+        matched, distances = pair_values(sol.values, gevp_eigenvalues_numeric(a.dense(), b.dense()))
+        check = verify(*_gevp_problems()[index])
+        assert _bits(check.values) == _bits(sol.values)
+        assert _bits(check.residuals) == _bits(residuals)
+        assert _bits(check.matched) == _bits(matched) and _bits(check.distances) == _bits(distances)
+
+    @pytest.mark.parametrize("index", range(len(_gevp_problems())))
+    def test_bands_and_dense_matrices_agree(self, index):
+        sol, a, b = _gevp_problems()[index]
+        banded, dense = verify(sol, a, b), verify(sol, a.dense(), b.dense())
+        assert banded.route == dense.route and banded.count_mismatch == dense.count_mismatch
+        assert _bits(banded.matched) == _bits(dense.matched)
+        assert _bits(banded.distances) == _bits(dense.distances)
+        # the products run over band diagonals or dense rows: another summation order
+        assert np.max(np.abs(banded.residuals - dense.residuals)) <= 1e-15
+
+    def test_polynomial_bands_and_dense_matrices_agree(self):
+        analytic, *bands = _pevp_problem(*CUBIC)
+        banded, dense = verify(analytic, *bands), verify(analytic, *(band.dense() for band in bands))
+        assert banded.route == dense.route == "companion"
+        assert _bits(banded.matched) == _bits(dense.matched)
+        assert _bits(banded.distances) == _bits(dense.distances)
+
+    @pytest.mark.parametrize("problem", [_gevp_problems()[0], _gevp_problems()[1], _pevp_problem(*CUBIC)],
+                             ids=["real", "complex", "cubic"])
+    def test_without_the_oracle(self, monkeypatch, problem):
+        full = verify(*problem)
+
+        def refuse(self):
+            raise AssertionError("verify formed a dense matrix without the oracle")
+
+        monkeypatch.setattr(SymmetricBand, "dense", refuse)
+        check = verify(*problem, oracle=False)
+        assert check.matched is check.distances is check.count_mismatch is check.route is None
+        assert _bits(check.values) == _bits(full.values) and _bits(check.residuals) == _bits(full.residuals)
+
+    def test_count_mismatch_sets_the_flag(self):
+        sol, a, b = _th_problem(IGA_ALPHA, IGA_BETA, 6, 1)
+        # one value short: every closed-form value still finds a near oracle value
+        short = EigenSolution(sol.modes[:-1], sol.values[:-1], sol.vectors[:, :-1], sol.provenance)
+        check = verify(short, a, b)
+        assert check.count_mismatch and np.all(check.distances < 1e-12)
+        # one value too many: a duplicate, left without a partner
+        extra = EigenSolution(np.append(sol.modes, 7), np.append(sol.values, sol.values[0]),
+                              np.column_stack([sol.vectors, sol.vectors[:, 0]]), sol.provenance)
+        check = verify(extra, a, b)
+        assert check.count_mismatch and np.isinf(check.distances).sum() == 1
+
+    def test_a_shifted_value_shows_in_the_residual_and_the_distance(self):
+        sol, a, b = _th_problem(IGA_ALPHA, IGA_BETA, 8, 1)
+        sol.values = sol.values + np.where(sol.modes == 3, 1e-3, 0.0)
+        check = verify(sol, a, b)
+        assert np.flatnonzero(check.residuals > 1e-8).tolist() == np.flatnonzero(sol.modes == 3).tolist()
+        assert np.max(check.distances) == pytest.approx(1e-3, rel=1e-6)
 
 
 # ------------------------------------------------ centrosymmetric split
