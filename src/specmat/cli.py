@@ -169,7 +169,7 @@ def _spectrum_problem(args):
         if args.alpha is None or args.half_n is None:
             raise SpecmatError("corner-block spectra need --alpha and --half-n")
         alpha = parse_band(args.alpha)
-        beta = parse_band(args.beta) if args.beta else np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+        beta = parse_band(args.beta) if args.beta else [1.0, 0.0, 0.0, 1.0]
         return (corner_block_eigenpairs(alpha, beta, args.half_n), corner_block_band(alpha, args.half_n),
                 corner_block_band(beta, args.half_n))
     if args.n_elems is None:

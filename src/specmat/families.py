@@ -2,16 +2,17 @@
 
 Every family is banded with a small bandwidth m, and symmetric (complex
 symmetric, not Hermitian).  Each has one representation, a
-:class:`SymmetricBand`: LAPACK's upper band storage, an ``(m+1, n)`` complex
-array with ``ab[m+i-j, j] = A[i, j]`` for ``i <= j`` (*LAPACK Users'
-Guide*, section 5.3.3).  The ``*_band`` and ``*_bands`` functions return it;
+:class:`SymmetricBand`: LAPACK's upper band storage, an ``(m+1, n)`` array
+with ``ab[m+i-j, j] = A[i, j]`` for ``i <= j`` (*LAPACK Users' Guide*,
+section 5.3.3).  The ``*_band`` and ``*_bands`` functions return it;
 assembling a band costs O(n m).  The Hankel corners (O(m^2) entries) are
 folded into the band, and the cubic elements are written one diagonal
 pattern at a time.  The dense builders return the same matrices as dense
-complex arrays: a zero fill plus one strided write per band diagonal, above
-and below.  The four Hankel boundary-correction variants differ only in
-which corner entries they touch and in the sign with which the correction
-combines with the banded Toeplitz part.
+arrays: a zero fill plus one strided write per band diagonal, above and
+below.  The four Hankel boundary-correction variants differ only in which
+corner entries they touch and in the sign with which the correction
+combines with the banded Toeplitz part.  Band and dense matrix are float64
+unless some parameter has a nonzero imaginary part, complex128 then.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ class SymmetricBand(NamedTuple):
         the band's column i and then, mirrored, diagonal d of the band at
         column ``i + d``.  Its slots outside the matrix hold +0.0, from the
         band's unused entries or from nothing, so they list nothing.  The
-        values are complex.
+        values have the band's dtype.
         """
-        ab = np.asarray(self.ab, dtype=complex)
+        ab = self.ab
         m, n = ab.shape[0] - 1, ab.shape[1]
-        row = np.zeros((n, 2 * m + 1), dtype=complex)
+        row = np.zeros((n, 2 * m + 1), dtype=ab.dtype)
         row[:, :m + 1] = ab.T
         for d in range(1, min(m, n - 1) + 1):
             row[:n - d, m + d] = ab[m - d, d:]
@@ -119,22 +120,21 @@ class SymmetricBand(NamedTuple):
         """``max_i sum_j |A[i, j]|``, from the band."""
         return float((SymmetricBand(abs(self.ab)) @ np.ones(self.ab.shape[1])).max())
 
-    def as_real(self):
-        """This band in float64, or None when some entry has an imaginary part."""
-        return None if self.ab.imag.any() else SymmetricBand(self.ab.real.copy())
-
 
 def not_plus_zero(values: np.ndarray) -> np.ndarray:
-    """Where an entry of the C-contiguous complex ``values`` has a part other than +0.0."""
+    """Where an entry of the C-contiguous ``values`` has a part other than +0.0."""
     bits = values.view(np.uint64)
-    return (bits[..., 0::2] | bits[..., 1::2]) != 0
+    if np.iscomplexobj(values):
+        bits = bits[..., 0::2] | bits[..., 1::2]
+    return bits != 0
 
 
 def as_band(values) -> np.ndarray:
+    """``values`` as a 1-D band: float64 unless some entry has a nonzero imaginary part."""
     band = np.atleast_1d(np.asarray(values, dtype=complex))
     if band.ndim != 1 or band.size == 0:
         raise BadBandwidthError("a coefficient band must be a nonempty 1-D sequence")
-    return band
+    return band if band.imag.any() else band.real.copy()  # .real: astype would warn
 
 
 def _check_bandwidth(m: int, n: int):
@@ -147,7 +147,7 @@ def _check_bandwidth(m: int, n: int):
 def _toeplitz_ab(band: np.ndarray, n: int) -> np.ndarray:
     """Band storage of the n x n symmetric Toeplitz matrix of ``band``, whose size is m + 1."""
     m = band.size - 1
-    ab = np.zeros((m + 1, n), dtype=complex)
+    ab = np.zeros((m + 1, n), dtype=band.dtype)
     for k, value in enumerate(band.tolist()):
         ab[m - k, k:] = value
     return ab
@@ -185,14 +185,14 @@ def _hankel_corner(band: np.ndarray, n: int, variant: HankelVariant) -> np.ndarr
             f"corner corrections collide for m={m}, n={n} (need 2m-1 <= n)"
         )
     lead, at = _CORNER_RULES[variant]
-    padded = np.zeros(2 * m + 1, dtype=complex)
+    padded = np.zeros(2 * m + 1, dtype=band.dtype)
     padded[:m + 1] = band
     r = np.arange(m - at)
-    top = np.zeros((m, m), dtype=complex)
+    top = np.zeros((m, m), dtype=band.dtype)
     top[at:, at:] = padded[r[:, None] + (r + lead)]
     if variant == HankelVariant.SET3:
         top[0, 0] = -band[0] / 2.0
-    corner = top + 0j  # the zeros of the reflection, which turn -0.0 parts into +0.0
+    corner = top + 0.0  # the zeros of the reflection, which turn -0.0 parts into +0.0
     if n == 2 * m - 1:
         corner[-1, -1] = top[-1, -1] + top[-1, -1]
     return corner
@@ -225,7 +225,7 @@ def build_hankel(band, n: int, variant) -> np.ndarray:
     band = as_band(band)
     corner = _hankel_corner(band, n, HankelVariant.coerce(variant))
     diagonals = [np.diagonal(corner, k) for k in range(corner.shape[0])]
-    return SymmetricBand(_fold_corners(np.zeros((band.size, n), dtype=complex), diagonals)).dense()
+    return SymmetricBand(_fold_corners(np.zeros((band.size, n), dtype=band.dtype), diagonals)).dense()
 
 
 def toeplitz_hankel_band(band, n: int, variant) -> SymmetricBand:
@@ -239,7 +239,7 @@ def toeplitz_hankel_band(band, n: int, variant) -> SymmetricBand:
     # the diagonals of the top-left m x m block of T + sign * H
     block = [band[k] + np.diagonal(signed, k) for k in range(m)]
     # off the corners H is zero, and adding sign * 0 turns some -0.0 parts into +0.0
-    return SymmetricBand(_fold_corners(_toeplitz_ab(band + sign * 0j, n), block))
+    return SymmetricBand(_fold_corners(_toeplitz_ab(band + sign * 0.0, n), block))
 
 
 def assemble_toeplitz_hankel(band, n: int, variant) -> np.ndarray:
@@ -255,12 +255,12 @@ def assemble_toeplitz_hankel(band, n: int, variant) -> np.ndarray:
 
 def corner_block_band(xi, half_n: int) -> SymmetricBand:
     """The band of :func:`build_corner_block`'s matrix, bandwidth 2."""
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (4,):
+    if np.shape(xi) != (4,):
         raise ValueError("expected exactly four block parameters")
     if half_n < 1:
         raise TooSmallError(f"half_n={half_n} must be at least 1")
-    ab = np.zeros((3, 2 * half_n + 1), dtype=complex)
+    xi = as_band(xi)
+    ab = np.zeros((3, 2 * half_n + 1), dtype=xi.dtype)
     # the diagonal alternates xi[3], xi[0]; every second row from the second
     # couples two steps over, to the column two to its right
     ab[2, 0::2] = xi[3]
@@ -309,8 +309,9 @@ def fem_p2_bands(n_elems: int):
     if n_elems < 2:
         raise TooSmallError(f"need at least 2 elements, got {n_elems}")
     h = 1.0 / n_elems
-    return (corner_block_band(np.asarray(FEM_P2_STIFFNESS_BAND, dtype=complex) / h, n_elems - 1),
-            corner_block_band(np.asarray(FEM_P2_MASS_BAND, dtype=complex) * h, n_elems - 1))
+    # times the rounded 1/h: K holds 28 at 6 elements, where / h gives 28.000000000000004
+    return (corner_block_band(np.asarray(FEM_P2_STIFFNESS_BAND) * (1.0 / h), n_elems - 1),
+            corner_block_band(np.asarray(FEM_P2_MASS_BAND) * h, n_elems - 1))
 
 
 def build_fem_p2(n_elems: int):
@@ -341,7 +342,7 @@ def _fem_p3_element_ab(local: np.ndarray, dim: int) -> np.ndarray:
     k = np.arange(3, -1, -1)[:, None]  # row 3 - k holds diagonal k
     j = np.arange(dim)
     # column j of diagonal k holds row i = j - k, node i + 1
-    return np.where(j >= k, pattern[k, (j - k + 1) % 3], 0.0).astype(complex)
+    return np.where(j >= k, pattern[k, (j - k + 1) % 3], 0.0)
 
 
 def fem_p3_bands(n_elems: int):

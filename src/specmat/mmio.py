@@ -1,10 +1,12 @@
 """Matrix Market writer/reader for the built matrices.
 
-Real matrices are written in the dense ``array real general`` format;
-complex matrices use ``coordinate complex`` with symmetric storage whenever
-the matrix equals its transpose.  Entries are rendered with 17 significant
-digits so a read-back reproduces the floats bit for bit (Boisvert, Pozo &
-Remington, "The Matrix Market exchange formats", NIST, 1996).
+Float64 matrices are written in the dense ``array real general`` format;
+complex128 ones use ``coordinate complex`` with symmetric storage whenever
+the matrix equals its transpose.  The reader returns float64 for a ``real``
+or ``integer`` field and complex128 for ``complex``.  Entries are rendered
+with 17 significant digits so a read-back reproduces the floats bit for bit
+(Boisvert, Pozo & Remington, "The Matrix Market exchange formats", NIST,
+1996).
 
 The built matrices are banded, so most entries are zero.  What follows the
 nonzeros and what follows the bytes:
@@ -15,11 +17,11 @@ nonzeros and what follows the bytes:
   dense matrix finds its own in one vectorized pass over the n^2 entries.
   The list is column-major, and each layout has one body builder.  The
   array layout writes the entries in that order, and between them the
-  literal ``0`` (``0 0`` for a complex array), one string product per run
-  of zeros; the coordinate layout drops the entries equal to zero, sorts
-  the rest row-major and keeps the lower triangle when every entry equals
-  its mirror.  A band's values are formatted once per distinct value.  The
-  bytes are those of formatting every entry.
+  literal ``0``, one string product per run of zeros; the coordinate
+  layout drops the entries equal to zero, sorts the rest row-major and
+  keeps the lower triangle when every entry equals its mirror.  A band's
+  values are formatted once per distinct value.  The bytes are those of
+  formatting every entry.
 - The reader makes one numpy pass over the body's bytes, which finds the
   token boundaries, the non-blank lines and the literal ``0`` tokens; its
   cost follows the bytes, at a few numpy operations per byte.  ``float``
@@ -49,14 +51,14 @@ _PLAIN = str.maketrans(_LINE_BREAKS + _BLANKS, "\n" * len(_LINE_BREAKS) + " " * 
 _LINE_BREAK = re.compile(f"[\n{_LINE_BREAKS}]")
 
 
-def _array_body(at: np.ndarray, fields: list, size: int, width: int, spec: str) -> str:
-    """Array-layout lines for ``size`` entries of ``width`` parts each.
+def _array_body(at: np.ndarray, fields: list, size: int, spec: str) -> str:
+    """Array-layout lines for ``size`` real entries.
 
-    The entries at the sorted positions ``at`` take their parts from
+    The entries at the sorted positions ``at`` take their values from
     ``fields``, in order, by the format ``spec`` each; every other entry is
-    the literal ``0`` per part, which is what ``%.17g`` makes of +0.0.
+    the literal ``0``, which is what ``%.17g`` makes of +0.0.
     """
-    zero, line = " ".join(["0"] * width) + "\n", " ".join([spec] * width) + "\n"
+    zero, line = "0\n", spec + "\n"
     if not at.size:
         return zero * size
     # the entries come in runs of formatted ones and of zeros: one string product per run
@@ -92,7 +94,8 @@ def _entries(a):
     if isinstance(a, SymmetricBand):
         n, i, j, values = a.entries()
         return (n, n), i * n + j, values
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2:
         raise ValueError("only 2-D matrices can be written")
     at = np.ascontiguousarray(a.T)
@@ -100,28 +103,21 @@ def _entries(a):
     return a.shape, flat, at.reshape(-1)[flat]
 
 
-def write_matrix_market(a, path, fmt: str | None = None) -> str:
+def write_matrix_market(a, path) -> str:
     """Write a matrix to ``path`` in Matrix Market form.
 
     ``a`` is a dense matrix or a :class:`~specmat.families.SymmetricBand`;
-    both write the same bytes for the same matrix.  ``fmt`` may force
-    ``"array"`` or ``"coordinate"``; by default real matrices go to the
-    array format and complex ones to coordinate.  Returns the header line
-    that was written.
+    both write the same bytes for the same matrix.  The layout follows the
+    dtype: a real matrix goes to ``array real``, a complex one to
+    ``coordinate complex``, also when no entry has an imaginary part.
+    Returns the header line that was written.
     """
     (rows, cols), at, values = _entries(a)
     # a band's few distinct values are formatted once each, a dense matrix's by the final %
     spec, texts = ("%s", _texts) if isinstance(a, SymmetricBand) else (_FLOAT, np.asarray)
-    real = not values.imag.any()
-    if fmt is None:
-        fmt = "array" if real else "coordinate"
-    if fmt not in ("array", "coordinate"):
-        raise ValueError(f"unknown format {fmt!r}")
-
-    if fmt == "array":
-        parts = values.real if real else values.view(float)  # real and imaginary parts in turn
-        body = _array_body(at, texts(parts).tolist(), rows * cols, 1 if real else 2, spec)
-        header = f"{HEADER_PREFIX} array {'real' if real else 'complex'} general"
+    if not np.iscomplexobj(values):
+        body = _array_body(at, texts(values).tolist(), rows * cols, spec)
+        header = f"{HEADER_PREFIX} array real general"
         size_line = f"{rows} {cols}"
     else:
         nonzero = values != 0
@@ -200,7 +196,8 @@ def read_matrix_market(path) -> np.ndarray:
     or ``complex`` field and ``general`` or ``symmetric`` storage; any other
     header raises ``ValueError`` rather than being read as ``general``.  A
     symmetric array holds the lower triangle column by column, n(n+1)/2
-    entries, and is mirrored.  Always returns a complex array.  Blank lines and comment lines are
+    entries, and is mirrored.  Returns float64 for a ``real`` or ``integer``
+    field and complex128 for ``complex``.  Blank lines and comment lines are
     skipped; the body must hold exactly the lines and numbers the size line
     announces.
     """
@@ -232,34 +229,28 @@ def read_matrix_market(path) -> np.ndarray:
     size = [int(t) for t in lines[1].split()]
     body = text[end + 1:]
 
-    width = 2 if field == "complex" else 1
+    # complex entries view their two parts as one: re + 1j * im would make an imaginary -0.0 +0.0
+    dtype, width = (complex, 2) if field == "complex" else (float, 1)
     if layout == "array":
         rows, cols = size
         if shape_word == "general":
-            values = _body_values(body, layout, rows * cols, rows * cols * width).reshape(cols, rows, width)
-            out = np.zeros((rows, cols), dtype=complex)
-            out.real = values[:, :, 0].T  # column-major
-            if width == 2:
-                out.imag = values[:, :, 1].T
-            return out
+            values = _body_values(body, layout, rows * cols, rows * cols * width).view(dtype)
+            return values.reshape(cols, rows).T.copy()  # column-major
         if rows != cols:
             raise ValueError(f"a symmetric array must be square, got {rows} x {cols}")
         j, i = np.triu_indices(rows)  # the lower triangle, column by column
-        parts = _body_values(body, layout, i.size, i.size * width).reshape(i.size, width)
+        values = _body_values(body, layout, i.size, i.size * width).view(dtype)
     else:
         rows, cols, nnz = size
         entries = _body_values(body, layout, nnz, nnz * (width + 2)).reshape(nnz, width + 2)
-        i, j, parts = entries[:, 0], entries[:, 1], entries[:, 2:]
+        i, j, values = entries[:, 0], entries[:, 1], entries[:, 2:].view(dtype)[:, 0]
         if not (np.all((i >= 1) & (i <= rows) & (i == np.floor(i)))
                 and np.all((j >= 1) & (j <= cols) & (j == np.floor(j)))):
             raise ValueError(f"coordinate indices must be integers in 1..{rows} and 1..{cols}")
         i, j = i.astype(int) - 1, j.astype(int) - 1
     if shape_word == "symmetric":
         i, j = np.concatenate((i, j)), np.concatenate((j, i))
-        parts = np.concatenate((parts, parts))
-    out = np.zeros((rows, cols), dtype=complex)
-    # the parts are set apart: re + 1j * im would turn an imaginary -0.0 into +0.0
-    out.real[i, j] = parts[:, 0]
-    if width == 2:
-        out.imag[i, j] = parts[:, 1]
+        values = np.concatenate((values, values))
+    out = np.zeros((rows, cols), dtype=dtype)
+    out[i, j] = values
     return out

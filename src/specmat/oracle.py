@@ -453,14 +453,11 @@ def verify(solution, *coefficients, oracle=True) -> Verification:
     """Check a closed form on the matrices it solves, and against the oracle if ``oracle``.
 
     An :class:`EigenSolution` takes ``(A, B)``, a :class:`PolynomialEigenSolution` ``A_0 ... A_q``,
-    each a :class:`SymmetricBand` (real bands in float64) or a dense array; only the oracle densifies.
+    each a :class:`SymmetricBand` or a dense array; only the oracle densifies.
     """
     if isinstance(solution, PolynomialEigenSolution):
         values, residuals = solution.all_values(), None
     else:
-        real = [m.as_real() if isinstance(m, SymmetricBand) else m for m in coefficients]
-        if all(m is not None for m in real):  # real bands: real products, about 3.5x cheaper
-            coefficients = real
         values = solution.values
         residuals = pencil_residuals(*coefficients, values, solution.vectors)
     if not oracle:

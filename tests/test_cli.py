@@ -137,6 +137,34 @@ class TestBuild:
     def test_fem_writes_the_bytes_of_the_dense_builder(self, tmp_path, family, builder, n_elems):
         self._assert_same_bytes(tmp_path, ["--family", family, "--n-elems", str(n_elems)], builder(n_elems))
 
+    @pytest.mark.parametrize("argv, build, dtype", [
+        (["--family", "toeplitz-hankel", "--variant", "2", "--n", "9", "--alpha", "5/2,-3/4,1/8"],
+         lambda: [assemble_toeplitz_hankel([5 / 2, -3 / 4, 1 / 8], 9, 2)], np.float64),
+        (["--family", "toeplitz-hankel", "--variant", "3", "--n", "9", "--alpha", "3+1i,-1/2+1/4i,1/8i"],
+         lambda: [assemble_toeplitz_hankel([3 + 1j, -1 / 2 + 1j / 4, 1j / 8], 9, 3)], np.complex128),
+        (["--family", "corner-block", "--half-n", "4", "--alpha", "5,-1,1/2,4"],
+         lambda: [build_corner_block([5, -1, 1 / 2, 4], 4)], np.float64),
+        (["--family", "corner-block", "--half-n", "4", "--alpha", "5+1i,-1,0,4-1/2i"],
+         lambda: [build_corner_block([5 + 1j, -1, 0, 4 - 1j / 2], 4)], np.complex128),
+        # xi[2] couples nothing at half_n = 1: no entry has an imaginary part, the band is complex all the same
+        (["--family", "corner-block", "--half-n", "1", "--alpha", "5,-1,1/2i,4"],
+         lambda: [build_corner_block([5, -1, 1j / 2, 4], 1)], np.complex128),
+        (["--family", "fem-p2", "--n-elems", "6"], lambda: build_fem_p2(6), np.float64),
+        (["--family", "fem-p3", "--n-elems", "5"], lambda: build_fem_p3(5), np.float64),
+    ], ids=["th-real", "th-complex", "corner-block-real", "corner-block-complex", "corner-block-hidden-imaginary",
+            "fem-p2", "fem-p3"])
+    def test_files_read_back_as_the_dense_builders(self, tmp_path, argv, build, dtype):
+        """The benchmark's check of ``build``: each file read back has the shape, dtype and bits
+        of the public dense builder's matrix."""
+        out = tmp_path / "built"
+        assert main(["build", *argv, "--out", str(out)]) == 0
+        matrices = build()
+        paths = [out] if len(matrices) == 1 else [f"{out}_{name}.mtx" for name in "KM"]
+        for path, matrix in zip(paths, matrices):
+            back = read_matrix_market(path)
+            assert back.shape == matrix.shape and back.dtype == matrix.dtype == dtype
+            assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
+
     @staticmethod
     def _assert_same_bytes(tmp_path, argv, matrices):
         """``build`` writes from the band the bytes that ``write_matrix_market`` writes from each dense matrix."""

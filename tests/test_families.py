@@ -369,6 +369,12 @@ def _reference_corner_block(xi, half_n):
     return g
 
 
+def _reference_fem_p2(n_elems):
+    h = 1.0 / n_elems
+    return (_reference_corner_block([14 / 3, -8 / 3, 1 / 3, 16 / 3], n_elems - 1) / h,
+            _reference_corner_block([4 / 15, 1 / 15, -1 / 30, 8 / 15], n_elems - 1) * h)
+
+
 def _reference_fem_p3(n_elems):
     h = 1.0 / n_elems
     dim = 3 * n_elems - 1
@@ -389,6 +395,15 @@ def _reference_fem_p3(n_elems):
 
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _same_build(got, want, params):
+    """``got`` is float64 when no parameter has a nonzero imaginary part, complex128 otherwise,
+    and is the complex reference ``want`` bit for bit: when real, its real part, whose imaginary
+    part is zero."""
+    if np.asarray(params).imag.any():
+        return got.dtype == np.complex128 and _same_bits(got, want)
+    return got.dtype == np.float64 and not want.imag.any() and _same_bits(got, np.ascontiguousarray(want.real))
 
 
 _PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0 / 3.0]),
@@ -414,15 +429,17 @@ def _banded_case(draw):
 @example((np.array([2.0, -1.0 + 0.5j, complex(0.25, -0.5)]), 3), 3)  # the corners meet in a nonzero entry
 def test_builders_match_the_loop_references(case, variant):
     band, n = case
-    assert _same_bits(build_toeplitz(band, n), _reference_toeplitz(band, n))
-    assert _same_bits(build_hankel(band, n, variant), _reference_hankel(band, n, variant))
-    assert _same_bits(assemble_toeplitz_hankel(band, n, variant), _reference_assemble(band, n, variant))
+    assert _same_build(build_toeplitz(band, n), _reference_toeplitz(band, n), band)
+    assert _same_build(build_hankel(band, n, variant), _reference_hankel(band, n, variant), band)
+    with np.errstate(over="ignore"):  # drawn parts near the float limit overflow in T + H
+        assembled, reference = assemble_toeplitz_hankel(band, n, variant), _reference_assemble(band, n, variant)
+    assert _same_build(assembled, reference, band)
 
 
 @pytest.mark.parametrize("variant", [1, 2, 3, 4])
 def test_one_by_one_hankel_matches_the_loop_reference(variant):
     band = np.array([complex(3.0, -0.0), -1.0 + 0.5j])  # m = n = 1: both corners are the one entry
-    assert _same_bits(build_hankel(band, 1, variant), _reference_hankel(band, 1, variant))
+    assert _same_build(build_hankel(band, 1, variant), _reference_hankel(band, 1, variant), band)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -431,17 +448,59 @@ def test_one_by_one_hankel_matches_the_loop_reference(variant):
 def test_corner_block_matches_the_loop_reference(half_n, real, imag):
     xi = np.array(real, dtype=complex)
     xi.imag = imag
-    assert _same_bits(build_corner_block(xi, half_n), _reference_corner_block(xi, half_n))
+    assert _same_build(build_corner_block(xi, half_n), _reference_corner_block(xi, half_n), xi)
 
 
 @pytest.mark.parametrize("n_elems", [2, 3, 4, 7, 40])
 def test_fem_builders_match_the_loop_references(n_elems):
-    for got, want in zip(build_fem_p3(n_elems), _reference_fem_p3(n_elems)):
-        assert _same_bits(got, want)
-    h = 1.0 / n_elems
-    stiffness, mass = build_fem_p2(n_elems)
-    assert _same_bits(stiffness, _reference_corner_block([14 / 3, -8 / 3, 1 / 3, 16 / 3], n_elems - 1) / h)
-    assert _same_bits(mass, _reference_corner_block([4 / 15, 1 / 15, -1 / 30, 8 / 15], n_elems - 1) * h)
+    for builder, reference in ((build_fem_p2, _reference_fem_p2), (build_fem_p3, _reference_fem_p3)):
+        for got, want in zip(builder(n_elems), reference(n_elems)):
+            assert _same_build(got, want, 0.0)
+
+
+# exact in binary or not, signed zeros included
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 / 3.0, -1.0 / 6.0, 2.5])
+_FAMILIES = ["toeplitz", "hankel-1", "hankel-2", "hankel-3", "hankel-4",
+             "th-1", "th-2", "th-3", "th-4", "corner-block", "fem-p2", "fem-p3"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_FAMILIES), st.booleans(), st.data())
+def test_dtype_follows_the_parameters(family, with_imaginary_parts, data):
+    """Band and dense matrix are float64 exactly when no parameter has a nonzero imaginary
+    part, and a real build is the real part of the complex loop reference, bit for bit."""
+
+    def parameters(size):
+        values = np.array(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size)), dtype=complex)
+        if with_imaginary_parts:  # some may all be zeros of either sign: a real matrix then
+            values.imag = data.draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+        return values
+
+    name, _, variant = family.partition("-")
+    if name in ("toeplitz", "hankel", "th"):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(max(m + 1, 2 * m - 1), 12))
+        params = parameters(m + 1)
+        if name == "toeplitz":
+            builds = [(None, build_toeplitz(params, n), _reference_toeplitz(params, n))]
+        elif name == "hankel":
+            builds = [(None, build_hankel(params, n, int(variant)), _reference_hankel(params, n, int(variant)))]
+        else:
+            builds = [(toeplitz_hankel_band(params, n, int(variant)), None,
+                       _reference_assemble(params, n, int(variant)))]
+    elif family == "corner-block":
+        params, half_n = parameters(4), data.draw(st.integers(1, 8))
+        builds = [(corner_block_band(params, half_n), None, _reference_corner_block(params, half_n))]
+    else:
+        params, n_elems = 0.0, data.draw(st.integers(2, 12))
+        bands, references = {"fem-p2": (fem_p2_bands, _reference_fem_p2),
+                             "fem-p3": (fem_p3_bands, _reference_fem_p3)}[family]
+        builds = [(band, None, reference) for band, reference in zip(bands(n_elems), references(n_elems))]
+    for band, dense, reference in builds:
+        if band is not None:
+            dense = band.dense()
+            assert band.ab.dtype == dense.dtype
+        assert _same_build(dense, reference, params)
 
 
 # ------------------------------------------------------------ band storage
@@ -453,10 +512,10 @@ def _assert_is_band_of(band, dense):
     ``band.entries()`` lists its entries with a part other than +0.0, row-major."""
     ab = band.ab
     m, n = ab.shape[0] - 1, ab.shape[1]
-    assert ab.dtype == complex and dense.shape == (n, n)
+    assert ab.dtype == dense.dtype and dense.shape == (n, n)
     assert _same_bits(band.dense(), dense)
     size, rows, cols, values = band.entries()
-    listed = np.flatnonzero(np.ascontiguousarray(dense).view(np.uint64).reshape(n * n, 2).any(axis=1))
+    listed = np.flatnonzero(np.ascontiguousarray(dense).view(np.uint64).reshape(n * n, -1).any(axis=1))
     assert size == n and (rows * n + cols).tolist() == listed.tolist()
     assert _same_bits(values, dense.reshape(-1)[listed])
     i, j = np.indices((n, n))
@@ -507,24 +566,25 @@ def test_band_builders_check_as_the_dense_ones():
 
 
 # sha256 (first 16 hex digits) of each public dense builder's bytes, as the
-# builders wrote them before the bands took over the residuals; the benchmark
-# compares these matrices bit for bit with the Matrix Market files it reads back
+# builders wrote them before the bands took over the residuals (of their real
+# parts, for the real matrices); the benchmark compares these matrices bit for
+# bit with the Matrix Market files it reads back
 _DENSE_BUILDER_DIGESTS = {
-    "th-iga-v1": "cf37f1b992ad2b9b",
-    "th-iga-v2": "0af71687e9f9a5d2",
-    "th-iga-v3": "7ecd23b76d06e718",
-    "th-iga-v4": "20b3ea3306e77eab",
+    "th-iga-v1": "d1247b8875675192",
+    "th-iga-v2": "a97ac48c206b432d",
+    "th-iga-v3": "53b894cb5c257a6e",
+    "th-iga-v4": "cdfab488da46e930",
     "th-complex-v3": "b8c41762cefda3c8",
-    "th-signed-zeros-v2": "f6990f7ecac1eb6b",
+    "th-signed-zeros-v2": "a4b295d329f390f3",
     "corner-block": "e15143140b57cf71",
-    "fem-p2-K": "2013fa4a5281461c",
-    "fem-p2-M": "4b872f9ddfcbfd8d",
-    "fem-p3-K": "b717ad31b1f3df5d",
-    "fem-p3-M": "a1702398c30ca309",
+    "fem-p2-K": "2805a2f30e8b155b",
+    "fem-p2-M": "169fb21a94b33bde",
+    "fem-p3-K": "b7f4d2c74be3016e",
+    "fem-p3-M": "6698a87d629e8472",
 }
 
 
-def test_public_dense_builders_stay_complex_bit_for_bit():
+def test_public_dense_builders_keep_their_dtype_and_bits():
     built = {f"th-iga-v{v}": assemble_toeplitz_hankel([1, -1 / 3, -1 / 6], 9, v) for v in (1, 2, 3, 4)}
     built["th-complex-v3"] = assemble_toeplitz_hankel([4 + 1j, -1, 0.5j], 7, 3)
     built["th-signed-zeros-v2"] = assemble_toeplitz_hankel([complex(-0.0, -0.0), -1.0], 4, 2)
@@ -532,7 +592,8 @@ def test_public_dense_builders_stay_complex_bit_for_bit():
     for name, pair in (("fem-p2", build_fem_p2(5)), ("fem-p3", build_fem_p3(4))):
         built.update({f"{name}-{side}": matrix for side, matrix in zip("KM", pair)})
     for name, matrix in built.items():
-        assert matrix.dtype == np.complex128 and matrix.flags.c_contiguous, name
+        dtype = np.complex128 if name in ("th-complex-v3", "corner-block") else np.float64
+        assert matrix.dtype == dtype and matrix.flags.c_contiguous, name
         assert hashlib.sha256(matrix.tobytes()).hexdigest()[:16] == _DENSE_BUILDER_DIGESTS[name], name
 
 
@@ -561,8 +622,7 @@ def _family_bands(draw):
         bands = (fem_p2_bands if family == "fem-p2" else fem_p3_bands)(draw(st.integers(2, 20)))
         if complex_entries:
             bands = [SymmetricBand(band.ab * phase) for band, phase in zip(bands, (1 + 0.5j, 0.5 - 1j))]
-    # a real band as the command line passes it; a complex one as the family builds it
-    return [band.as_real() or band for band in bands], rng
+    return bands, rng
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -571,7 +631,7 @@ def test_band_products_and_residuals_match_the_dense_ones(case, complex_pairs):
     (a, b), rng = case
     dense_a, dense_b = a.dense(), b.dense()
     n = dense_a.shape[0]
-    assert (a.as_real() is None) == np.iscomplexobj(dense_a)
+    assert a.ab.dtype == dense_a.dtype
     p = int(rng.integers(1, n + 1))
     vectors, values = rng.standard_normal((n, p)), 3.0 * rng.standard_normal(p)
     if complex_pairs:

@@ -29,7 +29,7 @@ class TestWriteRead:
         header = write_matrix_market(k, path)
         assert header == "%%MatrixMarket matrix array real general"
         back = read_matrix_market(path)
-        assert np.array_equal(back, k)  # 17 significant digits round-trip bitwise
+        assert back.dtype == np.float64 and np.array_equal(back, k)  # 17 significant digits round-trip bitwise
 
     def test_complex_symmetric_header_and_roundtrip(self, tmp_path):
         a = assemble_toeplitz_hankel([8 + 2j, 5 - 1j, 2j], 5, 3)
@@ -37,7 +37,7 @@ class TestWriteRead:
         header = write_matrix_market(a, path)
         assert header == "%%MatrixMarket matrix coordinate complex symmetric"
         back = read_matrix_market(path)
-        assert np.array_equal(back, a)
+        assert back.dtype == np.complex128 and np.array_equal(back, a)
 
     def test_complex_general(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -53,24 +53,37 @@ class TestWriteRead:
         a[2, 1] = -1j
         a[1, 2] = -1j
         path = tmp_path / "s.mtx"
-        write_matrix_market(a, path, fmt="coordinate")
+        write_matrix_market(a, path)
         lines = path.read_text().strip().splitlines()
         # header, size line, and two stored entries (symmetric lower triangle)
         assert lines[1].split()[2] == "2"
         assert np.array_equal(read_matrix_market(path), a)
 
-    def test_forced_array_complex(self, tmp_path):
-        a = np.array([[1 + 1j, 0.0], [0.5, 2 - 3j]])
+    @pytest.mark.parametrize("dtype, header", [
+        (np.float64, "%%MatrixMarket matrix array real general"),
+        (np.complex128, "%%MatrixMarket matrix coordinate complex symmetric"),
+    ])
+    def test_layout_follows_the_dtype(self, tmp_path, dtype, header):
+        a = np.array([[2.0, -1.0], [-1.0, 2.0]], dtype=dtype)  # no imaginary part either way
+        path = tmp_path / "d.mtx"
+        assert write_matrix_market(a, path) == header
+        back = read_matrix_market(path)
+        assert back.dtype == dtype and np.array_equal(back, a)
+
+    def test_array_complex_file_reads_column_major(self, tmp_path):
         path = tmp_path / "c.mtx"
-        header = write_matrix_market(a, path, fmt="array")
-        assert header == "%%MatrixMarket matrix array complex general"
-        assert np.array_equal(read_matrix_market(path), a)
+        path.write_text("%%MatrixMarket matrix array complex general\n2 2\n1 1\n0.5 0\n0 0\n2 -3\n",
+                        encoding="ascii")
+        back = read_matrix_market(path)
+        assert back.dtype == np.complex128 and back.flags.c_contiguous
+        assert np.array_equal(back, [[1 + 1j, 0.0], [0.5, 2 - 3j]])
 
     def test_rectangular_real(self, tmp_path):
         a = np.arange(6.0).reshape(2, 3) / 7.0
         path = tmp_path / "r.mtx"
         write_matrix_market(a, path)
-        assert np.array_equal(read_matrix_market(path), a.astype(complex))
+        back = read_matrix_market(path)
+        assert back.dtype == np.float64 and back.flags.c_contiguous and np.array_equal(back, a)
 
     @pytest.mark.parametrize("text", [
         "%%MatrixMarket matrix array integer general\n2 2\n2\n-1\n-1\n3\n",
@@ -79,7 +92,8 @@ class TestWriteRead:
     def test_integer_files_read_as_real(self, tmp_path, text):
         path = tmp_path / "i.mtx"
         path.write_text(text, encoding="ascii")
-        assert np.array_equal(read_matrix_market(path), [[2, -1], [-1, 3]])
+        back = read_matrix_market(path)
+        assert back.dtype == np.float64 and np.array_equal(back, [[2, -1], [-1, 3]])
 
     @pytest.mark.parametrize("text, want", [
         ("%%MatrixMarket matrix array real symmetric\n3 3\n4\n-1\n0.5\n5\n-2\n6\n",
@@ -91,7 +105,8 @@ class TestWriteRead:
     def test_symmetric_array_holds_the_lower_triangle(self, tmp_path, text, want):
         path = tmp_path / "s.mtx"
         path.write_text(text, encoding="ascii")
-        assert np.array_equal(read_matrix_market(path), want)
+        back = read_matrix_market(path)
+        assert back.dtype == np.asarray(want).dtype and np.array_equal(back, want)
 
     @pytest.mark.parametrize(
         "text",
@@ -169,12 +184,16 @@ class TestWriteRead:
 def _reference_write(a, fmt=None):
     """The per-entry writer that the whole-array one replaced; pins the file format.
 
-    Returns the header and the full text of the file.
+    By default the layout follows the dtype, as the writer's does; ``fmt``
+    may ask for the other one, which makes files of the layouts the writer
+    leaves to other programs (an ``array complex`` file, a ``coordinate``
+    file with no imaginary part) for the reader tests.  Returns the header
+    and the full text of the file.
     """
+    fmt = fmt or ("coordinate" if np.iscomplexobj(a) else "array")
     a = np.asarray(a, dtype=complex)
     rows, cols = a.shape
     real = bool(np.all(a.imag == 0.0))
-    fmt = fmt or ("array" if real else "coordinate")
     f = "{:.17g}".format
     if fmt == "array":
         header = f"%%MatrixMarket matrix array {'real' if real else 'complex'} general"
@@ -197,16 +216,13 @@ def _reference_write(a, fmt=None):
 
 
 def _expected_readback(a, header):
-    """What the format keeps of ``a``: the real field drops the imaginary parts,
+    """What the format keeps of ``a``: the real field keeps the real parts in float64,
     coordinate storage drops zeros (of either sign) and symmetric storage
     mirrors the lower triangle."""
-    layout, field, shape_word = header.split()[2:5]
+    layout, _, shape_word = header.split()[2:5]
+    if layout == "array":  # the writer's arrays are real
+        return np.ascontiguousarray(a.real)
     expected = np.zeros(a.shape, dtype=complex)
-    if layout == "array":
-        expected.real = a.real
-        if field == "complex":
-            expected.imag = a.imag
-        return expected
     stored = a != 0
     if shape_word == "symmetric":
         stored = np.tril(stored)
@@ -236,7 +252,8 @@ def _matrices(draw):
     Dense symmetric matrices mirror their lower triangle by a sum, as
     ``np.tril(a) + np.tril(a, -1).T``, which makes every zero +0.0.  Sparse
     ones copy it bit for bit and then turn some +0.0 parts into -0.0, so they
-    equal their transpose by value but not always bit for bit.
+    equal their transpose by value but not always bit for bit.  The real
+    kinds are float64 arrays.
     """
     dense = draw(st.booleans())
     limit = 5 if dense else 12
@@ -262,7 +279,7 @@ def _matrices(draw):
             i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
             if plane[i, j] == 0:
                 plane[i, j] = -0.0
-    return a
+    return a if kind.startswith("complex") else a.real.copy()
 
 
 @pytest.fixture(scope="module")
@@ -271,14 +288,14 @@ def mm_dir(tmp_path_factory):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(_matrices(), st.sampled_from([None, "array", "coordinate"]))
-def test_roundtrip_property(mm_dir, a, fmt):
+@given(_matrices())
+def test_roundtrip_property(mm_dir, a):
     path = mm_dir / "p.mtx"
-    header = write_matrix_market(a, path, fmt)
-    assert (header, path.read_text(encoding="ascii")) == _reference_write(a, fmt)
+    header = write_matrix_market(a, path)
+    assert (header, path.read_text(encoding="ascii")) == _reference_write(a)
     back = read_matrix_market(path)
     expected = _expected_readback(a, header)
-    assert back.shape == a.shape
+    assert back.shape == a.shape and back.dtype == expected.dtype
     assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))  # bit for bit
     for part in ("real", "imag"):
         assert np.array_equal(np.signbit(getattr(back, part)), np.signbit(getattr(expected, part)))
@@ -296,9 +313,9 @@ def _bands(draw):
     """
     n, m = draw(st.integers(1, 12)), draw(st.integers(1, 3))
     slots = st.one_of(st.sampled_from([0.0, 0.0, 0.0, -0.0, math.nan]), _ENTRIES)
-    ab = np.zeros((m + 1, n), dtype=complex)
+    ab = np.zeros((m + 1, n), dtype=complex if draw(st.booleans()) else float)
     ab.real = np.reshape(draw(st.lists(slots, min_size=ab.size, max_size=ab.size)), ab.shape)
-    if draw(st.booleans()):
+    if np.iscomplexobj(ab):
         ab.imag = np.reshape(draw(st.lists(slots, min_size=ab.size, max_size=ab.size)), ab.shape)
     for k in range(1, m + 1):
         ab[m - k, :k] = 0  # the unused slots
@@ -306,53 +323,67 @@ def _bands(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_bands(), st.sampled_from([None, "array", "coordinate"]))
-@example(SymmetricBand(np.array([[0, 0, 2, -0.0], [1, complex(0, -0.0), 0, 3]])), None)
-@example(SymmetricBand(np.array([[0, 0, 2, -0.0], [1, 0, 0, 3]])), None)
-def test_band_writes_the_bytes_of_its_dense_matrix(mm_dir, band, fmt):
+@given(_bands())
+@example(SymmetricBand(np.array([[0, 0, 2, -0.0], [1, complex(0, -0.0), 0, 3]])))
+@example(SymmetricBand(np.array([[0, 0, 2, -0.0], [1, 0, 0, 3]])))
+def test_band_writes_the_bytes_of_its_dense_matrix(mm_dir, band):
     band_path, dense_path = mm_dir / "band.mtx", mm_dir / "dense.mtx"
     dense = band.dense()
-    assert write_matrix_market(band, band_path, fmt) == write_matrix_market(dense, dense_path, fmt)
+    assert write_matrix_market(band, band_path) == write_matrix_market(dense, dense_path)
     text = band_path.read_text(encoding="ascii")
     assert text == dense_path.read_text(encoding="ascii")
-    assert text == _reference_write(dense, fmt)[1]
+    assert text == _reference_write(dense)[1]
 
 
 _SIGNED_ZEROS = [np.array([2.0, -0.0, 0.5]), np.array([complex(2, -0.0), -1.0, complex(-0.0, 0.25)]),
                  np.array([complex(-0.0, 1.0), 0.0, -0.0])]
 
 
-@pytest.mark.parametrize("fmt", [None, "array", "coordinate"])
+def _other_bytes(form, dense, written, path):
+    """The bytes of ``dense`` as the writer writes it (``"dense"``) or as the per-entry reference
+    writes it (``"reference"``), or of the file ``written`` read back and written again
+    (``"reread"``: the dtype read back picks the same layout)."""
+    if form == "reference":
+        return _reference_write(dense)[1].encode("ascii")
+    write_matrix_market(read_matrix_market(written) if form == "reread" else dense, path)
+    return path.read_bytes()
+
+
+_OTHER_FORMS = ["dense", "reread", "reference"]
+
+
+@pytest.mark.parametrize("form", _OTHER_FORMS)
 @pytest.mark.parametrize("n", [3, 7], ids=["overlap", "apart"])  # corners meet at n = 2m - 1
 @pytest.mark.parametrize("variant", [1, 2, 3, 4])
 @pytest.mark.parametrize("band", _SIGNED_ZEROS, ids=["real", "complex", "zero-diagonals"])
-def test_family_bands_with_signed_zeros_write_the_dense_bytes(mm_dir, band, variant, n, fmt):
+def test_family_bands_with_signed_zeros_write_the_dense_bytes(mm_dir, band, variant, n, form):
     pairs = [(toeplitz_hankel_band(band, n, variant), assemble_toeplitz_hankel(band, n, variant)),
              (corner_block_band([*band, -0.0], n // 2), build_corner_block([*band, -0.0], n // 2))]
     for band_form, dense in pairs:
-        write_matrix_market(band_form, mm_dir / "band.mtx", fmt)
-        write_matrix_market(dense, mm_dir / "dense.mtx", fmt)
-        assert (mm_dir / "band.mtx").read_bytes() == (mm_dir / "dense.mtx").read_bytes()
+        write_matrix_market(band_form, mm_dir / "band.mtx")
+        assert (mm_dir / "band.mtx").read_bytes() == _other_bytes(form, dense, mm_dir / "band.mtx",
+                                                                  mm_dir / "dense.mtx")
 
 
-@pytest.mark.parametrize("fmt", [None, "array", "coordinate"])
+@pytest.mark.parametrize("form", _OTHER_FORMS)
 @pytest.mark.parametrize("band", [
     toeplitz_hankel_band([2.5, -0.75, 0.125], 300, 2),
     toeplitz_hankel_band([3 + 1j, -0.5 + 0.25j, 0.125j], 950, 3),
     *fem_p2_bands(105),
 ], ids=["real-toeplitz-hankel-300", "complex-toeplitz-hankel-950", "fem-p2-K-105", "fem-p2-M-105"])
-def test_benchmark_sized_bands_write_the_dense_bytes(mm_dir, band, fmt):
+def test_benchmark_sized_bands_write_the_dense_bytes(mm_dir, band, form):
     """The sizes that ``build`` writes in the benchmark, far past the property tests' 12 x 12."""
-    header = write_matrix_market(band, mm_dir / "band.mtx", fmt)
-    assert header == write_matrix_market(band.dense(), mm_dir / "dense.mtx", fmt)
-    assert (mm_dir / "band.mtx").read_bytes() == (mm_dir / "dense.mtx").read_bytes()
+    write_matrix_market(band, mm_dir / "band.mtx")
+    assert (mm_dir / "band.mtx").read_bytes() == _other_bytes(form, band.dense(), mm_dir / "band.mtx",
+                                                              mm_dir / "dense.mtx")
 
 
 # ------------------------------------------------------------ reader layouts
 
 def _reference_read(path):
     """The reader that the numpy tokenizer replaced: ``str.split`` and an
-    object-array mask; pins which files are accepted and what they hold."""
+    object-array mask; pins which files are accepted and what they hold,
+    float64 for a real or integer field and complex128 for a complex one."""
     with open(path, encoding="ascii") as handle:
         text = handle.read()
     rest = text.translate(str.maketrans("\x0b\x0c\x1c\x1d\x1e", "\n" * 5))
@@ -395,7 +426,7 @@ def _reference_read(path):
             raise ValueError("array body length does not match the size line")
         width = 2 if field == "complex" else 1
         values = parse(rows * cols * width).reshape(cols, rows, width)
-        out = np.zeros((rows, cols), dtype=complex)
+        out = np.zeros((rows, cols), dtype=complex if width == 2 else float)
         out.real = values[:, :, 0].T
         if width == 2:
             out.imag = values[:, :, 1].T
@@ -414,7 +445,7 @@ def _reference_read(path):
         if shape_word == "symmetric":
             i, j = np.concatenate((i, j)), np.concatenate((j, i))
             entries = np.concatenate((entries, entries))
-        out = np.zeros((rows, cols), dtype=complex)
+        out = np.zeros((rows, cols), dtype=complex if width == 4 else float)
         out.real[i, j] = entries[:, 2]
         if width == 4:
             out.imag[i, j] = entries[:, 3]
@@ -482,7 +513,7 @@ def test_reader_matches_the_split_reference_on_any_layout(mm_dir, text):
     if want is ValueError:
         assert got is ValueError
     else:
-        assert got is not ValueError and got.shape == want.shape
+        assert got is not ValueError and got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
