@@ -11,7 +11,6 @@ import numpy as np
 
 from specmat import (
     HankelVariant,
-    PolynomialPencil,
     assemble_toeplitz_hankel,
     corner_block_eigenpairs,
     corner_block_quadratic_bands,
@@ -25,8 +24,7 @@ print("=" * 64)
 rng = np.random.default_rng(4)
 bands = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
 bands[-1][0] += 6.0
-pencil = PolynomialPencil(bands=tuple(bands), variant=HankelVariant.SET1, n=7)
-analytic = pevp_eigenpairs(pencil)
+analytic = pevp_eigenpairs(bands, 7, HankelVariant.SET1)
 check = verify(analytic, *(assemble_toeplitz_hankel(band, 7, 1) for band in bands))
 print(f"{check.values.size} eigenvalues from 7 scalar quadratics")
 print(f"max gap to the {check.route} linearization: {np.max(check.distances):.2e}")
@@ -39,9 +37,7 @@ alpha = np.array([2.0, -1.0, 0.5, 3.0])
 beta = np.array([1.5, 0.25, -0.5, 2.0])
 half_n = 4
 band_d, band_c, band_b = corner_block_quadratic_bands(alpha, beta)
-condensed = pevp_eigenpairs(
-    PolynomialPencil(bands=(band_d, band_c, band_b), variant=HankelVariant.SET1, n=half_n)
-)
+condensed = pevp_eigenpairs((band_d, band_c, band_b), half_n, HankelVariant.SET1)
 block = corner_block_eigenpairs(alpha, beta, half_n)
 print(f"{'mode':>5} {'condensed quadratic roots':>34} {'block closed form':>28}")
 for j in range(1, half_n + 1):

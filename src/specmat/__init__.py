@@ -59,7 +59,6 @@ from .oracle import (
 )
 from .solution import EigenSolution, PolynomialEigenSolution
 from .spectra import (
-    PolynomialPencil,
     corner_block_eigenpairs,
     corner_block_quadratic_bands,
     fem_p2_eigenpairs,
@@ -86,7 +85,6 @@ __all__ = [
     "NotHermitianError",
     "OverlapError",
     "PolynomialEigenSolution",
-    "PolynomialPencil",
     "ShapeMismatchError",
     "SingularBError",
     "SingularDenominatorError",

@@ -30,7 +30,6 @@ from .identities import eve_identity_evp_all, eve_identity_gevp_all, trig_identi
 from .mmio import write_matrix_market
 from .oracle import verify
 from .spectra import (
-    PolynomialPencil,
     corner_block_eigenpairs,
     fem_p2_eigenpairs,
     fem_p2_eigenvalues,
@@ -320,14 +319,14 @@ def _cmd_pevp(args) -> int:
     with open(args.input, encoding="ascii") as handle:
         payload = json.load(handle)
     try:
-        variant = HankelVariant.coerce(payload["variant"])
-        n = int(payload["n"])
+        variant, n = HankelVariant.coerce(payload["variant"]), int(payload["n"])
+        if n != payload["n"]:
+            raise ValueError(f"n must be a whole number, got {payload['n']!r}")
         bands = [np.array([parse_complex_literal(entry) if isinstance(entry, str) else complex(entry)
                            for entry in band], dtype=complex) for band in payload["bands"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecmatError(f"bad pencil description: {exc}") from exc
-    pencil = PolynomialPencil(bands=tuple(bands), variant=variant, n=n)
-    analytic = pevp_eigenpairs(pencil)
+    analytic = pevp_eigenpairs(bands, n, variant)
     check = verify(analytic, *(toeplitz_hankel_band(band, n, variant) for band in bands))
     flat, distances = check.values, check.distances
     counts = [roots.size for roots in analytic.mode_roots]

@@ -50,12 +50,13 @@ class HankelVariant(enum.IntEnum):
 
     @classmethod
     def coerce(cls, value) -> "HankelVariant":
-        if isinstance(value, cls):
-            return value
         try:
-            return cls(int(value))
-        except (ValueError, TypeError) as exc:
+            variant = cls(int(value))
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"unknown Hankel variant {value!r}") from exc
+        if variant != value:
+            raise ValueError(f"unknown Hankel variant {value!r}")
+        return variant
 
 
 class SymmetricBand(NamedTuple):
@@ -368,9 +369,11 @@ def assemble_tensor_pencil(a, b, c, d):
     """Two-factor tensor pencil ``(kron(a, d) + kron(b, c), kron(b, d))``.
 
     ``a, b`` must share one square shape and ``c, d`` another; the assembled
-    pair has the sum-of-spectra property checked in the analytic module.
+    pair has the sum-of-spectra property checked in the analytic module.  It
+    is float64 unless some factor has an entry with a nonzero imaginary part.
     """
-    a, b, c, d = as_square(a), as_square(b), as_square(c), as_square(d)
+    factors = [as_square(x) for x in (a, b, c, d)]
+    a, b, c, d = factors if any(x.imag.any() for x in factors) else [x.real for x in factors]
     if a.shape != b.shape:
         raise ShapeMismatchError(f"left factors differ: {a.shape} vs {b.shape}")
     if c.shape != d.shape:

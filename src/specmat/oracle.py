@@ -42,7 +42,7 @@ from .errors import (
 )
 from .families import SymmetricBand
 from .linalg import as_square, inf_norm, is_hermitian
-from .solution import NUMERIC, EigenSolution, PolynomialEigenSolution
+from .solution import EigenSolution, PolynomialEigenSolution
 
 SINGULAR_B_RTOL = 1e-13
 _SQRT2 = math.sqrt(2.0)
@@ -280,30 +280,28 @@ def _solve(a, b, method, vectors):
 
 
 def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
-    """Numerically solve ``A x = lam B x`` with per-mode residuals attached.
+    """Numerically solve ``A x = lam B x``: every eigenvalue, each with a unit eigenvector.
 
     ``method`` picks the route: ``"auto"`` uses the Cholesky/Hermitian path
     when A, B are Hermitian with B positive definite and otherwise the
     general path, LAPACK's eigensolver on ``B^{-1} A`` with the values
     sorted by (real, imag).  ``"hermitian"`` and ``"general"`` force one
     route, mainly for cross-checks.  Raises :class:`SingularBError` when B
-    is numerically singular.  Vectors are unit-norm and the residuals are
-    those of the full pencil, also when it was solved in centrosymmetric
-    halves.  Callers that read only the eigenvalues use
+    is numerically singular.  Vectors are unit-norm, also when the pencil
+    was solved in centrosymmetric halves; :func:`pencil_residuals` gives
+    their residuals.  Callers that read only the eigenvalues use
     :func:`gevp_eigenvalues_numeric`, which takes the same routes.
     """
-    a, b, values, vectors, _ = _solve(a, b, method, True)
+    a, _, values, vectors, _ = _solve(a, b, method, True)
     return EigenSolution(
         modes=np.arange(1, a.shape[0] + 1),
         values=values,
         vectors=vectors,
-        provenance=NUMERIC,
-        residuals=pencil_residuals(a, b, values, vectors),
     )
 
 
 def gevp_eigenvalues_numeric(a, b, method: str = "auto") -> np.ndarray:
-    """The eigenvalues of :func:`solve_gevp_numeric`, without vectors or residuals.
+    """The eigenvalues of :func:`solve_gevp_numeric`, without vectors.
 
     Same routes, order and errors: ascending and real from ``eigvalsh`` on
     the Hermitian-definite route, complex and sorted by (real, imag) from

@@ -6,9 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ANALYTIC = "analytic"
-NUMERIC = "numeric"
-
 
 @dataclass
 class EigenSolution:
@@ -17,17 +14,13 @@ class EigenSolution:
     ``vectors[:, i]`` pairs with ``values[i]`` and carries the 1-based mode
     label ``modes[i]`` assigned by whichever closed form or solver produced
     it; both share one dtype, float64 when neither is complex, else
-    complex128.  ``h`` is the mesh parameter behind the mode angles, when
-    there is one.  ``residuals`` holds relative pencil residuals where the
-    producer computed them (see :func:`specmat.oracle.pencil_residuals`).
+    complex128.  Their residuals on a pencil come from
+    :func:`specmat.oracle.pencil_residuals` or :func:`specmat.oracle.verify`.
     """
 
     modes: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
-    provenance: str
-    h: float | None = None
-    residuals: np.ndarray | None = None
 
     def __post_init__(self):
         self.modes = np.asarray(self.modes, dtype=int)
@@ -41,8 +34,6 @@ class EigenSolution:
             raise ValueError("mode labels must be unique")
         if not self.vectors.any(axis=0).all():
             raise ValueError("eigenvectors must be nonzero")
-        if self.provenance not in (ANALYTIC, NUMERIC):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     @property
     def n_modes(self) -> int:
@@ -74,13 +65,12 @@ class PolynomialEigenSolution:
     modes: np.ndarray
     mode_roots: list
     vectors: np.ndarray
-    h: float | None = None
     degree_drops: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.modes = np.asarray(self.modes, dtype=int)
         self.mode_roots = [np.asarray(r, dtype=complex) for r in self.mode_roots]
-        self.vectors = np.asarray(self.vectors, dtype=complex)
+        self.vectors = np.asarray(self.vectors)
         if len(self.modes) != len(self.mode_roots) or self.vectors.shape[1] != len(self.modes):
             raise ValueError("modes, roots and vector columns must line up")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .families import _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL, HankelVariant, as_band
 from .linalg import batched_roots
-from .solution import ANALYTIC, NUMERIC, EigenSolution, PolynomialEigenSolution
+from .solution import EigenSolution, PolynomialEigenSolution
 
 SYMBOL_ZERO_RTOL = 1e-12
 QUADRATIC_DEGENERACY_TOL = 1e-14
@@ -36,7 +35,8 @@ _PI_TAIL = math.sin(math.pi)
 def symbol(band, theta):
     """Trigonometric symbol ``band[0] + 2 * sum_l band[l] * cos(l*theta)``.
 
-    Accepts a scalar angle or an array of angles.  Below ``pi/2`` it is
+    Accepts a scalar angle, giving a float, or an array of angles, giving
+    float64, for a real band; complex for a complex one.  Below ``pi/2`` it is
     evaluated as ``s(0) - 4 sum_l band[l] sin^2(l*theta/2)``, above as
     ``s(pi) - 4 sum_l (-1)^l band[l] sin^2(l*(pi-theta)/2)`` (the
     ``cos^2(theta/2)`` form for l=1), with the constants ``s(0)`` and
@@ -51,7 +51,8 @@ def symbol(band, theta):
     signs = np.where(orders % 2, -1.0, 1.0)
     terms = np.concatenate((band[:1], 2.0 * band[1:]))
     at_pi = terms * np.concatenate(([1.0], signs))
-    s_zero, s_pi = (complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist())) for t in (terms, at_pi))
+    s_zero, s_pi = (math.fsum(t.tolist()) if t.dtype == float else
+                    complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist())) for t in (terms, at_pi))
     near_pi = flat_theta > 0.5 * np.pi
     reduced = np.where(near_pi, (np.pi - flat_theta) + _PI_TAIL, flat_theta)
     half_sines = np.sin(0.5 * np.multiply.outer(orders, reduced))
@@ -61,20 +62,19 @@ def symbol(band, theta):
         s_pi - 4.0 * ((signs * band[1:]) @ squares),
         s_zero - 4.0 * (band[1:] @ squares),
     ).reshape(theta_arr.shape)
-    return complex(acc) if theta_arr.ndim == 0 else acc
+    return acc.item() if theta_arr.ndim == 0 else acc
 
 
 def divide_symbols(numerator, denominator) -> np.ndarray:
     """The quotients of two 1-D arrays of symbol values, correctly rounded where both are real.
 
-    numpy's complex division multiplies by a rounded reciprocal, even on
-    real values.  So complex values divide by Python's complex division,
-    which on real values is real division.  Real values take numpy's real
-    division, the same quotients, and stay float64: the Python loop alone
-    would double the cost of :func:`gevp_eigenvalues` at n = 2000.
+    Two float64 arrays take numpy's real division and stay float64.  numpy's
+    complex division multiplies by a rounded reciprocal, so a complex array
+    divides by Python's complex division instead: the Python loop costs
+    more than numpy's division, and real symbols never take it.
     """
-    if not (numerator.imag.any() or denominator.imag.any()):
-        return numerator.real / denominator.real
+    if numerator.dtype == denominator.dtype == float:
+        return numerator / denominator
     return np.array([x / y for x, y in zip(numerator.tolist(), denominator.tolist())], dtype=complex)
 
 
@@ -109,6 +109,11 @@ def eigenvector_basis(variant, n: int) -> np.ndarray:
     return _sines(phases, d)
 
 
+def _check_width(m: int, n: int):
+    if not 1 <= m <= n - 1:
+        raise BadBandwidthError(f"need 1 <= m <= n-1, got m={m}, n={n}")
+
+
 def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
     """The n eigenvalues of the pencil built from two shared-bandwidth bands, in mode order.
 
@@ -122,9 +127,7 @@ def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
         raise BadBandwidthError(
             f"bands must share a bandwidth, got m={alpha.size - 1} and m={beta.size - 1}"
         )
-    m = alpha.size - 1
-    if not 1 <= m <= n - 1:
-        raise BadBandwidthError(f"need 1 <= m <= n-1, got m={m}, n={n}")
+    _check_width(alpha.size - 1, n)
     h, angles = mode_angles(variant, n)
     thetas = np.pi * h * angles
     denom = symbol(beta, thetas)
@@ -144,8 +147,6 @@ def gevp_eigenpairs(alpha, beta, n: int, variant) -> EigenSolution:
         modes=np.arange(1, n + 1),
         values=values,
         vectors=eigenvector_basis(variant, n),
-        provenance=ANALYTIC,
-        h=mode_angles(variant, n)[0],
     )
 
 
@@ -155,8 +156,7 @@ def corner_block_quadratic_bands(alpha, beta):
     Returns ascending-power bands ``(d, c, b)`` for ``lam^2 B + lam C + D = 0``:
     position k in the result multiplies ``lam^k``.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
+    alpha, beta = as_band(alpha), as_band(beta)
     band_b = np.array([beta[0] * beta[3] - 2.0 * beta[1] ** 2, beta[2] * beta[3] - beta[1] ** 2])
     band_c = np.array(
         [
@@ -191,10 +191,9 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     Where angle j's quadratic degenerates to linear, its one root is mode
     ``2j-1`` and the label ``2j`` is missing from ``modes``.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    if alpha.shape != (4,) or beta.shape != (4,):
+    if np.shape(alpha) != (4,) or np.shape(beta) != (4,):
         raise ValueError("corner-block pencils take exactly four parameters per side")
+    alpha, beta = as_band(alpha), as_band(beta)
     if half_n < 1:
         raise TooSmallError(f"half_n={half_n} must be at least 1")
     if beta[3] == 0:
@@ -239,8 +238,8 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     weights[1, double] = [1.0, 0.0]
     weights /= abs(weights).max(axis=0)
     values, (w_even, w_odd) = roots[kept], weights[:, kept]
-    if not (alpha.imag.any() or beta.imag.any() or values.imag.any()):  # real vectors, lam0 by real division
-        alpha, beta, values, w_even, w_odd = alpha.real, beta.real, values.real, w_even.real, w_odd.real
+    if alpha.dtype == beta.dtype == float and not values.imag.any():  # real vectors
+        values, w_even, w_odd = values.real, w_even.real, w_odd.real
     angles = np.repeat(np.arange(1, n + 1), 2)[kept.ravel()]
     even = _vertex_samples(angles, n)  # even[k] = entry 2k
     count = values.size
@@ -253,8 +252,6 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
         modes=np.append(np.arange(1, 2 * n + 1).reshape(n, 2)[kept], 2 * n + 1),
         values=np.append(values, alpha[3] / beta[3]),
         vectors=vectors,
-        provenance=ANALYTIC,
-        h=h,
     )
 
 
@@ -300,8 +297,6 @@ def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
         modes=np.arange(1, dim + 1),
         values=values,
         vectors=vectors,
-        provenance=ANALYTIC,
-        h=h,
     )
 
 
@@ -357,7 +352,6 @@ def fem_p3_eigenpairs(n_elems: int) -> EigenSolution:
     """
     roots, values = _fem_p3_modes(n_elems)
     n = n_elems
-    h = 1.0 / n
     s = roots.real.ravel()
     count = s.size
     # the interior rows of each mode's local K - s M, in local node order
@@ -377,69 +371,44 @@ def fem_p3_eigenpairs(n_elems: int) -> EigenSolution:
         modes=np.arange(1, 3 * n),
         values=values[order],
         vectors=vectors[:, order],
-        provenance=ANALYTIC,
-        h=h,
     )
 
 
-@dataclass
-class PolynomialPencil:
-    """Coefficient bands of ``P(lam) = sum_k lam^k A_k`` over one variant.
+def pevp_eigenpairs(bands, n: int, variant) -> PolynomialEigenSolution:
+    """Per-mode roots of ``P(lam) = sum_k lam^k A_k``, A_k the variant's matrix of ``bands[k]``.
 
-    ``bands[k]`` holds the band of the k-th power's matrix; all bands share
-    one bandwidth, and every coefficient matrix is assembled with the same
-    corner-correction variant.
-    """
-
-    bands: tuple
-    variant: HankelVariant
-    n: int
-
-    def __post_init__(self):
-        self.bands = tuple(as_band(b) for b in self.bands)
-        self.variant = HankelVariant.coerce(self.variant)
-        if len(self.bands) < 2:
-            raise ValueError("a polynomial pencil needs degree q >= 1 (at least two bands)")
-        widths = {b.size for b in self.bands}
-        if len(widths) != 1:
-            raise BadBandwidthError("all coefficient bands must share one bandwidth")
-        m = self.bands[0].size - 1
-        if not 1 <= m <= self.n - 1:
-            raise BadBandwidthError(f"need 1 <= m <= n-1, got m={m}, n={self.n}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.bands) - 1
-
-
-def pevp_eigenpairs(pencil: PolynomialPencil) -> PolynomialEigenSolution:
-    """Per-mode roots of a polynomial pencil built from shared-bandwidth bands.
-
-    Mode j's eigenvalues are the roots of the scalar polynomial whose k-th
+    At least two bands share one bandwidth m, ``1 <= m <= n-1``.  Mode j's
+    eigenvalues are the roots of the scalar polynomial whose k-th
     coefficient is the k-th band's symbol at mode j's angle; the variant's
     sampled eigenvector is shared by all of that mode's roots.  Modes whose
     leading symbol vanishes are flagged and return fewer roots.
     """
-    h, angles = mode_angles(pencil.variant, pencil.n)
+    bands = [as_band(b) for b in bands]
+    variant = HankelVariant.coerce(variant)
+    if len(bands) < 2:
+        raise ValueError("a polynomial pencil needs degree q >= 1 (at least two bands)")
+    if len({b.size for b in bands}) != 1:
+        raise BadBandwidthError("all coefficient bands must share one bandwidth")
+    _check_width(bands[0].size - 1, n)
+    degree = len(bands) - 1
+    h, angles = mode_angles(variant, n)
     thetas = np.pi * h * angles
-    basis = eigenvector_basis(pencil.variant, pencil.n)
-    floors = np.array([SYMBOL_ZERO_RTOL * float(np.sum(np.abs(b))) for b in pencil.bands])
-    table = np.stack([symbol(b, thetas) for b in pencil.bands], axis=1)
+    floors = np.array([SYMBOL_ZERO_RTOL * float(np.sum(np.abs(b))) for b in bands])
+    table = np.stack([symbol(b, thetas) for b in bands], axis=1)
     # each mode's degree is its highest power whose symbol is above the floor (0 for a zero band)
     above = np.abs(table) > floors
     above[:, 0] = True
-    degrees = pencil.degree - np.argmax(above[:, ::-1], axis=1)
-    mode_roots = [np.empty(0, dtype=complex)] * pencil.n
-    for degree in np.unique(degrees[degrees > 0]):
-        rows = np.flatnonzero(degrees == degree)
-        for i, roots in zip(rows, batched_roots(table[rows, : degree + 1])):
+    degrees = degree - np.argmax(above[:, ::-1], axis=1)
+    mode_roots = [np.empty(0, dtype=complex)] * n
+    for d in np.unique(degrees[degrees > 0]):
+        rows = np.flatnonzero(degrees == d)
+        for i, roots in zip(rows, batched_roots(table[rows, : d + 1])):
             mode_roots[i] = roots
-    drops = np.flatnonzero(degrees < pencil.degree) + 1
+    drops = np.flatnonzero(degrees < degree) + 1
     return PolynomialEigenSolution(
-        modes=np.arange(1, pencil.n + 1),
+        modes=np.arange(1, n + 1),
         mode_roots=mode_roots,
-        vectors=basis,
-        h=h,
+        vectors=eigenvector_basis(variant, n),
         degree_drops=tuple(drops.tolist()),
     )
 
@@ -453,12 +422,10 @@ def tensor_eigenpairs(left: EigenSolution, right: EigenSolution) -> EigenSolutio
     """
     count = left.n_modes * right.n_modes
     values = np.add.outer(left.values, right.values).reshape(count)
-    provenance = ANALYTIC if left.provenance == right.provenance == ANALYTIC else NUMERIC
     return EigenSolution(
         modes=np.arange(1, count + 1),
         values=values,
         vectors=np.kron(left.vectors, right.vectors),  # column j n_R + k is kron(x_j, y_k)
-        provenance=provenance,
     )
 
 

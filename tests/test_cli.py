@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from specmat import (
+    BadBandwidthError,
     HankelVariant,
     IdentityTable,
-    PolynomialPencil,
     assemble_toeplitz_hankel,
     build_corner_block,
     build_fem_p2,
@@ -845,7 +845,7 @@ class TestPevpCommand:
         """The CSV as the per-root f-string loop wrote it before the one-pass formatting."""
         variant, n = HankelVariant.coerce(payload["variant"]), payload["n"]
         bands = [np.array([parse_complex_literal(entry) for entry in band]) for band in payload["bands"]]
-        analytic = pevp_eigenpairs(PolynomialPencil(bands=tuple(bands), variant=variant, n=n))
+        analytic = pevp_eigenpairs(bands, n, variant)
         numeric, _ = solve_pevp_numeric([assemble_toeplitz_hankel(band, n, variant) for band in bands])
         _, distances = pair_values(analytic.all_values(), numeric)
         lines = ["mode_index,root_index,lambda_re,lambda_im,oracle_distance"]
@@ -889,6 +889,45 @@ class TestPevpCommand:
         captured = capsys.readouterr()
         assert captured.out == "mode_index,root_index,lambda_re,lambda_im,oracle_distance\n"
         assert captured.err == "degree drop: analytic modes [1, 2, 3, 4, 5, 6], oracle flagged True\n"
+
+    @pytest.mark.parametrize("bands, n, variant, error, message", [
+        ([["2", "-1"]], 6, 1, ValueError, "a polynomial pencil needs degree q >= 1 (at least two bands)"),
+        ([["2", "-1"], ["1", "1/4", "1"]], 6, 1, BadBandwidthError, "all coefficient bands must share one bandwidth"),
+        ([["2", "-1", "1"], ["1", "1/4", "1"]], 2, 1, BadBandwidthError, "need 1 <= m <= n-1, got m=2, n=2"),
+        ([["2"], ["1"]], 6, 1, BadBandwidthError, "need 1 <= m <= n-1, got m=0, n=6"),
+        ([[], []], 6, 1, BadBandwidthError, "a coefficient band must be a nonempty 1-D sequence"),
+        ([["2", "-1"], ["1", "1/4"]], 6, 5, ValueError, "unknown Hankel variant 5"),
+        ([["2", "-1"], ["1", "1/4"]], 6.7, 2.9, ValueError, "unknown Hankel variant 2.9"),
+    ], ids=["one-band", "two-widths", "too-wide", "no-width", "empty", "variant-5", "variant-2.9"])
+    def test_error_contract(self, tmp_path, capsys, bands, n, variant, error, message):
+        """``pevp_eigenpairs`` raises the error, and ``pevp`` prints its message and exits 2."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            pevp_eigenpairs([[parse_complex_literal(entry) for entry in band] for band in bands], n, variant)
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": variant, "n": n, "bands": bands}))
+        assert main(["pevp", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        # the command reads the variant while it parses the description
+        prefix = "bad pencil description: " if "variant" in message else ""
+        assert captured.out == "" and captured.err == f"error: {prefix}{message}\n"
+
+    @pytest.mark.parametrize("variant, n, message", [
+        (2, 6.7, "n must be a whole number, got 6.7"),
+        (2, "6", "n must be a whole number, got '6'"),
+        (2, float("inf"), "cannot convert float infinity to integer"),
+    ], ids=["n-6.7", "n-string", "n-inf"])
+    def test_an_n_that_is_not_a_whole_number_is_a_bad_description(self, tmp_path, capsys, variant, n, message):
+        # int() alone would run 6.7 as n = 6
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": variant, "n": n, "bands": [["2", "-1"], ["1", "1/4"]]}))
+        assert main(["pevp", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: bad pencil description: {message}\n"
+
+    def test_a_whole_float_n_and_variant_still_run(self, tmp_path, capsys):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": 3.0, "n": 6.0, "bands": [["2", "-1"], ["1", "1/4"]]}))
+        assert main(["pevp", "--input", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7
 
     def test_bad_json_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "pencil.json"

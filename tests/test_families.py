@@ -24,6 +24,7 @@ from specmat import (
     fem_p2_bands,
     fem_p3_bands,
     solve_gevp_numeric,
+    symbol,
     toeplitz_hankel_band,
 )
 from specmat.families import _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL, SymmetricBand
@@ -317,6 +318,15 @@ class TestVariantEnum:
         with pytest.raises(ValueError):
             HankelVariant.coerce("fifth")
 
+    @pytest.mark.parametrize("value", [2.9, 0.5, -1.0, 5, "2", float("inf"), float("nan"), None])
+    def test_coerce_rejects_every_value_that_is_not_a_variant_number(self, value):
+        # int(2.9) is 2: the value itself must equal the variant's number
+        with pytest.raises(ValueError, match="unknown Hankel variant"):
+            HankelVariant.coerce(value)
+
+    def test_coerce_takes_whole_numbers_of_any_type(self):
+        assert HankelVariant.coerce(2.0) is HankelVariant.coerce(np.int64(2)) is HankelVariant.SET2
+
 
 # The per-entry loop builders that the diagonal assembly replaced, kept as
 # references: the assembled matrices must match them bit for bit.
@@ -461,14 +471,16 @@ def test_fem_builders_match_the_loop_references(n_elems):
 # exact in binary or not, signed zeros included
 _ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 / 3.0, -1.0 / 6.0, 2.5])
 _FAMILIES = ["toeplitz", "hankel-1", "hankel-2", "hankel-3", "hankel-4",
-             "th-1", "th-2", "th-3", "th-4", "corner-block", "fem-p2", "fem-p3"]
+             "th-1", "th-2", "th-3", "th-4", "corner-block", "fem-p2", "fem-p3", "symbol", "tensor"]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.sampled_from(_FAMILIES), st.booleans(), st.data())
 def test_dtype_follows_the_parameters(family, with_imaginary_parts, data):
     """Band and dense matrix are float64 exactly when no parameter has a nonzero imaginary
-    part, and a real build is the real part of the complex loop reference, bit for bit."""
+    part, and a real build is the real part of the complex loop reference, bit for bit.  A
+    band's symbol (a Python float or complex at one angle) and the tensor pencil follow the
+    same rule: the symbol near the plain cosine sum, the pencil equal to the complex kron."""
 
     def parameters(size):
         values = np.array(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size)), dtype=complex)
@@ -488,6 +500,23 @@ def test_dtype_follows_the_parameters(family, with_imaginary_parts, data):
         else:
             builds = [(toeplitz_hankel_band(params, n, int(variant)), None,
                        _reference_assemble(params, n, int(variant)))]
+    elif family == "symbol":
+        params = parameters(data.draw(st.integers(2, 4)))
+        kind = complex if params.imag.any() else float
+        thetas = np.array([0.3, 2.0])  # one angle on each side of pi/2, where the form changes
+        naive = params[0] + 2.0 * np.cos(np.outer(thetas, np.arange(1, params.size))) @ params[1:]
+        values = symbol(params, thetas)
+        assert values.dtype == kind and np.allclose(values, naive, rtol=0, atol=1e-14 * np.abs(params).sum())
+        assert [type(symbol(params, theta)) for theta in thetas.tolist()] == [kind, kind]
+        return
+    elif family == "tensor":
+        factors = [parameters(4).reshape(2, 2) for _ in range(4)]
+        a, b, c, d = factors
+        kind = complex if any(f.imag.any() for f in factors) else float
+        lhs, rhs = assemble_tensor_pencil(*factors)
+        assert lhs.dtype == rhs.dtype == kind
+        assert np.array_equal(lhs, np.kron(a, d) + np.kron(b, c)) and np.array_equal(rhs, np.kron(b, d))
+        return
     elif family == "corner-block":
         params, half_n = parameters(4), data.draw(st.integers(1, 8))
         builds = [(corner_block_band(params, half_n), None, _reference_corner_block(params, half_n))]

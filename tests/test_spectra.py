@@ -12,7 +12,6 @@ from specmat import (
     BadBandwidthError,
     EigenSolution,
     HankelVariant,
-    PolynomialPencil,
     SingularPencilError,
     TooSmallError,
     ZeroScaleError,
@@ -182,7 +181,7 @@ class TestGevpEigenpairs:
     def test_mode_count_and_h(self):
         sol = gevp_eigenpairs([3.0, 1.0], [4.0, 1.0], 7, 2)
         assert sol.n_modes == 7
-        assert sol.h == pytest.approx(1.0 / 7.0)
+        assert mode_angles(2, 7)[0] == pytest.approx(1.0 / 7.0)
 
     def test_residuals_all_variants_random_bands(self):
         for variant in (1, 2, 3, 4):
@@ -490,8 +489,8 @@ class TestFemP2Eigenpairs:
         # the last odd entry neighbours vertex n - 1 and the right end; with
         # the end sampled as sin(j pi) it carried that sine's rounding error
         sol = fem_p2_eigenpairs(n)
-        sampled = np.flatnonzero(sol.modes != n)
-        scaled = sol.values[sampled].real * sol.h * sol.h
+        sampled, h = np.flatnonzero(sol.modes != n), 1.0 / n
+        scaled = sol.values[sampled].real * h * h
         factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
         last_even = sol.vectors[2 * n - 3, sampled].real  # entry 2(n-1), 1-based
         assert np.array_equal(sol.vectors[2 * n - 2, sampled], factor * last_even)
@@ -663,8 +662,7 @@ class TestPevpEigenpairs:
         alpha = RNG.standard_normal(m + 1) + 1j * RNG.standard_normal(m + 1)
         beta = RNG.standard_normal(m + 1) + 1j * RNG.standard_normal(m + 1)
         beta[0] += 8.0
-        pencil = PolynomialPencil(bands=(-alpha, beta), variant=HankelVariant.SET1, n=n)
-        poly = pevp_eigenpairs(pencil)
+        poly = pevp_eigenpairs((-alpha, beta), n, HankelVariant.SET1)
         gevp = gevp_eigenpairs(alpha, beta, n, 1)
         for roots, expected in zip(poly.mode_roots, gevp.values):
             assert roots.size == 1
@@ -675,10 +673,7 @@ class TestPevpEigenpairs:
         beta = np.array([1.5, 0.25, -0.5, 2.0])
         half_n = 5
         band_d, band_c, band_b = corner_block_quadratic_bands(alpha, beta)
-        pencil = PolynomialPencil(
-            bands=(band_d, band_c, band_b), variant=HankelVariant.SET1, n=half_n
-        )
-        poly = pevp_eigenpairs(pencil)
+        poly = pevp_eigenpairs((band_d, band_c, band_b), half_n, HankelVariant.SET1)
         block = corner_block_eigenpairs(alpha, beta, half_n)
         for j in range(1, half_n + 1):
             quad_modes = np.sort_complex(
@@ -689,17 +684,13 @@ class TestPevpEigenpairs:
 
     def test_degree_drop_flagged(self):
         # leading band (0, 1): its symbol 2*cos(theta) vanishes at mode 2 of n=3
-        pencil = PolynomialPencil(
-            bands=([1.0, 0.5], [2.0, 0.3], [0.0, 1.0]), variant=HankelVariant.SET1, n=3
-        )
-        poly = pevp_eigenpairs(pencil)
+        poly = pevp_eigenpairs(([1.0, 0.5], [2.0, 0.3], [0.0, 1.0]), 3, HankelVariant.SET1)
         assert poly.degree_drops == (2,)
         assert poly.mode_roots[1].size == 1
         assert poly.mode_roots[0].size == 2
 
     def test_all_zero_leading_band_drops_every_mode(self):
-        pencil = PolynomialPencil(bands=([1.0, 0.5], [0.0, 0.0]), variant=HankelVariant.SET4, n=6)
-        poly = pevp_eigenpairs(pencil)
+        poly = pevp_eigenpairs(([1.0, 0.5], [0.0, 0.0]), 6, HankelVariant.SET4)
         assert poly.degree_drops == (1, 2, 3, 4, 5, 6)
         assert all(roots.size == 0 for roots in poly.mode_roots)
 
@@ -707,8 +698,7 @@ class TestPevpEigenpairs:
         # at the angles j pi / 6 the cubic band vanishes at modes 3 and 4 and
         # the quadratic band at mode 3, so the degrees are 3, 3, 1, 2, 3
         bands = ([1.0, 0.5, 0.2], [2.0, 0.3, 0.1], [1.0, 0.0, 0.5], [1.0, 0.5, 0.5])
-        pencil = PolynomialPencil(bands=bands, variant=HankelVariant.SET1, n=5)
-        poly = pevp_eigenpairs(pencil)
+        poly = pevp_eigenpairs(bands, 5, HankelVariant.SET1)
         assert poly.degree_drops == (3, 4)
         assert [r.size for r in poly.mode_roots] == [3, 3, 1, 2, 3]
         thetas = np.arange(1, 6) * np.pi / 6
@@ -725,8 +715,7 @@ class TestPevpEigenpairs:
             band = RNG.standard_normal(m + 1) + 1j * RNG.standard_normal(m + 1)
             bands.append(band)
         bands[-1][0] += 6.0  # keep the leading symbol alive
-        pencil = PolynomialPencil(bands=tuple(bands), variant=HankelVariant.SET2, n=n)
-        poly = pevp_eigenpairs(pencil)
+        poly = pevp_eigenpairs(bands, n, HankelVariant.SET2)
         mats = [assemble_toeplitz_hankel(b, n, 2) for b in bands]
         for i in range(n):
             x = poly.vectors[:, i]
@@ -739,8 +728,7 @@ class TestPevpEigenpairs:
 
     def test_n1_has_no_valid_bandwidth(self):
         with pytest.raises(BadBandwidthError):
-            PolynomialPencil(bands=([1.0, 2.0], [1.0, 1.0], [1.0, 0.0]),
-                             variant=HankelVariant.SET1, n=1)
+            pevp_eigenpairs(([1.0, 2.0], [1.0, 1.0], [1.0, 0.0]), 1, HankelVariant.SET1)
 
 
 class TestTensorEigenpairs:
@@ -759,14 +747,8 @@ class TestTensorEigenpairs:
 
     def test_single_modes_add(self):
         left = gevp_eigenpairs([2.0, -1.0], [1.0, 0.0], 2, 1)
-        sub_left = type(left)(
-            modes=[1], values=[left.values[0]], vectors=left.vectors[:, :1],
-            provenance=left.provenance,
-        )
-        sub_right = type(left)(
-            modes=[1], values=[left.values[1]], vectors=left.vectors[:, 1:],
-            provenance=left.provenance,
-        )
+        sub_left = type(left)(modes=[1], values=[left.values[0]], vectors=left.vectors[:, :1])
+        sub_right = type(left)(modes=[1], values=[left.values[1]], vectors=left.vectors[:, 1:])
         combined = tensor_eigenpairs(sub_left, sub_right)
         assert combined.values[0] == pytest.approx(left.values[0] + left.values[1])
 
@@ -799,8 +781,8 @@ class TestTensorEigenpairs:
     def test_vectors_follow_the_entrywise_kron_definition(self):
         # one-row and one-column bases: entry (k, j) of kron(x, y) is x[0, j] y[k, 0]
         x, y = np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])
-        left = EigenSolution(modes=[1, 2], values=[0.0, 1.0], vectors=x, provenance="analytic")
-        right = EigenSolution(modes=[1], values=[0.0], vectors=y, provenance="analytic")
+        left = EigenSolution(modes=[1, 2], values=[0.0, 1.0], vectors=x)
+        right = EigenSolution(modes=[1], values=[0.0], vectors=y)
         full = tensor_eigenpairs(left, right).vectors
         assert full.shape == (2, 2)
         for j in range(2):
@@ -823,7 +805,7 @@ class TestScalePencil:
         n = 6
         alpha, beta = [2.0, -1.0], [2.0 / 3.0, 1.0 / 6.0]
         sol = gevp_eigenpairs(alpha, beta, n, 1)
-        h = sol.h
+        h = 1.0 / (n + 1)
         scaled = scale_pencil(sol, 1.0 / h, h)
         a = assemble_toeplitz_hankel(alpha, n, 1) / h
         b = assemble_toeplitz_hankel(beta, n, 1) * h
@@ -939,7 +921,7 @@ class TestClosedFormDtypes:
         assert fem_p3_eigenvalues(6).dtype == np.float64
 
     def test_one_complex_side_makes_both_complex(self):
-        sol = EigenSolution(modes=[1], values=[2.0], vectors=[[1j]], provenance="numeric")
+        sol = EigenSolution(modes=[1], values=[2.0], vectors=[[1j]])
         assert sol.values.dtype == sol.vectors.dtype == np.complex128
 
     def test_corner_block_flat_value_is_the_real_quotient(self):
