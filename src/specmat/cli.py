@@ -81,13 +81,21 @@ def parse_band(text: str) -> np.ndarray:
     return np.array([parse_complex_literal(tok) for tok in text.split(",")], dtype=complex)
 
 
+def _scalar_column(values) -> list:
+    """Every value rendered by ``%.12g``, its imaginary part shown unless below 1e-12."""
+    z = np.asarray(values, dtype=complex)
+    texts = ("%.12g\n" * z.size % tuple(z.real.tolist())).split("\n")
+    shown = np.flatnonzero(~(np.abs(z.imag) < IMAG_SUPPRESS))  # a NaN part is shown too
+    imag = z.imag[shown]
+    for i, sign, part in zip(shown.tolist(), np.where(imag >= 0, "+", "-").tolist(),
+                             ("%.12gi\n" * shown.size % tuple(np.abs(imag).tolist())).split("\n")):
+        texts[i] += sign + part
+    return texts[:-1]
+
+
 def format_scalar(z) -> str:
     """Render a scalar, suppressing imaginary dust below 1e-12."""
-    z = complex(z)
-    if abs(z.imag) < IMAG_SUPPRESS:
-        return f"{z.real:.12g}"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.12g}{sign}{abs(z.imag):.12g}i"
+    return _scalar_column([z])[0]
 
 
 def _table_lines(template, rows) -> list:
@@ -232,18 +240,6 @@ def _identity_tables(args) -> list:
             b = basis @ basis.conj().T + args.n * np.eye(args.n)
             tables.append(eve_identity_gevp_all(a, b, form=args.form))
     return tables
-
-
-def _scalar_column(values) -> list:
-    """:func:`format_scalar` of every value, formatted as one column."""
-    z = np.asarray(values, dtype=complex)
-    texts = ("%.12g\n" * z.size % tuple(z.real.tolist())).split("\n")
-    shown = np.flatnonzero(~(np.abs(z.imag) < IMAG_SUPPRESS))  # a NaN part is shown too
-    imag = z.imag[shown]
-    for i, sign, part in zip(shown.tolist(), np.where(imag >= 0, "+", "-").tolist(),
-                             ("%.12gi\n" * shown.size % tuple(np.abs(imag).tolist())).split("\n")):
-        texts[i] += sign + part
-    return texts[:-1]
 
 
 def _identity_lines(table) -> list:

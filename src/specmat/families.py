@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatchError,
     TooSmallError,
 )
-from .linalg import as_square
+from .linalg import _real_or_complex, as_square
 
 
 class HankelVariant(enum.IntEnum):
@@ -132,10 +132,10 @@ def not_plus_zero(values: np.ndarray) -> np.ndarray:
 
 def as_band(values) -> np.ndarray:
     """``values`` as a 1-D band: float64 unless some entry has a nonzero imaginary part."""
-    band = np.atleast_1d(np.asarray(values, dtype=complex))
+    band = np.atleast_1d(_real_or_complex(values))
     if band.ndim != 1 or band.size == 0:
         raise BadBandwidthError("a coefficient band must be a nonempty 1-D sequence")
-    return band if band.imag.any() else band.real.copy()  # .real: astype would warn
+    return band
 
 
 def _check_bandwidth(m: int, n: int):
@@ -372,8 +372,7 @@ def assemble_tensor_pencil(a, b, c, d):
     pair has the sum-of-spectra property checked in the analytic module.  It
     is float64 unless some factor has an entry with a nonzero imaginary part.
     """
-    factors = [as_square(x) for x in (a, b, c, d)]
-    a, b, c, d = factors if any(x.imag.any() for x in factors) else [x.real for x in factors]
+    a, b, c, d = (as_square(x) for x in (a, b, c, d))
     if a.shape != b.shape:
         raise ShapeMismatchError(f"left factors differ: {a.shape} vs {b.shape}")
     if c.shape != d.shape:

@@ -150,15 +150,13 @@ def _gevp_table(a, b, form, pair=None) -> IdentityTable:
     if form not in (PROOF_FORM, LITERAL_FORM):
         raise ValueError(f"unknown form {form!r}")
     ks = _minor_indices(a.shape[0], pair)
-    # unit vectors, values by (real, imag); a real pencil comes back real, so
-    # that its minors run the real LAPACK routines
-    a, b, lams, vectors, hermitian = _solve(a, b, "auto", True)
+    lams, vectors, hermitian = _solve(a, b, "auto", True)  # unit vectors, values by (real, imag)
     # a positive-definite B makes every principal minor positive definite, so
     # the pencil's route serves the whole table, and no minor's values depend
     # on which other minors are evaluated with it
     method = "hermitian" if hermitian else "general"
     minors_b = _minor_stack(b, ks)
-    products = _minor_products(lams, _solve(_minor_stack(a, ks), minors_b, method, False)[2])
+    products = _minor_products(lams, _solve(_minor_stack(a, ks), minors_b, method, False)[0])
     gaps = _products_but_own(lams[:, None] - lams[None, :])
     weights = np.abs(vectors[ks].T) ** 2
     if form == PROOF_FORM:

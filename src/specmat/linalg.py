@@ -1,9 +1,9 @@
 """Dense linear-algebra helpers and a batched polynomial root finder.
 
-Everything operates on plain numpy arrays.  Real input stays float64, but
-``as_square`` casts to complex128 unless told otherwise and roots are
-complex128.  Polynomials of degree three and up are solved as stacked
-companion matrices by LAPACK's ``eigvals`` through numpy (Edelman
+Everything operates on plain numpy arrays.  Dense and band input is
+float64 unless some entry has a nonzero imaginary part, complex128 then;
+roots are complex128.  Polynomials of degree three and up are solved as
+stacked companion matrices by LAPACK's ``eigvals`` through numpy (Edelman
 & Murakami, *Math. Comp.* 1995), one batch for a whole table of per-mode
 polynomials.  Degrees one and two use closed forms.
 """
@@ -16,8 +16,18 @@ HERMITIAN_RTOL = 1e-12
 NEWTON_STEPS = 2
 
 
-def as_square(a, dtype=complex) -> np.ndarray:
-    a = np.asarray(a, dtype=dtype)
+def _real_or_complex(values) -> np.ndarray:
+    """``values`` as float64 unless some entry has a nonzero imaginary part, complex128 then;
+    float64 input comes back as it is, not copied."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biuf":
+        return values.astype(float, copy=False)
+    values = np.asarray(values, dtype=complex)
+    return values if values.imag.any() else values.real.copy()  # .real: astype would warn
+
+
+def as_square(a) -> np.ndarray:
+    a = _real_or_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -30,12 +40,11 @@ def inf_norm(a) -> float:
     return float(abs(a).sum(axis=1).max())
 
 
-def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
-    a = np.asarray(a)
-    a = as_square(a, dtype=float if a.dtype.kind in "biuf" else complex)  # real stays real
+def is_hermitian(a) -> bool:
+    a = as_square(a)
     if np.array_equal(a, a.conj().T):  # one pass for the exactly Hermitian, and every empty or zero matrix
         return True
-    return float(np.max(np.abs(a - a.conj().T))) <= rtol * np.max(np.abs(a))
+    return float(np.max(np.abs(a - a.conj().T))) <= HERMITIAN_RTOL * np.max(np.abs(a))
 
 
 def _horner(coeffs, z):

@@ -181,34 +181,33 @@ def _regular_by_cholesky(b, inv_chols):
 def _reduce_pencil(a, b, method):
     """Check the pencil ``A x = lam B x``, choose the route, reduce it to standard problems.
 
-    Returns ``(a, b, inv_chols, reduced)``, with one entry of ``inv_chols``
-    and ``reduced`` per block: the full pencil, or its even and odd halves
-    when A and B are exactly centrosymmetric.  On the Hermitian-definite
-    route ``inv_chols`` holds ``L^{-1}``, from :func:`_inverse_lower`, for
-    the Cholesky factors L of the blocks of B and ``reduced`` the Hermitian
-    ``L^{-1} A L^{-H}``; on the general route ``inv_chols`` is None and
-    ``reduced`` holds ``B^{-1} A``.  The route and the singularity test are
-    decided on the full pencil.  A real pencil comes back as real arrays.
-    Two ``(m, p, p)`` stacks are one block, never split, and keep their
-    dtype; they take the route ``method`` names, ``"hermitian"`` or
-    ``"general"``, unchecked for symmetry, and each B is tested alone.
+    Returns ``(inv_chols, reduced)``, one entry of each per block: the full
+    pencil, or its even and odd halves when A and B are exactly
+    centrosymmetric.  On the Hermitian-definite route ``inv_chols`` holds
+    ``L^{-1}``, from :func:`_inverse_lower`, for the Cholesky factors L of
+    the blocks of B and ``reduced`` the Hermitian ``L^{-1} A L^{-H}``; on the
+    general route ``inv_chols`` is None and ``reduced`` holds ``B^{-1} A``.
+    The route and the singularity test are decided on the full pencil, whose
+    matrices take their dtype from :func:`as_square`, so a real pencil runs
+    the real LAPACK routines, about twice as fast.  Two ``(m, p, p)`` stacks
+    are one block, never split, and keep their dtype; they take the route
+    ``method`` names, ``"hermitian"`` or ``"general"``, unchecked for
+    symmetry, and each B is tested alone.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    stacked = a.ndim == 3
+    if method not in ("auto", "hermitian", "general"):
+        raise ValueError(f"unknown method {method!r}")
+    stacked = np.ndim(a) == 3
     if stacked:
+        a, b = np.asarray(a), np.asarray(b)
         if a.shape != b.shape or a.shape[1] != a.shape[2]:
             raise ShapeMismatchError(f"expected two stacks of square matrices, got {a.shape} and {b.shape}")
-        if method not in ("hermitian", "general"):
+        if method == "auto":
             # "auto" would need a Hermitian check per pencil: Cholesky reads only the lower triangle
-            raise ValueError(f"a stack of pencils takes method 'hermitian' or 'general', not {method!r}")
+            raise ValueError("a stack of pencils takes method 'hermitian' or 'general', not 'auto'")
     else:
-        # a real pencil runs the real LAPACK routines, about twice as fast
-        dtype = float if a.dtype.kind in "biuf" and b.dtype.kind in "biuf" else complex
-        a, b = as_square(a, dtype), as_square(b, dtype)
+        a, b = as_square(a), as_square(b)
         if a.shape != b.shape:
             raise ShapeMismatchError(f"pencil shapes differ: {a.shape} vs {b.shape}")
-        if dtype is complex and not (a.imag.any() or b.imag.any()):
-            a, b = a.real.copy(), b.real.copy()
     blocks = [[a, b]] if stacked else _centrosymmetric_halves([a, b]) or [[a, b]]
     # a stack's route is the caller's choice; its matrices are not checked
     hermitian_pair = method == "hermitian" if stacked else is_hermitian(a) and is_hermitian(b)
@@ -229,8 +228,6 @@ def _reduce_pencil(a, b, method):
     if singular:
         raise SingularBError("right-hand matrix of the pencil is singular")
 
-    if method not in ("auto", "hermitian", "general"):
-        raise ValueError(f"unknown method {method!r}")
     if method == "hermitian" and not hermitian_pair:
         raise NotHermitianError("the forced Hermitian path needs Hermitian A and B")
     if inv_chols is not None:
@@ -239,23 +236,23 @@ def _reduce_pencil(a, b, method):
             # the Hermitian L^{-1} A L^{-H}; L^{-1} and two products cost less than two solves
             block = inv @ (block_a @ inv.conj().swapaxes(-1, -2))
             reduced.append(0.5 * (block + block.conj().swapaxes(-1, -2)))
-        return a, b, inv_chols, reduced
+        return inv_chols, reduced
     if method == "hermitian":
         raise SingularBError("Hermitian path needs a positive-definite right side")
     # B is invertible (checked above)
-    return a, b, None, [np.linalg.solve(block_b, block_a) for block_a, block_b in blocks]
+    return None, [np.linalg.solve(block_b, block_a) for block_a, block_b in blocks]
 
 
 def _solve(a, b, method, vectors):
     """The values of :func:`_reduce_pencil`'s pencil, and its unit vectors if ``vectors``.
 
-    Returns ``(a, b, values, vectors, hermitian)``: the checked pencil, the
-    values (one row per pencil of a stack, whose vectors are not solved),
-    the vectors or None, and whether the Hermitian-definite route ran.
+    Returns ``(values, vectors, hermitian)``: the values (one row per pencil
+    of a stack, whose vectors are not solved), the vectors or None, and
+    whether the Hermitian-definite route ran.
     """
     if vectors and np.ndim(a) != 2:
         raise ValueError("eigenvectors are solved for one pencil at a time")
-    a, b, inv_chols, reduced = _reduce_pencil(a, b, method)
+    inv_chols, reduced = _reduce_pencil(a, b, method)
     hermitian = inv_chols is not None
     parts, vecs = [], []
     for i, block in enumerate(reduced):
@@ -276,7 +273,7 @@ def _solve(a, b, method, vectors):
     # ascending, by (real, imag) off the Hermitian route; each row of a stack alone
     order = np.argsort(values, kind="stable") if hermitian else np.lexsort((values.imag, values.real))
     values = np.take_along_axis(values, order, axis=-1)
-    return a, b, values, None if vecs is None else vecs[:, order], hermitian
+    return values, None if vecs is None else vecs[:, order], hermitian
 
 
 def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
@@ -292,9 +289,9 @@ def solve_gevp_numeric(a, b, method: str = "auto") -> EigenSolution:
     their residuals.  Callers that read only the eigenvalues use
     :func:`gevp_eigenvalues_numeric`, which takes the same routes.
     """
-    a, _, values, vectors, _ = _solve(a, b, method, True)
+    values, vectors, _ = _solve(a, b, method, True)
     return EigenSolution(
-        modes=np.arange(1, a.shape[0] + 1),
+        modes=np.arange(1, values.size + 1),
         values=values,
         vectors=vectors,
     )
@@ -313,7 +310,7 @@ def gevp_eigenvalues_numeric(a, b, method: str = "auto") -> np.ndarray:
     its dtype, so each row is bit for bit what its pencil alone gives as a
     stack of the same dtype, whatever else shares the stack.
     """
-    return _solve(a, b, method, False)[2]
+    return _solve(a, b, method, False)[0]
 
 
 def _companion_matrix(mats):
@@ -321,11 +318,11 @@ def _companion_matrix(mats):
 
     ``C1 = diag(I, ..., I, A_q)``, so only the last block row needs a solve:
     one n x n LU with ``q n`` right-hand sides, ``-A_q^{-1} [A_0 ... A_{q-1}]``.
-    Above it sit the identity blocks of C0.
+    Above it sit the identity blocks of C0.  It is real when every ``A_k`` is.
     """
     n = mats[0].shape[0]
     size = n * (len(mats) - 1)
-    companion = np.zeros((size, size), dtype=complex)
+    companion = np.zeros((size, size), dtype=np.result_type(*mats))
     np.fill_diagonal(companion[:, n:], 1.0)
     companion[size - n:] = -np.linalg.solve(mats[-1], np.hstack(mats[:-1]))
     return companion
@@ -351,26 +348,17 @@ def solve_pevp_numeric(mats):
     halves = _centrosymmetric_halves(mats) or [mats]
 
     dropped = _singular(mats[-1], [half[-1] for half in halves])
-    if not dropped:
-        values = np.concatenate([np.linalg.eigvals(_companion_matrix(half)) for half in halves])
-    elif _singular(mats[0], [half[0] for half in halves]):
+    if dropped and _singular(mats[0], [half[0] for half in halves]):
         raise SingularPencilError(
             "both the leading and constant coefficient matrices are singular"
         )
-    else:
-        mu = np.concatenate([np.linalg.eigvals(_companion_matrix(half[::-1])) for half in halves])
-        finite = np.abs(mu) > 1e-10 * max(1.0, float(np.max(np.abs(mu))))
-        values = 1.0 / mu[finite]
+    # complex values; a real companion gives exact conjugate pairs
+    values = np.concatenate([np.linalg.eigvals(_companion_matrix(half[::-1] if dropped else half))
+                             for half in halves], dtype=complex)
+    if dropped:
+        finite = np.abs(values) > 1e-10 * max(1.0, float(np.max(np.abs(values))))
+        values = 1.0 / values[finite]
     return values[np.lexsort((values.imag, values.real))], dropped
-
-
-def polynomial_residual(mats, lam) -> float:
-    """Smallest singular value of ``P(lam)`` relative to the pencil's scale."""
-    mats = [as_square(m) for m in mats]
-    lam = complex(lam)
-    p = sum((lam ** k) * m for k, m in enumerate(mats))
-    scale = sum(inf_norm(m) * abs(lam) ** k for k, m in enumerate(mats))
-    return float(np.linalg.svd(p, compute_uv=False)[-1] / max(scale, 1e-300))
 
 
 def pair_values(reference, candidates):
@@ -465,7 +453,7 @@ def verify(solution, *coefficients, oracle=True) -> Verification:
         numeric, dropped = solve_pevp_numeric(dense)
         route = "reversed-companion" if dropped else "companion"
     else:
-        _, _, numeric, _, hermitian = _solve(*dense, "auto", False)
+        numeric, _, hermitian = _solve(*dense, "auto", False)
         route = "hermitian" if hermitian else "general"
     matched, distances = pair_values(values, numeric)
     return Verification(values, residuals, matched, distances, values.size != numeric.size, route)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -109,9 +110,13 @@ def eigenvector_basis(variant, n: int) -> np.ndarray:
     return _sines(phases, d)
 
 
-def _check_width(m: int, n: int):
+def _check_width(m: int, n) -> int:
+    """``n`` as an int, once it is a whole number with ``1 <= m <= n-1``."""
+    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+        raise ValueError(f"n must be a whole number, got {n!r}")
     if not 1 <= m <= n - 1:
         raise BadBandwidthError(f"need 1 <= m <= n-1, got m={m}, n={n}")
+    return int(n)
 
 
 def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
@@ -127,7 +132,7 @@ def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
         raise BadBandwidthError(
             f"bands must share a bandwidth, got m={alpha.size - 1} and m={beta.size - 1}"
         )
-    _check_width(alpha.size - 1, n)
+    n = _check_width(alpha.size - 1, n)
     h, angles = mode_angles(variant, n)
     thetas = np.pi * h * angles
     denom = symbol(beta, thetas)
@@ -144,9 +149,9 @@ def gevp_eigenpairs(alpha, beta, n: int, variant) -> EigenSolution:
     """All n eigenpairs: :func:`gevp_eigenvalues` with the variant's sampled sine or cosine."""
     values = gevp_eigenvalues(alpha, beta, n, variant)
     return EigenSolution(
-        modes=np.arange(1, n + 1),
+        modes=np.arange(1, values.size + 1),
         values=values,
-        vectors=eigenvector_basis(variant, n),
+        vectors=eigenvector_basis(variant, values.size),
     )
 
 
@@ -156,6 +161,8 @@ def corner_block_quadratic_bands(alpha, beta):
     Returns ascending-power bands ``(d, c, b)`` for ``lam^2 B + lam C + D = 0``:
     position k in the result multiplies ``lam^k``.
     """
+    if np.shape(alpha) != (4,) or np.shape(beta) != (4,):
+        raise ValueError("corner-block pencils take exactly four parameters per side")
     alpha, beta = as_band(alpha), as_band(beta)
     band_b = np.array([beta[0] * beta[3] - 2.0 * beta[1] ** 2, beta[2] * beta[3] - beta[1] ** 2])
     band_c = np.array(
@@ -191,8 +198,7 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     Where angle j's quadratic degenerates to linear, its one root is mode
     ``2j-1`` and the label ``2j`` is missing from ``modes``.
     """
-    if np.shape(alpha) != (4,) or np.shape(beta) != (4,):
-        raise ValueError("corner-block pencils take exactly four parameters per side")
+    bands = corner_block_quadratic_bands(alpha, beta)  # checks the shapes first
     alpha, beta = as_band(alpha), as_band(beta)
     if half_n < 1:
         raise TooSmallError(f"half_n={half_n} must be at least 1")
@@ -204,7 +210,6 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
 
     # per-angle coefficients of a_hat lam^2 + b_hat lam + c_hat = 0, ascending
     thetas = np.pi * h * np.arange(1, n + 1)
-    bands = corner_block_quadratic_bands(alpha, beta)
     table = np.stack([symbol(band, thetas) for band in bands], axis=1)
     linear = np.abs(table[:, 2]) < QUADRATIC_DEGENERACY_TOL
     dead = np.flatnonzero(linear & (np.abs(table[:, 1]) < QUADRATIC_DEGENERACY_TOL))
@@ -389,7 +394,7 @@ def pevp_eigenpairs(bands, n: int, variant) -> PolynomialEigenSolution:
         raise ValueError("a polynomial pencil needs degree q >= 1 (at least two bands)")
     if len({b.size for b in bands}) != 1:
         raise BadBandwidthError("all coefficient bands must share one bandwidth")
-    _check_width(bands[0].size - 1, n)
+    n = _check_width(bands[0].size - 1, n)
     degree = len(bands) - 1
     h, angles = mode_angles(variant, n)
     thetas = np.pi * h * angles

@@ -34,6 +34,7 @@ from specmat.cli import (
     LAPLACE_FDM_BAND,
     LAPLACE_FEM1_MASS_BAND,
     LAPLACE_FEM1_STIFF_BAND,
+    _scalar_column,
     _table_lines,
     _within,
     dispersion_rows,
@@ -332,6 +333,23 @@ class TestSpectrum:
 def _per_field_rows(rows):
     """The per-field formatter that the one-``%`` table formatter replaced; pins the CSV text."""
     return [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("z, text", [
+    (_NAN, "nan"), (_INF, "inf"), (-_INF, "-inf"), (-0.0, "-0"), (complex(-0.0, -0.0), "-0"),
+    (complex(1.5, 9e-13), "1.5"), (complex(1.5, -9e-13), "1.5"), (complex(0.0, 1e-12), "0+1e-12i"),
+    (complex(2.0, -1.0 / 3.0), "2-0.333333333333i"), (complex(_NAN, _NAN), "nan-nani"),
+    (complex(_INF, -_INF), "inf-infi"), (complex(-_INF, 0.0), "-inf"), (complex(1.0, _NAN), "1-nani"),
+    (complex(-0.0, -1e-300), "-0"), (complex(123456789.0123, 2.5), "123456789.012+2.5i"),
+])
+def test_format_scalar_is_an_entry_of_the_column(z, text):
+    """One formatter: a scalar reads as its entry in a column, and as ``%.12g`` of each part."""
+    assert format_scalar(z) == text
+    column = [1.0, z, complex(_NAN, 1e-13)]
+    assert _scalar_column(column) == [format_scalar(v) for v in column] == ["1", text, "nan"]
 
 
 def test_within_fails_on_nan_and_values_above_the_tolerance():

@@ -20,6 +20,7 @@ from specmat import (
     trig_identity_all,
 )
 from specmat.identities import _minor_stack
+from specmat.linalg import as_square
 
 RNG = np.random.default_rng(314)
 EPS = np.finfo(float).eps
@@ -327,8 +328,9 @@ def _reference_tables(a, b=None, form=None):
     mp = lambda values: [mpmath.mpc(complex(z)) for z in values]  # noqa: E731
     with mpmath.workdps(30):
         if b is None:
-            lams, vectors = np.linalg.eigh(np.asarray(a, dtype=complex))
-            mus = [np.linalg.eigvalsh(_minor(np.asarray(a, dtype=complex), k)) for k in range(1, n + 1)]
+            a = as_square(a)  # the evaluator's dtype: float64 unless A has an imaginary part
+            lams, vectors = np.linalg.eigh(a)
+            mus = [np.linalg.eigvalsh(_minor(a, k)) for k in range(1, n + 1)]
         else:
             a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
             try:

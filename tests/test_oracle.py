@@ -13,10 +13,13 @@ from specmat import (
     SingularPencilError,
     SymmetricBand,
     ZeroVectorError,
+    assemble_tensor_pencil,
     assemble_toeplitz_hankel,
     build_fem_p2,
     corner_block_band,
     corner_block_eigenpairs,
+    eve_identity_evp_all,
+    eve_identity_gevp_all,
     fem_p2_bands,
     fem_p2_eigenpairs,
     fem_p3_eigenvalues,
@@ -30,7 +33,8 @@ from specmat import (
     verify,
 )
 from specmat import oracle
-from specmat.oracle import pair_values, polynomial_residual
+from specmat.linalg import as_square, inf_norm
+from specmat.oracle import pair_values
 
 RNG = np.random.default_rng(99)
 
@@ -102,8 +106,8 @@ class TestSolveGevp:
 
     def test_a_float64_pencil_is_reduced_as_it_is(self):
         a, b = (m.real.copy() for m in _iga_pencil(9))
-        checked_a, checked_b, _, reduced = oracle._reduce_pencil(a, b, "auto")
-        assert checked_a is a and checked_b is b  # neither cast to complex nor copied back
+        assert as_square(a) is a and as_square(b) is b  # neither cast to complex nor copied back
+        _, reduced = oracle._reduce_pencil(a, b, "auto")
         assert all(block.dtype == np.float64 for block in reduced)
 
     def test_shape_mismatch(self):
@@ -154,6 +158,17 @@ class TestSolveGevp:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             solve_gevp_numeric(np.eye(2), np.eye(2), method="charpoly")
+
+    @pytest.mark.parametrize("b", [np.eye(3), np.zeros((3, 3)), np.eye(2), np.zeros((2, 3, 3))],
+                             ids=["regular-b", "singular-b", "other-shape", "stack"])
+    def test_unknown_method_is_refused_before_any_work(self, b):
+        a = np.eye(3) if b.ndim == 2 else np.zeros((2, 3, 3))
+        for solver in (solve_gevp_numeric, gevp_eigenvalues_numeric):
+            if b.ndim == 3 and solver is solve_gevp_numeric:
+                continue  # a stack has no vectors
+            with pytest.raises(ValueError) as caught:
+                solver(a, b, "bogus")
+            assert type(caught.value) is ValueError and str(caught.value) == "unknown method 'bogus'"
 
     def test_forced_hermitian_path_rejects_unsuitable_input(self):
         from specmat import NotHermitianError
@@ -504,7 +519,10 @@ class TestSolvePevp:
         values, _ = solve_pevp_numeric(mats)
         assert values.size == n * q
         for lam in values:
-            assert polynomial_residual(mats, lam) < 1e-8
+            # the smallest singular value of P(lam), relative to the pencil's scale
+            p = sum(lam ** k * m for k, m in enumerate(mats))
+            scale = sum(inf_norm(m) * abs(lam) ** k for k, m in enumerate(mats))
+            assert np.linalg.svd(p, compute_uv=False)[-1] / scale < 1e-8
 
     def test_singular_leading_coefficient_flagged(self):
         mats = [np.diag([2.0, 3.0]), np.eye(2), np.zeros((2, 2))]
@@ -995,3 +1013,66 @@ def test_companion_solve_by_blocks_matches_the_whole_solve(q):
         want = _full_companion_values(coefficients)
         _, distances = pair_values(want, values)
         assert np.max(distances) <= 1e-12 * np.max(np.abs(want))
+
+
+# one integer pencil as each kind of input; the imaginary parts of the complex kind, E and
+# E / 4 with E antisymmetric, keep A Hermitian and B positive definite
+_INPUT_KINDS = {
+    "int": lambda m, imag: m,
+    "float64": lambda m, imag: m.astype(float),
+    "complex-zero-imag": lambda m, imag: m.astype(complex),
+    "complex": lambda m, imag: m + 1j * imag,
+}
+
+
+@pytest.mark.parametrize("kind", _INPUT_KINDS)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1))
+def test_dense_input_is_float64_exactly_when_no_entry_is_complex(kind, n, seed):
+    """Every dense entry point computes in float64 exactly when no entry has a nonzero imaginary part."""
+    rng = np.random.default_rng(seed)
+    m, q = rng.integers(-3, 4, (2, n, n))
+    ones = np.ones((n, n), dtype=int)
+    e = np.triu(ones, 1) - np.tril(ones, -1)  # ||E||_2 < 2n / pi
+    # ||A||_2 < 7n < 2 lambda_min(B): every eigenvalue of lam^2 B + lam A + B is nonreal
+    a = _INPUT_KINDS[kind](m + m.T, e)
+    b = _INPUT_KINDS[kind](q @ q.T + 4 * n * np.eye(n, dtype=int), e / 4)
+    unit = np.eye(n, dtype=int)
+    u = _INPUT_KINDS[kind](unit[0] + unit[1], unit[1])
+    singular = np.outer(u, u.conj())  # rank one
+    want = np.complex128 if kind == "complex" else np.float64
+    seen = []
+    reduce_pencil, companion_matrix = oracle._reduce_pencil, oracle._companion_matrix
+
+    def reduced(*args):
+        inv_chols, blocks = reduce_pencil(*args)
+        seen.extend(("reduced", block.dtype) for block in blocks)
+        return inv_chols, blocks
+
+    def companion(mats):
+        matrix = companion_matrix(mats)
+        seen.append(("companion", matrix.dtype))
+        return matrix
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_reduce_pencil", reduced)
+        patch.setattr(oracle, "_companion_matrix", companion)
+        for name in ("eigh", "eigvalsh"):
+            patch.setattr(np.linalg, name, lambda x, *args, _call=getattr(np.linalg, name), _name=name, **kwargs:
+                          seen.append((_name, x.dtype)) or _call(x, *args, **kwargs))
+        sol = solve_gevp_numeric(a, b)
+        values = gevp_eigenvalues_numeric(a, b)
+        eve_identity_evp_all(a)
+        for form in ("proof", "literal"):
+            eve_identity_gevp_all(a, b, form)
+        roots, dropped = solve_pevp_numeric([b, a, b])
+        _, reversed_dropped = solve_pevp_numeric([b, a, singular])
+    kinds = {name for name, _ in seen}
+    assert {"reduced", "companion", "eigh", "eigvalsh"} <= kinds
+    assert all(dtype == want for _, dtype in seen), seen
+    assert sol.values.dtype == sol.vectors.dtype == want and values.dtype == np.float64  # Hermitian-definite
+    assert assemble_tensor_pencil(a, b, a, b)[0].dtype == assemble_tensor_pencil(b, a, b, a)[1].dtype == want
+    assert not dropped and reversed_dropped
+    assert roots.dtype == np.complex128 and roots.imag.all()
+    if kind != "complex":  # the real companion's values come in exact conjugate pairs
+        assert np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj()))

@@ -1,5 +1,6 @@
 """Closed-form eigenpair generators versus constructed matrices and worked examples."""
 
+import pickle
 import warnings
 
 import mpmath
@@ -265,6 +266,28 @@ class TestGevpEigenvalues:
             gevp_eigenvalues([2.0, -1.0], [0.0, 1.0], 3, 1)
 
 
+_PEVP_BANDS = [[2.0, -1.0], [1.0, 0.25]]
+_N_SOLVERS = {
+    "gevp_eigenvalues": lambda n: gevp_eigenvalues([2.0, -1.0], [1.0, 0.0], n, 1),
+    "gevp_eigenpairs": lambda n: gevp_eigenpairs([2.0, -1.0], [1.0, 0.0], n, 1),
+    "pevp_eigenpairs": lambda n: pevp_eigenpairs(_PEVP_BANDS, n, 1),
+}
+
+
+@pytest.mark.parametrize("solve", _N_SOLVERS.values(), ids=_N_SOLVERS.keys())
+@pytest.mark.parametrize("n", [6.5, 6.000001, float("inf"), float("nan"), "6", None])
+def test_an_n_that_is_not_a_whole_number_is_refused(solve, n):
+    with pytest.raises(ValueError, match=r"^n must be a whole number, got "):
+        solve(n)
+
+
+@pytest.mark.parametrize("solve", _N_SOLVERS.values(), ids=_N_SOLVERS.keys())
+def test_a_whole_float_n_runs_as_its_int(solve):
+    whole = solve(6.0)
+    assert pickle.dumps(whole) == pickle.dumps(solve(6))  # every field, dtype and bit
+    assert len(getattr(whole, "modes", whole)) == 6
+
+
 class TestCornerBlockEigenpairs:
     @staticmethod
     def per_mode_reference(alpha, beta, half_n):
@@ -433,6 +456,16 @@ class TestCornerBlockEigenpairs:
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             corner_block_eigenpairs([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0], 0)
+
+    @pytest.mark.parametrize("solve", [corner_block_quadratic_bands,
+                                       lambda alpha, beta: corner_block_eigenpairs(alpha, beta, 0)],
+                             ids=["corner_block_quadratic_bands", "corner_block_eigenpairs"])
+    @pytest.mark.parametrize("alpha, beta", [([1.0, 2.0], [1.0, 2.0]), ([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+                                             ([[1.0, 0.0, 0.0, 1.0]], [1.0, 0.0, 0.0, 1.0])])
+    def test_four_parameters_per_side_are_checked_first(self, solve, alpha, beta):
+        # half_n = 0 would raise TooSmallError, and beta[3] = 0 SingularPencilError, after the shapes
+        with pytest.raises(ValueError, match="^corner-block pencils take exactly four parameters per side$"):
+            solve(alpha, beta)
 
 
 _EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8)  # dyadic, so products stay exact
