@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRangeError, NotHermitianError, SingularDenominatorError
+from .families import as_band
 from .linalg import as_square, is_hermitian
 from .oracle import _solve
 from .spectra import divide_symbols, symbol
@@ -265,9 +266,9 @@ def trig_identity_all(kind: str, n: int, ks=None, ls=None, alpha=None, beta=None
     if kind == "ti3g":
         if alpha is None or beta is None:
             raise ValueError("ti3g needs alpha and beta bands of bandwidth 1")
-        alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
-        if alpha.shape != (2,) or beta.shape != (2,):
+        if np.shape(alpha) != (2,) or np.shape(beta) != (2,):
             raise ValueError("ti3g bands must have exactly two entries")
+        alpha, beta = as_band(alpha), as_band(beta)
         bands = {"alpha": tuple(alpha.tolist()), "beta": tuple(beta.tolist())}
     ks, ls = np.array(ks, dtype=int), np.array(ls, dtype=int)
     lhs, rhs = _trig_tables(kind, n, ks, ls, alpha, beta)

@@ -28,7 +28,6 @@ from .linalg import batched_roots
 from .solution import EigenSolution, PolynomialEigenSolution
 
 SYMBOL_ZERO_RTOL = 1e-12
-QUADRATIC_DEGENERACY_TOL = 1e-14
 # pi - fl(pi) to double precision, so that pi - theta is exact to rounding
 _PI_TAIL = math.sin(math.pi)
 
@@ -110,13 +109,38 @@ def eigenvector_basis(variant, n: int) -> np.ndarray:
     return _sines(phases, d)
 
 
-def _check_width(m: int, n) -> int:
-    """``n`` as an int, once it is a whole number with ``1 <= m <= n-1``."""
-    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
-        raise ValueError(f"n must be a whole number, got {n!r}")
-    if not 1 <= m <= n - 1:
-        raise BadBandwidthError(f"need 1 <= m <= n-1, got m={m}, n={n}")
-    return int(n)
+def _symbol_table(bands, n, variant):
+    """The mode angle multipliers, each band's symbol at each mode's angle (a row per mode, a column
+    per band), and each band's zero floor: ``SYMBOL_ZERO_RTOL`` times the sum of its moduli.
+
+    The bands share one bandwidth m, and n is a whole number that a float holds, ``1 <= m <= n-1``.
+    """
+    bands = [as_band(b) for b in bands]
+    variant = HankelVariant.coerce(variant)
+    if len({b.size for b in bands}) != 1:
+        raise BadBandwidthError("all coefficient bands must share one bandwidth")
+    try:
+        if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+            raise ValueError(f"n must be a whole number, got {n!r}")
+    except OverflowError:
+        raise ValueError("n is too large for a float") from None
+    if not 1 <= bands[0].size - 1 <= n - 1:
+        raise BadBandwidthError(f"need 1 <= m <= n-1, got m={bands[0].size - 1}, n={n}")
+    h, angles = mode_angles(variant, int(n))
+    thetas = np.pi * h * angles
+    floors = SYMBOL_ZERO_RTOL * np.abs(np.array(bands)).sum(axis=1)
+    return angles, np.array([symbol(b, thetas) for b in bands]).T, floors
+
+
+def _mode_roots(table, floors):
+    """Each row's degree and roots, rows ascending: the degree is the highest power above that power's
+    floor (0 if none is); ``roots[i]`` holds row i's in :func:`batched_roots`'s order, then zeros."""
+    degrees = (np.arange(table.shape[1]) * (np.abs(table) > floors)).max(axis=1)
+    roots = np.zeros((table.shape[0], table.shape[1] - 1), dtype=complex)
+    for d in np.unique(degrees[degrees > 0]):
+        rows = degrees == d
+        roots[rows, :d] = batched_roots(table[rows, : d + 1])  # one batch per degree
+    return degrees, roots
 
 
 def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
@@ -126,23 +150,14 @@ def gevp_eigenvalues(alpha, beta, n: int, variant) -> np.ndarray:
     angle.  Raises :class:`SingularPencilError` when the denominator symbol
     vanishes at a sampled angle.
     """
-    alpha, beta = as_band(alpha), as_band(beta)
-    variant = HankelVariant.coerce(variant)
-    if alpha.size != beta.size:
-        raise BadBandwidthError(
-            f"bands must share a bandwidth, got m={alpha.size - 1} and m={beta.size - 1}"
-        )
-    n = _check_width(alpha.size - 1, n)
-    h, angles = mode_angles(variant, n)
-    thetas = np.pi * h * angles
-    denom = symbol(beta, thetas)
+    angles, table, floors = _symbol_table((alpha, beta), n, variant)
     # at or below the floor: an all-zero band's floor is 0, and its symbol with it
-    bad = np.flatnonzero(np.abs(denom) <= SYMBOL_ZERO_RTOL * float(np.sum(np.abs(beta))))
+    bad = np.flatnonzero(np.abs(table[:, 1]) <= floors[1])
     if bad.size:
         raise SingularPencilError(
             f"denominator symbol vanishes at mode angle index {angles[bad[0]]}"
         )
-    return divide_symbols(symbol(alpha, thetas), denom)
+    return divide_symbols(table[:, 0], table[:, 1])
 
 
 def gevp_eigenpairs(alpha, beta, n: int, variant) -> EigenSolution:
@@ -195,8 +210,9 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     mode's 2x2 symbol.  When ``alpha[1] beta[3] = alpha[3] beta[1]``, lam0 is
     a root of every quadratic and its vectors live on the odd entries; where
     both roots of a mode are lam0, the second one lives on the even entries.
-    Where angle j's quadratic degenerates to linear, its one root is mode
-    ``2j-1`` and the label ``2j`` is missing from ``modes``.
+    Angle j's quadratic keeps each power whose coefficient is above ``SYMBOL_ZERO_RTOL`` times
+    (sum|alpha|)^2, sum|alpha| sum|beta| or (sum|beta|)^2, the scales of the products it sums;
+    where it is linear, its one root is mode ``2j-1`` and ``2j`` is missing from ``modes``.
     """
     bands = corner_block_quadratic_bands(alpha, beta)  # checks the shapes first
     alpha, beta = as_band(alpha), as_band(beta)
@@ -211,17 +227,15 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     # per-angle coefficients of a_hat lam^2 + b_hat lam + c_hat = 0, ascending
     thetas = np.pi * h * np.arange(1, n + 1)
     table = np.stack([symbol(band, thetas) for band in bands], axis=1)
-    linear = np.abs(table[:, 2]) < QUADRATIC_DEGENERACY_TOL
-    dead = np.flatnonzero(linear & (np.abs(table[:, 1]) < QUADRATIC_DEGENERACY_TOL))
-    if dead.size:
+    scale_a, scale_b = float(np.sum(np.abs(alpha))), float(np.sum(np.abs(beta)))
+    floors = SYMBOL_ZERO_RTOL * np.array([scale_a * scale_a, scale_a * scale_b, scale_b * scale_b])
+    degrees, roots = _mode_roots(table, floors)
+    if not degrees.all():
         raise DegenerateQuadraticError(
-            f"quadratic and linear coefficients both vanish at angle index {dead[0] + 1}"
+            f"quadratic and linear coefficients both vanish at angle index {np.argmin(degrees) + 1}"
         )
-    roots = np.zeros((n, 2), dtype=complex)
-    roots[~linear] = batched_roots(table[~linear])[:, ::-1]  # the "-" root first
-    roots[linear, :1] = batched_roots(table[linear, :2])
-    kept = np.ones((n, 2), dtype=bool)
-    kept[:, 1] = ~linear
+    roots[degrees == 2] = roots[degrees == 2, ::-1]  # the "-" root first
+    kept = np.arange(2) < degrees[:, None]
 
     # each root's weights on the even and odd entries span the null space of
     # its mode's 2x2 symbol [[vertex, fold * coupling], [coupling, -odd]],
@@ -238,7 +252,7 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     # will do: the first root takes the odd entries, the second the even ones
     scale = abs(vertex_a) + abs(alpha[1]) + abs(alpha[3])
     scale = scale + abs(roots) * (abs(vertex_b) + abs(beta[1]) + abs(beta[3]))
-    double = (np.maximum(first, second) <= 1e-12 * scale).any(axis=1)
+    double = (np.maximum(first, second) <= SYMBOL_ZERO_RTOL * scale).any(axis=1)
     weights[0, double] = [0.0, 1.0]
     weights[1, double] = [1.0, 0.0]
     weights /= abs(weights).max(axis=0)
@@ -385,36 +399,19 @@ def pevp_eigenpairs(bands, n: int, variant) -> PolynomialEigenSolution:
     At least two bands share one bandwidth m, ``1 <= m <= n-1``.  Mode j's
     eigenvalues are the roots of the scalar polynomial whose k-th
     coefficient is the k-th band's symbol at mode j's angle; the variant's
-    sampled eigenvector is shared by all of that mode's roots.  Modes whose
-    leading symbol vanishes are flagged and return fewer roots.
+    sampled eigenvector is shared by all of that mode's roots.  A mode drops
+    each leading power whose symbol is at most ``SYMBOL_ZERO_RTOL`` times its
+    band's sum of moduli; such modes are flagged and return fewer roots.
     """
-    bands = [as_band(b) for b in bands]
-    variant = HankelVariant.coerce(variant)
     if len(bands) < 2:
         raise ValueError("a polynomial pencil needs degree q >= 1 (at least two bands)")
-    if len({b.size for b in bands}) != 1:
-        raise BadBandwidthError("all coefficient bands must share one bandwidth")
-    n = _check_width(bands[0].size - 1, n)
-    degree = len(bands) - 1
-    h, angles = mode_angles(variant, n)
-    thetas = np.pi * h * angles
-    floors = np.array([SYMBOL_ZERO_RTOL * float(np.sum(np.abs(b))) for b in bands])
-    table = np.stack([symbol(b, thetas) for b in bands], axis=1)
-    # each mode's degree is its highest power whose symbol is above the floor (0 for a zero band)
-    above = np.abs(table) > floors
-    above[:, 0] = True
-    degrees = degree - np.argmax(above[:, ::-1], axis=1)
-    mode_roots = [np.empty(0, dtype=complex)] * n
-    for d in np.unique(degrees[degrees > 0]):
-        rows = np.flatnonzero(degrees == d)
-        for i, roots in zip(rows, batched_roots(table[rows, : d + 1])):
-            mode_roots[i] = roots
-    drops = np.flatnonzero(degrees < degree) + 1
+    angles, table, floors = _symbol_table(bands, n, variant)
+    degrees, roots = _mode_roots(table, floors)
     return PolynomialEigenSolution(
-        modes=np.arange(1, n + 1),
-        mode_roots=mode_roots,
-        vectors=eigenvector_basis(variant, n),
-        degree_drops=tuple(drops.tolist()),
+        modes=np.arange(1, angles.size + 1),
+        mode_roots=[row[:d] for row, d in zip(roots, degrees.tolist())],
+        vectors=eigenvector_basis(variant, angles.size),
+        degree_drops=tuple((np.flatnonzero(degrees < len(bands) - 1) + 1).tolist()),
     )
 
 

@@ -225,6 +225,17 @@ class TestSpectrum:
         assert np.max(table[:, 3]) < 1e-13     # closed-form residuals
         assert np.max(table[:, 6]) < 1e-13     # distance to the oracle's values
 
+    @pytest.mark.parametrize("alpha", ["5,1,-1/2,3", "1/20000000,1/100000000,-1/200000000,3/100000000"],
+                             ids=["beta-scaled", "both-scaled"])
+    def test_corner_block_scaled_by_1e_8_keeps_its_modes(self, capsys, alpha):
+        # beta is (4, 1/2, 1/4, 2) times 1e-8, so the quadratic's coefficients are
+        # near 1e-16 and only a zero test that scales with the pencil keeps every mode
+        assert main(["spectrum", "--family", "corner-block", "--half-n", "5", "--alpha", alpha,
+                     "--beta", "1/25000000,1/200000000,1/400000000,1/50000000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 12))
+        assert max(float(line.split(",")[3]) for line in lines[1:]) <= 1e-15
+
     def test_no_oracle_drops_columns(self, capsys):
         code = main(
             [
@@ -380,6 +391,17 @@ def test_infinite_and_negative_tolerances_keep_their_meaning(capsys, tol, code):
     argv = ["spectrum", "--family", "fem-p2", "--n-elems", "5", "--perturb", "0.5", "--tol", tol]
     assert main(argv) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "toeplitz-hankel", "--alpha", "2,-1", "--beta", "1,0"],
+    ["dispersion", "--method", "fem2"],
+], ids=["spectrum", "dispersion"])
+def test_an_n_too_large_for_a_float_is_a_usage_error(capsys, argv):
+    # pevp's n is in TestPevpCommand.test_error_contract
+    assert main([*argv, "--n", str(10**400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: n is too large for a float\n"
 
 
 class TestCsvTables:
@@ -686,11 +708,16 @@ class TestIdentityCommand:
         assert code == 0
         assert "max rel_diff" in out
 
-    def test_ti3g_lines_show_the_bands_as_python_complex(self, capsys):
+    @pytest.mark.parametrize("alpha, beta, shown", [
+        ("2,-1", "1/2,1/8", "alpha=(2.0, -1.0) beta=(0.5, 0.125)"),
+        ("2,-1+1/2i", "1/2,1/8", "alpha=((2+0j), (-1+0.5j)) beta=(0.5, 0.125)"),
+    ], ids=["real", "complex-alpha"])
+    def test_ti3g_lines_show_the_bands_as_python_numbers(self, capsys, alpha, beta, shown):
+        # each band keeps the dtype as_band gives it: float unless an entry is complex
         assert main(["identity", "--kind", "ti3g", "--n", "3", "--k", "1", "--l", "1",
-                     "--alpha", "2,-1", "--beta", "1/2,1/8"]) == 0
+                     "--alpha", alpha, "--beta", beta]) == 0
         line = capsys.readouterr().out.splitlines()[0]
-        assert line.startswith("kind=ti3g n=3 k=1 l=1 alpha=((2+0j), (-1+0j)) beta=((0.5+0j), (0.125+0j)) lhs=")
+        assert line.startswith(f"kind=ti3g n=3 k=1 l=1 {shown} lhs=")
 
     @pytest.mark.parametrize("argv, pairs", [
         (["--kind", "ti31", "--n", "5", "--l", "3"], 5),
@@ -916,7 +943,13 @@ class TestPevpCommand:
         ([[], []], 6, 1, BadBandwidthError, "a coefficient band must be a nonempty 1-D sequence"),
         ([["2", "-1"], ["1", "1/4"]], 6, 5, ValueError, "unknown Hankel variant 5"),
         ([["2", "-1"], ["1", "1/4"]], 6.7, 2.9, ValueError, "unknown Hankel variant 2.9"),
-    ], ids=["one-band", "two-widths", "too-wide", "no-width", "empty", "variant-5", "variant-2.9"])
+        # int() alone would run 6.7 as n = 6
+        ([["2", "-1"], ["1", "1/4"]], 6.7, 2, ValueError, "n must be a whole number, got 6.7"),
+        ([["2", "-1"], ["1", "1/4"]], "6", 2, ValueError, "n must be a whole number, got '6'"),
+        ([["2", "-1"], ["1", "1/4"]], float("inf"), 2, ValueError, "n must be a whole number, got inf"),
+        ([["2", "-1"], ["1", "1/4"]], 10**400, 2, ValueError, "n is too large for a float"),
+    ], ids=["one-band", "two-widths", "too-wide", "no-width", "empty", "variant-5", "variant-2.9",
+            "n-6.7", "n-string", "n-inf", "n-10**400"])
     def test_error_contract(self, tmp_path, capsys, bands, n, variant, error, message):
         """``pevp_eigenpairs`` raises the error, and ``pevp`` prints its message and exits 2."""
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -928,18 +961,6 @@ class TestPevpCommand:
         # the command reads the variant while it parses the description
         prefix = "bad pencil description: " if "variant" in message else ""
         assert captured.out == "" and captured.err == f"error: {prefix}{message}\n"
-
-    @pytest.mark.parametrize("variant, n, message", [
-        (2, 6.7, "n must be a whole number, got 6.7"),
-        (2, "6", "n must be a whole number, got '6'"),
-        (2, float("inf"), "cannot convert float infinity to integer"),
-    ], ids=["n-6.7", "n-string", "n-inf"])
-    def test_an_n_that_is_not_a_whole_number_is_a_bad_description(self, tmp_path, capsys, variant, n, message):
-        # int() alone would run 6.7 as n = 6
-        path = tmp_path / "pencil.json"
-        path.write_text(json.dumps({"variant": variant, "n": n, "bands": [["2", "-1"], ["1", "1/4"]]}))
-        assert main(["pevp", "--input", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: bad pencil description: {message}\n"
 
     def test_a_whole_float_n_and_variant_still_run(self, tmp_path, capsys):
         path = tmp_path / "pencil.json"

@@ -447,6 +447,25 @@ class TestCornerBlockEigenpairs:
         b = build_corner_block(beta, 2)
         assert max_residual(sol, a, b) < 1e-10
 
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("d", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("alpha, beta", [
+        ([5.0, 1.0, -0.5, 3.0], [4.0, 0.5, 0.25, 2.0]),
+        ([4 - 7j / 8, 5 / 8 + 1j / 4, -3 / 8 + 1j / 8, 15 / 4 + 1j / 2],
+         [45 / 8, 3 / 4 + 3j / 8, 1 / 4 + 1j / 2, 27 / 8 + 3j / 4]),
+    ], ids=["real", "complex"])
+    def test_scaled_pencils_keep_every_mode(self, alpha, beta, c, d):
+        # (c A, d B) has the eigenvalues of (A, B) times c / d, and the floors of
+        # the quadratic's coefficients scale with both sides, so no mode drops
+        base = corner_block_eigenpairs(alpha, beta, 5)
+        alpha, beta = c * np.asarray(alpha), d * np.asarray(beta)
+        sol = corner_block_eigenpairs(alpha, beta, 5)
+        assert sol.modes.tolist() == base.modes.tolist() == list(range(1, 12))
+        expected = c / d * base.values
+        # c alpha and d beta are rounded, so the values move by a few eps
+        assert np.max(np.abs(sol.values - expected)) <= 64 * EPS * np.max(np.abs(expected))
+        assert max_residual(sol, build_corner_block(alpha, 5), build_corner_block(beta, 5)) <= 16 * EPS
+
     def test_doubly_degenerate_mode_raises(self):
         from specmat import DegenerateQuadraticError
 
@@ -709,11 +728,9 @@ class TestPevpEigenpairs:
         poly = pevp_eigenpairs((band_d, band_c, band_b), half_n, HankelVariant.SET1)
         block = corner_block_eigenpairs(alpha, beta, half_n)
         for j in range(1, half_n + 1):
-            quad_modes = np.sort_complex(
-                np.array([block.value_for_mode(2 * j - 1), block.value_for_mode(2 * j)])
-            )
-            roots = np.sort_complex(poly.mode_roots[j - 1])
-            assert np.max(np.abs(quad_modes - roots)) < 1e-10
+            # one root step for both, the corner block's "-" root first
+            pair = [block.value_for_mode(2 * j - 1), block.value_for_mode(2 * j)]
+            assert pair == poly.mode_roots[j - 1][::-1].tolist()
 
     def test_degree_drop_flagged(self):
         # leading band (0, 1): its symbol 2*cos(theta) vanishes at mode 2 of n=3
