@@ -8,6 +8,8 @@ eigenvector-eigenvalue identity together with the trigonometric identities it
 implies.
 """
 
+import types
+
 from .errors import (
     BadBandwidthError,
     DegenerateQuadraticError,
@@ -75,61 +77,6 @@ from .spectra import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadBandwidthError",
-    "DegenerateQuadraticError",
-    "EigenSolution",
-    "HankelVariant",
-    "IdentityTable",
-    "IndexOutOfRangeError",
-    "NotHermitianError",
-    "OverlapError",
-    "PolynomialEigenSolution",
-    "ShapeMismatchError",
-    "SingularBError",
-    "SingularDenominatorError",
-    "SingularPencilError",
-    "SpecmatError",
-    "SymmetricBand",
-    "TooSmallError",
-    "Verification",
-    "ZeroScaleError",
-    "ZeroVectorError",
-    "assemble_tensor_pencil",
-    "assemble_toeplitz_hankel",
-    "batched_roots",
-    "build_corner_block",
-    "build_fem_p2",
-    "build_fem_p3",
-    "build_hankel",
-    "build_toeplitz",
-    "corner_block_band",
-    "corner_block_eigenpairs",
-    "corner_block_quadratic_bands",
-    "eve_identity_evp",
-    "eve_identity_evp_all",
-    "eve_identity_gevp",
-    "eve_identity_gevp_all",
-    "fem_p2_bands",
-    "fem_p2_eigenpairs",
-    "fem_p2_eigenvalues",
-    "fem_p3_bands",
-    "fem_p3_eigenpairs",
-    "fem_p3_eigenvalues",
-    "gevp_eigenpairs",
-    "gevp_eigenvalues",
-    "gevp_eigenvalues_numeric",
-    "pencil_residuals",
-    "pevp_eigenpairs",
-    "read_matrix_market",
-    "scale_pencil",
-    "solve_gevp_numeric",
-    "solve_pevp_numeric",
-    "symbol",
-    "tensor_eigenpairs",
-    "toeplitz_hankel_band",
-    "trig_identity",
-    "trig_identity_all",
-    "verify",
-    "write_matrix_market",
-]
+# every public name imported above, written once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

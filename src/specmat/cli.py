@@ -21,6 +21,7 @@ import numpy as np
 from .errors import SpecmatError
 from .families import (
     HankelVariant,
+    _as_size,
     corner_block_band,
     fem_p2_bands,
     fem_p3_bands,
@@ -277,10 +278,9 @@ IGA2_EXAMPLE_MASS_BAND = (11.0 / 20.0, 13.0 / 60.0, 1.0 / 120.0)
 
 def dispersion_rows(method: str, n: int):
     """Rows (j, lambda_h, lambda_exact, rel_error, branch) for a mesh of n cells."""
+    n = _as_size(n)
     if n < 2:
         raise SpecmatError(f"need at least 2 mesh cells, got {n}")
-    if n >= 2 ** 1024:  # beyond the largest float, 1.0 / n overflows
-        raise SpecmatError("n is too large for a float")
     h = 1.0 / n
     if method in ("fdm", "fem1", "iga2-example"):
         stiffness, mass, c1, c2 = {
@@ -429,8 +429,8 @@ def main(argv=None) -> int:
         if np.isnan(getattr(args, "tol", 0.0)):  # no value is within NaN, so every gate would fail
             raise SpecmatError(f"{args.command} needs a --tol that is not NaN")
         return args.func(args)
-    except (SpecmatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpecmatError, ValueError, OSError, MemoryError) as exc:  # an array too large to allocate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a list's MemoryError is blank
         return 2
 
 

@@ -18,6 +18,7 @@ unless some parameter has a nonzero imaginary part, complex128 then.
 from __future__ import annotations
 
 import enum
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -136,6 +137,16 @@ def as_band(values) -> np.ndarray:
     if band.ndim != 1 or band.size == 0:
         raise BadBandwidthError("a coefficient band must be a nonempty 1-D sequence")
     return band
+
+
+def _as_size(n, name: str = "n") -> int:
+    """``n`` as an int, refused unless it is a whole number that a float holds, as a size must be."""
+    try:
+        if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+            raise ValueError(f"{name} must be a whole number, got {n!r}")
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    return int(n)
 
 
 def _check_bandwidth(m: int, n: int):
@@ -281,9 +292,12 @@ def build_corner_block(xi, half_n: int) -> np.ndarray:
     return corner_block_band(xi, half_n).dense()
 
 
-# quadratic-element parameters: (even diagonal, off-diagonal, even skip, odd diagonal)
-FEM_P2_STIFFNESS_BAND = (14.0 / 3.0, -8.0 / 3.0, 1.0 / 3.0, 16.0 / 3.0)
-FEM_P2_MASS_BAND = (4.0 / 15.0, 1.0 / 15.0, -1.0 / 30.0, 8.0 / 15.0)
+# quadratic-element parameters (even diagonal, off-diagonal, even skip, odd diagonal),
+# as the integers K 3h and M 30/h, and as K h and M / h: each quotient is correctly rounded
+_FEM_P2_STIFFNESS_3H = (14, -8, 1, 16)
+_FEM_P2_MASS_30_PER_H = (8, 2, -1, 16)
+FEM_P2_STIFFNESS_BAND = tuple(k / 3 for k in _FEM_P2_STIFFNESS_3H)
+FEM_P2_MASS_BAND = tuple(m / 30 for m in _FEM_P2_MASS_30_PER_H)
 
 # cubic-element local matrices in node order (left, interior1, interior2, right),
 # in units of 1/h and h respectively
@@ -305,10 +319,17 @@ _FEM_P3_M_LOCAL = np.array(
 )
 
 
+def _element_count(n_elems) -> int:
+    """``n_elems`` as an int: a whole number that a float holds, at least 2."""
+    n = _as_size(n_elems, "n_elems")
+    if n < 2:
+        raise TooSmallError(f"need at least 2 elements, got {n_elems}")
+    return n
+
+
 def fem_p2_bands(n_elems: int):
     """The bands of :func:`build_fem_p2`'s ``(K, M)``, bandwidth 2."""
-    if n_elems < 2:
-        raise TooSmallError(f"need at least 2 elements, got {n_elems}")
+    n_elems = _element_count(n_elems)
     h = 1.0 / n_elems
     # times the rounded 1/h: K holds 28 at 6 elements, where / h gives 28.000000000000004
     return (corner_block_band(np.asarray(FEM_P2_STIFFNESS_BAND) * (1.0 / h), n_elems - 1),
@@ -348,8 +369,7 @@ def _fem_p3_element_ab(local: np.ndarray, dim: int) -> np.ndarray:
 
 def fem_p3_bands(n_elems: int):
     """The bands of :func:`build_fem_p3`'s ``(K, M)``, bandwidth 3."""
-    if n_elems < 2:
-        raise TooSmallError(f"need at least 2 elements, got {n_elems}")
+    n_elems = _element_count(n_elems)
     h = 1.0 / n_elems
     dim = 3 * n_elems - 1
     return (SymmetricBand(_fem_p3_element_ab(_FEM_P3_K_LOCAL / h, dim)),

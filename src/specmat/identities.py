@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRangeError, NotHermitianError, SingularDenominatorError
-from .families import as_band
+from .families import _as_size, as_band
 from .linalg import as_square, is_hermitian
 from .oracle import _solve
 from .spectra import divide_symbols, symbol
@@ -254,6 +254,7 @@ def trig_identity_all(kind: str, n: int, ks=None, ls=None, alpha=None, beta=None
     """
     if kind not in ("ti31", "ti3", "ti3g"):
         raise ValueError(f"unknown identity kind {kind!r}")
+    n = _as_size(n)
     ks = list(range(1, n + 1)) if ks is None else list(ks)
     ls = [1] if kind == "ti31" else list(range(1, n + 1)) if ls is None else list(ls)
     if n < 2:

@@ -4,15 +4,16 @@ Each generator evaluates a trigonometric symbol at mode angles and pairs the
 resulting eigenvalue with a sampled sine or cosine eigenvector.  The
 corner-overlapped families reduce, mode by mode, to scalar quadratics or
 cubics whose roots are taken directly; their eigenvectors sample a sine at
-the shared vertices and fill the remaining entries in closed form.  Nothing
-here calls the numeric oracle that checks these formulas.
+the shared vertices and fill the remaining entries in closed form.  The
+quadratic elements are the corner block at integer parameters, so their
+eigenpairs are the corner block's, scaled and reordered.  Nothing here
+calls the numeric oracle that checks these formulas.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .errors import (
     TooSmallError,
     ZeroScaleError,
 )
-from .families import _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL, HankelVariant, as_band
+from .families import (_FEM_P2_MASS_30_PER_H, _FEM_P2_STIFFNESS_3H, _FEM_P3_K_LOCAL, _FEM_P3_M_LOCAL,
+                       HankelVariant, _as_size, _element_count, as_band)
 from .linalg import batched_roots
 from .solution import EigenSolution, PolynomialEigenSolution
 
@@ -63,6 +65,18 @@ def symbol(band, theta):
         s_zero - 4.0 * (band[1:] @ squares),
     ).reshape(theta_arr.shape)
     return acc.item() if theta_arr.ndim == 0 else acc
+
+
+def _order_one_symbols(bands, thetas) -> np.ndarray:
+    """:func:`symbol` of each order-1 band ``(b0, b1)`` at each of the 1-D ``thetas``, bit for bit: a
+    row per angle, a column per band, from one ``sin^2`` table.  The ``+ 0.0`` makes an end value
+    that sums to zero +0.0, as ``math.fsum`` does."""
+    b0, b1 = np.array(bands).T
+    near_pi = thetas > 0.5 * np.pi
+    half_sines = np.sin(0.5 * np.where(near_pi, (np.pi - thetas) + _PI_TAIL, thetas))[:, None]
+    squares = half_sines * half_sines
+    return np.where(near_pi[:, None], (b0 - 2.0 * b1 + 0.0) - 4.0 * (-1.0 * b1 * squares),
+                    (b0 + 2.0 * b1 + 0.0) - 4.0 * (b1 * squares))
 
 
 def divide_symbols(numerator, denominator) -> np.ndarray:
@@ -119,14 +133,10 @@ def _symbol_table(bands, n, variant):
     variant = HankelVariant.coerce(variant)
     if len({b.size for b in bands}) != 1:
         raise BadBandwidthError("all coefficient bands must share one bandwidth")
-    try:
-        if not (isinstance(n, numbers.Real) and float(n).is_integer()):
-            raise ValueError(f"n must be a whole number, got {n!r}")
-    except OverflowError:
-        raise ValueError("n is too large for a float") from None
-    if not 1 <= bands[0].size - 1 <= n - 1:
+    size = _as_size(n)
+    if not 1 <= bands[0].size - 1 <= size - 1:
         raise BadBandwidthError(f"need 1 <= m <= n-1, got m={bands[0].size - 1}, n={n}")
-    h, angles = mode_angles(variant, int(n))
+    h, angles = mode_angles(variant, size)
     thetas = np.pi * h * angles
     floors = SYMBOL_ZERO_RTOL * np.abs(np.array(bands)).sum(axis=1)
     return angles, np.array([symbol(b, thetas) for b in bands]).T, floors
@@ -137,7 +147,7 @@ def _mode_roots(table, floors):
     floor (0 if none is); ``roots[i]`` holds row i's in :func:`batched_roots`'s order, then zeros."""
     degrees = (np.arange(table.shape[1]) * (np.abs(table) > floors)).max(axis=1)
     roots = np.zeros((table.shape[0], table.shape[1] - 1), dtype=complex)
-    for d in np.unique(degrees[degrees > 0]):
+    for d in set(degrees.tolist()) - {0}:
         rows = degrees == d
         roots[rows, :d] = batched_roots(table[rows, : d + 1])  # one batch per degree
     return degrees, roots
@@ -198,6 +208,37 @@ def _vertex_samples(angles, count):
     return _sines(np.multiply.outer(np.arange(count + 2), angles), count + 1)
 
 
+def _corner_block_roots(alpha, beta, half_n):
+    """The values step of :func:`corner_block_eigenpairs`, which builds no vector: the parameter
+    bands, the angles, the symbols of the quadratic's bands and of each side's even band ``(x0, x2)``
+    (a column each), each angle's two roots ("-" first), which of them are modes (both unless the
+    quadratic is linear), and every eigenvalue in mode order, float64 where nothing is complex."""
+    bands = corner_block_quadratic_bands(alpha, beta)  # checks the shapes first
+    alpha, beta = as_band(alpha), as_band(beta)
+    n = _as_size(half_n, "half_n")
+    if n < 1:
+        raise TooSmallError(f"half_n={half_n} must be at least 1")
+    if beta[3] == 0:
+        raise SingularPencilError("odd-diagonal parameter beta[3] must be nonzero")
+
+    # per-angle coefficients of a_hat lam^2 + b_hat lam + c_hat = 0, ascending
+    thetas = np.pi * (1.0 / (n + 1)) * np.arange(1, n + 1)
+    table = _order_one_symbols((*bands, alpha[::2], beta[::2]), thetas)
+    scale_a, scale_b = float(np.sum(np.abs(alpha))), float(np.sum(np.abs(beta)))
+    floors = SYMBOL_ZERO_RTOL * np.array([scale_a * scale_a, scale_a * scale_b, scale_b * scale_b])
+    degrees, roots = _mode_roots(table[:, :3], floors)
+    if not degrees.all():
+        raise DegenerateQuadraticError(
+            f"quadratic and linear coefficients both vanish at angle index {np.argmin(degrees) + 1}"
+        )
+    roots[degrees == 2] = roots[degrees == 2, ::-1]  # the "-" root first
+    kept = np.arange(2) < degrees[:, None]
+    values = roots[kept]
+    if alpha.dtype == beta.dtype == float and not values.imag.any():
+        values = values.real
+    return alpha, beta, thetas, table, roots, kept, np.append(values, alpha[3] / beta[3])
+
+
 def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     """Every eigenpair of a corner-overlapped block-diagonal pencil.
 
@@ -214,35 +255,17 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     (sum|alpha|)^2, sum|alpha| sum|beta| or (sum|beta|)^2, the scales of the products it sums;
     where it is linear, its one root is mode ``2j-1`` and ``2j`` is missing from ``modes``.
     """
-    bands = corner_block_quadratic_bands(alpha, beta)  # checks the shapes first
-    alpha, beta = as_band(alpha), as_band(beta)
-    if half_n < 1:
-        raise TooSmallError(f"half_n={half_n} must be at least 1")
-    if beta[3] == 0:
-        raise SingularPencilError("odd-diagonal parameter beta[3] must be nonzero")
-    n = half_n
-    h = 1.0 / (n + 1)
-    dim = 2 * n + 1
-
-    # per-angle coefficients of a_hat lam^2 + b_hat lam + c_hat = 0, ascending
-    thetas = np.pi * h * np.arange(1, n + 1)
-    table = np.stack([symbol(band, thetas) for band in bands], axis=1)
-    scale_a, scale_b = float(np.sum(np.abs(alpha))), float(np.sum(np.abs(beta)))
-    floors = SYMBOL_ZERO_RTOL * np.array([scale_a * scale_a, scale_a * scale_b, scale_b * scale_b])
-    degrees, roots = _mode_roots(table, floors)
-    if not degrees.all():
-        raise DegenerateQuadraticError(
-            f"quadratic and linear coefficients both vanish at angle index {np.argmin(degrees) + 1}"
-        )
-    roots[degrees == 2] = roots[degrees == 2, ::-1]  # the "-" root first
-    kept = np.arange(2) < degrees[:, None]
+    alpha, beta, thetas, table, roots, kept, values = _corner_block_roots(alpha, beta, half_n)
+    n = thetas.size
+    if values.dtype == float:  # real vectors: the same weights in real arithmetic
+        roots = roots.real
 
     # each root's weights on the even and odd entries span the null space of
     # its mode's 2x2 symbol [[vertex, fold * coupling], [coupling, -odd]],
     # taken from the larger row; near lam0 the second row, which gives the
     # odd-entry ratio coupling / odd, vanishes
     fold = 4.0 * np.cos(0.5 * thetas)[:, None] ** 2  # 2 + 2 cos(theta)
-    vertex_a, vertex_b = (symbol(side[::2], thetas)[:, None] for side in (alpha, beta))
+    vertex_a, vertex_b = table[:, 3:4], table[:, 4:5]
     vertex = vertex_a - roots * vertex_b
     coupling = alpha[1] - roots * beta[1]
     odd = roots * beta[3] - alpha[3]
@@ -255,68 +278,58 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     double = (np.maximum(first, second) <= SYMBOL_ZERO_RTOL * scale).any(axis=1)
     weights[0, double] = [0.0, 1.0]
     weights[1, double] = [1.0, 0.0]
-    weights /= abs(weights).max(axis=0)
-    values, (w_even, w_odd) = roots[kept], weights[:, kept]
-    if alpha.dtype == beta.dtype == float and not values.imag.any():  # real vectors
-        values, w_even, w_odd = values.real, w_even.real, w_odd.real
+    weights *= 1.0 / abs(weights).max(axis=0)  # as numpy's complex division rounds, real or complex
+    w_even, w_odd = weights[:, kept]
     angles = np.repeat(np.arange(1, n + 1), 2)[kept.ravel()]
-    even = _vertex_samples(angles, n)  # even[k] = entry 2k
-    count = values.size
-    vectors = np.zeros((dim, count + 1), dtype=values.dtype)
+    even = _vertex_samples(np.arange(1, n + 1), n)[:, angles - 1]  # even[k] = entry 2k
+    count = angles.size
+    vectors = np.zeros((2 * n + 1, count + 1), dtype=values.dtype)
     vectors[1::2, :count] = w_even * even[1:-1]             # entries 2k
     vectors[0::2, :count] = w_odd * (even[:-1] + even[1:])  # entries 2k+1
     vectors[0::2, count] = (-1.0) ** np.arange(n + 1)  # entries 1, 3, ..., 2n+1
 
     return EigenSolution(
         modes=np.append(np.arange(1, 2 * n + 1).reshape(n, 2)[kept], 2 * n + 1),
-        values=np.append(values, alpha[3] / beta[3]),
+        values=values,
         vectors=vectors,
     )
+
+
+def _fem_p2_order(n: int) -> np.ndarray:
+    """The corner block's modes in fem-p2's order: its even indices, the "-" roots and last the flat
+    mode, then its odd ones, the "+" roots."""
+    return np.concatenate((np.arange(0, 2 * n - 1, 2), np.arange(1, 2 * n - 1, 2)))
 
 
 def fem_p2_eigenvalues(n_elems: int) -> np.ndarray:
     """Eigenvalues of the quadratic-element stiffness/mass pencil, in mode order (real).
 
-    Three branches: a lower branch for modes 1..n-1, the flat eigenvalue
-    ``10 n^2`` at mode n, and an upper branch for modes n+1..2n-1 sampled at
-    the reflected angle index ``j - n``.
+    The pencil is the corner block of ``K 3h = (14, -8, 1, 16)`` and
+    ``M 30/h = (8, 2, -1, 16)`` with ``n_elems - 1`` blocks, its eigenvalues
+    scaled by ``10 n^2``.  Modes 1..n-1 are the "-" roots, the lower branch;
+    mode n is the flat ``10 n^2``; modes n+1..2n-1 are the "+" roots at
+    angle index ``j - n``, the upper branch.  The parameters are integers,
+    so the constant coefficient's symbol is exactly 0 at angle 0, and the
+    lower branch keeps full relative accuracy near the continuum.
     """
-    if n_elems < 2:
-        raise TooSmallError(f"need at least 2 elements, got {n_elems}")
-    n = n_elems
-    h = 1.0 / n
-    angles = np.arange(1, n)
-    c = np.cos(angles * np.pi * h)
-    upper = 13.0 + 2.0 * c + np.sqrt(124.0 + 112.0 * c - 11.0 * c * c)
-    # 13 + 2c - sqrt(...) cancels as c -> 1; by Vieta it is 15 (1 - c)(3 - c) / upper
-    lower = 120.0 * np.sin(0.5 * angles * np.pi * h) ** 2 / upper * n * n
-    return np.concatenate((lower, [10.0 * n * n], 4.0 * upper / (3.0 - c) * n * n))
+    n = _element_count(n_elems)
+    values = _corner_block_roots(_FEM_P2_STIFFNESS_3H, _FEM_P2_MASS_30_PER_H, n - 1)[-1]
+    return values[_fem_p2_order(n)] * (10.0 * n * n)
 
 
 def fem_p2_eigenpairs(n_elems: int) -> EigenSolution:
-    """Closed-form eigenpairs: :func:`fem_p2_eigenvalues` with their sampled eigenvectors.
+    """Closed-form eigenpairs: :func:`fem_p2_eigenvalues` with the corner block's eigenvectors.
 
     Mode n alternates on the odd entries; every other mode samples a sine at
     its angle index on the even entries and fills the odd ones from their
-    two neighbours.
+    two neighbours, weighted by a null vector of the mode's 2x2 symbol.
     """
-    values = fem_p2_eigenvalues(n_elems)
-    n = n_elems
-    h = 1.0 / n
-    dim = 2 * n - 1
-    sampled = np.flatnonzero(np.arange(1, dim + 1) != n)  # columns of every mode but n
-    scaled = values[sampled] * h * h
-    factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
-    even = _vertex_samples(np.tile(np.arange(1, n), 2), n - 1)  # even[k] = entry 2k, k = 0..n
-    vectors = np.zeros((dim, dim))
-    vectors[1::2, sampled] = even[1:n]                       # entries 2k, k=1..n-1
-    vectors[0::2, sampled] = factor * (even[:n] + even[1:])  # entries 2k+1
-    vectors[0::2, n - 1] = (-1.0) ** np.arange(n)
-    return EigenSolution(
-        modes=np.arange(1, dim + 1),
-        values=values,
-        vectors=vectors,
-    )
+    n = _element_count(n_elems)
+    block = corner_block_eigenpairs(_FEM_P2_STIFFNESS_3H, _FEM_P2_MASS_30_PER_H, n - 1)
+    order = _fem_p2_order(n)  # every mode is kept, so the labels stay 1..2n-1
+    # take, unlike [:, order], keeps the vectors C-ordered, which the banded residuals read faster
+    block.values, block.vectors = block.values[order] * (10.0 * n * n), block.vectors.take(order, axis=1)
+    return block
 
 
 def _fem_p3_modes(n_elems: int):
@@ -326,9 +339,7 @@ def _fem_p3_modes(n_elems: int):
     roots times the rounded ``1/h^2`` row by row, as numpy divides a complex
     root by ``h^2``, then ``10 n^2`` and ``42 n^2``, unsorted.
     """
-    if n_elems < 2:
-        raise TooSmallError(f"need at least 2 elements, got {n_elems}")
-    n = n_elems
+    n = _element_count(n_elems)
     h = 1.0 / n
     thetas = np.pi * h * np.arange(1, n)
     zeta = np.cos(thetas)
@@ -370,7 +381,7 @@ def fem_p3_eigenpairs(n_elems: int) -> EigenSolution:
     ``(1, -1)`` on every element for ``42 n^2``.
     """
     roots, values = _fem_p3_modes(n_elems)
-    n = n_elems
+    n = (values.size + 1) // 3  # the dimension is 3n - 1
     s = roots.real.ravel()
     count = s.size
     # the interior rows of each mode's local K - s M, in local node order

@@ -404,6 +404,34 @@ def test_an_n_too_large_for_a_float_is_a_usage_error(capsys, argv):
     assert captured.out == "" and captured.err == "error: n is too large for a float\n"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--family", "corner-block", "--alpha", "5,1,-1/2,3", "--half-n"], "half_n"),
+    (["spectrum", "--family", "fem-p2", "--n-elems"], "n_elems"),
+    (["spectrum", "--family", "fem-p3", "--n-elems"], "n_elems"),
+    (["build", "--family", "fem-p2", "--n-elems"], "n_elems"),
+    (["identity", "--kind", "ti31", "--n"], "n"),
+], ids=["corner-block", "fem-p2", "fem-p3", "build-fem-p2", "ti31"])
+def test_every_size_too_large_for_a_float_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, name):
+    monkeypatch.chdir(tmp_path)  # build writes nothing, but where it would is the test's own
+    assert main([*argv, str(10**400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {name} is too large for a float\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--family", "toeplitz-hankel", "--alpha", "2,-1", "--beta", "1,0", "--n", "1000000000000000"],
+     r"Unable to allocate 7\.11 PiB [^\n]*"),
+    (["spectrum", "--family", "fem-p2", "--n-elems", "1000000000000000"], r"Unable to allocate [^\n]*"),
+    (["dispersion", "--method", "fem2", "--n", "1000000000000000"], r"Unable to allocate [^\n]*"),
+    (["identity", "--kind", "ti31", "--n", "1000000000000000"], "MemoryError"),  # Python's list, no message
+], ids=["toeplitz-hankel", "fem-p2", "dispersion-fem2", "ti31"])
+def test_an_array_too_large_to_allocate_is_a_usage_error(capsys, argv, message):
+    # petabytes: the first array is refused at once, and nothing large is allocated
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.fullmatch(f"error: {message}\n", captured.err)
+
+
 class TestCsvTables:
     # the fields of each command's rows: an integer (d), a float (f) or a string (s); the first is
     # written by %d, a string by %s, the rest by %.17g, where pevp's whole-number root index

@@ -1,5 +1,6 @@
 """Closed-form eigenpair generators versus constructed matrices and worked examples."""
 
+import itertools
 import pickle
 import warnings
 
@@ -38,7 +39,7 @@ from specmat import (
     tensor_eigenpairs,
 )
 from specmat.families import corner_block_band, fem_p2_bands, fem_p3_bands, toeplitz_hankel_band
-from specmat.spectra import _vertex_samples, eigenvector_basis, mode_angles
+from specmat.spectra import _order_one_symbols, _vertex_samples, eigenvector_basis, mode_angles
 
 RNG = np.random.default_rng(2024)
 EPS = np.finfo(float).eps
@@ -102,6 +103,19 @@ class TestSymbol:
                         )
                         assert value.imag == 0.0
                         assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * abs(exact)
+
+    def test_order_one_table_is_symbol_bit_for_bit(self):
+        # the corner block's one-table evaluation, column by column, over every sign of zero
+        parts = (0.0, -0.0, 1.5, -0.5)
+        real = [np.array(band) for band in itertools.product(parts, repeat=2)]
+        complex_ = [np.array([complex(a, b), complex(c, d)]) for a, b, c, d in itertools.product(parts, repeat=4)]
+        for n in (1, 2, 7, 60):
+            thetas = np.pi / (n + 1) * np.arange(1, n + 1)
+            for bands in (real, complex_, real[:5] + complex_[:40]):
+                table = _order_one_symbols(bands, thetas)
+                for column, band in zip(table.T, bands):
+                    expected = np.asarray(symbol(band, thetas), dtype=table.dtype)
+                    assert np.ascontiguousarray(column).tobytes() == expected.tobytes()
 
 
 class TestGevpEigenpairs:
@@ -286,6 +300,23 @@ def test_a_whole_float_n_runs_as_its_int(solve):
     whole = solve(6.0)
     assert pickle.dumps(whole) == pickle.dumps(solve(6))  # every field, dtype and bit
     assert len(getattr(whole, "modes", whole)) == 6
+
+
+_SIZED = {
+    "corner_block_eigenpairs": (lambda n: corner_block_eigenpairs([5, 1, -0.5, 3], [1, 0, 0, 1], n), "half_n"),
+    "fem_p2_eigenvalues": (fem_p2_eigenvalues, "n_elems"),
+    "fem_p2_eigenpairs": (fem_p2_eigenpairs, "n_elems"),
+    "fem_p2_bands": (fem_p2_bands, "n_elems"),
+    "fem_p3_eigenpairs": (fem_p3_eigenpairs, "n_elems"),
+}
+
+
+@pytest.mark.parametrize("solve, name", _SIZED.values(), ids=_SIZED.keys())
+def test_a_size_is_a_whole_number_that_a_float_holds(solve, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got 6\.5$"):
+        solve(6.5)
+    with pytest.raises(ValueError, match=rf"^{name} is too large for a float$"):
+        solve(10**400)
 
 
 class TestCornerBlockEigenpairs:
@@ -539,13 +570,11 @@ class TestFemP2Eigenpairs:
     @pytest.mark.parametrize("n", [2, 3, 100, 1000])
     def test_right_dirichlet_end_is_an_exact_zero(self, n):
         # the last odd entry neighbours vertex n - 1 and the right end; with
-        # the end sampled as sin(j pi) it carried that sine's rounding error
-        sol = fem_p2_eigenpairs(n)
-        sampled, h = np.flatnonzero(sol.modes != n), 1.0 / n
-        scaled = sol.values[sampled].real * h * h
-        factor = (40.0 + scaled) / (80.0 - 8.0 * scaled)
-        last_even = sol.vectors[2 * n - 3, sampled].real  # entry 2(n-1), 1-based
-        assert np.array_equal(sol.vectors[2 * n - 2, sampled], factor * last_even)
+        # the end sampled as sin(j pi) it would carry that sine's rounding
+        # error, and the vector would not be exactly even or odd about its middle
+        vectors = fem_p2_eigenpairs(n).vectors
+        flipped = vectors[::-1]
+        assert np.all(np.all(flipped == vectors, axis=0) | np.all(flipped == -vectors, axis=0))
 
     def test_lower_branch_exact_to_rounding_at_large_n(self):
         # 13 + 2c - sqrt(124 + 112c - 11c^2) cancels as c -> 1; evaluated as
@@ -560,16 +589,39 @@ class TestFemP2Eigenpairs:
                 assert abs(mpmath.mpf(values[j - 1].real) - exact) <= 4 * EPS * exact
                 assert values[j - 1].real >= (j * np.pi) ** 2
 
-    def test_matches_corner_block_route(self):
-        n = 6
+    @pytest.mark.parametrize("n", [7, 301, 1000])
+    def test_every_mode_exact_to_rounding(self, n):
+        with mpmath.workdps(50):
+            lower, upper = [], []
+            for j in range(1, n):
+                c = mpmath.cos(j * mpmath.pi / n)
+                root = mpmath.sqrt(124 + 112 * c - 11 * c * c)
+                lower.append(4 * (13 + 2 * c - root) / (3 - c) * n * n)
+                upper.append(4 * (13 + 2 * c + root) / (3 - c) * n * n)
+            exact = [*lower, mpmath.mpf(10 * n * n), *upper]
+            values = fem_p2_eigenvalues(n)
+            errors = [abs(mpmath.mpf(x) - y) / y for x, y in zip(values.tolist(), exact)]
+        assert max(errors) <= 8 * EPS
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 301])
+    def test_matches_corner_block_route(self, n):
+        # K 3h and M 30/h are the integer corner-block parameters, so the pencils
+        # share their vectors, and the eigenvalues differ by the exact 10 n^2
         sol = fem_p2_eigenpairs(n)
-        block = corner_block_eigenpairs(
-            [14 / 3, -8 / 3, 1 / 3, 16 / 3], [4 / 15, 1 / 15, -1 / 30, 8 / 15], n - 1
-        )
-        scaled = scale_pencil(block, n, 1.0 / n)  # K = G_a/h, M = G_b*h
-        assert np.max(
-            np.abs(np.sort_complex(sol.values) - np.sort_complex(scaled.values))
-        ) < 1e-9 * n * n
+        block = corner_block_eigenpairs([14, -8, 1, 16], [8, 2, -1, 16], n - 1)
+        order = np.r_[0:2 * n - 2:2, 2 * n - 2, 1:2 * n - 2:2]  # the "-" roots, the flat mode, the "+" roots
+        assert same_bits(sol.values, block.values[order] * (10 * n * n))
+        assert same_bits(sol.vectors, np.ascontiguousarray(block.vectors[:, order]))
+        assert sol.values.dtype == sol.vectors.dtype == float
+        assert np.array_equal(sol.modes, np.arange(1, 2 * n))
+
+    @pytest.mark.parametrize("n", [2, 6, 7, 301])
+    def test_bands_are_the_float_parameters_scaled_by_h(self, n):
+        h = 1.0 / n
+        stiffness = corner_block_band(np.array([14.0 / 3.0, -8.0 / 3.0, 1.0 / 3.0, 16.0 / 3.0]) * (1.0 / h), n - 1)
+        mass = corner_block_band(np.array([4.0 / 15.0, 1.0 / 15.0, -1.0 / 30.0, 8.0 / 15.0]) * h, n - 1)
+        for band, expected in zip(fem_p2_bands(n), (stiffness, mass)):
+            assert same_bits(band.ab, expected.ab)
 
     def test_too_small(self):
         with pytest.raises(TooSmallError):
@@ -579,12 +631,12 @@ class TestFemP2Eigenpairs:
 class TestFemP2Eigenvalues:
     @staticmethod
     def per_mode_reference(n):
-        """The per-mode loop that the broadcast form replaced, one mode at a time.
+        """fem-p2's own closed form, one mode at a time: the branch quadratic
+        ``13 + 2c +- sqrt(124 + 112c - 11c^2)``, its lower root by Vieta, and
+        the odd entries filled with the weight ``(40 + s) / (80 - 8 s)``.
 
-        The square is ``s * s``, as in the broadcast form; the loop had
-        ``s ** 2``, which on a numpy scalar goes through libm ``pow`` and can
-        differ in the last bit.  Each sample ``sin(k pi i / n)`` reduces its
-        integer phase ``k i`` to one period and its angle to at most pi/2.
+        Each sample ``sin(k pi i / n)`` reduces its integer phase ``k i`` to
+        one period and its angle to at most pi/2.
         """
         h, dim = 1.0 / n, 2 * n - 1
         values = np.empty(dim)
@@ -616,11 +668,20 @@ class TestFemP2Eigenvalues:
         assert same_bits(fem_p2_eigenvalues(n), fem_p2_eigenpairs(n).values)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 64, 301])
-    def test_matches_per_mode_loop_bit_for_bit(self, n):
+    def test_matches_per_mode_loop(self, n):
         values, vectors = self.per_mode_reference(n)
         sol = fem_p2_eigenpairs(n)
-        assert same_bits(sol.values, values)
-        assert same_bits(sol.vectors, vectors)
+        assert np.all(np.abs(sol.values - values) <= 8 * EPS * values)
+        # parallel: over the reference's largest entry, each column matches the reference's
+        # within the condition number of its odd-entry weight (40 + s) / (80 - 8 s), s = lam h^2,
+        # which near the flat mode s = 10 magnifies the eigenvalue's rounding
+        columns, top = np.arange(values.size), np.argmax(np.abs(vectors), axis=0)
+        sampled = np.flatnonzero(columns != n - 1)
+        scaled = values[sampled] / (n * n)
+        kappa = np.ones(values.size)
+        kappa[sampled] += 8.0 * scaled / np.abs(80.0 - 8.0 * scaled)
+        gaps = np.abs(sol.vectors / sol.vectors[top, columns] - vectors / vectors[top, columns])
+        assert np.all(gaps <= 8 * EPS * kappa)
 
     def test_real_and_too_small(self):
         assert fem_p2_eigenvalues(5).dtype == np.float64
