@@ -1,18 +1,19 @@
 """Closed-form eigenpairs for the structured matrix families.
 
-Each generator evaluates a trigonometric symbol at mode angles and pairs the
-resulting eigenvalue with a sampled sine or cosine eigenvector.  The
-corner-overlapped families reduce, mode by mode, to scalar quadratics or
-cubics whose roots are taken directly; their eigenvectors sample a sine at
-the shared vertices and fill the remaining entries in closed form.  The
-quadratic elements are the corner block at integer parameters, so their
-eigenpairs are the corner block's, scaled and reordered.  Nothing here
+Every symbol comes from one kernel, ``_symbols``: Horner's rule on exactly
+summed coefficients in ``sin^2(theta/2)``, or ``sin^2((pi-theta)/2)`` past
+pi/2.  A mode's eigenvalue pairs with a sampled sine or cosine eigenvector.
+The corner-overlapped families reduce, mode by mode, to scalar quadratics or
+cubics in symbols, whose roots are taken directly; their eigenvectors sample
+a sine at the shared vertices and fill the other entries in closed form.  The
+quadratic elements are the corner block at integer parameters.  Nothing here
 calls the numeric oracle that checks these formulas.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -38,45 +39,56 @@ def symbol(band, theta):
     """Trigonometric symbol ``band[0] + 2 * sum_l band[l] * cos(l*theta)``.
 
     Accepts a scalar angle, giving a float, or an array of angles, giving
-    float64, for a real band; complex for a complex one.  Below ``pi/2`` it is
-    evaluated as ``s(0) - 4 sum_l band[l] sin^2(l*theta/2)``, above as
-    ``s(pi) - 4 sum_l (-1)^l band[l] sin^2(l*(pi-theta)/2)`` (the
-    ``cos^2(theta/2)`` form for l=1), with the constants ``s(0)`` and
-    ``s(pi)`` summed exactly and ``pi - theta`` taken against the exact pi.
-    Each form keeps full relative accuracy near its end of the range, where
-    the cosine form cancels.
+    float64, for a real band; complex for a complex one.  As ``cos(l*theta) =
+    T_l(1 - 2t)``, it is a polynomial in ``t = sin^2(theta/2)`` up to ``pi/2``
+    and in ``u = sin^2((pi-theta)/2)`` above, whose exactly summed coefficients
+    keep a zero of any order at 0 or pi exact under Horner's rule; the cosine
+    sum, which cancels there, is taken where it rounds less, and past m = 32.
     """
-    band = as_band(band)
     theta_arr = np.asarray(theta, dtype=float)
-    flat_theta = theta_arr.ravel()
-    orders = np.arange(1, band.size)
-    signs = np.where(orders % 2, -1.0, 1.0)
-    terms = np.concatenate((band[:1], 2.0 * band[1:]))
-    at_pi = terms * np.concatenate(([1.0], signs))
-    s_zero, s_pi = (math.fsum(t.tolist()) if t.dtype == float else
-                    complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist())) for t in (terms, at_pi))
-    near_pi = flat_theta > 0.5 * np.pi
-    reduced = np.where(near_pi, (np.pi - flat_theta) + _PI_TAIL, flat_theta)
-    half_sines = np.sin(0.5 * np.multiply.outer(orders, reduced))
-    squares = half_sines * half_sines
-    acc = np.where(
-        near_pi,
-        s_pi - 4.0 * ((signs * band[1:]) @ squares),
-        s_zero - 4.0 * (band[1:] @ squares),
-    ).reshape(theta_arr.shape)
-    return acc.item() if theta_arr.ndim == 0 else acc
+    values = _symbols(as_band(band)[None], theta_arr.ravel())[:, 0].reshape(theta_arr.shape)
+    return values.item() if theta_arr.ndim == 0 else values
 
 
-def _order_one_symbols(bands, thetas) -> np.ndarray:
-    """:func:`symbol` of each order-1 band ``(b0, b1)`` at each of the 1-D ``thetas``, bit for bit: a
-    row per angle, a column per band, from one ``sin^2`` table.  The ``+ 0.0`` makes an end value
-    that sums to zero +0.0, as ``math.fsum`` does."""
-    b0, b1 = np.array(bands).T
+@functools.cache
+def _chebyshev_terms(m: int):
+    """Band entry ``cols[r, k, i]`` times ``mults[r, k, i]``, summed over i, is a bandwidth-m symbol's
+    coefficient of ``x^k``, ``x = t`` (r = 0) or ``u`` (r = 1).  Entry l > 0 enters as ``2 (-1)^(l r)
+    T_l(1 - 2x)``, whose integers ``2 (-4)^k l C(l+k, l-k) / (l+k)`` split into exact powers of two."""
+    def weight(k, l, sign):
+        return 1 if l == 0 else 2 * (-1) ** k * sign ** l * (l * 4 ** k * math.comb(l + k, l - k) // (l + k))
+    rows = [[(l, math.copysign(2.0 ** i, a)) for l in range(k, m + 1) for a in [weight(k, l, sign)]
+             for i in range(abs(a).bit_length()) if abs(a) >> i & 1] for sign in (1, -1) for k in range(m + 1)]
+    terms = np.array([row + [(0, 0.0)] * (max(map(len, rows)) - len(row)) for row in rows]).reshape(2, m + 1, -1, 2)
+    return terms[..., 0].astype(np.intp), terms[..., 1]
+
+
+def _symbols(bands, thetas) -> np.ndarray:
+    """:func:`symbol` of each row of the float64 or complex128 stack ``bands`` at each of the 1-D
+    ``thetas``: a row per angle and a column per band, in the stack's dtype."""
+    if bands.dtype == complex:  # the real and the imaginary part's symbols, each real arithmetic
+        parts = _symbols(np.concatenate((bands.real, bands.imag)), thetas)
+        return parts[:, :len(bands)] + 1j * parts[:, len(bands):]  # exact: the real parts are never -0.0
+    m = bands.shape[1] - 1
+    if m > 2:  # the cosine sum, for where Horner's rule rounds more; for m <= 2 that is 7 times at most
+        direct = np.cos(np.multiply.outer(thetas, np.arange(m + 1))) * np.append(1.0, np.full(m, 2.0)) @ bands.T
+    if m > 32:  # the terms' table grows as m^3, and Horner's rule wins only ever nearer the ends
+        return direct
+    cols, mults = _chebyshev_terms(m)
+    terms = bands[:, cols] * mults  # band, t or u, power, term
+    rows = terms.reshape(-1, cols.shape[-1])  # summed exactly, from +0.0: two terms round once, more take fsum
+    sums = rows.sum(axis=1) if rows.shape[1] <= 2 else [math.fsum(row) for row in rows.tolist()]
+    coeffs = np.array(sums).reshape(terms.shape[:-1])
     near_pi = thetas > 0.5 * np.pi
-    half_sines = np.sin(0.5 * np.where(near_pi, (np.pi - thetas) + _PI_TAIL, thetas))[:, None]
-    squares = half_sines * half_sines
-    return np.where(near_pi[:, None], (b0 - 2.0 * b1 + 0.0) - 4.0 * (-1.0 * b1 * squares),
-                    (b0 + 2.0 * b1 + 0.0) - 4.0 * (b1 * squares))
+    x = np.sin(0.5 * np.where(near_pi, (np.pi - thetas) + _PI_TAIL, thetas))[:, None] ** 2
+    per_angle = coeffs.transpose(2, 1, 0).take(near_pi.astype(np.intp), axis=1)  # power, angle, band
+    acc = per_angle[-1]
+    for coeff in per_angle[-2::-1]:
+        acc = acc * x + coeff
+    if m > 2:  # Horner rounds by sum |c_k| x^k, up to T_m(1 + 2x) times the cosine sum's: take the smaller
+        scale = functools.reduce(lambda total, coeff: total * x + abs(coeff), per_angle[-2::-1], abs(per_angle[-1]))
+        acc = np.where(scale > 2 * abs(bands).sum(axis=1) - abs(bands[:, 0]), direct, acc)
+    return acc
 
 
 def divide_symbols(numerator, denominator) -> np.ndarray:
@@ -137,9 +149,8 @@ def _symbol_table(bands, n, variant):
     if not 1 <= bands[0].size - 1 <= size - 1:
         raise BadBandwidthError(f"need 1 <= m <= n-1, got m={bands[0].size - 1}, n={n}")
     h, angles = mode_angles(variant, size)
-    thetas = np.pi * h * angles
-    floors = SYMBOL_ZERO_RTOL * np.abs(np.array(bands)).sum(axis=1)
-    return angles, np.array([symbol(b, thetas) for b in bands]).T, floors
+    bands = np.array(bands)
+    return angles, _symbols(bands, np.pi * h * angles), SYMBOL_ZERO_RTOL * np.abs(bands).sum(axis=1)
 
 
 def _mode_roots(table, floors):
@@ -210,9 +221,9 @@ def _vertex_samples(angles, count):
 
 def _corner_block_roots(alpha, beta, half_n):
     """The values step of :func:`corner_block_eigenpairs`, which builds no vector: the parameter
-    bands, the angles, the symbols of the quadratic's bands and of each side's even band ``(x0, x2)``
-    (a column each), each angle's two roots ("-" first), which of them are modes (both unless the
-    quadratic is linear), and every eigenvalue in mode order, float64 where nothing is complex."""
+    bands, the angles, the symbols of the quadratic's bands, each side's even band ``(x0, x2)`` and the
+    fold ``(2, 1)`` (a column each), each angle's two roots ("-" first), which of them are modes (both
+    unless the quadratic is linear), and every eigenvalue in mode order, float64 where none is complex."""
     bands = corner_block_quadratic_bands(alpha, beta)  # checks the shapes first
     alpha, beta = as_band(alpha), as_band(beta)
     n = _as_size(half_n, "half_n")
@@ -223,7 +234,7 @@ def _corner_block_roots(alpha, beta, half_n):
 
     # per-angle coefficients of a_hat lam^2 + b_hat lam + c_hat = 0, ascending
     thetas = np.pi * (1.0 / (n + 1)) * np.arange(1, n + 1)
-    table = _order_one_symbols((*bands, alpha[::2], beta[::2]), thetas)
+    table = _symbols(np.array((*bands, alpha[::2], beta[::2], (2.0, 1.0))), thetas)
     scale_a, scale_b = float(np.sum(np.abs(alpha))), float(np.sum(np.abs(beta)))
     floors = SYMBOL_ZERO_RTOL * np.array([scale_a * scale_a, scale_a * scale_b, scale_b * scale_b])
     degrees, roots = _mode_roots(table[:, :3], floors)
@@ -264,8 +275,7 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     # its mode's 2x2 symbol [[vertex, fold * coupling], [coupling, -odd]],
     # taken from the larger row; near lam0 the second row, which gives the
     # odd-entry ratio coupling / odd, vanishes
-    fold = 4.0 * np.cos(0.5 * thetas)[:, None] ** 2  # 2 + 2 cos(theta)
-    vertex_a, vertex_b = table[:, 3:4], table[:, 4:5]
+    vertex_a, vertex_b, fold = table[:, 3:4], table[:, 4:5], table[:, 5:6].real  # fold: 2 + 2 cos(theta)
     vertex = vertex_a - roots * vertex_b
     coupling = alpha[1] - roots * beta[1]
     odd = roots * beta[3] - alpha[3]
@@ -341,21 +351,10 @@ def _fem_p3_modes(n_elems: int):
     """
     n = _element_count(n_elems)
     h = 1.0 / n
-    thetas = np.pi * h * np.arange(1, n)
-    zeta = np.cos(thetas)
-    coeffs = np.stack(
-        (
-            # -25200 (1 - zeta), without the cancellation at small angles
-            -50400.0 * np.sin(0.5 * thetas) ** 2,
-            360.0 * (32.0 + 3.0 * zeta),
-            -30.0 * (18.0 - zeta),
-            4.0 + zeta,
-        ),
-        axis=1,
-    )
-    roots = batched_roots(coeffs)
-    if not roots.imag.any():
-        roots = roots.real
+    # the mode cubic, ascending: -25200 (1 - cos), 360 (32 + 3 cos), -30 (18 - cos), 4 + cos >= 3 (no power drops)
+    bands = np.array([(-25200.0, 12600.0), (11520.0, 540.0), (-540.0, 15.0), (4.0, 0.5)])
+    roots = _mode_roots(_symbols(bands, np.pi * h * np.arange(1, n)), 0.0)[1]
+    roots = roots if roots.imag.any() else roots.real
     return roots, np.concatenate((roots.ravel() * (1.0 / (h * h)), [10.0 * n * n, 42.0 * n * n]))
 
 

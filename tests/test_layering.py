@@ -3,7 +3,8 @@ oracle that checks them, file I/O needs neither, and nothing needs scipy.
 Only ``families`` reads a band's storage.
 Only the oracle's pencil reduction factors by Cholesky, only the CLI's
 gate returns the tolerance exit code, and the CLI reaches the oracle
-through ``verify`` alone."""
+through ``verify`` alone.  In ``spectra`` only the symbol kernel and the
+sine table call ``np.sin`` or ``np.cos``."""
 
 import ast
 from pathlib import Path
@@ -185,3 +186,29 @@ def test_the_exit_code_check_finds_each_return_of_3():
                      "        return 3\n    return ok and 3\n\ndef count():\n    return 4, [3]\n")
     assert _returns_of_3(tree) == [("_gate", 2), ("run", 6), ("run", 7)]
     assert _returns_of_3(ast.parse(Path(specmat.cli.__file__).read_text(encoding="utf-8")))
+
+
+def _is_trig_call(node):
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr in ("sin", "cos")
+            and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"))
+
+
+def _trig_calls(tree):
+    """``(function, line)`` of every call of ``np.sin`` or ``np.cos`` in ``tree``."""
+    return _found_in_functions(tree, _is_trig_call)
+
+
+def test_spectra_samples_trigonometry_in_two_places():
+    """Every symbol comes from one kernel, ``spectra._symbols``, and every sampled eigenvector
+    from the sine table ``spectra._sines``, so no closed form keeps a copy of either."""
+    calls = _trig_calls(ast.parse(Path(specmat.spectra.__file__).read_text(encoding="utf-8")))
+    stray = [(function, line) for function, line in calls if function not in ("_symbols", "_sines")]
+    assert stray == [], f"spectra.py calls np.sin or np.cos outside _symbols and _sines: {stray}"
+
+
+def test_the_trigonometry_check_finds_a_planted_call():
+    tree = ast.parse("import numpy as np\n\ndef _symbols(t):\n    return np.sin(t)\n"
+                     "\ndef fold(t):\n    return 4.0 * np.cos(0.5 * t) ** 2 + math.cos(t)\n")
+    assert _trig_calls(tree) == [("_symbols", 4), ("fold", 7)]
+    assert _trig_calls(ast.parse(Path(specmat.spectra.__file__).read_text(encoding="utf-8")))

@@ -1,6 +1,7 @@
 """Closed-form eigenpair generators versus constructed matrices and worked examples."""
 
 import itertools
+import math
 import pickle
 import warnings
 
@@ -39,7 +40,7 @@ from specmat import (
     tensor_eigenpairs,
 )
 from specmat.families import corner_block_band, fem_p2_bands, fem_p3_bands, toeplitz_hankel_band
-from specmat.spectra import _order_one_symbols, _vertex_samples, eigenvector_basis, mode_angles
+from specmat.spectra import _symbols, _vertex_samples, eigenvector_basis, mode_angles
 
 RNG = np.random.default_rng(2024)
 EPS = np.finfo(float).eps
@@ -78,44 +79,126 @@ class TestSymbol:
         assert got.shape == (5,)
         assert got[0] == pytest.approx(5.0)
 
+    @staticmethod
+    def exact_symbols(band, thetas, digits=50):
+        """The symbol at each float angle in mpmath, 50 digits unless told otherwise."""
+        with mpmath.workdps(digits):
+            return [band[0] + sum(2 * b * mpmath.cos(l * mpmath.mpf(theta)) for l, b in enumerate(band) if l)
+                    for theta in thetas]
+
     def test_low_modes_keep_full_relative_accuracy(self):
-        # 2 - 2 cos(theta) cancels at small theta; the symbol must not
-        with mpmath.workdps(50):
+        # 2 - 2 cos(theta) cancels at small theta, and the biharmonic band's
+        # symbol 16 sin^4(theta/2) more so; the symbol must not.  The last
+        # band's symbol at 0 is 2^-54, which a rounded sum of its terms loses
+        for band in ([2.0, -1.0], [6.0, -4.0, 1.0], [-1.0, 0.1, 0.4]):
             for n in (1000, 10 ** 5):
                 thetas = np.arange(1, 6) * np.pi / (n + 1)
-                got = symbol([2.0, -1.0], thetas)
-                for value, theta in zip(got, thetas):
-                    exact = 2 - 2 * mpmath.cos(mpmath.mpf(theta))
+                got = symbol(band, thetas)
+                for value, exact in zip(got, self.exact_symbols(band, thetas)):
                     assert value.imag == 0.0
-                    assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * exact
+                    assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * abs(exact)
 
     def test_modes_near_pi_keep_full_relative_accuracy(self):
-        # both bands have a simple zero at theta = pi, where the sine form
-        # of the symbol cancels as badly as the cosine form does at zero
-        with mpmath.workdps(50):
-            for band in ([2.0, 1.0], [1.0, 0.25, -0.25]):
-                for n in (1000, 10 ** 5):
-                    thetas = np.arange(n - 4, n + 1) * np.pi / (n + 1)
-                    got = symbol(band, thetas)
-                    for value, theta in zip(got, thetas):
-                        exact = band[0] + sum(
-                            2 * b * mpmath.cos(l * mpmath.mpf(theta)) for l, b in enumerate(band) if l
-                        )
-                        assert value.imag == 0.0
-                        assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * abs(exact)
+        # each band has a zero at theta = pi, simple or double, where the sine
+        # form of the symbol cancels as badly as the cosine form does at zero
+        for band in ([2.0, 1.0], [1.0, 0.25, -0.25], [6.0, 4.0, 1.0]):
+            for n in (1000, 10 ** 5):
+                thetas = np.arange(n - 4, n + 1) * np.pi / (n + 1)
+                got = symbol(band, thetas)
+                for value, exact in zip(got, self.exact_symbols(band, thetas)):
+                    assert value.imag == 0.0
+                    assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * abs(exact)
 
-    def test_order_one_table_is_symbol_bit_for_bit(self):
-        # the corner block's one-table evaluation, column by column, over every sign of zero
+    def test_wide_bands_keep_the_cosine_sums_accuracy(self):
+        # Horner's rule in t rounds by up to T_m(1 + 2t) times what the cosine sum does, about
+        # 3.7^m at pi/2; past m = 32 the symbol is the cosine sum alone
+        rng = np.random.default_rng(7)
+        thetas = np.pi * np.arange(1, 60) / 60
+        for m in (3, 8, 16, 40):
+            band = rng.integers(-8, 9, m + 1) / 8
+            scale = 2 * np.abs(band).sum() - abs(band[0])  # sum |a_l| of the cosine sum
+            for value, exact in zip(symbol(band, thetas), self.exact_symbols(band, thetas)):
+                assert abs(value - exact) <= 4 * (m + 1) * EPS * scale
+
+    @staticmethod
+    def frozen_order_one(band, thetas):
+        """The order-1 arithmetic that the corner block's and fem-p2's values were computed by,
+        frozen here so that the kernel keeps their bytes."""
+        b0, b1 = band
+        near_pi = thetas > 0.5 * np.pi
+        half_sines = np.sin(0.5 * np.where(near_pi, (np.pi - thetas) + math.sin(math.pi), thetas))
+        squares = half_sines * half_sines
+        return np.where(near_pi, (b0 - 2.0 * b1 + 0.0) - 4.0 * (-1.0 * b1 * squares),
+                        (b0 + 2.0 * b1 + 0.0) - 4.0 * (b1 * squares))
+
+    def test_order_one_bands_keep_their_bytes(self):
+        # the kernel's columns over every sign of zero, a real band in a complex stack included
         parts = (0.0, -0.0, 1.5, -0.5)
         real = [np.array(band) for band in itertools.product(parts, repeat=2)]
         complex_ = [np.array([complex(a, b), complex(c, d)]) for a, b, c, d in itertools.product(parts, repeat=4)]
         for n in (1, 2, 7, 60):
             thetas = np.pi / (n + 1) * np.arange(1, n + 1)
             for bands in (real, complex_, real[:5] + complex_[:40]):
-                table = _order_one_symbols(bands, thetas)
+                table = _symbols(np.array(bands), thetas)
                 for column, band in zip(table.T, bands):
-                    expected = np.asarray(symbol(band, thetas), dtype=table.dtype)
+                    expected = self.frozen_order_one(band, thetas).astype(table.dtype)
                     assert np.ascontiguousarray(column).tobytes() == expected.tobytes()
+
+
+_DYADIC = st.builds(lambda k, e: k / 2.0 ** e, st.integers(-64, 64), st.integers(0, 6))
+
+
+def _band_product(a, b):
+    """The band whose symbol is the product of the two bands' symbols."""
+    a, b = (np.concatenate((band[:0:-1], band)) for band in (np.asarray(a), np.asarray(b)))
+    return np.convolve(a, b)[(a.size + b.size) // 2 - 1:]
+
+
+@st.composite
+def _sampled_symbols(draw):
+    """A dyadic band of bandwidth 1-4, or one with an exact zero of order 1 or 2 in sin^2(theta/2)
+    at 0 or pi, and some of a variant's mode angles at an n up to 10^5."""
+    zero = draw(st.sampled_from([None, (2.0, -1.0), (2.0, 1.0), (6.0, -4.0, 1.0), (6.0, 4.0, 1.0)]))
+    zero_width = 0 if zero is None else len(zero) - 1
+    base = draw(st.lists(_DYADIC, min_size=1, max_size=5 - zero_width).filter(lambda b: len(b) > 1 or zero))
+    band = np.array(base) if zero is None else _band_product(base, zero)
+    variant = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(band.size, 40), st.integers(band.size, 10 ** 5)))
+    h, angles = mode_angles(variant, n)
+    picked = [0, 1, n // 2, n - 2, n - 1] + draw(st.lists(st.integers(0, n - 1), max_size=3))
+    return band, np.pi * h * angles[picked]
+
+
+def _condition_sums(band, thetas):
+    """``sum_k |c_k| x^k`` at each angle, for the symbol as a polynomial in ``x = sin^2(theta/2)``
+    up to pi/2 and in ``x = sin^2((pi - theta)/2)`` above, in mpmath."""
+    chebyshev = [[1], [1, -2]]  # T_l(1 - 2x), ascending: T_{l+1} = 2 (1 - 2x) T_l - T_{l-1}
+    while len(chebyshev) < band.size:
+        last, before = chebyshev[-1] + [0], chebyshev[-2] + [0, 0]
+        chebyshev.append([2 * c - 4 * p - q for c, p, q in zip(last, [0] + chebyshev[-1], before)])
+    sums = []
+    for theta in thetas:
+        sign = -1 if theta > np.pi / 2 else 1
+        x = mpmath.sin((mpmath.pi - theta if sign < 0 else mpmath.mpf(theta)) / 2) ** 2
+        coeffs = [sum((1 if l == 0 else 2 * sign ** l) * mpmath.mpf(b) * chebyshev[l][k]
+                      for l, b in enumerate(band) if l >= k) for k in range(band.size)]
+        sums.append(sum(abs(c) * x ** k for k, c in enumerate(coeffs)))
+    return sums
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sampled_symbols())
+def test_symbol_error_is_within_its_condition_number(case):
+    # Horner's rule in x with exactly summed coefficients: the error is a few
+    # eps times sum |c_k| x^k per power, so an exact zero of s stays relatively exact.
+    # At theta = fl(pi) a double zero leaves s ~ 1e-64 of its terms: 120 digits
+    band, thetas = case
+    got = symbol(band, thetas)
+    m = band.size - 1
+    with mpmath.workdps(120):
+        exact = TestSymbol.exact_symbols(band, thetas, 120)
+        for value, reference, scale in zip(got.tolist(), exact, _condition_sums(band, thetas)):
+            assert abs(value - reference) <= (4 * m + 2) * EPS * scale
 
 
 class TestGevpEigenpairs:
