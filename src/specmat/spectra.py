@@ -2,7 +2,8 @@
 
 Every symbol comes from one kernel, ``_symbols``: Horner's rule on exactly
 summed coefficients in ``sin^2(theta/2)``, or ``sin^2((pi-theta)/2)`` past
-pi/2.  A mode's eigenvalue pairs with a sampled sine or cosine eigenvector.
+pi/2, and for wide bands a sum of ``sin^2(l theta/2)``.  A mode's eigenvalue
+pairs with a sampled sine or cosine eigenvector.
 The corner-overlapped families reduce, mode by mode, to scalar quadratics or
 cubics in symbols, whose roots are taken directly; their eigenvectors sample
 a sine at the shared vertices and fill the other entries in closed form.  The
@@ -42,8 +43,10 @@ def symbol(band, theta):
     float64, for a real band; complex for a complex one.  As ``cos(l*theta) =
     T_l(1 - 2t)``, it is a polynomial in ``t = sin^2(theta/2)`` up to ``pi/2``
     and in ``u = sin^2((pi-theta)/2)`` above, whose exactly summed coefficients
-    keep a zero of any order at 0 or pi exact under Horner's rule; the cosine
-    sum, which cancels there, is taken where it rounds less, and past m = 32.
+    keep a zero of any order at 0 or pi exact under Horner's rule.  Past
+    bandwidth 2 the form ``s(0) - 4 sum_l band[l] sin^2(l*theta/2)`` (about pi,
+    ``s(pi)`` and the signs ``(-1)^l``), which keeps a simple zero exact, is
+    taken where Horner's rule rounds more, and past bandwidth 4 alone.
     """
     theta_arr = np.asarray(theta, dtype=float)
     values = _symbols(as_band(band)[None], theta_arr.ravel())[:, 0].reshape(theta_arr.shape)
@@ -51,15 +54,15 @@ def symbol(band, theta):
 
 
 @functools.cache
-def _chebyshev_terms(m: int):
+def _chebyshev_terms(m: int, powers: int):
     """Band entry ``cols[r, k, i]`` times ``mults[r, k, i]``, summed over i, is a bandwidth-m symbol's
-    coefficient of ``x^k``, ``x = t`` (r = 0) or ``u`` (r = 1).  Entry l > 0 enters as ``2 (-1)^(l r)
-    T_l(1 - 2x)``, whose integers ``2 (-4)^k l C(l+k, l-k) / (l+k)`` split into exact powers of two."""
+    coefficient of ``x^k``, ``x = t`` (r = 0) or ``u`` (r = 1), k < powers.  Entry l > 0 enters as ``2
+    (-1)^(l r) T_l(1 - 2x)``, whose integers ``2 (-4)^k l C(l+k, l-k) / (l+k)`` split into powers of two."""
     def weight(k, l, sign):
         return 1 if l == 0 else 2 * (-1) ** k * sign ** l * (l * 4 ** k * math.comb(l + k, l - k) // (l + k))
     rows = [[(l, math.copysign(2.0 ** i, a)) for l in range(k, m + 1) for a in [weight(k, l, sign)]
-             for i in range(abs(a).bit_length()) if abs(a) >> i & 1] for sign in (1, -1) for k in range(m + 1)]
-    terms = np.array([row + [(0, 0.0)] * (max(map(len, rows)) - len(row)) for row in rows]).reshape(2, m + 1, -1, 2)
+             for i in range(abs(a).bit_length()) if abs(a) >> i & 1] for sign in (1, -1) for k in range(powers)]
+    terms = np.array([row + [(0, 0.0)] * (max(map(len, rows)) - len(row)) for row in rows]).reshape(2, powers, -1, 2)
     return terms[..., 0].astype(np.intp), terms[..., 1]
 
 
@@ -70,25 +73,29 @@ def _symbols(bands, thetas) -> np.ndarray:
         parts = _symbols(np.concatenate((bands.real, bands.imag)), thetas)
         return parts[:, :len(bands)] + 1j * parts[:, len(bands):]  # exact: the real parts are never -0.0
     m = bands.shape[1] - 1
-    if m > 2:  # the cosine sum, for where Horner's rule rounds more; for m <= 2 that is 7 times at most
-        direct = np.cos(np.multiply.outer(thetas, np.arange(m + 1))) * np.append(1.0, np.full(m, 2.0)) @ bands.T
-    if m > 32:  # the terms' table grows as m^3, and Horner's rule wins only ever nearer the ends
-        return direct
-    cols, mults = _chebyshev_terms(m)
-    terms = bands[:, cols] * mults  # band, t or u, power, term
+    cols, mults = _chebyshev_terms(m, m + 1 if m <= 4 else 1)  # past m = 4, only s(0) and s(pi)
+    terms = bands.take(cols, axis=1) * mults  # band, t or u, power, term
     rows = terms.reshape(-1, cols.shape[-1])  # summed exactly, from +0.0: two terms round once, more take fsum
     sums = rows.sum(axis=1) if rows.shape[1] <= 2 else [math.fsum(row) for row in rows.tolist()]
     coeffs = np.array(sums).reshape(terms.shape[:-1])
     near_pi = thetas > 0.5 * np.pi
-    x = np.sin(0.5 * np.where(near_pi, (np.pi - thetas) + _PI_TAIL, thetas))[:, None] ** 2
+    reduced = np.where(near_pi, (np.pi - thetas) + _PI_TAIL, thetas)
+    x = np.sin(0.5 * reduced)[:, None] ** 2
     per_angle = coeffs.transpose(2, 1, 0).take(near_pi.astype(np.intp), axis=1)  # power, angle, band
     acc = per_angle[-1]
     for coeff in per_angle[-2::-1]:
         acc = acc * x + coeff
-    if m > 2:  # Horner rounds by sum |c_k| x^k, up to T_m(1 + 2x) times the cosine sum's: take the smaller
-        scale = functools.reduce(lambda total, coeff: total * x + abs(coeff), per_angle[-2::-1], abs(per_angle[-1]))
-        acc = np.where(scale > 2 * abs(bands).sum(axis=1) - abs(bands[:, 0]), direct, acc)
-    return acc
+    if m <= 2:  # Horner's rule rounds by sum |c_k| x^k, here at most 7 times the band's moduli
+        return acc
+    # the sin^2 form rounds by about the band's moduli, Horner's rule by up to T_m(1 + 2x) times them: the
+    # smaller is taken up to m = 4, where its exact coefficients cost as much as the sin^2 form (25 times at 32)
+    squares = np.sin(0.5 * np.multiply.outer(reduced, np.arange(1, m + 1))) ** 2
+    squares[near_pi, ::2] *= -1.0  # the signs (-1)^l about pi
+    sines = per_angle[0] - 4.0 * (squares @ bands[:, 1:].T)
+    if m > 4:
+        return sines
+    scale = functools.reduce(lambda total, coeff: total * x + abs(coeff), per_angle[-2::-1], abs(per_angle[-1]))
+    return np.where(scale > 2 * abs(bands).sum(axis=1) - abs(bands[:, 0]), sines, acc)
 
 
 def divide_symbols(numerator, denominator) -> np.ndarray:
@@ -156,7 +163,10 @@ def _symbol_table(bands, n, variant):
 def _mode_roots(table, floors):
     """Each row's degree and roots, rows ascending: the degree is the highest power above that power's
     floor (0 if none is); ``roots[i]`` holds row i's in :func:`batched_roots`'s order, then zeros."""
-    degrees = (np.arange(table.shape[1]) * (np.abs(table) > floors)).max(axis=1)
+    above = (np.abs(table) > floors).T  # by power: a reduction along such short rows costs twice as much
+    if above[-1].all():  # no power drops, as is usual: one batch of every row
+        return np.full(len(table), len(above) - 1), batched_roots(table)
+    degrees = functools.reduce(lambda degree, k: np.where(above[k], k, degree), range(1, len(above)), 0)
     roots = np.zeros((table.shape[0], table.shape[1] - 1), dtype=complex)
     for d in set(degrees.tolist()) - {0}:
         rows = degrees == d

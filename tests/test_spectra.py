@@ -88,9 +88,10 @@ class TestSymbol:
 
     def test_low_modes_keep_full_relative_accuracy(self):
         # 2 - 2 cos(theta) cancels at small theta, and the biharmonic band's
-        # symbol 16 sin^4(theta/2) more so; the symbol must not.  The last
-        # band's symbol at 0 is 2^-54, which a rounded sum of its terms loses
-        for band in ([2.0, -1.0], [6.0, -4.0, 1.0], [-1.0, 0.1, 0.4]):
+        # symbol 16 sin^4(theta/2) more so; the symbol must not.  The third
+        # band's symbol at 0 is 2^-54, which a rounded sum of its terms loses.
+        # The last is (40 - l)^2 times (2, -1): a simple zero at 0, at m = 40
+        for band in ([2.0, -1.0], [6.0, -4.0, 1.0], [-1.0, 0.1, 0.4], [158.0] + [-2.0] * 39 + [-1.0]):
             for n in (1000, 10 ** 5):
                 thetas = np.arange(1, 6) * np.pi / (n + 1)
                 got = symbol(band, thetas)
@@ -109,16 +110,17 @@ class TestSymbol:
                     assert value.imag == 0.0
                     assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * abs(exact)
 
-    def test_wide_bands_keep_the_cosine_sums_accuracy(self):
-        # Horner's rule in t rounds by up to T_m(1 + 2t) times what the cosine sum does, about
-        # 3.7^m at pi/2; past m = 32 the symbol is the cosine sum alone
+    def test_wide_bands_round_by_their_moduli(self):
+        # Horner's rule in t rounds by up to T_m(1 + 2t) times the band's moduli, about 3.7^m at
+        # pi/2, where the sin^2 form rounds by about them; past m = 4 the sin^2 form is taken alone.
+        # Horner's rule alone reads 5.6 eps times the moduli on the m = 4 band
         rng = np.random.default_rng(7)
         thetas = np.pi * np.arange(1, 60) / 60
-        for m in (3, 8, 16, 40):
+        for m in (3, 4, 8, 16, 40):
             band = rng.integers(-8, 9, m + 1) / 8
             scale = 2 * np.abs(band).sum() - abs(band[0])  # sum |a_l| of the cosine sum
             for value, exact in zip(symbol(band, thetas), self.exact_symbols(band, thetas)):
-                assert abs(value - exact) <= 4 * (m + 1) * EPS * scale
+                assert abs(value - exact) <= (4 + m / 8) * EPS * scale
 
     @staticmethod
     def frozen_order_one(band, thetas):
