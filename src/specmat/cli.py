@@ -42,40 +42,27 @@ from .spectra import (
 
 IMAG_SUPPRESS = 1e-12
 
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
+# a sign right after an exponent's e belongs to its term
+_TERM_RE = re.compile(r"[+-]?(?:[eE][+-]?|[^+-])+")
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Parse ``a``, ``ai`` or ``a+bi`` with exact rational parts like ``-1/3``."""
+    """Parse ``a``, ``ai`` or ``a+bi`` with exact parts like ``-1/3`` or ``2.5e-1``, each read by ``Fraction``."""
     s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
     terms = _TERM_RE.findall(s)
     if not 1 <= len(terms) <= 2 or "".join(terms) != s:
         raise ValueError(f"bad complex literal {text!r}")
-    re_part: Fraction | None = None
-    im_part: Fraction | None = None
+    parts = {}  # the real part under False, the imaginary under True
     for term in terms:
-        is_imag = term[-1] in "iIjJ"
-        body = term[:-1] if is_imag else term
-        if is_imag and body in ("", "+"):
-            value = Fraction(1)
-        elif is_imag and body == "-":
-            value = Fraction(-1)
-        else:
-            try:
-                value = Fraction(body)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad complex literal {text!r}") from exc
-        if is_imag:
-            if im_part is not None:
-                raise ValueError(f"duplicate imaginary part in {text!r}")
-            im_part = value
-        else:
-            if re_part is not None:
-                raise ValueError(f"duplicate real part in {text!r}")
-            re_part = value
-    return complex(float(re_part or 0), float(im_part or 0))
+        imag = term[-1] in "iIjJ"
+        body = term[:-1] if imag else term
+        if imag in parts:
+            raise ValueError(f"duplicate {'imaginary' if imag else 'real'} part in {text!r}")
+        try:
+            parts[imag] = float(Fraction(body + "1" if imag and body in ("", "+", "-") else body))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:  # a part too large for a float overflows
+            raise ValueError(f"bad complex literal {text!r}") from exc
+    return complex(parts.get(False, 0.0), parts.get(True, 0.0))
 
 
 def parse_band(text: str) -> np.ndarray:
@@ -334,7 +321,7 @@ def _cmd_pevp(args) -> int:
     # a whole number formats the same by %.17g as by %d
     _emit(["mode_index,root_index,lambda_re,lambda_im,oracle_distance",
            *_table_lines("%d,%.17g,%.17g,%.17g,%.17g", rows)], args.out)
-    dropped = check.route == "reversed-companion"
+    dropped = check.route.startswith("reversed-")
     if dropped or analytic.degree_drops:
         print(f"degree drop: analytic modes {list(analytic.degree_drops)}, oracle flagged {dropped}",
               file=sys.stderr)
@@ -398,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dispersion.add_argument("--out")
     dispersion.set_defaults(func=_cmd_dispersion)
 
-    pevp = sub.add_parser("pevp", help="per-mode polynomial pencil roots versus the companion oracle")
+    pevp = sub.add_parser("pevp", help="per-mode polynomial pencil roots versus the numeric oracle")
     pevp.add_argument("--input", required=True, help="JSON pencil description")
     pevp.add_argument("--tol", type=float, default=1e-8)
     pevp.add_argument("--out")
@@ -426,8 +413,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if np.isnan(getattr(args, "tol", 0.0)):  # no value is within NaN, so every gate would fail
-            raise SpecmatError(f"{args.command} needs a --tol that is not NaN")
+        if not getattr(args, "tol", 0.0) >= 0:  # no value is within NaN or below 0, so every gate would fail
+            raise SpecmatError(f"{args.command} needs a --tol that is "
+                               + ("not NaN" if np.isnan(args.tol) else "at least 0"))
         return args.func(args)
     except (SpecmatError, ValueError, OSError, MemoryError) as exc:  # an array too large to allocate
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a list's MemoryError is blank

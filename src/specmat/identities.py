@@ -40,10 +40,11 @@ class IdentityTable:
     """Both sides of an identity over a table of evaluations, plus their disagreement.
 
     ``lhs``, ``rhs`` (complex), ``abs_diff`` and ``rel_diff`` share one shape: modes j by
-    minors k for the eigenvector-eigenvalue identities, k by l for the trigonometric ones.
-    ``inputs`` maps each input's name to an integer array that broadcasts to that shape, or
-    to one value for the whole table.  A single evaluation is the same record with scalar
-    fields, as ``table[row, column]`` gives it.
+    minors k for the eigenvector-eigenvalue identities, k by l for the trigonometric ones.  ``rel_diff`` is ``abs_diff``
+    over the larger side, entry by entry, in the trigonometric tables; in the others over at least the row's scale,
+    its ``|lhs|`` summed (the gap product, times ``|det B|`` in the GEVP proof form): a normwise error per row.
+    ``inputs`` maps each input's name to an integer array that broadcasts to that shape, or to one value for
+    the whole table.  A single evaluation is the same record with scalar fields, as ``table[row, column]`` gives it.
     """
 
     kind: str
@@ -63,11 +64,11 @@ class IdentityTable:
                              self.conditioning_warning)
 
 
-def _identity_table(kind, lhs, rhs, warning, **inputs) -> IdentityTable:
-    """The record of the tables ``lhs`` and ``rhs``, with ``inputs`` in the order they are printed."""
+def _identity_table(kind, lhs, rhs, warning, scale=0.0, **inputs) -> IdentityTable:
+    """The record of ``lhs`` and ``rhs``, ``inputs`` in printed order, ``rel_diff`` over at least ``scale``."""
     lhs, rhs = lhs.astype(complex), rhs.astype(complex)
     abs_diff = np.abs(lhs - rhs)
-    rel_diff = abs_diff / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    rel_diff = abs_diff / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(scale, 1e-30))
     return IdentityTable(kind, lhs, rhs, abs_diff, rel_diff, inputs, warning)
 
 
@@ -120,8 +121,8 @@ def _evp_table(a, pair=None) -> IdentityTable:
     lams, vectors = np.linalg.eigh(a)
     mus = np.linalg.eigvalsh(_minor_stack(a, ks))  # Hermitian, as minors of A
     gaps = _products_but_own(lams[:, None] - lams[None, :])
-    lhs = np.abs(vectors[ks].T) ** 2 * gaps[:, None]
-    return _identity_table("eve-evp", lhs, _minor_products(lams, mus), _near_repeated(lams),
+    lhs = np.abs(vectors[ks].T) ** 2 * gaps[:, None]  # of unit vectors: a whole row sums to |gaps|
+    return _identity_table("eve-evp", lhs, _minor_products(lams, mus), _near_repeated(lams), abs(gaps)[:, None],
                            j=np.arange(1, lams.size + 1)[:, None], k=ks[None] + 1, n=lams.size)
 
 
@@ -162,16 +163,15 @@ def _gevp_table(a, b, form, pair=None) -> IdentityTable:
     weights = np.abs(vectors[ks].T) ** 2
     if form == PROOF_FORM:
         eta = np.sum(vectors.conj() * (b @ vectors), axis=0)  # x_j^* B x_j
-        lhs = weights * (np.linalg.det(b) * gaps)[:, None]
+        gaps = np.linalg.det(b) * gaps  # weighed by det B; a whole row of lhs sums to |gaps|
         rhs = eta[:, None] * (np.linalg.det(minors_b) * products)
     else:
         # ascending eigenvalues of B and of each minor, paired to the modes by rank
         b_values = np.linalg.eigvalsh(b)
         ratio = np.prod(np.linalg.eigvalsh(minors_b), axis=1) / _products_but_own(
             np.tile(b_values, (b_values.size, 1)))[:, None]
-        lhs = weights * gaps[:, None]
         rhs = ratio * products
-    return _identity_table(f"eve-gevp-{form}", lhs, rhs, _near_repeated(lams),
+    return _identity_table(f"eve-gevp-{form}", weights * gaps[:, None], rhs, _near_repeated(lams), abs(gaps)[:, None],
                            j=np.arange(1, lams.size + 1)[:, None], k=ks[None] + 1, n=lams.size, form=form)
 
 

@@ -7,9 +7,10 @@ imaginary part.  Every other pencil with an invertible right side runs
 LAPACK's general eigensolver on ``B^{-1} A``.  Both routes also run without
 eigenvectors, for callers that read only the values, and on a stack of
 small pencils, one LAPACK call per step for the whole stack, on a route the
-caller takes once for all of them.  Polynomial pencils are linearized to a
-companion pencil and solved the same way.
-None of these routes samples a symbol, so they share nothing with the
+caller takes once for all of them.  A polynomial pencil is diagonalized by
+one real congruence where a backward error of order ``n eps kappa(R)``
+certifies it (:func:`_congruence_roots`), and else linearized to a companion
+pencil.  None of these routes samples a symbol, so they share nothing with the
 closed forms they check; :func:`verify` checks a closed form against them.
 
 Every matrix the library builds is centrosymmetric, ``J M J = M`` for the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .solution import EigenSolution, PolynomialEigenSolution
 
 SINGULAR_B_RTOL = 1e-13
 _SQRT2 = math.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
 _BLOCKED_INVERSE_MIN = 64  # below this order np.linalg.inv is as fast
 
 
@@ -328,17 +331,54 @@ def _companion_matrix(mats):
     return companion
 
 
-def solve_pevp_numeric(mats):
-    """Eigenvalues of a polynomial pencil via companion linearization.
+def _congruence_roots(mats):
+    """The roots of ``sum_k lam^k A_k`` through one real congruence, or None where none diagonalizes the A_k.
 
-    Returns ``(values, degree_drop)``.  When the leading coefficient is
-    singular the pencil is reversed (roots of the reversed pencil are the
-    reciprocals), the infinite eigenvalues are dropped, and the flag is set;
-    if the constant coefficient is singular too this raises
-    :class:`SingularPencilError`.  Exactly centrosymmetric coefficients are
-    solved in halves; the singularity tests and the cut for infinite
-    eigenvalues still look at the whole pencil.
+    S sums the A_k's real and imaginary parts over their norms with fixed weights; R is the real part of the
+    first A_k the Hermitian route takes as positive definite, else I: the A_k need not commute (variant 3's
+    do not), so X need not be orthogonal.  The eigenvectors X of ``(S - c R, R)``, ``c = tr S / tr R``
+    centring the values, scaled to ``X^T R X = I``, give ``D_k = X^T A_k X`` in A_k's dtype.  Dropping D_k's
+    off-diagonal part E_k solves the pencil of ``A_k - X^{-T} E_k X^{-1}``, and ``||X^{-1}||_2^2 = ||R||_2``.
+    Every computed entry of D_k, the kept diagonal too, has a rounding error up to ``gamma_n |x_i|^T |A_k|
+    |x_j| <= n eps ||A_k||_inf max_i ||x_i||_2^2`` (``|||A|||_2 <= ||A||_inf`` for a symmetric A), and
+    ``max_i ||x_i||_2^2 <= ||R^{-1}||_2``.  An entry is dropped only below that bound, so that its backward
+    error is at most ``n eps kappa_2(R) ||A_k||_inf``, the order of the rounding the kept entries carry, and
+    all of them together at most n times that.  A larger entry couples its indices, and each contiguous run
+    of coupled indices (X is sorted by value) is solved by a companion of its sub-blocks.  None when S or R
+    is not symmetric or a run spans every index.  Golub & Van Loan, *Matrix Computations*, 4th ed., 8.7;
+    Tisseur & Meerbergen, *SIAM Rev.* 43 (2001).
     """
+    n, q = mats[0].shape[0], len(mats) - 1
+    parts = [part for m in mats for part in (m.real, m.imag) if part.any()]
+    s = sum(w * part / inf_norm(part) for w, part in zip(np.sqrt(np.arange(2.0, 2.0 + len(parts))), parts))
+    for r in [*(m.real for m in mats if np.trace(m.real) > 0), np.eye(n)]:  # trace <= 0: not definite
+        try:
+            x = _solve(s - np.trace(s) / np.trace(r) * r, r, "hermitian", True)[1]
+        except SingularBError:
+            continue
+        except NotHermitianError:
+            return None
+        break
+    x = x / np.sqrt(np.einsum("ij,ij->j", x, r @ x))  # now x^T R x = I
+    blocks, bound = [x.T @ m @ x for m in mats], n * _EPS * np.max(np.einsum("ij,ij->j", x, x))
+    coupled = np.eye(n, dtype=bool) | np.any([abs(b) > bound * inf_norm(m) for m, b in zip(mats, blocks)], axis=0)
+    coupled |= coupled.T
+    # a run ends at i when no index up to i couples past i
+    stops = np.flatnonzero(np.maximum.accumulate(n - 1 - coupled[:, ::-1].argmax(axis=1)) == np.arange(n)) + 1
+    if n > 1 and stops.size == 1:
+        return None
+    starts = np.concatenate(([0], stops[:-1]))
+    alone = starts[stops - starts == 1]
+    diagonal = np.array([block.diagonal()[alone] for block in blocks]).T
+    companions = np.tile(np.eye(q, k=1, dtype=diagonal.dtype), (alone.size, 1, 1))
+    companions[:, -1] = -diagonal[:, :-1] / diagonal[:, -1:]
+    runs = [np.linalg.eigvals(_companion_matrix([block[i:j, i:j] for block in blocks]))
+            for i, j in zip(starts, stops) if j - i > 1]
+    return np.concatenate([np.linalg.eigvals(companions).ravel(), *runs], dtype=complex)
+
+
+def _solve_pevp(mats):
+    """:func:`solve_pevp_numeric`'s values and flag, and whether :func:`_congruence_roots` gave the values."""
     mats = [as_square(m) for m in mats]
     if len(mats) < 2:
         raise ValueError("a polynomial pencil needs at least two coefficient matrices")
@@ -349,16 +389,33 @@ def solve_pevp_numeric(mats):
 
     dropped = _singular(mats[-1], [half[-1] for half in halves])
     if dropped and _singular(mats[0], [half[0] for half in halves]):
-        raise SingularPencilError(
-            "both the leading and constant coefficient matrices are singular"
-        )
-    # complex values; a real companion gives exact conjugate pairs
-    values = np.concatenate([np.linalg.eigvals(_companion_matrix(half[::-1] if dropped else half))
-                             for half in halves], dtype=complex)
+        raise SingularPencilError("both the leading and constant coefficient matrices are singular")
+    halves = [half[::-1] if dropped else half for half in halves]
+    # map is lazy: the first half no congruence diagonalizes ends the route, with no work on the next
+    parts = list(takewhile(lambda part: part is not None, map(_congruence_roots, halves)))
+    congruence = len(parts) == len(halves)
+    if not congruence:  # complex values; a real companion gives exact conjugate pairs
+        parts = [np.linalg.eigvals(_companion_matrix(half)) for half in halves]
+    values = np.concatenate(parts, dtype=complex)
     if dropped:
         finite = np.abs(values) > 1e-10 * max(1.0, float(np.max(np.abs(values))))
         values = 1.0 / values[finite]
-    return values[np.lexsort((values.imag, values.real))], dropped
+    return values[np.lexsort((values.imag, values.real))], dropped, congruence
+
+
+def solve_pevp_numeric(mats):
+    """Eigenvalues of a polynomial pencil, by one real congruence or a companion linearization.
+
+    Returns ``(values, degree_drop)``.  When the leading coefficient is
+    singular the pencil is reversed (roots of the reversed pencil are the
+    reciprocals), the infinite eigenvalues are dropped, and the flag is set;
+    if the constant coefficient is singular too this raises
+    :class:`SingularPencilError`.  Exactly centrosymmetric coefficients are
+    solved in halves; the singularity tests and the cut for infinite
+    eigenvalues still look at the whole pencil.  Each half is diagonalized by
+    :func:`_congruence_roots` where it certifies itself, else linearized.
+    """
+    return _solve_pevp(mats)[:2]
 
 
 def pair_values(reference, candidates):
@@ -423,8 +480,8 @@ def _pairs_by_rank(ref, values) -> bool:
 class Verification:
     """What :func:`verify` found: the closed form's ``values`` and their relative ``residuals``
     (None for a polynomial pencil); if the oracle ran, its values paired with them as by
-    :func:`pair_values` (``matched``, ``distances``), ``count_mismatch`` and its ``route``:
-    ``"hermitian"``, ``"general"``, ``"companion"`` or ``"reversed-companion"`` (infinite values dropped).
+    :func:`pair_values` (``matched``, ``distances``), ``count_mismatch`` and its ``route``: ``"hermitian"``,
+    ``"general"``, ``"congruence"`` or ``"companion"``, ``"reversed-"`` first where infinite values were dropped.
     """
 
     values: np.ndarray
@@ -450,8 +507,8 @@ def verify(solution, *coefficients, oracle=True) -> Verification:
         return Verification(values, residuals)
     dense = [m.dense() if isinstance(m, SymmetricBand) else m for m in coefficients]
     if residuals is None:
-        numeric, dropped = solve_pevp_numeric(dense)
-        route = "reversed-companion" if dropped else "companion"
+        numeric, dropped, congruence = _solve_pevp(dense)
+        route = ("reversed-" if dropped else "") + ("congruence" if congruence else "companion")
     else:
         numeric, _, hermitian = _solve(*dense, "auto", False)
         route = "hermitian" if hermitian else "general"

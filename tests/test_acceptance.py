@@ -243,11 +243,11 @@ def test_08_polynomial_pencils():
         bands[-1][0] += 6.0  # keep the leading symbol bounded away from zero
         analytic = pevp_eigenpairs(bands, n, variant)
         check = verify(analytic, *(assemble_toeplitz_hankel(band, n, variant) for band in bands))
-        if check.route != "companion" or analytic.degree_drops:
+        if check.route.startswith("reversed-") or analytic.degree_drops:
             failures.append(f"trial {trial}: unexpected degree drop")
             continue
         failures += _oracle_failures(check, 1e-8, f"trial {trial} (q={q}, m={m}, n={n}, set {int(variant)}): ")
-    _verdict(8, "polynomial pencil roots vs companion oracle", failures)
+    _verdict(8, "polynomial pencil roots vs the numeric oracle", failures)
 
 
 def test_09_tensor_product():

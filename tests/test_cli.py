@@ -34,6 +34,8 @@ from specmat.cli import (
     LAPLACE_FDM_BAND,
     LAPLACE_FEM1_MASS_BAND,
     LAPLACE_FEM1_STIFF_BAND,
+    _build_parser,
+    _identity_tables,
     _scalar_column,
     _table_lines,
     _within,
@@ -58,12 +60,20 @@ class TestComplexLiterals:
             ("3/4+1/2i", 0.75 + 0.5j),
             ("0.25", 0.25 + 0j),
             ("13/60", complex(13.0 / 60.0)),
+            # an exponent's sign stays in its term, and each part is read exactly
+            ("1e3", 1000 + 0j),
+            ("1e-3", 1e-3 + 0j),
+            ("1E+3", 1000 + 0j),
+            ("2.5e-1+1i", 0.25 + 1j),
+            ("-1e-3i", -1e-3j),
+            ("1e-3-2E-1i", 1e-3 - 0.2j),
         ],
     )
     def test_accepted_forms(self, text, expected):
         assert parse_complex_literal(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "1+2", "i+i", "2x", "1/0"])
+    @pytest.mark.parametrize("text", ["", "1+2", "i+i", "2x", "1/0", "1e", "1e+", "e3", "1e-3+", "1/2e3",
+                                      "1e400", "1e+400", "-1E400i", "2+1e400i"])
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             parse_complex_literal(text)
@@ -386,10 +396,23 @@ def test_nan_tolerance_is_usage_error(capsys, argv, nan):
     assert captured.err == f"error: {argv[0]} needs a --tol that is not NaN\n"
 
 
-@pytest.mark.parametrize("tol, code", [("inf", 0), ("-1", 3)])
-def test_infinite_and_negative_tolerances_keep_their_meaning(capsys, tol, code):
-    argv = ["spectrum", "--family", "fem-p2", "--n-elems", "5", "--perturb", "0.5", "--tol", tol]
-    assert main(argv) == code
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "fem-p2", "--n-elems", "5"],
+    ["identity", "--kind", "eve", "--n", "4"],
+    ["pevp", "--input", "pencil.json"],
+], ids=["spectrum", "identity", "pevp"])
+@pytest.mark.parametrize("tol", ["-1", "-1e-9", "-inf"])
+def test_negative_tolerance_is_usage_error(capsys, argv, tol):
+    # no residual, distance or rel_diff is below 0, so every gate would fail on correct output
+    assert main([*argv, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} needs a --tol that is at least 0\n"
+
+
+def test_an_infinite_tolerance_passes_every_gate(capsys):
+    argv = ["spectrum", "--family", "fem-p2", "--n-elems", "5", "--perturb", "0.5", "--tol", "inf"]
+    assert main(argv) == 0
     capsys.readouterr()
 
 
@@ -503,16 +526,27 @@ class TestNegativeBands:
         assert written[0][0, 0] == -1.0 and written[0][0, 1] == 0.5
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # residuals of infinite values warn nothing
-    @pytest.mark.parametrize("option, value",
-                             [("--perturb", "-1e-3"), ("--tol", "-1e-9"), ("--perturb", "-inf")])
-    def test_numbers_in_exponent_form(self, capsys, option, value):
+    @pytest.mark.parametrize("option, value, code, error", [
+        ("--perturb", "-1e-3", 3, r"error: max residual \S+ exceeds tolerance \S+\n"),  # every residual fails
+        ("--tol", "-1e-9", 2, r"error: spectrum needs a --tol that is at least 0\n"),  # read as a number
+        ("--perturb", "-inf", 3, r"error: max residual \S+ exceeds tolerance \S+\n"),
+    ], ids=["--perturb--1e-3", "--tol--1e-9", "--perturb--inf"])
+    def test_numbers_in_exponent_form(self, capsys, option, value, code, error):
         argv = ["spectrum", "--family", "fem-p2", "--n-elems", "3"]
-        code = main([*argv, f"{option}={value}"])
+        assert main([*argv, f"{option}={value}"]) == code
         want = capsys.readouterr()
-        assert code == 3  # every residual fails the gate
-        assert re.fullmatch(r"error: max residual \S+ exceeds tolerance \S+\n", want.err)
+        assert re.fullmatch(error, want.err)
         assert main([*argv, option, value]) == code
         assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "toeplitz-hankel", "--n", "5", "--alpha", "1e+400,1", "--beta", "1,0"],
+        ["identity", "--kind", "ti3g", "--n", "5", "--alpha", "2,1E400", "--beta", "1,0"],
+    ], ids=["spectrum", "identity"])
+    def test_a_band_entry_too_large_for_a_float_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad complex literal" in err and err.count("\n") == 1
 
     def test_a_missing_value_is_still_a_usage_error(self, capsys):
         assert main(["spectrum", "--family", "toeplitz-hankel", "--n", "3", "--beta", "1", "--alpha"]) == 2
@@ -649,9 +683,9 @@ class TestOracleWork:
         seen = self._record_lapack_shapes(monkeypatch)
         assert main(["pevp", "--input", str(path)]) == 0
         capsys.readouterr()
-        half = 5
-        assert ("eigvals", (3 * half, 3 * half)) in seen and ("eigvals", (3 * (9 - half),) * 2) in seen
-        assert all(shape[0] <= (3 * half if name == "eigvals" else half) for name, shape in seen), seen
+        # the congruence's (S, R) pencil, one per half; its q x q companions go to LAPACK as one stack
+        assert [shape for name, shape in seen if name == "eigh"] == [(5, 5), (4, 4)], seen
+        assert all(shape[0] <= 5 for _, shape in seen), seen
 
     @pytest.mark.parametrize(
         "argv, calls",
@@ -709,6 +743,21 @@ class TestIdentityCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "max rel_diff" in out
+
+    @pytest.mark.parametrize("kind", ["eve", "gevp-eve"])
+    @pytest.mark.parametrize("n", [6, 12])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_row_scale_keeps_the_random_tables_verdicts(self, capsys, kind, n, seed):
+        argv = ["identity", "--kind", kind, "--n", str(n), "--random", "3", "--seed", str(seed)]
+        tables = [t for t in _identity_tables(_build_parser().parse_args(argv)) if not t.conditioning_warning]
+        rowwise = np.concatenate([t.rel_diff.ravel() for t in tables])
+        # the entrywise ratio, without the row's scale
+        entrywise = np.concatenate([(t.abs_diff / np.maximum(np.maximum(abs(t.lhs), abs(t.rhs)), 1e-30)).ravel()
+                                    for t in tables])
+        assert np.all(rowwise <= entrywise)
+        for tol in (1e-8, 0.0):
+            assert main([*argv, "--tol", str(tol)]) == (0 if np.max(entrywise) <= tol else 3)
+            capsys.readouterr()
 
     def test_gevp_eve_literal_never_gates(self, capsys):
         code = main(
@@ -897,6 +946,27 @@ class TestDispersion:
 
 
 class TestPevpCommand:
+    @pytest.mark.parametrize("route", ["reversed-congruence", "reversed-companion"])
+    def test_a_degree_drop_is_flagged_on_either_oracle_route(self, monkeypatch, tmp_path, capsys, route):
+        # the leading band's symbol 2 cos(theta) vanishes at mode 3's angle pi/2
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": 1, "n": 5, "bands": [["2", "-1"], ["1", "1/4"], ["0", "1"]]}))
+        if route == "reversed-companion":
+            monkeypatch.setattr(oracle, "_congruence_roots", lambda mats: None)
+        routes, verify = [], oracle.verify
+
+        def recorded(*args, **kwargs):
+            check = verify(*args, **kwargs)
+            routes.append(check.route)
+            return check
+
+        monkeypatch.setattr("specmat.cli.verify", recorded)
+        assert main(["pevp", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert routes == [route]
+        assert captured.out.count("\n") == 10  # the header and the 9 finite roots
+        assert captured.err == "degree drop: analytic modes [3], oracle flagged True\n"
+
     def test_json_pencil_roundtrip(self, tmp_path, capsys):
         payload = {
             "variant": 1,
@@ -947,10 +1017,10 @@ class TestPevpCommand:
     def test_distance_above_tolerance_exits_3(self, tmp_path, capsys):
         path = tmp_path / "pencil.json"
         path.write_text(json.dumps({"variant": 1, "n": 6, "bands": [["1", "1/2"], ["2", "0.3"]]}))
-        assert main(["pevp", "--input", str(path), "--tol", "-1"]) == 3
+        assert main(["pevp", "--input", str(path), "--tol", "0"]) == 3
         captured = capsys.readouterr()
         assert captured.out.startswith("mode_index,root_index,")
-        assert re.fullmatch(r"error: max oracle distance \S+ exceeds tolerance -1\.000e\+00\n",
+        assert re.fullmatch(r"error: max oracle distance \S+ exceeds tolerance 0\.000e\+00\n",
                             captured.err)
 
     def test_all_zero_leading_band_lists_every_mode_as_a_degree_drop(self, tmp_path, capsys):

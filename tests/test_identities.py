@@ -19,6 +19,7 @@ from specmat import (
     trig_identity,
     trig_identity_all,
 )
+from specmat import identities
 from specmat.identities import _minor_stack
 from specmat.linalg import as_square
 
@@ -244,6 +245,30 @@ class TestAllPairEvaluators:
             eve_identity_gevp_all(np.eye(2), np.eye(2), form="other")
 
 
+def _library_pencils():
+    """Pencils of the library's own families; their eigenvectors have structural zeros."""
+    from specmat import assemble_toeplitz_hankel, build_corner_block, build_fem_p2, build_fem_p3
+
+    iga = ([1.0, -1.0 / 3.0, -1.0 / 6.0], [11.0 / 20.0, 13.0 / 60.0, 1.0 / 120.0])
+    pencils = {f"iga-variant-{v}": tuple(assemble_toeplitz_hankel(band, 20, v) for band in iga) for v in (1, 3, 4)}
+    corner_block = tuple(build_corner_block(params, 6) for params in ([5.0, 1.0, -0.5, 3.0], [4.0, 0.5, 0.25, 2.0]))
+    return {**pencils, "fem-p2": build_fem_p2(8), "fem-p3": build_fem_p3(6), "corner-block": corner_block}
+
+
+@pytest.mark.parametrize("name", list(_library_pencils()))
+def test_structural_zeros_read_rounding_relative_to_their_row(name):
+    """Where both sides vanish in exact arithmetic, the computed sides are rounding of the row's size;
+    taken over the row's scale they read as rounding, not as a relative difference of about 1."""
+    a, b = _library_pencils()[name]
+    for table in (eve_identity_evp_all(a), eve_identity_gevp_all(a, b)):
+        assert not table.conditioning_warning
+        assert np.max(table.rel_diff) <= 1e-8, table.kind
+    if name == "iga-variant-1":  # 20 of its 400 entries are structural zeros, each read about 1 unfloored
+        table = eve_identity_evp_all(a)
+        zeros = np.maximum(abs(table.lhs), abs(table.rhs)) < 1e-12 * abs(table.lhs).sum(axis=1, keepdims=True)
+        assert np.count_nonzero(zeros) >= 20
+
+
 class TestConditioningWarning:
     """The near-repeated-eigenvalue flag is relative to the spectrum's scale."""
 
@@ -426,6 +451,23 @@ class TestTrigIdentities:
                 for l in range(2, n):
                     rep = trig_identity("ti3", n, k, l)
                     assert rep.rel_diff < 1e-8
+
+    @pytest.mark.parametrize("kind", ["ti31", "ti3"])
+    def test_an_error_in_a_small_entry_reads_relative_to_that_entry(self, monkeypatch, kind):
+        """The trigonometric tables' rel_diff is entrywise: an entry of size 2/(n+1) sin^2(pi/(n+1)),
+        about 2e-5 at n = 100, perturbed by 1e-6 of itself, reads 1e-6, not 1e-6 times its size."""
+        trig_tables = identities._trig_tables
+
+        def perturbed(*args):
+            lhs, rhs = trig_tables(*args)
+            rhs[0, 0] *= 1.0 + 1e-6
+            return lhs, rhs
+
+        monkeypatch.setattr(identities, "_trig_tables", perturbed)
+        table = trig_identity_all(kind, 100)
+        assert abs(table.lhs[0, 0]) < 3e-5
+        assert table.rel_diff[0, 0] == pytest.approx(1e-6, rel=1e-3)
+        assert table[0, 0].rel_diff == trig_identity(kind, 100, 1, 1).rel_diff == table.rel_diff[0, 0]
 
     def test_ti3_edge_l_routes_to_ti31(self):
         for n in (4, 9):

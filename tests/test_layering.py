@@ -1,5 +1,6 @@
 """Which module may import which: the closed forms never reach the numeric
-oracle that checks them, file I/O needs neither, and nothing needs scipy.
+oracle that checks them, nor the oracle the closed forms or their root
+finder, file I/O needs neither, and nothing needs scipy.
 Only ``families`` reads a band's storage.
 Only the oracle's pencil reduction factors by Cholesky, only the CLI's
 gate returns the tolerance exit code, and the CLI reaches the oracle
@@ -40,6 +41,29 @@ def _lines_importing(path, module):
 def test_spectra_imports_nothing_from_the_oracle():
     lines = _lines_importing(specmat.spectra.__file__, "oracle")
     assert lines == [], f"spectra.py imports the oracle on lines {lines}"
+
+
+def _closed_form_reach(tree):
+    """The line of every import in ``tree`` that names ``spectra`` or ``batched_roots``, and of every
+    call or attribute that reaches ``batched_roots``."""
+    imports = [node.lineno for module in ("spectra", "batched_roots") for node in _imports(tree, module)]
+    names = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "batched_roots"]
+    return sorted({*imports, *names, *_attribute_reads(tree, "batched_roots")})
+
+
+def test_oracle_shares_nothing_with_the_closed_forms():
+    """The oracle checks the closed forms, so it takes neither their module nor the per-mode root
+    finder they solve with: its congruence route finds each index's roots by its own companions."""
+    lines = _closed_form_reach(ast.parse(Path(specmat.oracle.__file__).read_text(encoding="utf-8")))
+    assert lines == [], f"oracle.py reaches the closed forms on lines {lines}"
+
+
+def test_the_closed_form_check_finds_a_planted_call():
+    tree = ast.parse("import numpy as np\nfrom .linalg import as_square, batched_roots\n\ndef f(c):\n"
+                     "    from . import spectra\n    return batched_roots(c), linalg.batched_roots(c)\n"
+                     "\ndef g(c):\n    return np.linalg.eigvals(c)\n")
+    assert _closed_form_reach(tree) == [2, 5, 6]
 
 
 @pytest.mark.parametrize("module", ["spectra", "oracle"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from specmat import (
     EigenSolution,
     NotHermitianError,
+    PolynomialEigenSolution,
     ShapeMismatchError,
     SingularBError,
     SingularPencilError,
@@ -752,6 +753,14 @@ CUBIC = ([1.0, 0.5], [2.0, 0.25j], [4.0, -1.0], [6 + 1j, 1.0]), 2, 9
 DEGREE_DROP = ([1.0, 0.5], [0.0, 0.0]), 4, 6
 
 
+def _dense_pevp_problem(n=7, q=2, seed=12):
+    """Dense random complex-symmetric coefficients, which no real congruence diagonalizes, and their
+    companion values as the solution."""
+    rng = np.random.default_rng(seed)
+    mats = [m + m.T for m in rng.standard_normal((q + 1, n, n)) + 1j * rng.standard_normal((q + 1, n, n))]
+    return PolynomialEigenSolution([1], [np.linalg.eigvals(oracle._companion_matrix(mats))], np.ones((n, 1))), *mats
+
+
 def _bits(x):
     """The bytes of an array, to compare two arrays bit for bit, signed zeros and NaNs included."""
     return None if x is None else np.ascontiguousarray(x).tobytes()
@@ -763,14 +772,23 @@ class TestVerify:
     @pytest.mark.parametrize("problem, route", [
         (_th_problem(IGA_ALPHA, IGA_BETA, 12, 1), "hermitian"),
         (_th_problem(COMPLEX_ALPHA, COMPLEX_BETA, 5, 3), "general"),
-        (_pevp_problem(*CUBIC), "companion"),
-        (_pevp_problem(*DEGREE_DROP), "reversed-companion"),
-    ], ids=["real-spd", "complex", "cubic", "degree-drop"])
+        (_pevp_problem(*CUBIC), "congruence"),
+        (_pevp_problem(*DEGREE_DROP), "reversed-congruence"),
+        (_dense_pevp_problem(), "companion"),
+    ], ids=["real-spd", "complex", "cubic", "degree-drop", "dense"])
     def test_route(self, problem, route):
         check = verify(*problem)
         assert check.route == route
         assert not check.count_mismatch and np.all(check.distances <= 1e-8)
-        assert (check.residuals is None) == route.endswith("companion")
+        assert (check.residuals is None) == route.endswith(("congruence", "companion"))
+
+    def test_a_family_no_congruence_diagonalizes_is_solved_as_before_bit_for_bit(self):
+        """The companion route of the whole pencil, as it ran before the congruence route existed."""
+        _, *mats = _dense_pevp_problem()
+        values, dropped, congruence = oracle._solve_pevp(mats)
+        want = np.linalg.eigvals(oracle._companion_matrix(mats)).astype(complex)
+        assert not dropped and not congruence
+        assert _bits(values) == _bits(want[np.lexsort((want.imag, want.real))])
 
     @pytest.mark.parametrize("index", range(len(_gevp_problems())))
     def test_is_the_composition_it_replaces_bit_for_bit(self, index):
@@ -797,7 +815,7 @@ class TestVerify:
     def test_polynomial_bands_and_dense_matrices_agree(self):
         analytic, *bands = _pevp_problem(*CUBIC)
         banded, dense = verify(analytic, *bands), verify(analytic, *(band.dense() for band in bands))
-        assert banded.route == dense.route == "companion"
+        assert banded.route == dense.route == "congruence"
         assert _bits(banded.matched) == _bits(dense.matched)
         assert _bits(banded.distances) == _bits(dense.distances)
 
@@ -988,6 +1006,68 @@ class TestCentrosymmetricSplit:
             assert np.max(distances) <= 4 * _SPLIT_VALUE_RTOL * np.max(np.abs(want))
 
 
+# ------------------------------------------------ congruence route
+
+def _companion_route(mats):
+    """:func:`oracle._solve_pevp` with the congruence route turned off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_congruence_roots", lambda half: None)
+        return oracle._solve_pevp(mats)
+
+
+@st.composite
+def _polynomial_pencils(draw):
+    """Toeplitz-plus-Hankel polynomial pencils: variants 1-4, real or complex bands of bandwidth 1-3,
+    degree 1-3, n up to 60; in about one draw of three the leading band's symbol vanishes at a mode
+    angle, so that the leading coefficient is singular."""
+    from specmat.spectra import mode_angles
+
+    variant, q, width = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(2 * width, 60))  # the corner corrections need 2 m - 1 <= n
+    cplx = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bands = [_dominant_band(rng, width, cplx) for _ in range(q + 1)]
+    if draw(st.integers(0, 2)) == 0:
+        h, angles = mode_angles(variant, n)
+        theta = np.pi * h * angles[draw(st.integers(0, n - 1))]
+        bands[-1] = np.zeros(width + 1, dtype=bands[-1].dtype)
+        bands[-1][:2] = -2.0 * np.cos(theta), 1.0  # the symbol s + 2 cos(t) vanishes at t = theta
+    return [assemble_toeplitz_hankel(band, n, variant) for band in bands]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polynomial_pencils())
+def test_congruence_route_matches_the_companion_route(mats):
+    values, dropped, congruence = oracle._solve_pevp(mats)
+    want, want_dropped, _ = _companion_route(mats)
+    assert congruence and dropped == want_dropped and values.size == want.size
+    _, distances = pair_values(want, values)
+    # the companion route's own rounding, as in test_pevp_split_matches_the_dense_route
+    assert np.max(distances) <= 4 * _SPLIT_VALUE_RTOL * np.max(np.abs(want))
+
+
+def test_coupled_indices_are_solved_together():
+    """A family that is diagonal but for one block no congruence splits: the block's indices form one
+    run, solved by a companion of its sub-blocks, and every other index alone."""
+    rng = np.random.default_rng(13)
+    n, q = 12, 2
+    mats = [np.diag(rng.uniform(1.0, 2.0, n)).astype(complex) for _ in range(q + 1)]
+    for m in mats:  # indices 4 and 5 couple in every coefficient, each differently
+        block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m[4:6, 4:6] += 0.3 * (block + block.T)
+    orthogonal, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mats = [orthogonal @ m @ orthogonal.T for m in mats]
+    runs, companion_matrix = [], oracle._companion_matrix
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_companion_matrix", lambda blocks: runs.append(blocks[0].shape) or
+                      companion_matrix(blocks))
+        values, _, congruence = oracle._solve_pevp(mats)
+    assert congruence and 1 <= len(runs) and all(2 <= shape[0] < n for shape in runs)
+    want, _, _ = _companion_route(mats)
+    _, distances = pair_values(want, values)
+    assert values.size == want.size and np.max(distances) <= 1e-12 * np.max(np.abs(want))
+
+
 def _full_companion_values(mats):
     """Eigenvalues of ``C1^{-1} C0`` with C1 and C0 assembled and solved whole: the reference."""
     q, n = len(mats) - 1, mats[0].shape[0]
@@ -1040,14 +1120,36 @@ def test_dense_input_is_float64_exactly_when_no_entry_is_complex(kind, n, seed):
     unit = np.eye(n, dtype=int)
     u = _INPUT_KINDS[kind](unit[0] + unit[1], unit[1])
     singular = np.outer(u, u.conj())  # rank one
+    # complex symmetric for the complex kind, with parts m + m^T and a positive definite matrix:
+    # one real congruence diagonalizes them
+    spd = q @ q.T + 4 * n * np.eye(n, dtype=int)
+    symmetric = [_INPUT_KINDS[kind](spd, m + m.T), _INPUT_KINDS[kind](m + m.T, spd)]
     want = np.complex128 if kind == "complex" else np.float64
-    seen = []
-    reduce_pencil, companion_matrix = oracle._reduce_pencil, oracle._companion_matrix
+    seen, inside = [], []
+    reduce_pencil, companion_matrix, eigvals = oracle._reduce_pencil, oracle._companion_matrix, np.linalg.eigvals
+    congruence_roots = oracle._congruence_roots
+
+    def congruence(mats):
+        inside.append(True)
+        try:
+            return congruence_roots(mats)
+        finally:
+            inside.pop()
+
+    def tagged(name):
+        """The congruence route's (S, R) pencil is real by construction: its reduction, its
+        eigensolve and the singularity tests of its R candidates have a tag of their own."""
+        return "congruence-pencil" if inside and name in ("reduced", "eigh", "eigvalsh") else name
 
     def reduced(*args):
         inv_chols, blocks = reduce_pencil(*args)
-        seen.extend(("reduced", block.dtype) for block in blocks)
+        seen.extend((tagged("reduced"), block.dtype) for block in blocks)
         return inv_chols, blocks
+
+    def stacked(m, *args, **kwargs):
+        if np.ndim(m) == 3:  # here only the congruence route's companions of the diagonals of X^T A_k X
+            seen.append(("congruent", m.dtype))
+        return eigvals(m, *args, **kwargs)
 
     def companion(mats):
         matrix = companion_matrix(mats)
@@ -1057,9 +1159,11 @@ def test_dense_input_is_float64_exactly_when_no_entry_is_complex(kind, n, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_reduce_pencil", reduced)
         patch.setattr(oracle, "_companion_matrix", companion)
+        patch.setattr(np.linalg, "eigvals", stacked)
+        patch.setattr(oracle, "_congruence_roots", congruence)
         for name in ("eigh", "eigvalsh"):
             patch.setattr(np.linalg, name, lambda x, *args, _call=getattr(np.linalg, name), _name=name, **kwargs:
-                          seen.append((_name, x.dtype)) or _call(x, *args, **kwargs))
+                          seen.append((tagged(_name), x.dtype)) or _call(x, *args, **kwargs))
         sol = solve_gevp_numeric(a, b)
         values = gevp_eigenvalues_numeric(a, b)
         eve_identity_evp_all(a)
@@ -1067,12 +1171,14 @@ def test_dense_input_is_float64_exactly_when_no_entry_is_complex(kind, n, seed):
             eve_identity_gevp_all(a, b, form)
         roots, dropped = solve_pevp_numeric([b, a, b])
         _, reversed_dropped = solve_pevp_numeric([b, a, singular])
+        solve_pevp_numeric([symmetric[0], symmetric[1], symmetric[0]])
     kinds = {name for name, _ in seen}
-    assert {"reduced", "companion", "eigh", "eigvalsh"} <= kinds
-    assert all(dtype == want for _, dtype in seen), seen
+    assert {"reduced", "companion", "eigh", "eigvalsh", "congruence-pencil", "congruent"} <= kinds
+    assert all(dtype == want for name, dtype in seen if name != "congruence-pencil"), seen
+    assert all(dtype == np.float64 for name, dtype in seen if name == "congruence-pencil"), seen
     assert sol.values.dtype == sol.vectors.dtype == want and values.dtype == np.float64  # Hermitian-definite
     assert assemble_tensor_pencil(a, b, a, b)[0].dtype == assemble_tensor_pencil(b, a, b, a)[1].dtype == want
     assert not dropped and reversed_dropped
     assert roots.dtype == np.complex128 and roots.imag.all()
-    if kind != "complex":  # the real companion's values come in exact conjugate pairs
+    if kind != "complex":  # a real companion's values come in exact conjugate pairs
         assert np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj()))
