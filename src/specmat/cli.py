@@ -416,8 +416,11 @@ def main(argv=None) -> int:
         if not getattr(args, "tol", 0.0) >= 0:  # no value is within NaN or below 0, so every gate would fail
             raise SpecmatError(f"{args.command} needs a --tol that is "
                                + ("not NaN" if np.isnan(args.tol) else "at least 0"))
-        return args.func(args)
-    except (SpecmatError, ValueError, OSError, MemoryError) as exc:  # an array too large to allocate
+        # input whose arithmetic overflows, turns NaN or divides by zero is refused, not warned of
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (SpecmatError, ValueError, OSError, MemoryError,  # MemoryError: an array too large to allocate
+            FloatingPointError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a list's MemoryError is blank
         return 2
 

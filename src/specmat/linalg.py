@@ -1,8 +1,8 @@
 """Dense linear-algebra helpers and a batched polynomial root finder.
 
-Everything operates on plain numpy arrays.  Dense and band input is
-float64 unless some entry has a nonzero imaginary part, complex128 then;
-roots are complex128.  Polynomials of degree three and up are solved as
+Everything operates on plain numpy arrays.  Dense and band input, and
+roots, are float64 unless some entry has a nonzero imaginary part,
+complex128 then.  Polynomials of degree three and up are solved as
 stacked companion matrices by LAPACK's ``eigvals`` through numpy (Edelman
 & Murakami, *Math. Comp.* 1995), one batch for a whole table of per-mode
 polynomials.  Degrees one and two use closed forms.
@@ -59,15 +59,17 @@ def batched_roots(coeffs) -> np.ndarray:
     """Roots of many polynomials of one degree q, one polynomial per row.
 
     ``coeffs`` holds ascending coefficients, shape ``(m, q+1)``, with nonzero
-    leading entries; the result has shape ``(m, q)``.  q=1 and q=2 use
-    closed forms.  A quadratic's roots come as ``(-c1 + disc) / (2 c2)``,
-    then ``(-c1 - disc) / (2 c2)``, for the principal square root ``disc``;
-    the one that would cancel in ``-c1 +/- disc`` is taken from the other
-    by Vieta.  q >= 3 takes the eigenvalues of the stacked companion
-    matrices and polishes them by Newton steps, each kept only where it does
-    not raise the polynomial's modulus.
+    leading entries; the result has shape ``(m, q)``, float64 for a real
+    table whose roots are all real, else complex128 for the whole batch, as
+    ``eigvals`` returns a stack.  q=1 and q=2 use closed forms, in real
+    arithmetic for a real table.  A quadratic's roots come as ``(-c1 + disc)
+    / (2 c2)``, then ``(-c1 - disc) / (2 c2)``, for the principal square root
+    ``disc``; the one that would cancel in ``-c1 +/- disc`` is taken from
+    the other by Vieta.  q >= 3 takes the eigenvalues of the stacked
+    companion matrices and polishes them, in their dtype, by Newton steps,
+    each kept only where it does not raise the polynomial's modulus.
     """
-    c = np.asarray(coeffs, dtype=complex)
+    c = _real_or_complex(coeffs)
     if c.ndim != 2 or c.shape[1] < 2:
         raise ValueError(f"expected coefficient rows of shape (m, q+1) with q >= 1, got {c.shape}")
     m, q = c.shape[0], c.shape[1] - 1
@@ -75,7 +77,10 @@ def batched_roots(coeffs) -> np.ndarray:
         return -c[:, :1] / c[:, 1:]
     if q == 2:
         c0, c1, c2 = c.T
-        disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        square = c1 * c1 - 4.0 * c2 * c0
+        if c.dtype == float and (square < 0).any():  # a complex pair: the whole batch complex
+            c0, c1, c2, square = (part.astype(complex) for part in (c0, c1, c2, square))
+        disc = np.sqrt(square)
         minus_far = abs(c1 + disc) >= abs(c1 - disc)
         big = -0.5 * np.where(minus_far, c1 + disc, c1 - disc)
         # big = 0 only when c0 = c1 = 0, a double root at zero
@@ -87,7 +92,7 @@ def batched_roots(coeffs) -> np.ndarray:
     companion = np.zeros((m, q, q), dtype=last_column.dtype)
     companion[:, np.arange(1, q), np.arange(q - 1)] = 1.0
     companion[:, :, -1] = last_column
-    roots = np.linalg.eigvals(companion).astype(complex)
+    roots = np.linalg.eigvals(companion)
     deriv = c[:, 1:] * np.arange(1, q + 1)
     value = _horner(c, roots)
     for _ in range(NEWTON_STEPS):

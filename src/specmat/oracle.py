@@ -195,7 +195,9 @@ def _reduce_pencil(a, b, method):
     the real LAPACK routines, about twice as fast.  Two ``(m, p, p)`` stacks
     are one block, never split, and keep their dtype; they take the route
     ``method`` names, ``"hermitian"`` or ``"general"``, unchecked for
-    symmetry, and each B is tested alone.
+    symmetry, and each B is tested alone.  The forced Hermitian route checks
+    symmetry before any LAPACK call, and a B whose Cholesky factorization
+    fails raises :class:`SingularBError` with no singularity test.
     """
     if method not in ("auto", "hermitian", "general"):
         raise ValueError(f"unknown method {method!r}")
@@ -214,13 +216,16 @@ def _reduce_pencil(a, b, method):
     blocks = [[a, b]] if stacked else _centrosymmetric_halves([a, b]) or [[a, b]]
     # a stack's route is the caller's choice; its matrices are not checked
     hermitian_pair = method == "hermitian" if stacked else is_hermitian(a) and is_hermitian(b)
+    if method == "hermitian" and not hermitian_pair:
+        raise NotHermitianError("the forced Hermitian path needs Hermitian A and B")
     inv_chols = None
     if method in ("auto", "hermitian") and hermitian_pair:
         try:
             # one block that is not definite sends both to the general route
             chols = [np.linalg.cholesky(block_b) for _, block_b in blocks]
         except np.linalg.LinAlgError:
-            pass
+            if method == "hermitian":  # singular or not, no definite B: no singularity test is needed
+                raise SingularBError("Hermitian path needs a positive-definite right side") from None
         else:
             inv_chols = [_inverse_lower(chol) for chol in chols]
     if stacked:
@@ -231,8 +236,6 @@ def _reduce_pencil(a, b, method):
     if singular:
         raise SingularBError("right-hand matrix of the pencil is singular")
 
-    if method == "hermitian" and not hermitian_pair:
-        raise NotHermitianError("the forced Hermitian path needs Hermitian A and B")
     if inv_chols is not None:
         reduced = []
         for (block_a, _), inv in zip(blocks, inv_chols):
@@ -240,8 +243,6 @@ def _reduce_pencil(a, b, method):
             block = inv @ (block_a @ inv.conj().swapaxes(-1, -2))
             reduced.append(0.5 * (block + block.conj().swapaxes(-1, -2)))
         return inv_chols, reduced
-    if method == "hermitian":
-        raise SingularBError("Hermitian path needs a positive-definite right side")
     # B is invertible (checked above)
     return None, [np.linalg.solve(block_b, block_a) for block_a, block_b in blocks]
 

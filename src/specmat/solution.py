@@ -57,9 +57,9 @@ class PolynomialEigenSolution:
     """Per-mode roots of a polynomial matrix pencil.
 
     Each mode contributes one shared eigenvector (a column of ``vectors``)
-    and up to ``q`` eigenvalues, the roots of that mode's scalar polynomial.
-    Modes where the leading coefficient vanished carry fewer roots and are
-    listed in ``degree_drops``.
+    and up to ``q`` eigenvalues, the roots of that mode's scalar polynomial,
+    kept in their given dtype.  Modes where the leading coefficient vanished
+    carry fewer roots and are listed in ``degree_drops``.
     """
 
     modes: np.ndarray
@@ -69,7 +69,7 @@ class PolynomialEigenSolution:
 
     def __post_init__(self):
         self.modes = np.asarray(self.modes, dtype=int)
-        self.mode_roots = [np.asarray(r, dtype=complex) for r in self.mode_roots]
+        self.mode_roots = [np.asarray(r) for r in self.mode_roots]
         self.vectors = np.asarray(self.vectors)
         if len(self.modes) != len(self.mode_roots) or self.vectors.shape[1] != len(self.modes):
             raise ValueError("modes, roots and vector columns must line up")

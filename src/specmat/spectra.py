@@ -167,10 +167,10 @@ def _mode_roots(table, floors):
     if above[-1].all():  # no power drops, as is usual: one batch of every row
         return np.full(len(table), len(above) - 1), batched_roots(table)
     degrees = functools.reduce(lambda degree, k: np.where(above[k], k, degree), range(1, len(above)), 0)
-    roots = np.zeros((table.shape[0], table.shape[1] - 1), dtype=complex)
-    for d in set(degrees.tolist()) - {0}:
-        rows = degrees == d
-        roots[rows, :d] = batched_roots(table[rows, : d + 1])  # one batch per degree
+    batches = {d: batched_roots(table[degrees == d, : d + 1]) for d in set(degrees.tolist()) - {0}}
+    roots = np.zeros((table.shape[0], table.shape[1] - 1), dtype=np.result_type(float, *batches.values()))
+    for d, batch in batches.items():
+        roots[degrees == d, :d] = batch
     return degrees, roots
 
 
@@ -254,10 +254,7 @@ def _corner_block_roots(alpha, beta, half_n):
         )
     roots[degrees == 2] = roots[degrees == 2, ::-1]  # the "-" root first
     kept = np.arange(2) < degrees[:, None]
-    values = roots[kept]
-    if alpha.dtype == beta.dtype == float and not values.imag.any():
-        values = values.real
-    return alpha, beta, thetas, table, roots, kept, np.append(values, alpha[3] / beta[3])
+    return alpha, beta, thetas, table, roots, kept, np.append(roots[kept], alpha[3] / beta[3])
 
 
 def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
@@ -278,8 +275,6 @@ def corner_block_eigenpairs(alpha, beta, half_n: int) -> EigenSolution:
     """
     alpha, beta, thetas, table, roots, kept, values = _corner_block_roots(alpha, beta, half_n)
     n = thetas.size
-    if values.dtype == float:  # real vectors: the same weights in real arithmetic
-        roots = roots.real
 
     # each root's weights on the even and odd entries span the null space of
     # its mode's 2x2 symbol [[vertex, fold * coupling], [coupling, -odd]],
@@ -364,7 +359,6 @@ def _fem_p3_modes(n_elems: int):
     # the mode cubic, ascending: -25200 (1 - cos), 360 (32 + 3 cos), -30 (18 - cos), 4 + cos >= 3 (no power drops)
     bands = np.array([(-25200.0, 12600.0), (11520.0, 540.0), (-540.0, 15.0), (4.0, 0.5)])
     roots = _mode_roots(_symbols(bands, np.pi * h * np.arange(1, n)), 0.0)[1]
-    roots = roots if roots.imag.any() else roots.real
     return roots, np.concatenate((roots.ravel() * (1.0 / (h * h)), [10.0 * n * n, 42.0 * n * n]))
 
 
@@ -391,7 +385,7 @@ def fem_p3_eigenpairs(n_elems: int) -> EigenSolution:
     """
     roots, values = _fem_p3_modes(n_elems)
     n = (values.size + 1) // 3  # the dimension is 3n - 1
-    s = roots.real.ravel()
+    s = roots.ravel()
     count = s.size
     # the interior rows of each mode's local K - s M, in local node order
     rows = _FEM_P3_K_LOCAL[1:3] - s[:, None, None] * _FEM_P3_M_LOCAL[1:3]

@@ -1,5 +1,7 @@
 """Command-line surface: parsing, exit codes, file and CSV outputs."""
 
+import contextlib
+import io
 import json
 import re
 import warnings
@@ -10,6 +12,7 @@ import pytest
 from specmat import (
     BadBandwidthError,
     HankelVariant,
+    SingularBError,
     IdentityTable,
     assemble_toeplitz_hankel,
     build_corner_block,
@@ -21,6 +24,7 @@ from specmat import (
     pevp_eigenpairs,
     read_matrix_market,
     scale_pencil,
+    solve_gevp_numeric,
     solve_pevp_numeric,
     trig_identity_all,
     write_matrix_market,
@@ -455,6 +459,78 @@ def test_an_array_too_large_to_allocate_is_a_usage_error(capsys, argv, message):
     assert captured.out == "" and re.fullmatch(f"error: {message}\n", captured.err)
 
 
+def _run_in_full(argv, tmp_path, pencil=None):
+    """``main(argv)``'s exit code, stdout, stderr and the warnings it raised, each recorded; ``pencil``,
+    a list of bands, is written as a variant-1, n = 6 pevp input whose path ends ``argv``."""
+    if pencil is not None:
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": 1, "n": 6, "bands": pencil}))
+        argv = [*argv, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "toeplitz-hankel", "--alpha", "1e308,1e308", "--beta", "1,0", "--n", "6"],
+    ["spectrum", "--family", "corner-block", "--alpha", "1e200,1e200,1e200,1e200", "--beta", "1,0,0,1",
+     "--half-n", "3"],
+    ["identity", "--kind", "ti3g", "--n", "5", "--alpha", "1e308,1e308", "--beta", "3,1"],
+], ids=["toeplitz-hankel", "corner-block", "ti3g"])
+def test_input_that_overflows_a_float_is_a_usage_error(tmp_path, argv):
+    # each printed numpy's overflow warnings, then failed as something else or passed
+    code, out, err, caught = _run_in_full(argv, tmp_path)
+    assert (code, out, caught) == (2, "", [])
+    assert re.fullmatch(r"error: overflow encountered in [a-z ]+\n", err)
+
+
+_PEVP = ["pevp", "--input"]
+
+
+@pytest.mark.parametrize("argv, pencil", [
+    (["spectrum", "--family", "toeplitz-hankel", "--alpha", "1e308,1e308", "--beta", "1,0", "--n", "6"], None),
+    (["spectrum", "--family", "toeplitz-hankel", "--alpha", "2,-1", "--beta", "5e-324,0", "--n", "6"], None),
+    (["spectrum", "--family", "toeplitz-hankel", "--alpha", "1e200,1e-200", "--beta", "1e-200,1e200", "--n", "6"],
+     None),
+    (["spectrum", "--family", "toeplitz-hankel", "--alpha", "2e-200,-1e-200", "--beta", "4e-200,1e-200",
+      "--n", "6"], None),
+    (["spectrum", "--family", "toeplitz-hankel", "--alpha", "1e-320,1e-320", "--beta", "1e-320,0", "--n", "6"],
+     None),
+    (["spectrum", "--family", "corner-block", "--alpha", "1e308,1,1,1e308", "--beta", "1,0,0,1", "--half-n", "3"],
+     None),
+    (["spectrum", "--family", "corner-block", "--alpha", "1e200,1e200,1e200,1e200", "--beta", "1,0,0,1",
+      "--half-n", "3"], None),
+    (["spectrum", "--family", "corner-block", "--alpha", "5e100,1e100,-5e99,3e100",
+      "--beta", "4e-100,5e-101,2.5e-101,2e-100", "--half-n", "3"], None),
+    (["spectrum", "--family", "corner-block", "--alpha", "1e-200,1e-201,1e-202,1e-200", "--beta", "1,0,0,1",
+      "--half-n", "3"], None),
+    (["spectrum", "--family", "corner-block", "--alpha", "5,1,-1/2,3", "--beta", "5e-324,0,0,5e-324",
+      "--half-n", "3"], None),
+    (["identity", "--kind", "ti3g", "--n", "5", "--alpha", "1e308,1e308", "--beta", "3,1"], None),
+    (["identity", "--kind", "ti3g", "--n", "5", "--alpha", "2,-1", "--beta", "5e-324,0"], None),
+    (["identity", "--kind", "ti3g", "--n", "5", "--alpha", "1e-320,1e-320", "--beta", "3,1"], None),
+    (_PEVP, [["1e308", "1e308"], ["1", "0"], ["3", "1"]]),
+    (_PEVP, [["1e200", "1e199"], ["1e-200", "1e-201"], ["3", "1"]]),
+    (_PEVP, [["1e-320", "1e-320"], ["1", "0"], ["3", "1"]]),
+    (_PEVP, [["2", "-1"], ["5e-324", "0"]]),
+], ids=["th-1e308", "th-5e-324", "th-1e+-200", "th-1e-200", "th-1e-320", "cb-1e308", "cb-1e200", "cb-1e+-100",
+        "cb-1e-200", "cb-5e-324", "ti3g-1e308", "ti3g-5e-324", "ti3g-1e-320", "pevp-1e308", "pevp-1e+-200",
+        "pevp-1e-320", "pevp-5e-324"])
+def test_extreme_literals_pass_or_fail_with_one_error_line(tmp_path, argv, pencil):
+    code, out, err, caught = _run_in_full(argv, tmp_path, pencil)
+    assert caught == [] and "Warning" not in err
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        numbers = [float(field) for line in out.splitlines()[1:] for field in line.split(",")
+                   if re.fullmatch(r"[-+0-9.eE]+|[-+]?(nan|inf)", field)]
+        assert numbers and np.isfinite(numbers).all()
+
+
 class TestCsvTables:
     # the fields of each command's rows: an integer (d), a float (f) or a string (s); the first is
     # written by %d, a string by %s, the rest by %.17g, where pevp's whole-number root index
@@ -686,6 +762,31 @@ class TestOracleWork:
         # the congruence's (S, R) pencil, one per half; its q x q companions go to LAPACK as one stack
         assert [shape for name, shape in seen if name == "eigh"] == [(5, 5), (4, 4)], seen
         assert all(shape[0] <= 5 for _, shape in seen), seen
+
+    def test_a_refused_cholesky_runs_no_singularity_test(self, monkeypatch, tmp_path, capsys):
+        # the forced Hermitian route raises at once, and the pevp congruence moves to its next candidate R
+        seen = self._record_lapack_shapes(monkeypatch)
+        cholesky = np.linalg.cholesky
+
+        def marked(m, *args, **kwargs):
+            try:
+                return cholesky(m, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                seen.append(("refused", np.shape(m)))
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", marked)
+        with pytest.raises(SingularBError):
+            solve_gevp_numeric(np.eye(4), np.diag([1.0, -1.0, 2.0, 3.0]), "hermitian")
+        assert [name for name, _ in seen] == ["cholesky", "refused"]
+        seen.clear()
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": 2, "n": 9, "bands": [["1", "1/2"], ["2", "1/4i"],
+                                                                   ["4", "-1"], ["6+i", "1"]]}))
+        assert main(["pevp", "--input", str(path)]) == 0
+        capsys.readouterr()
+        after = [seen[i + 1][0] for i, (name, _) in enumerate(seen[:-1]) if name == "refused"]
+        assert after and not {"eigvalsh", "svd"} & set(after), seen
 
     @pytest.mark.parametrize(
         "argv, calls",

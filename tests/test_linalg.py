@@ -1,5 +1,7 @@
 """The batched polynomial root finder."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,47 @@ class TestBatchedRoots:
                 value = abs(sum(c * r ** k for k, c in enumerate(coeffs)))
                 scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
                 assert value <= 1e-10 * scale
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_real_table_with_real_roots_is_float64(self, q):
+        expected = np.sort(np.random.default_rng(q).uniform(1.0, 2.0, (50, q)) * [1, 3, 9][:q], axis=1)
+        coeffs = np.array([np.poly(row)[::-1] for row in expected])
+        roots = batched_roots(coeffs)
+        assert roots.dtype == np.float64
+        assert np.max(np.abs(np.sort(roots, axis=1) - expected) / expected) < 1e-12
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_one_complex_root_makes_the_batch_complex(self, q):
+        coeffs = np.array([np.poly(np.arange(1.0, q + 1.0))[::-1]] * 3)
+        coeffs[1, :3] = [1.0, 0.0, 1.0]  # x^2 + 1 (times x - 3 for q = 3): roots +-i
+        roots = batched_roots(coeffs)
+        assert roots.dtype == np.complex128
+        assert not roots[0].imag.any() and abs(roots[1].imag).max() > 0.5
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_complex_table_is_complex(self, q):
+        # 1j times a real table whose roots are all real
+        coeffs = 1j * np.poly(np.arange(1.0, q + 1.0))[::-1]
+        roots = batched_roots(coeffs[None, :])
+        assert roots.dtype == np.complex128
+        assert np.max(np.abs(np.sort(roots.real) - np.arange(1.0, q + 1.0))) < 1e-12
+
+    def test_real_quadratic_divides_in_float64(self):
+        # the same formula in Python floats: each root is a correctly rounded real quotient,
+        # where complex division multiplies by a rounded reciprocal
+        rng = np.random.default_rng(31)
+        coeffs = rng.standard_normal((1000, 3)) * rng.choice([1e-8, 1.0, 1e8], (1000, 3))
+        coeffs[:, 0] = -abs(coeffs[:, 0]) * np.sign(coeffs[:, 2])  # c0 c2 < 0: two real roots
+        expected = []
+        for c0, c1, c2 in coeffs.tolist():
+            disc = math.sqrt(c1 * c1 - 4.0 * c2 * c0)
+            minus_far = abs(c1 + disc) >= abs(c1 - disc)
+            big = -0.5 * (c1 + disc if minus_far else c1 - disc)
+            far, near = big / c2, c0 / big
+            expected.append((near, far) if minus_far else (far, near))
+        roots = batched_roots(coeffs)
+        assert roots.dtype == np.float64
+        assert np.array_equal(roots, expected)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -313,11 +313,13 @@ class TestGevpEigenvaluesNumeric:
             (np.eye(3), np.diag([1.0, 0.0, 1.0]), "auto", SingularBError),
             (np.eye(3), np.diag([1.0, 1e-15, 1.0]), "auto", SingularBError),
             (np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), "hermitian", NotHermitianError),
+            # symmetry is checked first, before any factorization or singularity test of B
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, 0.0]), "hermitian", NotHermitianError),
             (np.eye(2), np.diag([1.0, -1.0]), "hermitian", SingularBError),
             (np.eye(2), np.eye(2), "charpoly", ValueError),
         ],
         ids=["shape", "singular-b", "below-threshold", "forced-not-hermitian",
-             "forced-indefinite", "unknown-method"],
+             "forced-not-hermitian-singular-b", "forced-indefinite", "unknown-method"],
     )
     def test_raises_what_the_full_solve_raises(self, a, b, method, error):
         for solver in (solve_gevp_numeric, gevp_eigenvalues_numeric):

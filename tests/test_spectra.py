@@ -40,7 +40,8 @@ from specmat import (
     tensor_eigenpairs,
 )
 from specmat.families import corner_block_band, fem_p2_bands, fem_p3_bands, toeplitz_hankel_band
-from specmat.spectra import _symbols, _vertex_samples, eigenvector_basis, mode_angles
+from specmat.spectra import (_corner_block_roots, _fem_p3_modes, _symbols, _vertex_samples, eigenvector_basis,
+                             mode_angles)
 
 RNG = np.random.default_rng(2024)
 EPS = np.finfo(float).eps
@@ -1115,6 +1116,22 @@ class TestClosedFormDtypes:
     def test_values_only_forms_are_real(self):
         assert gevp_eigenvalues(IGA_ALPHA, IGA_BETA, 9, 4).dtype == np.float64
         assert fem_p3_eigenvalues(6).dtype == np.float64
+
+    def test_real_roots_are_float64_from_the_root_step(self):
+        # batched_roots decides the dtype, and nothing after it converts
+        assert _corner_block_roots(CORNER_ALPHA, CORNER_BETA, 40)[4].dtype == np.float64
+        assert corner_block_eigenpairs(CORNER_ALPHA, CORNER_BETA, 40).values.dtype == np.float64
+        assert fem_p2_eigenvalues(300).dtype == fem_p2_eigenpairs(30).values.dtype == np.float64
+        assert _fem_p3_modes(40)[0].dtype == fem_p3_eigenpairs(20).values.dtype == np.float64
+        poly = pevp_eigenpairs(([-2.0, 1.0], [0.0, 0.0], [1.0, 0.25]), 12, HankelVariant.SET1)
+        assert all(roots.dtype == np.float64 for roots in poly.mode_roots)
+        assert poly.all_values().dtype == np.float64
+
+    def test_one_complex_root_makes_every_mode_complex(self):
+        # lam^2 + 2 cos(theta): an imaginary pair below pi/2, real roots above
+        poly = pevp_eigenpairs(([0.0, 1.0], [0.0, 0.0], [1.0, 0.0]), 7, HankelVariant.SET1)
+        assert all(roots.dtype == np.complex128 for roots in poly.mode_roots)
+        assert poly.mode_roots[0].imag.all() and not poly.mode_roots[-1].imag.any()
 
     def test_one_complex_side_makes_both_complex(self):
         sol = EigenSolution(modes=[1], values=[2.0], vectors=[[1j]])
