@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmat import (
     BadBandwidthError,
@@ -38,7 +43,10 @@ from specmat.cli import (
     LAPLACE_FDM_BAND,
     LAPLACE_FEM1_MASS_BAND,
     LAPLACE_FEM1_STIFF_BAND,
+    _CSV_VECTOR_MIN_FIELDS,
     _build_parser,
+    _csv_lines,
+    _float_field,
     _identity_tables,
     _scalar_column,
     _table_lines,
@@ -531,31 +539,87 @@ def test_extreme_literals_pass_or_fail_with_one_error_line(tmp_path, argv, penci
         assert numbers and np.isfinite(numbers).all()
 
 
+def _kernel_text(values):
+    """The kernel's fields for ``values``, one per line, under the CLI's floating-point error state."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        field = _float_field(np.asarray(values, dtype=np.float64))
+    lines = np.concatenate([field, np.full((1, field.shape[1]), ord("\n"), np.uint8)]).T.copy()
+    return lines[lines != 0].tobytes().decode("ascii")
+
+
+def _percent_text(values):
+    return "".join("%.17g\n" % v for v in np.asarray(values, dtype=np.float64).tolist())
+
+
 class TestCsvTables:
     # the fields of each command's rows: an integer (d), a float (f) or a string (s); the first is
     # written by %d, a string by %s, the rest by %.17g, where pevp's whole-number root index
     # formats as by %d
-    @pytest.mark.parametrize("kinds", ["dfff", "dffffff", "ddfff", "dfffs"],
-                             ids=["spectrum", "spectrum-oracle", "pevp", "dispersion"])
-    def test_rows_match_the_per_field_formatter(self, kinds):
+    # 40 rows are written by one %, _CSV_VECTOR_MIN_FIELDS rows by the kernel
+    @pytest.mark.parametrize("kinds, n", [
+        pytest.param(kinds, n, id=name + suffix)
+        for n, suffix in [(40, ""), (_CSV_VECTOR_MIN_FIELDS, "-by-kernel")]
+        for name, kinds in [("spectrum", "dfff"), ("spectrum-oracle", "dffffff"), ("pevp", "ddfff"),
+                            ("dispersion", "dfffs")]])
+    def test_rows_match_the_per_field_formatter(self, monkeypatch, kinds, n):
         special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
                    1.0 / 3.0, -2.5e-17, 160.0, 9.8716978898774279]
         rng = np.random.default_rng(8)
-        columns = [list(range(1, 41)) if kind == "d" else ["", "minus", "10n^2", "plus"] * 10 if kind == "s"
-                   else [np.float64(v) for v in np.concatenate(
-                       (special, rng.standard_normal(29) * 10.0 ** rng.integers(-20, 20, 29)))]
+        columns = [np.arange(1, n + 1) if kind == "d" else np.array(["", "minus", "10n^2", "plus"] * (n // 4))
+                   if kind == "s" else np.concatenate(
+                       (special, rng.standard_normal(n - 11) * 10.0 ** rng.integers(-20, 20, n - 11)))
                    for kind in kinds]
-        template = "%d" + "".join(",%s" if kind == "s" else ",%.17g" for kind in kinds[1:])
-        rows = list(zip(*columns))
-        assert _table_lines(template, [[v.item() if isinstance(v, np.float64) else v for v in row]
-                                       for row in rows]) == ["\n".join(_per_field_rows(rows))]
-        assert _table_lines(template, []) == []
+        by_percent = []
+        monkeypatch.setattr(cli, "_table_lines", lambda *a: by_percent.append(a) or _table_lines(*a))
+        rows = list(zip(*(column.tolist() for column in columns)))
+        assert _csv_lines(columns) == ["\n".join(_per_field_rows(rows))]
+        assert bool(by_percent) == (n * len(kinds) < _CSV_VECTOR_MIN_FIELDS)
+        assert _csv_lines([column[:0] for column in columns]) == []
 
-    @pytest.mark.parametrize("method", ["fdm", "fem1", "fem2", "iga2-example"])
-    def test_dispersion_output_is_the_per_field_format(self, capsys, method):
-        assert main(["dispersion", "--method", method, "--n", "12"]) == 0
-        rows = _per_field_rows(dispersion_rows(method, 12))
+    # 12 cells are written by one %, 400 by the kernel
+    @pytest.mark.parametrize("method, n", [
+        pytest.param(method, n, id=method + suffix)
+        for n, suffix in [(12, ""), (400, "-by-kernel")] for method in ["fdm", "fem1", "fem2", "iga2-example"]])
+    def test_dispersion_output_is_the_per_field_format(self, capsys, method, n):
+        assert main(["dispersion", "--method", method, "--n", str(n)]) == 0
+        rows = _per_field_rows(dispersion_rows(method, n))
         assert capsys.readouterr().out == "\n".join(["j,lambda_h,lambda_exact,rel_error,branch", *rows]) + "\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # residuals of infinite values warn nothing
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "toeplitz-hankel", "--alpha", "1,-1/3,-1/6", "--beta", "11/20,13/60,1/120",
+         "--n", "120", "--variant", "3"],
+        ["spectrum", "--family", "toeplitz-hankel", "--alpha", "4+1/2i,1,-1/4i", "--beta", "1", "--n", "150",
+         "--no-oracle"],
+        ["spectrum", "--family", "fem-p2", "--n-elems", "60", "--perturb", "nan"],
+        ["spectrum", "--family", "fem-p3", "--n-elems", "60", "--perturb", "-inf", "--no-oracle"],
+        ["spectrum", "--family", "corner-block", "--alpha", "5,1,-1/2,3", "--beta", "2,1/4,1/8,1",
+         "--half-n", "60"],
+        ["dispersion", "--method", "fem2", "--n", "300"],
+        ["dispersion", "--method", "iga2-example", "--n", "700"],
+    ], ids=["iga-variant-3", "complex-no-oracle", "fem-p2-nan", "fem-p3-minus-inf", "corner-block",
+            "dispersion-fem2", "dispersion-iga2"])
+    def test_the_kernel_writes_what_percent_writes(self, capsys, monkeypatch, argv):
+        outputs = []
+        for crossover in (_CSV_VECTOR_MIN_FIELDS, 10 ** 9):  # by the kernel, then all by %
+            monkeypatch.setattr(cli, "_CSV_VECTOR_MIN_FIELDS", crossover)
+            code = main(argv)
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        header, *rows = outputs[0][1].out.splitlines()
+        assert len(rows) * (header.count(",") + 1) >= _CSV_VECTOR_MIN_FIELDS
+
+    def test_the_kernel_writes_what_percent_writes_for_pevp(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "pencil.json"
+        # degree drops in modes 3 and 4, so the roots per mode vary
+        path.write_text(json.dumps({"variant": 2, "n": 150, "bands": [["1", "1/2", "1/5"], ["2", "3/10", "1/10"],
+                                                                      ["1", "0", "1/2"], ["1", "1/2", "1/2"]]}))
+        outputs = []
+        for crossover in (_CSV_VECTOR_MIN_FIELDS, 10 ** 9):
+            monkeypatch.setattr(cli, "_CSV_VECTOR_MIN_FIELDS", crossover)
+            outputs.append((main(["pevp", "--input", str(path)]), capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert (len(outputs[0][1].out.splitlines()) - 1) * 5 >= _CSV_VECTOR_MIN_FIELDS
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # residuals of infinite values warn nothing
     def test_nan_and_inf_rows_end_to_end(self, capsys):
@@ -566,6 +630,58 @@ class TestCsvTables:
             assert lines[1].split(",")[1] == perturb
             assert len(lines) == 6 and all(line.count(",") == 6 for line in lines)
             assert captured.err == "error: max residual nan exceeds tolerance 1.000e-08\n"
+
+
+class TestFloatKernel:
+    """The kernel's fields are the bytes of ``'%.17g' % v``, and no input raises under the CLI's
+    floating-point error state."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(28).integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)  # every exponent, sign, subnormal and NaN payload
+        assert _kernel_text(values) == _percent_text(values)
+
+    def test_special_values_and_the_edges_of_the_notations(self):
+        powers = 10.0 ** np.arange(-323, 309)
+        values = np.concatenate([
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, 99999999999999999.0,
+             9999999999999999.0, 0.5, 0.1, 1.0 / 3.0],
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+            # the fixed notation's edges: E = -4 and -5, E = 16 and 17, each side of the rounding to 17 digits
+            [1e-4, 9.9999999999999991e-5, 1.0000000000000001e-4, 1e-5, 0.000123456789, 0.0000123456789,
+             1.2345678901234567e16, 9.9999999999999998e16, 1.2345678901234567e17],
+            # decimal exponents at and past the double-double's window, each way
+            [1e-280, 9.99e-281, 1e-281, 9.99e290, 1e291, 1.0000000000000001e291, 3e-300, 4e300],
+        ])
+        assert _kernel_text(values) == _percent_text(values)
+
+    def test_exact_ties_at_seventeen_digits(self):
+        # odd k / 8 and k / 16 below 2**53 are exact with 18 significant digits, the last a 5, where
+        # %.17g rounds half to even
+        rng = np.random.default_rng(17)
+        ties = np.concatenate([(rng.integers(8 * 10 ** 14, 8 * 10 ** 15, 500) | 1) / 8,
+                               (rng.integers(16 * 10 ** 13, 16 * 10 ** 14, 500) | 1) / 16, [186714551458061.875]])
+        assert all(len(digits) == 18 and digits[-1] == 5
+                   for digits in (Decimal(v).as_tuple().digits for v in ties.tolist()))
+        assert _kernel_text(np.concatenate([ties, -ties])) == _percent_text(np.concatenate([ties, -ties]))
+
+    def test_near_ties_at_seventeen_digits(self):
+        # doubles m * 2**-q whose 17-digit scaling lies within 1e-15 of a half but not on it (found by
+        # solving m * 5**k = 2**(L-1) + small (mod 2**L)); the double-double alone rounds each of these wrong
+        near = [6.83280278535067e-11, 6.83280278535067e-12, 4.974148370910348e-09, 4.974148370910348e-10,
+                4.95286445202696e-09, 1.2568395420297045e-10, 2.460469286850939e-10, 9.895086944612226e-10,
+                5.016716208677124e-09, 4.9102966142601843e-08, 4.910296614260184e-09, 5.0592840464439e-09,
+                4.8677287764934085e-09, 7.594247049386696e-10]
+        for v in near:
+            scaled = Fraction(v) * Fraction(10) ** (16 - int(f"{v:.16e}".split("e")[1]))
+            assert 0 < abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 1e-15
+        assert _kernel_text(near + [-v for v in near]) == _percent_text(near + [-v for v in near])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        assert _kernel_text(values) == _percent_text(values)
 
 
 class TestNegativeBands:
@@ -1123,6 +1239,24 @@ class TestPevpCommand:
         assert captured.out.startswith("mode_index,root_index,")
         assert re.fullmatch(r"error: max oracle distance \S+ exceeds tolerance 0\.000e\+00\n",
                             captured.err)
+
+    def test_distance_gate_is_relative_to_the_largest_root(self, tmp_path, capsys):
+        # roots near ±5e99i to ±8.3e99i, whose oracle distances near 1.9e84 are a relative gap near 2e-16
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"variant": 1, "n": 6,
+                                    "bands": [["1e200", "1e199"], ["1e-200", "1e-201"], ["3", "1"]]}))
+        assert main(["pevp", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert max(float(line.split(",")[4]) for line in captured.out.splitlines()[1:]) > 1e84
+        assert captured.err == ""
+        # the bound is --tol times the largest modulus
+        assert main(["pevp", "--input", str(path), "--tol", "1e-20"]) == 3
+        assert re.fullmatch(r"error: max oracle distance 1\.94\de\+84 exceeds tolerance 8\.27\de\+79\n",
+                            capsys.readouterr().err)
+        # every root is 0, so max|λ| = 0: an infinite tolerance still passes, a finite one gates exactly
+        path.write_text(json.dumps({"variant": 1, "n": 6, "bands": [["0", "0"], ["0", "0"], ["1", "1/4"]]}))
+        assert [main(["pevp", "--input", str(path), "--tol", tol]) for tol in ("inf", "0")] == [0, 0]
+        assert capsys.readouterr().err == ""
 
     def test_all_zero_leading_band_lists_every_mode_as_a_degree_drop(self, tmp_path, capsys):
         path = tmp_path / "pencil.json"
