@@ -122,7 +122,8 @@ def _csv_tables():
     - ``powers``: per E from _E_LO to _E_HI, 10**(16 - E) as hi + lo and hi's Dekker halves;
     - ``words``: the 4-byte words a source row is made of: ``%04d`` of 0..9999, ``.-0`` and one digit,
       four NULs, and per E the text after a %.17g's digits in exponent notation (``e-05``) in two words;
-    - ``last``: per 4-digit word, the position of its last digit that is not 0, from 1 (0 for 0000);
+    - ``ends``: at ``10000 i + w``, the significant digits of a %.17g whose last word that is not 0000 is
+      its word i = 0..3 of four digits after the first, w; at 40000, 1, for none;
     - ``classes``: per E, the first column of its layouts;
     - ``layouts``: the source columns of a field, NUL-padded, in column ``34 * class + 17 * negative + s - 1``
       for s significant digits.  A class is the fixed notation with E = 0..16 (class E) or E = -1..-4
@@ -151,6 +152,7 @@ def _csv_tables():
                             np.array(exponents, dtype="S8").view(np.uint32)])
     quads = np.arange(10000)
     last = np.select([quads % 10 > 0, quads % 100 > 0, quads % 1000 > 0, quads > 0], [4, 3, 2, 1])
+    ends = np.concatenate([4 * i + 1 + last for i in range(4)] + [[1]])
     layouts, columns = [], list(range(3, 20))
     for cls in range(22):
         for negative in (0, 1):
@@ -163,7 +165,7 @@ def _csv_tables():
                     body = columns[:1] + ([_DOT] + columns[1:s] if s > 1 else []) + list(range(_EXPONENT, 29))
                 layouts.append([_MINUS] * negative + body + [_NUL] * (24 - negative - len(body)))
     layouts = np.array(layouts, dtype=np.uint8)
-    return ((hi, hi_hi, hi - hi_hi, lo), words, last, np.array(classes), np.ascontiguousarray(layouts.T),
+    return ((hi, hi_hi, hi - hi_hi, lo), words, ends, np.array(classes), np.ascontiguousarray(layouts.T),
             (layouts != _NUL).sum(axis=1))
 
 
@@ -180,7 +182,7 @@ def _scaled(a, e, powers):
 
 def _float_field(x) -> np.ndarray:
     """The bytes of ``'%.17g' % v`` for each float64 v of x, as the columns of a NUL-padded array."""
-    powers, words, last, classes, layouts, lengths = _csv_tables()
+    powers, words, ends, classes, layouts, lengths = _csv_tables()
     a = np.abs(x)
     zero = a == 0
     scaled = (a >= _SCALED[0]) & (a < _SCALED[1])  # not NaN, infinite, zero or beyond the tables
@@ -209,8 +211,8 @@ def _float_field(x) -> np.ndarray:
     at[2] = high - at[1] * 10 ** 4
     at[3] = low // 10 ** 4
     at[4] = low - at[3] * 10 ** 4
-    # s, the significant digits, ends at the last digit that is not 0
-    s = np.max(last.take(at[1:5]) + [[1], [5], [9], [13]] * (at[1:5] > 0), axis=0, initial=1)
+    # s, the significant digits, ends at the last digit that is not 0, in the last word that is not 0000
+    s = ends.take(np.select(list(at[4:0:-1] > 0), list(at[4:0:-1] + [[30000], [20000], [10000], [0]]), 40000))
     at[0] += _FIRST
     at[5] = _BLANK
     at[6] = _EXPONENTS + 2 * (e - _E_LO)

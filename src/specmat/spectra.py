@@ -1,9 +1,11 @@
 """Closed-form eigenpairs for the structured matrix families.
 
-Every symbol comes from one kernel, ``_symbols``: Horner's rule on exactly
-summed coefficients in ``sin^2(theta/2)``, or ``sin^2((pi-theta)/2)`` past
-pi/2, and for wide bands a sum of ``sin^2(l theta/2)``.  A mode's eigenvalue
-pairs with a sampled sine or cosine eigenvector.
+Every symbol comes from one kernel, ``_symbols``, and one formula at every
+bandwidth: Horner's rule on exactly summed coefficients in ``sin^2(theta/2)``,
+or ``sin^2((pi-theta)/2)`` past pi/2, up to the third power, about a sum of
+``sin^2(j theta/2)`` for the rest, so that a zero of order up to 3 at 0 or pi
+keeps full relative accuracy at any width.  A mode's eigenvalue pairs with a
+sampled sine or cosine eigenvector.
 The corner-overlapped families reduce, mode by mode, to scalar quadratics or
 cubics in symbols, whose roots are taken directly; their eigenvectors sample
 a sine at the shared vertices and fill the other entries in closed form.  The
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +37,7 @@ from .solution import EigenSolution, PolynomialEigenSolution
 SYMBOL_ZERO_RTOL = 1e-12
 # pi - fl(pi) to double precision, so that pi - theta is exact to rounding
 _PI_TAIL = math.sin(math.pi)
+_DEPTH = 4  # Horner's rule takes t^0..t^3: a zero of order up to 3 at 0 or pi stays exact at any width
 
 
 def symbol(band, theta):
@@ -41,12 +45,15 @@ def symbol(band, theta):
 
     Accepts a scalar angle, giving a float, or an array of angles, giving
     float64, for a real band; complex for a complex one.  As ``cos(l*theta) =
-    T_l(1 - 2t)``, it is a polynomial in ``t = sin^2(theta/2)`` up to ``pi/2``
-    and in ``u = sin^2((pi-theta)/2)`` above, whose exactly summed coefficients
-    keep a zero of any order at 0 or pi exact under Horner's rule.  Past
-    bandwidth 2 the form ``s(0) - 4 sum_l band[l] sin^2(l*theta/2)`` (about pi,
-    ``s(pi)`` and the signs ``(-1)^l``), which keeps a simple zero exact, is
-    taken where Horner's rule rounds more, and past bandwidth 4 alone.
+    T_l(1 - 2t)`` and, by Fejer's kernel, ``sin^2(l*theta/2) = t U_{l-1}(cos(theta/2))^2``,
+    with ``t = sin^2(theta/2)`` up to ``pi/2`` (and ``u = sin^2((pi-theta)/2)``
+    above, with the signs ``(-1)^l``) it is ``sum_{k<r} c_k t^k - 4 (-4t)^(r-1)
+    sum_j g_j sin^2(j*theta/2)``, g the band deflated r - 1 times.  At
+    ``r = min(m, 4)``, Horner's rule on the exactly summed ``c_k`` keeps a zero of
+    order up to 3 at 0 or pi exact at any bandwidth m, and one of any order up to
+    bandwidth 4.  Where that rounds by more than 8 times the band's moduli, the
+    angle takes r = 1, ``s(0) - 4 sum_l band[l] sin^2(l*theta/2)``, which rounds by
+    about them; a band whose entries past the second vanish never does.
     """
     theta_arr = np.asarray(theta, dtype=float)
     values = _symbols(as_band(band)[None], theta_arr.ravel())[:, 0].reshape(theta_arr.shape)
@@ -54,16 +61,19 @@ def symbol(band, theta):
 
 
 @functools.cache
-def _chebyshev_terms(m: int, powers: int):
-    """Band entry ``cols[r, k, i]`` times ``mults[r, k, i]``, summed over i, is a bandwidth-m symbol's
-    coefficient of ``x^k``, ``x = t`` (r = 0) or ``u`` (r = 1), k < powers.  Entry l > 0 enters as ``2
-    (-1)^(l r) T_l(1 - 2x)``, whose integers ``2 (-4)^k l C(l+k, l-k) / (l+k)`` split into powers of two."""
-    def weight(k, l, sign):
-        return 1 if l == 0 else 2 * (-1) ** k * sign ** l * (l * 4 ** k * math.comb(l + k, l - k) // (l + k))
-    rows = [[(l, math.copysign(2.0 ** i, a)) for l in range(k, m + 1) for a in [weight(k, l, sign)]
-             for i in range(abs(a).bit_length()) if abs(a) >> i & 1] for sign in (1, -1) for k in range(powers)]
-    terms = np.array([row + [(0, 0.0)] * (max(map(len, rows)) - len(row)) for row in rows]).reshape(2, powers, -1, 2)
-    return terms[..., 0].astype(np.intp), terms[..., 1]
+def _chebyshev_terms(m: int):
+    """Depth r; bandwidth m's coefficients, ``x^k``'s for k < r then ``sin^2(j theta/2)``'s, about 0 (``x = t``)
+    then pi (``x = u``, entry l signed ``(-1)^l``), as ``band[cols] * mults`` summed over spans; the halves ``j/2``."""
+    r = max(1, min(m, _DEPTH))
+    def parts(k, l, sign):  # entry l's weight: below r in 2 T_l(1 - 2x), split to sum exactly; then deflated, whole
+        a = ((-4) ** r * sign ** l * (math.comb(l - k + 2 * r - 3, 2 * r - 3) if r > 1 else l == k) if k >= r else
+             1 if l == 0 else 2 * (-1) ** k * sign ** l * (l * 4 ** k * math.comb(l + k, l - k) // (l + k)))
+        return [a] if k >= r else [math.copysign(2 ** i, a) for i in range(abs(a).bit_length()) if abs(a) >> i & 1]
+    rows = [[(l, float(part)) for l in range(k, m + 1) for part in parts(k, l, sign) if part]
+            for sign in (1, -1) for k in range(max(m, r) + 1)]
+    cols, mults = np.array([term for row in rows for term in row + [(0, 0.0)] * (2 - len(row))]).T  # two at least
+    spans = list(itertools.pairwise([0, *itertools.accumulate(max(len(row), 2) for row in rows)]))
+    return r, cols.astype(np.intp), mults, spans, 0.5 * np.arange(1, max(m, 1) + 1)[:, None]
 
 
 def _symbols(bands, thetas) -> np.ndarray:
@@ -72,30 +82,28 @@ def _symbols(bands, thetas) -> np.ndarray:
     if bands.dtype == complex:  # the real and the imaginary part's symbols, each real arithmetic
         parts = _symbols(np.concatenate((bands.real, bands.imag)), thetas)
         return parts[:, :len(bands)] + 1j * parts[:, len(bands):]  # exact: the real parts are never -0.0
-    m = bands.shape[1] - 1
-    cols, mults = _chebyshev_terms(m, m + 1 if m <= 4 else 1)  # past m = 4, only s(0) and s(pi)
-    terms = bands.take(cols, axis=1) * mults  # band, t or u, power, term
-    rows = terms.reshape(-1, cols.shape[-1])  # summed exactly, from +0.0: two terms round once, more take fsum
-    sums = rows.sum(axis=1) if rows.shape[1] <= 2 else [math.fsum(row) for row in rows.tolist()]
-    coeffs = np.array(sums).reshape(terms.shape[:-1])
+    count, (r, cols, mults, spans, halves) = len(bands), _chebyshev_terms(bands.shape[1] - 1)
+    terms = bands.take(cols, axis=1) * mults  # summed exactly, from +0.0: two terms round once, more take fsum
+    sums = terms.reshape(count, -1, 2).sum(axis=2) if len(cols) == 2 * len(spans) else [
+        math.fsum(row[i:j]) for row in terms.tolist() for i, j in spans]
+    bounded = np.count_nonzero(bands[:, 3:]) > 0  # else Horner's bound sum |c_k| x^k is at most 7 moduli
+    coeffs = np.array([sums, np.abs(sums)] if bounded else [sums]).reshape(-1, 2, len(halves) + 1)  # + the bound
     near_pi = thetas > 0.5 * np.pi
     reduced = np.where(near_pi, (np.pi - thetas) + _PI_TAIL, thetas)
-    x = np.sin(0.5 * reduced)[:, None] ** 2
-    per_angle = coeffs.transpose(2, 1, 0).take(near_pi.astype(np.intp), axis=1)  # power, angle, band
-    acc = per_angle[-1]
-    for coeff in per_angle[-2::-1]:
-        acc = acc * x + coeff
-    if m <= 2:  # Horner's rule rounds by sum |c_k| x^k, here at most 7 times the band's moduli
-        return acc
-    # the sin^2 form rounds by about the band's moduli, Horner's rule by up to T_m(1 + 2x) times them: the
-    # smaller is taken up to m = 4, where its exact coefficients cost as much as the sin^2 form (25 times at 32)
-    squares = np.sin(0.5 * np.multiply.outer(reduced, np.arange(1, m + 1))) ** 2
-    squares[near_pi, ::2] *= -1.0  # the signs (-1)^l about pi
-    sines = per_angle[0] - 4.0 * (squares @ bands[:, 1:].T)
-    if m > 4:
-        return sines
-    scale = functools.reduce(lambda total, coeff: total * x + abs(coeff), per_angle[-2::-1], abs(per_angle[-1]))
-    return np.where(scale > 2 * abs(bands).sum(axis=1) - abs(bands[:, 0]), sines, acc)
+    squares = np.sin(halves[:None if bounded else coeffs.shape[2] - r] * reduced) ** 2  # sin^2(j theta/2)
+    per_angle = coeffs[..., :r + 1].transpose(2, 0, 1).take(near_pi.astype(np.intp), axis=2)  # c, band, angle
+    acc = per_angle[r] * squares[0]  # the tail, whose terms past the first need the band's entries past 4
+    if bounded:
+        acc += np.where(near_pi, *(coeffs[:, side, r + 1:] @ squares[1:coeffs.shape[2] - r] for side in (1, 0)))
+    acc += per_angle[r - 1]  # then Horner's rule
+    for k in range(r - 2, -1, -1):
+        acc *= squares[0]
+        acc += per_angle[k]
+    if bounded:  # the sin^2 form, signed (-1)^l about pi, rounds by about the moduli: taken where Horner's passes 8
+        squares[::2] *= np.where(near_pi, -1.0, 1.0)
+        sines = per_angle[0, :count] - 4.0 * (bands[:, 1:] @ squares)
+        acc = np.where(acc[count:] > 8.0 * (2 * abs(bands).sum(axis=1) - abs(bands[:, 0]))[:, None], sines, acc[:count])
+    return acc.T
 
 
 def divide_symbols(numerator, denominator) -> np.ndarray:
@@ -205,19 +213,26 @@ def corner_block_quadratic_bands(alpha, beta):
     """The three order-1 bands whose quadratic pencil condenses the corner-block pencil.
 
     Returns ascending-power bands ``(d, c, b)`` for ``lam^2 B + lam C + D = 0``:
-    position k in the result multiplies ``lam^k``.
+    position k in the result multiplies ``lam^k``.  Raises :class:`DegenerateQuadraticError` where a
+    product of two parameters underflows, as for parameters near 1e-200.
     """
     if np.shape(alpha) != (4,) or np.shape(beta) != (4,):
         raise ValueError("corner-block pencils take exactly four parameters per side")
     alpha, beta = as_band(alpha), as_band(beta)
-    band_b = np.array([beta[0] * beta[3] - 2.0 * beta[1] ** 2, beta[2] * beta[3] - beta[1] ** 2])
-    band_c = np.array(
-        [
-            4.0 * alpha[1] * beta[1] - beta[0] * alpha[3] - alpha[0] * beta[3],
-            2.0 * alpha[1] * beta[1] - beta[2] * alpha[3] - alpha[2] * beta[3],
-        ]
-    )
-    band_d = np.array([alpha[0] * alpha[3] - 2.0 * alpha[1] ** 2, alpha[2] * alpha[3] - alpha[1] ** 2])
+    try:  # a product below the normal range has lost digits that the quadratic's roots need
+        with np.errstate(under="raise"):
+            band_b = np.array([beta[0] * beta[3] - 2.0 * beta[1] ** 2, beta[2] * beta[3] - beta[1] ** 2])
+            band_c = np.array(
+                [
+                    4.0 * alpha[1] * beta[1] - beta[0] * alpha[3] - alpha[0] * beta[3],
+                    2.0 * alpha[1] * beta[1] - beta[2] * alpha[3] - alpha[2] * beta[3],
+                ]
+            )
+            band_d = np.array([alpha[0] * alpha[3] - 2.0 * alpha[1] ** 2, alpha[2] * alpha[3] - alpha[1] ** 2])
+    except FloatingPointError as exc:  # an overflow, which the caller may raise too, stays one
+        if "underflow" in str(exc):
+            raise DegenerateQuadraticError("corner-block parameter products underflow: scale them up") from None
+        raise
     return band_d, band_c, band_b
 
 

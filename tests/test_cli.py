@@ -1,6 +1,7 @@
 """Command-line surface: parsing, exit codes, file and CSV outputs."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -495,6 +496,31 @@ def test_input_that_overflows_a_float_is_a_usage_error(tmp_path, argv):
     assert re.fullmatch(r"error: overflow encountered in [a-z ]+\n", err)
 
 
+def test_corner_block_products_that_underflow_are_a_usage_error(tmp_path):
+    # alpha_0 alpha_3 - 2 alpha_1^2 is near 1e-400, below the float range: the closed form lost the
+    # quadratic's constant band, and the command exited 3 on a residual of 0.80
+    argv = ["spectrum", "--family", "corner-block", "--alpha", "1e-200,1e-201,1e-202,1e-200", "--beta", "1,0,0,1",
+            "--half-n", "3"]
+    code, out, err, caught = _run_in_full(argv, tmp_path)
+    assert (code, out, caught) == (2, "", [])
+    assert err == "error: corner-block parameter products underflow: scale them up\n"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["spectrum", "--family", "corner-block", "--alpha", "1e-100,1e-101,1e-102,1e-100", "--beta", "1,0,0,1",
+      "--half-n", "3"], "f2aa6a2faa61667d4095d736e4f9ce49f715ebda34ef04e034f427042c257374"),
+    (["spectrum", "--family", "fem-p2", "--n-elems", "5"],
+     "87b7f62eca4252ec8e76e712fcb93c58aa1653ef795d35e2e6a7501c5dd160ee"),
+    (["spectrum", "--family", "fem-p3", "--n-elems", "4"],
+     "8d334f3f2249ccbc7c38b07178719c11d391869dc8c6b2530ae6b3bb4d3289d2"),
+], ids=["corner-block-1e-100", "fem-p2", "fem-p3"])
+def test_products_in_the_float_range_keep_their_output(tmp_path, argv, digest):
+    # the stdout that these commands printed before corner-block products were checked for underflow
+    code, out, err, caught = _run_in_full(argv, tmp_path)
+    assert (code, err, caught) == (0, "", [])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _PEVP = ["pevp", "--input"]
 
 
@@ -537,6 +563,62 @@ def test_extreme_literals_pass_or_fail_with_one_error_line(tmp_path, argv, penci
         numbers = [float(field) for line in out.splitlines()[1:] for field in line.split(",")
                    if re.fullmatch(r"[-+0-9.eE]+|[-+]?(nan|inf)", field)]
         assert numbers and np.isfinite(numbers).all()
+
+
+_RATIONAL = st.builds(lambda p, q: f"{p}/{q}" if q > 1 else str(p), st.integers(-99, 99), st.integers(1, 99))
+_DECIMAL = st.builds(lambda k, e: f"{k / 8}E{e:+d}", st.integers(-80, 80), st.integers(-3, 3))
+_MODERATE = st.one_of(_RATIONAL, _DECIMAL, st.builds(lambda re, im: f"{re}+{im}i" if im[0] != "-" else f"{re}{im}i",
+                                                     _RATIONAL, st.one_of(_RATIONAL, _DECIMAL)))
+_EXTREME = st.one_of(st.sampled_from(["1e308", "-1e308", "7e300", "5e-324", "-1e-320", "1e-300", "1e200i"]),
+                     st.builds(lambda k, e: f"{k}e{e}", st.integers(-9, 9), st.integers(-320, 308)))
+
+
+@st.composite
+def _band_literals(draw, size):
+    """``size`` CLI literals: rationals, decimals with exponents and complex numbers of moderate size, with
+    one huge or tiny entry in a third of the bands, and all of them scaled by 10^e, |e| <= 320, in another."""
+    entries = draw(st.lists(_MODERATE, min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["moderate", "one extreme", "scaled"]))
+    if kind == "one extreme":
+        entries[draw(st.integers(0, size - 1))] = draw(_EXTREME)
+    elif kind == "scaled":
+        e = draw(st.integers(-320, 308))
+        entries = [f"{k}e{e}" for k in draw(st.lists(st.integers(-99, 99), min_size=size, max_size=size))]
+    return entries
+
+
+@st.composite
+def _free_width_commands(draw):
+    """A ``spectrum --family toeplitz-hankel`` argv, or a ``pevp`` one with its pencil: bands of
+    bandwidth 1-16, variants 1-4, n <= 24 (now and then too small for the bands), q = 1-3 for pevp."""
+    m, variant = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(min(2 * m - 1, 24), 24), st.integers(1, 24)))  # the matrices need 2m - 1 <= n
+    bands = [draw(_band_literals(m + 1)) for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        return ["spectrum", "--family", "toeplitz-hankel", "--n", str(n), "--variant", str(variant),
+                "--alpha", ",".join(bands[0]), "--beta", ",".join(bands[1])], None, (n, variant)
+    return _PEVP, bands, (n, variant)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_free_width_commands())
+def test_free_width_commands_give_finite_output_or_one_error_line(tmp_path_factory, command):
+    # the symbol kernel's callers that take a band of any width: every drawn input runs to finite
+    # numbers, or is refused (2) or fails its check (3) with one error line, and warns of nothing
+    argv, pencil, (n, variant) = command
+    tmp_path = tmp_path_factory.mktemp("pevp")
+    if pencil is not None:
+        (tmp_path / "pencil.json").write_text(json.dumps({"variant": variant, "n": n, "bands": pencil}))
+        argv = [*argv, str(tmp_path / "pencil.json")]
+    code, out, err, caught = _run_in_full(argv, tmp_path)
+    assert caught == [] and "Warning" not in err
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        numbers = [float(field) for line in out.splitlines()[1:] for field in line.split(",")
+                   if re.fullmatch(r"[-+0-9.eE]+|[-+]?(nan|inf)", field)]
+        assert np.isfinite(numbers).all()
 
 
 def _kernel_text(values):

@@ -1,5 +1,6 @@
 """Closed-form eigenpair generators versus constructed matrices and worked examples."""
 
+import functools
 import itertools
 import math
 import pickle
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from specmat import (
     BadBandwidthError,
+    DegenerateQuadraticError,
     EigenSolution,
     HankelVariant,
     SingularPencilError,
@@ -111,9 +113,25 @@ class TestSymbol:
                     assert value.imag == 0.0
                     assert abs(mpmath.mpf(value.real) - exact) <= 4 * EPS * abs(exact)
 
+    def test_zeros_up_to_order_three_keep_full_relative_accuracy_at_any_width(self):
+        # an eighths band, its symbol at least 1, times (2 -+ 1)^order: a zero of that order in
+        # sin^2(theta/2) at 0 or in sin^2((pi - theta)/2) at pi, at the five modes nearest it
+        rng = np.random.default_rng(30)
+        n = 10 ** 5
+        for m in (8, 16, 40):
+            for order, at_pi in itertools.product((1, 2, 3), (False, True)):
+                base = rng.integers(-8, 9, m - order + 1) / 8
+                base[0] = 2 * np.abs(base[1:]).sum() + 1
+                band = functools.reduce(_band_product, [[2.0, 1.0 if at_pi else -1.0]] * order, base)
+                thetas = (np.arange(n - 4, n + 1) if at_pi else np.arange(1, 6)) * np.pi / (n + 1)
+                with mpmath.workdps(120):
+                    for value, exact in zip(symbol(band, thetas).tolist(), self.exact_symbols(band, thetas, 120)):
+                        assert abs(value - exact) <= 4 * EPS * abs(exact), (m, order, at_pi)
+
     def test_wide_bands_round_by_their_moduli(self):
         # Horner's rule in t rounds by up to T_m(1 + 2t) times the band's moduli, about 3.7^m at
-        # pi/2, where the sin^2 form rounds by about them; past m = 4 the sin^2 form is taken alone.
+        # pi/2, where the sin^2 form rounds by about them; each angle past the band's entry 2 takes
+        # the sin^2 form where Horner's bound passes 8 times the moduli.
         # Horner's rule alone reads 5.6 eps times the moduli on the m = 4 band
         rng = np.random.default_rng(7)
         thetas = np.pi * np.arange(1, 60) / 60
@@ -133,6 +151,41 @@ class TestSymbol:
         squares = half_sines * half_sines
         return np.where(near_pi, (b0 - 2.0 * b1 + 0.0) - 4.0 * (-1.0 * b1 * squares),
                         (b0 + 2.0 * b1 + 0.0) - 4.0 * (b1 * squares))
+
+    @staticmethod
+    def frozen_order_two(band, thetas):
+        """The bandwidth-2 arithmetic that the IGA pair's and the complex bands' values were computed
+        by, Horner's rule on exactly summed coefficients, frozen here so that the kernel keeps their bytes."""
+        if np.iscomplexobj(band):
+            real, imag = (TestSymbol.frozen_order_two(part, thetas) for part in (band.real, band.imag))
+            return real + 1j * imag
+        b0, b1, b2 = band.tolist()
+        near_pi = thetas > 0.5 * np.pi
+        half_sines = np.sin(0.5 * np.where(near_pi, (np.pi - thetas) + math.sin(math.pi), thetas))
+        squares = half_sines * half_sines
+        sides = []
+        for sign in (1.0, -1.0):
+            c0, c1, c2 = (math.fsum(terms) for terms in ((b0, 2.0 * sign * b1, 2.0 * b2),
+                                                         (-4.0 * sign * b1, -16.0 * b2), (16.0 * b2,)))
+            sides.append((c2 * squares + c1) * squares + c0)
+        return np.where(near_pi, sides[1], sides[0])
+
+    def test_order_two_bands_keep_their_bytes(self):
+        # every sign of zero, real and complex bands and real ones in a complex stack, every variant's angles
+        parts = (0.0, -0.0, 1.5, -0.5, 1 / 3, -7e-3)
+        real = [np.array(band) for band in itertools.product(parts[:4], repeat=3)]
+        rng = np.random.default_rng(2)
+        complex_ = [rng.choice(parts, 3) + 1j * rng.choice(parts, 3) for _ in range(96)]
+        for variant, n in itertools.product(range(1, 5), (1, 2, 3, 7, 60, 2100)):
+            if (variant, n) == (3, 1):
+                continue  # no angle: h = 1 / (n - 1)
+            h, angles = mode_angles(variant, n)
+            thetas = np.pi * h * angles
+            for bands in (real, complex_, real[:9] + complex_[:30]):
+                table = _symbols(np.array(bands), thetas)
+                for column, band in zip(table.T, bands):
+                    expected = self.frozen_order_two(np.asarray(band, dtype=table.dtype), thetas)
+                    assert np.ascontiguousarray(column).tobytes() == expected.tobytes()
 
     def test_order_one_bands_keep_their_bytes(self):
         # the kernel's columns over every sign of zero, a real band in a complex stack included
@@ -159,12 +212,11 @@ def _band_product(a, b):
 
 @st.composite
 def _sampled_symbols(draw):
-    """A dyadic band of bandwidth 1-4, or one with an exact zero of order 1 or 2 in sin^2(theta/2)
+    """A dyadic band of bandwidth 1-16, or one with an exact zero of order 1, 2 or 3 in sin^2(theta/2)
     at 0 or pi, and some of a variant's mode angles at an n up to 10^5."""
-    zero = draw(st.sampled_from([None, (2.0, -1.0), (2.0, 1.0), (6.0, -4.0, 1.0), (6.0, 4.0, 1.0)]))
-    zero_width = 0 if zero is None else len(zero) - 1
-    base = draw(st.lists(_DYADIC, min_size=1, max_size=5 - zero_width).filter(lambda b: len(b) > 1 or zero))
-    band = np.array(base) if zero is None else _band_product(base, zero)
+    order, sign = draw(st.integers(0, 3)), draw(st.sampled_from([-1.0, 1.0]))
+    base = draw(st.lists(_DYADIC, min_size=1, max_size=17 - order).filter(lambda b: len(b) + order > 1))
+    band = functools.reduce(_band_product, [[2.0, sign]] * order, np.array(base))
     variant = draw(st.integers(1, 4))
     n = draw(st.one_of(st.integers(band.size, 40), st.integers(band.size, 10 ** 5)))
     h, angles = mode_angles(variant, n)
@@ -583,8 +635,13 @@ class TestCornerBlockEigenpairs:
         assert np.max(np.abs(sol.values - expected)) <= 64 * EPS * np.max(np.abs(expected))
         assert max_residual(sol, build_corner_block(alpha, 5), build_corner_block(beta, 5)) <= 16 * EPS
 
+    def test_parameter_products_that_underflow_raise(self):
+        with pytest.raises(DegenerateQuadraticError, match="underflow"):
+            corner_block_eigenpairs([1e-200, 1e-201, 1e-202, 1e-200], [1.0, 0.0, 0.0, 1.0], 3)
+        values = corner_block_eigenpairs([1e-100, 1e-101, 1e-102, 1e-100], [1.0, 0.0, 0.0, 1.0], 3).values
+        assert np.all(values > 0)
+
     def test_doubly_degenerate_mode_raises(self):
-        from specmat import DegenerateQuadraticError
 
         with pytest.raises(DegenerateQuadraticError):
             corner_block_eigenpairs([2.0, 1.0, 0.0, 1.0], [2.0, 1.0, 1.0, 1.0], 1)
